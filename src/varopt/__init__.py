@@ -6,7 +6,6 @@ models and Bayesian filters behind them, and the energy/rate diagnostics
 that certify convergence behavior empirically.
 """
 
-from .backend import BACKEND_NAME
 from .bregman import (
     DomainError,
     MirrorMap,

@@ -1,7 +1,7 @@
 """Experiment harness: problems, configs, runners and the CLI."""
 
 from .config import ConfigError, ExperimentConfig, build_experiment, load_config, parse_config_text
-from .problems import ProblemInstance, generate_problem, sample_minibatch_gradient
+from .problems import ProblemInstance, generate_problem
 from .rng import component_rng
 from .runner import RunArtifacts, compare, run_experiment, sweep
 
@@ -17,6 +17,5 @@ __all__ = [
     "load_config",
     "parse_config_text",
     "run_experiment",
-    "sample_minibatch_gradient",
     "sweep",
 ]

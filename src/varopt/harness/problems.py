@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-__all__ = ["ProblemInstance", "generate_problem", "sample_minibatch_gradient"]
+__all__ = ["ProblemInstance", "generate_problem"]
 
 _REFERENCE_TOL = 1e-10
 
@@ -72,22 +72,6 @@ class ProblemInstance:
         idx = rng.choice(self.n, size=m, replace=False)
         grads = self.per_sample_gradients(np.asarray(x, dtype=float))
         return grads[idx].mean(axis=0)
-
-    def minibatch_mean(self, m: int, rng: np.random.Generator) -> np.ndarray:
-        """Mean of a without-replacement batch of data points (quadratic
-        family only; the batch gradient at x is then x minus this mean)."""
-        if self.kind != "quadratic":
-            raise ValueError("minibatch_mean is specific to the quadratic family")
-        if m == self.n:
-            return self.z.mean(axis=0)
-        idx = rng.choice(self.n, size=m, replace=False)
-        return self.z[idx].mean(axis=0)
-
-
-def sample_minibatch_gradient(problem: ProblemInstance, x, m: int,
-                              rng: np.random.Generator) -> np.ndarray:
-    """Average gradient over a without-replacement batch of size m."""
-    return problem.minibatch_gradient(x, m, rng)
 
 
 def generate_problem(kind: str, d: int, n: int, rng: np.random.Generator,

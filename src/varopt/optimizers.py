@@ -15,12 +15,11 @@ optimizers consume only the observation stream g.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from . import backend
 from .bregman import MirrorMap, grad_dual
 from .diagnostics import Trajectory
 from .gradient_models import (
@@ -53,6 +52,8 @@ OPTIMIZER_KINDS = (
     "polyak_momentum",
     "fosp_continuous",
 )
+# Kinds whose dual-space step comes from a state-space filter.
+_FILTERED_KINDS = ("kalman_gd", "generalized_momentum", "polyak_momentum")
 
 
 def mirror_descent_step(mirror: MirrorMap, x: np.ndarray, g: np.ndarray,
@@ -148,9 +149,8 @@ class OptimizerSpec:
             raise ValueError(f"unknown optimizer kind {self.kind!r}")
         if self.mode not in ("synthetic", "empirical"):
             raise ValueError(f"unknown stream mode {self.mode!r}")
-        needs_state_space = self.kind in ("kalman_gd", "generalized_momentum",
-                                          "polyak_momentum")
-        if needs_state_space and not isinstance(self.model, StateSpaceGradientModel):
+        if (self.kind in _FILTERED_KINDS
+                and not isinstance(self.model, StateSpaceGradientModel)):
             raise ValueError(f"{self.kind} requires a StateSpaceGradientModel")
         if self.kind == "polyak_momentum" and self.model.dtilde != 1:
             raise ValueError("polyak_momentum is the dtilde = 1 special case")
@@ -172,21 +172,6 @@ class OptimizerSpec:
         if self.mirror.name == "entropy":
             return np.ones(d)
         return np.zeros(d)
-
-
-_BUILTIN_MAP_KIND = {"quadratic": 0, "entropy": 1}
-
-
-def _map_kernel_info(mirror: MirrorMap, d: int):
-    """(map_kind, m_diag) for the backend kernels, or None when the map
-    has no fused kernel (full-matrix quadratic, custom maps)."""
-    if mirror.name == "entropy":
-        return 1, np.ones(d)
-    if mirror.name == "quadratic":
-        hess = np.atleast_2d(mirror.hess_h(np.zeros(d)))
-        if np.allclose(hess, np.diag(np.diag(hess))):
-            return 0, np.diag(hess).copy()
-    return None
 
 
 def _stream_dimension(spec: OptimizerSpec, problem) -> int:
@@ -230,15 +215,14 @@ def run_optimizer(spec: OptimizerSpec, problem, steps: int, seed: int,
         )
 
     step_times = times[:-1]
-    error = None
-    if spec.kind in ("kalman_gd", "generalized_momentum", "polyak_momentum"):
+    if spec.kind in _FILTERED_KINDS:
         phi = phi_vector_path(schedule, spec.model.a_mat, spec.model.b_vec, step_times)
     else:
         phi = phi_scalar_path(schedule, step_times)
 
     try:
-        x_path, g_stream, filter_norm = _run_paths(spec, problem, x0, step_times,
-                                                   dts, phi, rng_factory)
+        x_path, g_stream, y_path = _run_steps(spec, problem, x0, step_times,
+                                              dts, phi, rng_factory)
     except Exception as exc:
         # Terminate with an error record; the initial state is all that
         # is reliably known at this point.
@@ -250,6 +234,9 @@ def run_optimizer(spec: OptimizerSpec, problem, steps: int, seed: int,
         )
 
     k = x_path.shape[0] - 1
+    filter_norm = None
+    if y_path is not None:
+        filter_norm = np.linalg.norm(y_path.reshape(len(y_path), -1), axis=1)
     nu_path = np.diff(x_path, axis=0) / dts[:k, None]
     loss_gap = np.array([_loss_gap(spec, problem, x) for x in x_path])
     qv_path = _qv_path(_filter_coefficient(spec, problem), schedule, step_times,
@@ -276,176 +263,67 @@ def _filter_coefficient(spec: OptimizerSpec, problem) -> float:
     return 1.0
 
 
-def _synthetic_stream(spec: OptimizerSpec, dts: np.ndarray, rng) -> tuple:
-    """Pre-simulate the latent stream: (g, grad_true), each (K, d)."""
-    if isinstance(spec.model, MartingaleGradientModel):
-        stream = MartingaleStream(spec.model, rng)
-    else:
-        stream = StateSpaceStream(spec.model, rng)
-    g = np.empty((len(dts), spec.model.d))
-    true = np.empty_like(g)
-    for k, dt in enumerate(dts):
-        true[k], g[k] = stream.step(float(dt))
-    return g, true
-
-
-def _run_paths(spec, problem, x0, step_times, dts, phi, rng_factory):
-    """Dispatch to a fused kernel when the configuration allows it,
-    else to the generic sequential loop.  Returns (x_path, g_stream,
-    filter_mean_norm or None)."""
-    mirror = spec.mirror
-    d = len(x0)
-    kernel_info = _map_kernel_info(mirror, d)
-    filter_norm = None
+def _run_steps(spec, problem, x0, step_times, dts, phi, rng_factory):
+    """The step loop of every kind and stream mode: observe g, filter it,
+    apply the kind's update rule.  Returns (x_path, g_stream, y_path),
+    y_path being the (K+1, d, dtilde) filter means of the filtered kinds
+    and None otherwise."""
+    mirror, model = spec.mirror, spec.model
+    k_steps, d = len(dts), len(x0)
+    x_path = np.empty((k_steps + 1, d))
+    g_stream = np.empty((k_steps, d))
+    x_path[0] = x = x0
 
     if spec.mode == "synthetic":
-        g_stream, _ = _synthetic_stream(spec, dts, rng_factory("stream"))
-        if spec.kind == "mirror_sgd":
-            coeff = _filter_coefficient(spec, problem)
-            dual_steps = phi[:, None] * coeff * g_stream
-            if kernel_info is not None:
-                x_path = backend.mirror_run(x0, dual_steps, *kernel_info)
-            else:
-                x_path = _mirror_loop(mirror, x0, dual_steps)
-            return x_path, g_stream, None
-        if spec.kind == "fosp_continuous":
-            coeff = _filter_coefficient(spec, problem)
-            return (_fosp_loop(spec, x0, step_times, dts, phi, g_stream, coeff),
-                    g_stream, None)
-        # Kalman family: filter path first, then the mirror recursion.
-        y_path, filter_norm = _filter_path(spec, g_stream, dts)
-        dual_steps = np.einsum("kij,kj->ki", y_path[1:], phi)
-        if kernel_info is not None:
-            x_path = backend.mirror_run(x0, dual_steps, *kernel_info)
-        else:
-            x_path = _mirror_loop(mirror, x0, dual_steps)
-        return x_path, g_stream, filter_norm
-
-    # Empirical mode: the stream depends on the iterate.
-    rng = rng_factory("batch")
-    if (spec.kind == "mirror_sgd" and kernel_info is not None
-            and kernel_info[0] == 0 and getattr(problem, "kind", None) == "quadratic"):
-        # Mini-batch gradient of the quadratic problem is X - mean(batch),
-        # so the whole run collapses to an affine recursion.
-        zbar = np.stack([problem.minibatch_mean(spec.batch_m, rng)
-                         for _ in range(len(dts))])
-        coeff = _filter_coefficient(spec, problem)
-        x_path = backend.affine_sgd_run(x0, zbar, phi * coeff, kernel_info[1])
-        g_stream = x_path[:-1] - zbar
-        return x_path, g_stream, None
-    return _empirical_loop(spec, problem, x0, step_times, dts, phi, rng)
-
-
-def _mirror_loop(mirror, x0, dual_steps):
-    x_path = np.empty((len(dual_steps) + 1, len(x0)))
-    x_path[0] = x0
-    for k, d_k in enumerate(dual_steps):
-        x_path[k + 1] = mirror_descent_step(mirror, x_path[k], d_k, 1.0)
-    return x_path
-
-
-def _filter_path(spec, g_stream, dts):
-    """Kalman or steady-state filter over a pre-simulated stream."""
-    model = spec.model
-    dt0 = float(dts[0])
-    constant_dt = np.allclose(dts, dt0)
-    a_til = np.eye(model.dtilde) - dt0 * model.a_mat
-    l_til = dt0 * model.l_mat
-    sigma_disc = model.sigma * dt0
-    p0 = spec.p0 if spec.p0 is not None else model.stationary_covariance()
-
-    if spec.kind in ("generalized_momentum", "polyak_momentum"):
-        k_inf = kalman_steady_gain(a_til, l_til, model.b_vec, sigma_disc)
-        p1 = a_til - np.outer(k_inf, model.b_vec) @ a_til
-        y_path = backend.momentum_filter_run(g_stream, p1, k_inf)
-    elif constant_dt:
-        y_path, _, _, _ = backend.kalman_filter_run(
-            g_stream, a_til, l_til, model.b_vec, sigma_disc, p0)
+        stream_type = (MartingaleStream if isinstance(model, MartingaleGradientModel)
+                       else StateSpaceStream)
+        stream = stream_type(model, rng_factory("stream"))
+        observe = lambda x, dt: stream.step(dt)[1]
     else:
-        # Varying mesh step: fall back to the per-step recursion with
-        # time-dependent discretized matrices.
-        state = initial_kalman_state(model.d, model.dtilde, p0)
-        y_path = np.empty((len(g_stream) + 1, model.d, model.dtilde))
-        y_path[0] = state.y_hat
-        for k, g_k in enumerate(g_stream):
-            dt = float(dts[k])
-            state = kalman_discrete_step(
-                state, g_k, np.eye(model.dtilde) - dt * model.a_mat,
-                dt * model.l_mat, model.b_vec, model.sigma * dt)
-            y_path[k + 1] = state.y_hat
-    norms = np.linalg.norm(y_path.reshape(len(y_path), -1), axis=1)
-    return y_path, norms
+        rng = rng_factory("batch")
+        observe = lambda x, dt: problem.minibatch_gradient(x, spec.batch_m, rng)
 
-
-def _fosp_loop(spec, x0, step_times, dts, phi, g_stream, coeff):
-    """Continuous flow integrated with fosp_substeps inner Euler steps
-    per mesh interval; the observation is frozen within each interval."""
-    mirror = spec.mirror
-    sub = max(1, spec.fosp_substeps)
-    x_path = np.empty((len(dts) + 1, len(x0)))
-    x_path[0] = x0
-    x = np.asarray(x0, dtype=float)
-    for k, dt in enumerate(dts):
-        t = float(step_times[k])
-        effective = phi[k] * coeff * g_stream[k]
-        inner = float(dt) / sub
-        for _ in range(sub):
-            x = fosp_flow_step(mirror, x, effective, spec.schedule.alpha(t), inner)
-        x_path[k + 1] = x
-    return x_path
-
-
-def _empirical_loop(spec, problem, x0, step_times, dts, phi, rng):
-    """Fully sequential loop for X-dependent streams (logistic problems,
-    entropy-map SGD, Kalman variants on empirical gradients)."""
-    mirror = spec.mirror
-    model = spec.model
-    coeff = _filter_coefficient(spec, problem)
-    k_steps = len(dts)
-    x_path = np.empty((k_steps + 1, len(x0)))
-    g_stream = np.empty((k_steps, len(x0)))
-    x_path[0] = x0
-    filter_norm = None
-
-    kalman_kind = spec.kind in ("kalman_gd", "generalized_momentum", "polyak_momentum")
-    if kalman_kind:
-        p0 = spec.p0 if spec.p0 is not None else model.stationary_covariance()
-        state = initial_kalman_state(problem.d, model.dtilde, p0)
-        filter_norm = np.empty(k_steps + 1)
-        filter_norm[0] = 0.0
-        if spec.kind in ("generalized_momentum", "polyak_momentum"):
+    y_path = None
+    if spec.kind in _FILTERED_KINDS:
+        a_tils = np.eye(model.dtilde) - dts[:, None, None] * model.a_mat
+        y_path = np.empty((k_steps + 1, d, model.dtilde))
+        y_path[0] = y_hat = np.zeros((d, model.dtilde))
+        if spec.kind == "kalman_gd":
+            p0 = spec.p0 if spec.p0 is not None else model.stationary_covariance()
+            state = initial_kalman_state(d, model.dtilde, p0)
+        else:
+            # Momentum kinds need a constant-alpha schedule, so dt is
+            # constant and one steady gain serves every step.
             dt0 = float(dts[0])
-            a_til0 = np.eye(model.dtilde) - dt0 * model.a_mat
-            k_inf = kalman_steady_gain(a_til0, dt0 * model.l_mat, model.b_vec,
+            k_inf = kalman_steady_gain(a_tils[0], dt0 * model.l_mat, model.b_vec,
                                        model.sigma * dt0)
+    else:
+        coeff = _filter_coefficient(spec, problem)
 
-    x = np.asarray(x0, dtype=float)
     for k in range(k_steps):
         dt = float(dts[k])
-        g = problem.minibatch_gradient(x, spec.batch_m, rng)
-        g_stream[k] = g
+        g = g_stream[k] = observe(x, dt)
         if spec.kind == "mirror_sgd":
             x = mirror_descent_step(mirror, x, coeff * g, float(phi[k]))
         elif spec.kind == "fosp_continuous":
+            # The observation is frozen over fosp_substeps Euler steps.
             sub = max(1, spec.fosp_substeps)
             effective = float(phi[k]) * coeff * g
+            alpha_t = spec.schedule.alpha(float(step_times[k]))
             for _ in range(sub):
-                x = fosp_flow_step(mirror, x, effective,
-                                   spec.schedule.alpha(float(step_times[k])), dt / sub)
+                x = fosp_flow_step(mirror, x, effective, alpha_t, dt / sub)
         elif spec.kind == "kalman_gd":
-            a_til = np.eye(model.dtilde) - dt * model.a_mat
-            state = kalman_discrete_step(state, g, a_til, dt * model.l_mat,
+            state = kalman_discrete_step(state, g, a_tils[k], dt * model.l_mat,
                                          model.b_vec, model.sigma * dt)
-            x = kalman_gd_step(mirror, x, state.y_hat, phi[k])
-            filter_norm[k + 1] = float(np.linalg.norm(state.y_hat))
-        else:  # momentum kinds
-            a_til = np.eye(model.dtilde) - dt * model.a_mat
-            x, y_new = generalized_momentum_step(
-                mirror, x, state.y_hat, g, a_til, k_inf, phi[k], model.b_vec)
-            state = replace(state, y_hat=y_new)
-            filter_norm[k + 1] = float(np.linalg.norm(y_new))
+            y_hat = state.y_hat
+            x = kalman_gd_step(mirror, x, y_hat, phi[k])
+        else:
+            x, y_hat = generalized_momentum_step(mirror, x, y_hat, g, a_tils[k],
+                                                 k_inf, phi[k], model.b_vec)
+        if y_path is not None:
+            y_path[k + 1] = y_hat
         x_path[k + 1] = x
-    return x_path, g_stream, filter_norm
+    return x_path, g_stream, y_path
 
 
 def _qv_path(coeff, schedule, step_times, g_stream, k_steps):

@@ -6,14 +6,20 @@ import numpy as np
 import pytest
 
 from varopt import (
+    FilterDivergenceError,
     MartingaleGradientModel,
+    MartingaleStream,
     OptimizerSpec,
     StateSpaceGradientModel,
+    StateSpaceStream,
+    build_mesh,
     constant_schedule,
     entropy_map,
     fosp_flow_step,
     generalized_momentum_step,
+    kalman_discrete_step,
     kalman_gd_step,
+    kalman_steady_gain,
     linear_schedule,
     mirror_descent_step,
     momentum_from_nu,
@@ -21,7 +27,9 @@ from varopt import (
     quadratic_map,
     run_optimizer,
 )
+from varopt.gradient_models import initial_kalman_state
 from varopt.harness import component_rng, generate_problem
+from varopt.schedules import phi_scalar_path, phi_vector_path
 
 
 def _scaling_linear(steps=20, beta0=-0.7, dt=1.0):
@@ -181,8 +189,8 @@ class TestRunOptimizer:
         assert traj.x_path.shape == (1, 3)
 
     def test_kernel_matches_generic_loop(self):
-        # The fused kernel (diagonal quadratic map) and the generic mirror
-        # loop (full-matrix map with the same diagonal) must agree.
+        # A diagonal quadratic map and the full-matrix map with the same
+        # diagonal define the same update and must agree.
         diag = np.array([1.0, 2.0, 0.5])
         spec_fast = self._martingale_spec(mirror=quadratic_map(m_diag=diag))
         spec_slow = self._martingale_spec(mirror=quadratic_map(m_full=np.diag(diag)))
@@ -246,3 +254,117 @@ class TestRunOptimizer:
             OptimizerSpec(kind="mirror_sgd", mirror=quadratic_map(),
                           schedule=_scaling_linear(), mode="empirical",
                           batch_m=None).validate()
+
+    def test_degenerate_kalman_filter_is_an_error(self):
+        # L = 0 and sigma = 0 make the innovation variance zero on the
+        # first step; the run must stop with the filter's error instead
+        # of returning a NaN trajectory.
+        model = StateSpaceGradientModel(a_mat=np.array([[1.0]]),
+                                        l_mat=np.array([[0.0]]),
+                                        b_vec=np.array([1.0]), sigma=0.0, d=2)
+        spec = OptimizerSpec(kind="kalman_gd", mirror=quadratic_map(),
+                             schedule=_scaling_linear(steps=2, beta0=-1.0),
+                             model=model, mode="synthetic")
+        traj = run_optimizer(spec, None, 2, seed=7)
+        assert traj.error is not None
+        assert traj.error.startswith(FilterDivergenceError.__name__)
+        assert np.all(np.isfinite(traj.x_path))
+
+
+def _hand_kalman_gd(spec, steps, seed):
+    """kalman_gd as a loop of the public filter and update steps, each
+    step filtered with its own mesh step dt."""
+    model, schedule = spec.model, spec.schedule
+    times = build_mesh(schedule, steps).times[: steps + 1]
+    phi = phi_vector_path(schedule, model.a_mat, model.b_vec, times[:-1])
+    stream = StateSpaceStream(model, component_rng(seed, "stream"))
+    state = initial_kalman_state(model.d, model.dtilde,
+                                 model.stationary_covariance())
+    x = spec.default_x0(model.d)
+    path = [x]
+    for k, dt in enumerate(np.diff(times)):
+        _, g = stream.step(float(dt))
+        state = kalman_discrete_step(state, g, np.eye(model.dtilde) - dt * model.a_mat,
+                                     dt * model.l_mat, model.b_vec, model.sigma * dt)
+        x = kalman_gd_step(spec.mirror, x, state.y_hat, phi[k])
+        path.append(x)
+    return np.array(path)
+
+
+def _hand_mirror_sgd(spec, steps, seed):
+    """Synthetic mirror_sgd as a loop of the public update step on the
+    martingale-filtered stream."""
+    model, schedule = spec.model, spec.schedule
+    times = build_mesh(schedule, steps).times[: steps + 1]
+    phi = phi_scalar_path(schedule, times[:-1])
+    stream = MartingaleStream(model, component_rng(seed, "stream"))
+    x = spec.default_x0(model.d)
+    path = [x]
+    for k, dt in enumerate(np.diff(times)):
+        _, g = stream.step(float(dt))
+        x = mirror_descent_step(spec.mirror, x, model.filter_coefficient * g,
+                                float(phi[k]))
+        path.append(x)
+    return np.array(path)
+
+
+def _hand_momentum(spec, steps, seed):
+    """generalized_momentum as a loop of the public update step with the
+    steady gain of the first mesh step (the schedule has constant alpha)."""
+    model, schedule = spec.model, spec.schedule
+    times = build_mesh(schedule, steps).times[: steps + 1]
+    phi = phi_vector_path(schedule, model.a_mat, model.b_vec, times[:-1])
+    stream = StateSpaceStream(model, component_rng(seed, "stream"))
+    dts = np.diff(times)
+    eye = np.eye(model.dtilde)
+    k_inf = kalman_steady_gain(eye - dts[0] * model.a_mat, dts[0] * model.l_mat,
+                               model.b_vec, model.sigma * dts[0])
+    x, y = spec.default_x0(model.d), np.zeros((model.d, model.dtilde))
+    path = [x]
+    for k, dt in enumerate(dts):
+        _, g = stream.step(float(dt))
+        x, y = generalized_momentum_step(spec.mirror, x, y, g, eye - dt * model.a_mat,
+                                         k_inf, phi[k], model.b_vec)
+        path.append(x)
+    return np.array(path)
+
+
+def _varying_mesh_kalman_spec():
+    # alpha1 = 1e-7 makes consecutive mesh steps differ by about 1e-6
+    # relative: close enough to constant to pass np.allclose, far enough
+    # that filtering every step with the first step's dt is visible.
+    model = StateSpaceGradientModel(a_mat=np.array([[0.5, 0.1], [0.1, 0.4]]),
+                                    l_mat=0.5 * np.eye(2),
+                                    b_vec=np.array([1.0, 0.5]), sigma=0.5, d=3)
+    schedule = linear_schedule(alpha0=0.0, alpha1=1e-7, beta0=-1.0,
+                               delta_T=0.0, horizon_T=20.0)
+    return OptimizerSpec(kind="kalman_gd", mirror=quadratic_map(),
+                         schedule=schedule, model=model, mode="synthetic")
+
+
+def _entropy_mirror_spec():
+    model = MartingaleGradientModel(sigma=0.5, n=100, m=25, d=3)
+    return OptimizerSpec(kind="mirror_sgd", mirror=entropy_map(),
+                         schedule=_scaling_linear(), model=model,
+                         mode="synthetic")
+
+
+def _momentum_spec():
+    model = StateSpaceGradientModel(a_mat=np.array([[0.5, 0.1], [0.1, 0.4]]),
+                                    l_mat=0.5 * np.eye(2),
+                                    b_vec=np.array([1.0, 0.5]), sigma=0.5, d=3)
+    return OptimizerSpec(kind="generalized_momentum", mirror=quadratic_map(),
+                         schedule=_scaling_linear(beta0=-1.0), model=model,
+                         mode="synthetic")
+
+
+@pytest.mark.parametrize("make_spec, hand_loop", [
+    (_varying_mesh_kalman_spec, _hand_kalman_gd),
+    (_entropy_mirror_spec, _hand_mirror_sgd),
+    (_momentum_spec, _hand_momentum),
+], ids=["kalman_gd-varying-mesh", "mirror_sgd-entropy", "generalized_momentum"])
+def test_run_is_the_public_step_loop(make_spec, hand_loop):
+    spec = make_spec()
+    traj = run_optimizer(spec, None, 20, seed=4)
+    assert traj.error is None
+    np.testing.assert_array_equal(traj.x_path, hand_loop(spec, 20, seed=4))
