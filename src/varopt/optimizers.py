@@ -220,19 +220,8 @@ def run_optimizer(spec: OptimizerSpec, problem, steps: int, seed: int,
     else:
         phi = phi_scalar_path(schedule, step_times)
 
-    try:
-        x_path, g_stream, y_path = _run_steps(spec, problem, x0, step_times,
-                                              dts, phi, rng_factory)
-    except Exception as exc:
-        # Terminate with an error record; the initial state is all that
-        # is reliably known at this point.
-        gap0 = _loss_gap(spec, problem, x0)
-        return Trajectory(
-            times=times[:1], x_path=x0[None, :], nu_path=np.zeros((0, d)),
-            loss_gap=np.array([gap0]), qv_path=np.zeros(1), seed=seed,
-            error=f"{type(exc).__name__}: {exc}",
-        )
-
+    x_path, g_stream, y_path, error = _run_steps(spec, problem, x0, step_times,
+                                                 dts, phi, rng_factory)
     k = x_path.shape[0] - 1
     filter_norm = None
     if y_path is not None:
@@ -244,7 +233,7 @@ def run_optimizer(spec: OptimizerSpec, problem, steps: int, seed: int,
     return Trajectory(
         times=times[: k + 1], x_path=x_path, nu_path=nu_path,
         loss_gap=loss_gap, qv_path=qv_path, g_path=g_stream,
-        filter_mean_norm=filter_norm, phi_path=phi[:k], seed=seed,
+        filter_mean_norm=filter_norm, phi_path=phi[:k], seed=seed, error=error,
     )
 
 
@@ -265,65 +254,72 @@ def _filter_coefficient(spec: OptimizerSpec, problem) -> float:
 
 def _run_steps(spec, problem, x0, step_times, dts, phi, rng_factory):
     """The step loop of every kind and stream mode: observe g, filter it,
-    apply the kind's update rule.  Returns (x_path, g_stream, y_path),
-    y_path being the (K+1, d, dtilde) filter means of the filtered kinds
-    and None otherwise."""
+    apply the kind's update rule.  Returns (x_path, g_stream, y_path,
+    error), y_path being the (K+1, d, dtilde) filter means of the
+    filtered kinds and None otherwise.  When step k fails, the paths stop
+    at X_k and error names the step and the exception."""
     mirror, model = spec.mirror, spec.model
     k_steps, d = len(dts), len(x0)
     x_path = np.empty((k_steps + 1, d))
     g_stream = np.empty((k_steps, d))
     x_path[0] = x = x0
-
-    if spec.mode == "synthetic":
-        stream_type = (MartingaleStream if isinstance(model, MartingaleGradientModel)
-                       else StateSpaceStream)
-        stream = stream_type(model, rng_factory("stream"))
-        observe = lambda x, dt: stream.step(dt)[1]
-    else:
-        rng = rng_factory("batch")
-        observe = lambda x, dt: problem.minibatch_gradient(x, spec.batch_m, rng)
-
     y_path = None
     if spec.kind in _FILTERED_KINDS:
-        a_tils = np.eye(model.dtilde) - dts[:, None, None] * model.a_mat
-        y_path = np.empty((k_steps + 1, d, model.dtilde))
-        y_path[0] = y_hat = np.zeros((d, model.dtilde))
-        if spec.kind == "kalman_gd":
-            p0 = spec.p0 if spec.p0 is not None else model.stationary_covariance()
-            state = initial_kalman_state(d, model.dtilde, p0)
+        y_path = np.zeros((k_steps + 1, d, model.dtilde))
+    k = 0
+    try:
+        if spec.mode == "synthetic":
+            stream_type = (MartingaleStream if isinstance(model, MartingaleGradientModel)
+                           else StateSpaceStream)
+            stream = stream_type(model, rng_factory("stream"))
+            observe = lambda x, dt: stream.step(dt)[1]
         else:
-            # Momentum kinds need a constant-alpha schedule, so dt is
-            # constant and one steady gain serves every step.
-            dt0 = float(dts[0])
-            k_inf = kalman_steady_gain(a_tils[0], dt0 * model.l_mat, model.b_vec,
-                                       model.sigma * dt0)
-    else:
-        coeff = _filter_coefficient(spec, problem)
+            rng = rng_factory("batch")
+            observe = lambda x, dt: problem.minibatch_gradient(x, spec.batch_m, rng)
 
-    for k in range(k_steps):
-        dt = float(dts[k])
-        g = g_stream[k] = observe(x, dt)
-        if spec.kind == "mirror_sgd":
-            x = mirror_descent_step(mirror, x, coeff * g, float(phi[k]))
-        elif spec.kind == "fosp_continuous":
-            # The observation is frozen over fosp_substeps Euler steps.
-            sub = max(1, spec.fosp_substeps)
-            effective = float(phi[k]) * coeff * g
-            alpha_t = spec.schedule.alpha(float(step_times[k]))
-            for _ in range(sub):
-                x = fosp_flow_step(mirror, x, effective, alpha_t, dt / sub)
-        elif spec.kind == "kalman_gd":
-            state = kalman_discrete_step(state, g, a_tils[k], dt * model.l_mat,
-                                         model.b_vec, model.sigma * dt)
-            y_hat = state.y_hat
-            x = kalman_gd_step(mirror, x, y_hat, phi[k])
+        if spec.kind in _FILTERED_KINDS:
+            a_tils = np.eye(model.dtilde) - dts[:, None, None] * model.a_mat
+            y_hat = np.zeros((d, model.dtilde))
+            if spec.kind == "kalman_gd":
+                p0 = spec.p0 if spec.p0 is not None else model.stationary_covariance()
+                state = initial_kalman_state(d, model.dtilde, p0)
+            else:
+                # Momentum kinds need a constant-alpha schedule, so dt is
+                # constant and one steady gain serves every step.
+                dt0 = float(dts[0])
+                k_inf = kalman_steady_gain(a_tils[0], dt0 * model.l_mat, model.b_vec,
+                                           model.sigma * dt0)
         else:
-            x, y_hat = generalized_momentum_step(mirror, x, y_hat, g, a_tils[k],
-                                                 k_inf, phi[k], model.b_vec)
-        if y_path is not None:
-            y_path[k + 1] = y_hat
-        x_path[k + 1] = x
-    return x_path, g_stream, y_path
+            coeff = _filter_coefficient(spec, problem)
+
+        for k in range(k_steps):
+            dt = float(dts[k])
+            g = g_stream[k] = observe(x, dt)
+            if spec.kind == "mirror_sgd":
+                x = mirror_descent_step(mirror, x, coeff * g, float(phi[k]))
+            elif spec.kind == "fosp_continuous":
+                # The observation is frozen over fosp_substeps Euler steps.
+                sub = max(1, spec.fosp_substeps)
+                effective = float(phi[k]) * coeff * g
+                alpha_t = spec.schedule.alpha(float(step_times[k]))
+                for _ in range(sub):
+                    x = fosp_flow_step(mirror, x, effective, alpha_t, dt / sub)
+            elif spec.kind == "kalman_gd":
+                state = kalman_discrete_step(state, g, a_tils[k], dt * model.l_mat,
+                                             model.b_vec, model.sigma * dt)
+                y_hat = state.y_hat
+                x = kalman_gd_step(mirror, x, y_hat, phi[k])
+            else:
+                x, y_hat = generalized_momentum_step(mirror, x, y_hat, g, a_tils[k],
+                                                     k_inf, phi[k], model.b_vec)
+            if y_path is not None:
+                y_path[k + 1] = y_hat
+            x_path[k + 1] = x
+    except Exception as exc:
+        return (x_path[:k + 1], g_stream[:k],
+                None if y_path is None else y_path[:k + 1],
+                f"{type(exc).__name__} at step {k}: {exc}")
+    return x_path, g_stream, y_path, None
 
 
 def _qv_path(coeff, schedule, step_times, g_stream, k_steps):

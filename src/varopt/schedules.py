@@ -17,8 +17,12 @@ The deterministic learning-rate paths are
 
 with weight w(u) = exp(alpha_u + beta_u + gamma_u).  Both satisfy the
 terminal condition Phi(T) = exp(delta_T - gamma_T) (times b' in the
-vector case).  Integrals are evaluated by adaptive Simpson quadrature;
-matrix exponentials by scaling and squaring at desk-scale dimensions.
+vector case).  The scalar path is the vector one with A = 0 and b = 1,
+and a single time is a grid of length one, so all four phi_* functions
+evaluate one formula on a sorted grid in [t_min, T] and reject unsorted or
+out-of-horizon times with ValueError.  One adaptive Gauss-Legendre pass
+integrates over all grid intervals at once, with the matrix exponentials
+at its nodes from stacked scaling and squaring.
 """
 
 from __future__ import annotations
@@ -42,14 +46,14 @@ __all__ = [
     "phi_scalar",
     "phi_vector",
     "matrix_exp",
-    "adaptive_simpson",
+    "integrate_intervals",
 ]
 
 SCALING_TOL = 1e-6
 _FD_STEP = 1e-5
-QUAD_TOL = 1e-10
-_QUAD_MAX_DEPTH = 20  # 2**20 subdivisions
-_QUAD_REL = 1e-12  # relative floor; panels stop near rounding noise
+QUAD_TOL = 1e-11
+_QUAD_MAX_DEPTH = 20  # bisection levels
+_QUAD_REL = 1e-12  # relative floor; intervals stop near rounding noise
 
 
 @dataclass(frozen=True)
@@ -213,72 +217,125 @@ def build_mesh(schedule: Schedule, steps: int, t0: Optional[float] = None) -> Me
     return Mesh(times=np.array(times))
 
 
-def adaptive_simpson(fn, a, b, tol=QUAD_TOL, max_depth=_QUAD_MAX_DEPTH):
-    """Adaptive Simpson quadrature for scalar-, vector- or matrix-valued fn.
+# 8-point Gauss-Legendre rule on [-1, 1], exact for polynomials of degree 15.
+_GL_NODES = np.array([-0.96028985649753623168, -0.79666647741362673959,
+                      -0.52553240991632898582, -0.18343464249564980494,
+                      0.18343464249564980494, 0.52553240991632898582,
+                      0.79666647741362673959, 0.96028985649753623168])
+_GL_WEIGHTS = np.array([0.10122853629037625915, 0.22238103445337447054,
+                        0.31370664587788728734, 0.36268378337836198297,
+                        0.36268378337836198297, 0.31370664587788728734,
+                        0.22238103445337447054, 0.10122853629037625915])
 
-    Raises RuntimeError when the recursion depth budget is exhausted
-    before reaching the requested absolute tolerance.
+
+def _gauss_legendre(fn, lo, hi):
+    """The 8-point rule on every interval [lo[i], hi[i]]; fn is evaluated
+    at one node of all intervals at a time, which keeps its temporaries
+    small."""
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    total = sum(w * np.asarray(fn(mid + half * x), dtype=float)
+                for x, w in zip(_GL_NODES, _GL_WEIGHTS))
+    return total * half.reshape((-1,) + (1,) * (total.ndim - 1))
+
+
+def integrate_intervals(fn, edges):
+    """Integrals of fn over every interval [edges[i], edges[i + 1]].
+
+    fn maps a 1-d array of nodes to scalar, vector or matrix values
+    stacked along the first axis.  Each interval's Gauss-Legendre value is
+    compared with the sum over its two halves; the intervals that miss
+    QUAD_TOL are bisected, with the tolerance halved at each level, and
+    the rest are done.  Returns an array of shape (len(edges) - 1, ...).  Raises
+    RuntimeError when the depth budget runs out.
     """
-    fa = np.asarray(fn(a), dtype=float)
-    fb = np.asarray(fn(b), dtype=float)
-    fm = np.asarray(fn(0.5 * (a + b)), dtype=float)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    return _simpson_rec(fn, a, b, fa, fm, fb, whole, tol, max_depth)
-
-
-def _simpson_rec(fn, a, b, fa, fm, fb, whole, tol, depth):
-    m = 0.5 * (a + b)
-    lm = np.asarray(fn(0.5 * (a + m)), dtype=float)
-    rm = np.asarray(fn(0.5 * (m + b)), dtype=float)
-    left = (m - a) / 6.0 * (fa + 4.0 * lm + fm)
-    right = (b - m) / 6.0 * (fm + 4.0 * rm + fb)
-    err = np.max(np.abs(left + right - whole))
-    # Absolute tolerance alone cannot be met for large-magnitude
-    # integrands once the residual hits rounding noise, so keep a
-    # relative floor proportional to the local panel values.
-    scale = float(np.max(np.abs(left) + np.abs(right)))
-    if err <= 15.0 * max(tol, _QUAD_REL * scale):
-        return left + right + (left + right - whole) / 15.0
-    if depth <= 0:
-        raise RuntimeError(
-            f"adaptive Simpson failed to reach tolerance (residual {err:.3e})"
-        )
-    return (
-        _simpson_rec(fn, a, m, fa, lm, fm, left, tol / 2.0, depth - 1)
-        + _simpson_rec(fn, m, b, fm, rm, fb, right, tol / 2.0, depth - 1)
-    )
+    edges = np.asarray(edges, dtype=float)
+    lo, hi = edges[:-1], edges[1:]
+    owner = np.arange(len(lo))
+    whole = _gauss_legendre(fn, lo, hi)
+    out = np.zeros_like(whole)
+    tol = QUAD_TOL
+    value_axes = tuple(range(1, whole.ndim))
+    for _ in range(_QUAD_MAX_DEPTH + 1):
+        mid = 0.5 * (lo + hi)
+        left, right = _gauss_legendre(fn, lo, mid), _gauss_legendre(fn, mid, hi)
+        err = np.abs(left + right - whole).max(axis=value_axes)
+        # Absolute tolerance alone cannot be met for large-magnitude
+        # integrands once the residual hits rounding noise, so keep a
+        # relative floor proportional to the interval's values.
+        scale = (np.abs(left) + np.abs(right)).max(axis=value_axes)
+        done = err <= np.maximum(tol, _QUAD_REL * scale)
+        np.add.at(out, owner[done], left[done] + right[done])
+        if done.all():
+            return out
+        todo = ~done
+        lo, mid, hi = lo[todo], mid[todo], hi[todo]
+        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
+        owner = np.concatenate([owner[todo], owner[todo]])
+        whole = np.concatenate([left[todo], right[todo]])
+        tol /= 2.0
+    raise RuntimeError(f"quadrature failed to reach tolerance (residual {err.max():.3e})")
 
 
 def _weight(schedule: Schedule, u: float) -> float:
     return math.exp(schedule.alpha(u) + schedule.beta(u) + schedule.gamma(u))
 
 
-def phi_scalar(schedule: Schedule, t: float) -> float:
-    """Scalar learning-rate path of the martingale gradient model."""
-    t0, T = schedule.t_min, schedule.horizon_T
-    if not (t0 <= t <= T + 1e-12):
-        raise ValueError("t must lie in the schedule horizon")
-    w = lambda u: _weight(schedule, u)
-    phi0 = math.exp(schedule.delta_T) - float(adaptive_simpson(w, t0, T))
-    acc = float(adaptive_simpson(w, t0, t)) if t > t0 else 0.0
-    return math.exp(-schedule.gamma(t)) * (phi0 + acc)
+def matrix_exp(m: np.ndarray) -> np.ndarray:
+    """Matrix exponential by scaling and squaring with a truncated Taylor
+    series, of one matrix or of a stack (..., n, n), each matrix scaled by
+    its own power of two.  Intended for small dense matrices (n <= 16)."""
+    m = np.atleast_2d(np.asarray(m, dtype=float))
+    if m.shape[-1] != m.shape[-2]:
+        raise ValueError("matrix_exp needs a square matrix")
+    if not np.all(np.isfinite(m)):
+        raise ValueError("matrix_exp needs finite entries")
+    norm = np.abs(m).sum(axis=-1).max(axis=-1)
+    s = np.maximum(0.0, np.ceil(np.log2(np.maximum(norm, 0.5))) + 1.0)
+    a = m / (2.0 ** s)[..., None, None]
+    result = np.broadcast_to(np.eye(m.shape[-1]), m.shape).copy()
+    term = result.copy()
+    buf = np.empty_like(result)
+    for j in range(1, 60):
+        np.matmul(term, a, out=buf)
+        buf /= j
+        result += buf
+        term, buf = buf, term
+        # A matrix whose term is negligible stops; zeroing its term keeps
+        # every later term zero.
+        np.abs(term, out=buf)
+        converged = buf.max(axis=(-2, -1)) < 1e-18
+        if converged.all():
+            break
+        term[converged] = 0.0
+    for level in range(int(s.max(initial=0.0))):
+        np.matmul(result, result, out=buf)
+        np.copyto(result, buf, where=(s > level)[..., None, None])
+    return result
 
 
-def phi_scalar_path(schedule: Schedule, times: np.ndarray) -> np.ndarray:
-    """phi_scalar evaluated on a sorted time grid, sharing one pass of
-    quadrature between consecutive points."""
+def _phi_path(schedule: Schedule, a_mat: np.ndarray, b_vec: np.ndarray,
+              times) -> np.ndarray:
+    """Phi(t) = exp(-gamma_t) b' expm(-A t) (Phi0 + int_{t0}^t w(u) expm(A u) du)
+    on a sorted grid, with one quadrature pass over the intervals
+    [t0, t_1], [t_1, t_2], ..., [t_K, T].  Returns (len(times), dtilde)."""
     times = np.asarray(times, dtype=float)
     t0, T = schedule.t_min, schedule.horizon_T
-    w = lambda u: _weight(schedule, u)
-    phi0 = math.exp(schedule.delta_T) - float(adaptive_simpson(w, t0, T))
-    out = np.empty(len(times))
-    acc = 0.0
-    prev = t0
-    for i, t in enumerate(times):
-        if t > prev:
-            acc += float(adaptive_simpson(w, prev, t))
-            prev = t
-        out[i] = math.exp(-schedule.gamma(t)) * (phi0 + acc)
+    if times.ndim != 1 or not np.all(np.diff(times) >= 0):
+        raise ValueError("times must be a sorted 1-d grid")
+    if len(times) and not (t0 <= times[0] and times[-1] <= T + 1e-12):
+        raise ValueError("times must lie in the schedule horizon")
+
+    def integrand(u):
+        exps = matrix_exp(a_mat * u[:, None, None])
+        exps *= np.array([_weight(schedule, x) for x in u])[:, None, None]
+        return exps
+
+    cum = np.cumsum(integrate_intervals(integrand, np.concatenate(([t0], times, [T]))),
+                    axis=0)
+    phi0 = math.exp(schedule.delta_T) * matrix_exp(a_mat * T) - cum[-1]
+    heads = b_vec @ matrix_exp(-a_mat * times[:, None, None])
+    gamma = np.array([schedule.gamma(t) for t in times])
+    out = np.exp(-gamma)[:, None] * np.einsum("ki,kij->kj", heads, phi0 + cum[:-1])
     if np.any(out < 0):
         warnings.warn(
             "learning-rate path is negative on part of the mesh; descent "
@@ -288,94 +345,28 @@ def phi_scalar_path(schedule: Schedule, times: np.ndarray) -> np.ndarray:
     return out
 
 
-def matrix_exp(m: np.ndarray) -> np.ndarray:
-    """Matrix exponential by scaling and squaring with a truncated
-    Taylor series.  Intended for small dense matrices (dimension <= 16)."""
-    m = np.atleast_2d(np.asarray(m, dtype=float))
-    if m.shape[0] != m.shape[1]:
-        raise ValueError("matrix_exp needs a square matrix")
-    if not np.all(np.isfinite(m)):
-        raise ValueError("matrix_exp needs finite entries")
-    norm = np.linalg.norm(m, ord=np.inf)
-    s = max(0, int(math.ceil(math.log2(norm))) + 1) if norm > 0.5 else 0
-    a = m / (2.0 ** s)
-    result = np.eye(m.shape[0])
-    term = np.eye(m.shape[0])
-    for j in range(1, 60):
-        term = term @ a / j
-        result = result + term
-        if np.max(np.abs(term)) < 1e-18:
-            break
-    for _ in range(s):
-        result = result @ result
-    return result
+def phi_scalar_path(schedule: Schedule, times) -> np.ndarray:
+    """Scalar learning-rate path of the martingale gradient model on a
+    sorted time grid: the vector path with A = 0 and b = 1."""
+    return _phi_path(schedule, np.zeros((1, 1)), np.ones(1), times)[:, 0]
+
+
+def phi_scalar(schedule: Schedule, t: float) -> float:
+    """phi_scalar_path at one time."""
+    return float(phi_scalar_path(schedule, [t])[0])
+
+
+def phi_vector_path(schedule: Schedule, a_mat, b_vec, times) -> np.ndarray:
+    """Vector learning-rate path of the linear state-space gradient model
+    on a sorted time grid; a_mat must be positive definite.  Returns an
+    array of shape (len(times), dtilde)."""
+    a_mat = np.atleast_2d(np.asarray(a_mat, dtype=float))
+    if np.linalg.eigvalsh(0.5 * (a_mat + a_mat.T)).min() <= 0:
+        raise ValueError("A must be positive definite")
+    return _phi_path(schedule, a_mat, np.atleast_1d(np.asarray(b_vec, dtype=float)), times)
 
 
 def phi_vector(schedule: Schedule, a_mat: np.ndarray, b_vec: np.ndarray,
                t: float) -> np.ndarray:
-    """Vector learning-rate path of the linear state-space gradient model.
-
-    a_mat must be positive definite; returns the dtilde-vector Phi(t).
-    """
-    a_mat = np.atleast_2d(np.asarray(a_mat, dtype=float))
-    b_vec = np.atleast_1d(np.asarray(b_vec, dtype=float))
-    eigs = np.linalg.eigvalsh(0.5 * (a_mat + a_mat.T))
-    if eigs.min() <= 0:
-        raise ValueError("A must be positive definite")
-    t0, T = schedule.t_min, schedule.horizon_T
-    if not (t0 <= t <= T + 1e-12):
-        raise ValueError("t must lie in the schedule horizon")
-    w = lambda u: _weight(schedule, u)
-    phi0 = math.exp(schedule.delta_T) * matrix_exp(a_mat * T) - adaptive_simpson(
-        lambda u: w(u) * matrix_exp(a_mat * u), t0, T, tol=1e-11
-    )
-    head = b_vec @ matrix_exp(-a_mat * t) @ phi0
-    if t > t0:
-        tail = adaptive_simpson(
-            lambda u: w(u) * (b_vec @ matrix_exp(-a_mat * (t - u))), t0, t,
-            tol=1e-11,
-        )
-    else:
-        tail = np.zeros_like(b_vec)
-    return math.exp(-schedule.gamma(t)) * (head + tail)
-
-
-def phi_vector_path(schedule: Schedule, a_mat, b_vec, times) -> np.ndarray:
-    """phi_vector on a sorted time grid, sharing one cumulative pass of
-    quadrature: the time-t value equals
-    exp(-gamma_t) b' expm(-A t) (Phi0 + int_{t0}^t w(u) expm(A u) du),
-    so the matrix integral is accumulated segment by segment.
-    Returns an array of shape (len(times), dtilde)."""
-    times = np.asarray(times, dtype=float)
-    a_mat = np.atleast_2d(np.asarray(a_mat, dtype=float))
-    b_vec = np.atleast_1d(np.asarray(b_vec, dtype=float))
-    eigs = np.linalg.eigvalsh(0.5 * (a_mat + a_mat.T))
-    if eigs.min() <= 0:
-        raise ValueError("A must be positive definite")
-    t0, T = schedule.t_min, schedule.horizon_T
-    if len(times) and not (t0 <= times[0] and times[-1] <= T + 1e-12):
-        raise ValueError("times must lie in the schedule horizon")
-    integrand = lambda u: _weight(schedule, u) * matrix_exp(a_mat * u)
-
-    acc = np.zeros_like(a_mat)
-    acc_at = []
-    prev = t0
-    for t in times:
-        if t > prev:
-            acc = acc + adaptive_simpson(integrand, prev, float(t), tol=1e-11)
-            prev = float(t)
-        acc_at.append(acc)
-    if T > prev:
-        acc = acc + adaptive_simpson(integrand, prev, T, tol=1e-11)
-    phi0 = math.exp(schedule.delta_T) * matrix_exp(a_mat * T) - acc
-
-    out = np.empty((len(times), len(b_vec)))
-    for i, t in enumerate(times):
-        out[i] = math.exp(-schedule.gamma(float(t))) * (
-            b_vec @ matrix_exp(-a_mat * float(t)) @ (phi0 + acc_at[i]))
-    if np.any(out < 0):
-        warnings.warn(
-            "vector learning-rate path has negative components on the mesh",
-            RuntimeWarning,
-        )
-    return out
+    """phi_vector_path at one time: the dtilde-vector Phi(t)."""
+    return phi_vector_path(schedule, a_mat, b_vec, [t])[0]

@@ -40,7 +40,7 @@ from varopt.harness import (
     parse_config_text,
     run_experiment,
 )
-from varopt.schedules import adaptive_simpson
+from varopt.schedules import integrate_intervals
 
 
 def _verdict(label, passed):
@@ -298,8 +298,8 @@ def test_criterion_09_rate_bound(noisy_ensemble):
     # exp(-beta) with one constant fitted at the burn-in point.
     alpha0 = math.log(10.0)
     beta0, beta1, gamma1, T = math.log(0.25), 1.0, 10.0, 2.0
-    w = lambda u: math.exp(alpha0 + beta0 + beta1 * u + gamma1 * u)
-    delta_T = math.log(float(adaptive_simpson(w, 0.0, T)))
+    w = lambda u: np.exp(alpha0 + beta0 + beta1 * u + gamma1 * u)
+    delta_T = math.log(float(integrate_intervals(w, [0.0, T])[0]))
     s = linear_schedule(alpha0=alpha0, beta0=beta0, beta1=beta1,
                         gamma1=gamma1, delta_T=delta_T, horizon_T=T)
     problem = generate_problem("quadratic", d=3, n=50,

@@ -291,16 +291,16 @@ def _hand_kalman_gd(spec, steps, seed):
     return np.array(path)
 
 
-def _hand_mirror_sgd(spec, steps, seed):
+def _hand_mirror_sgd(spec, steps, seed, stop=None):
     """Synthetic mirror_sgd as a loop of the public update step on the
-    martingale-filtered stream."""
+    martingale-filtered stream, over the first `stop` of `steps` steps."""
     model, schedule = spec.model, spec.schedule
     times = build_mesh(schedule, steps).times[: steps + 1]
     phi = phi_scalar_path(schedule, times[:-1])
     stream = MartingaleStream(model, component_rng(seed, "stream"))
     x = spec.default_x0(model.d)
     path = [x]
-    for k, dt in enumerate(np.diff(times)):
+    for k, dt in enumerate(np.diff(times)[:stop]):
         _, g = stream.step(float(dt))
         x = mirror_descent_step(spec.mirror, x, model.filter_coefficient * g,
                                 float(phi[k]))
@@ -368,3 +368,27 @@ def test_run_is_the_public_step_loop(make_spec, hand_loop):
     traj = run_optimizer(spec, None, 20, seed=4)
     assert traj.error is None
     np.testing.assert_array_equal(traj.x_path, hand_loop(spec, 20, seed=4))
+
+
+def test_failed_run_keeps_completed_steps():
+    # sigma = 300 drives an entropy coordinate to an exact zero, outside
+    # the map's domain, on step 10 of 20.  The run keeps X_0 .. X_10 and
+    # the matching stream, Phi and QV prefixes, and its error names step 10.
+    spec = OptimizerSpec(kind="mirror_sgd", mirror=entropy_map(),
+                         schedule=linear_schedule(beta0=-0.7, gamma1=1.0,
+                                                  delta_T=19.3, horizon_T=20.0),
+                         model=MartingaleGradientModel(sigma=300.0, n=100, m=25, d=3),
+                         mode="synthetic")
+    short = run_optimizer(spec, None, 10, seed=3)
+    assert short.error is None
+    traj = run_optimizer(spec, None, 20, seed=3)
+    assert traj.error.startswith("DomainError at step 10:")
+    assert traj.steps == 10
+    times = build_mesh(spec.schedule, 20).times
+    np.testing.assert_array_equal(traj.times, times[:11])
+    np.testing.assert_array_equal(traj.x_path, _hand_mirror_sgd(spec, 20, seed=3, stop=10))
+    assert traj.nu_path.shape == (10, 3)
+    np.testing.assert_array_equal(traj.phi_path,
+                                  phi_scalar_path(spec.schedule, times[:-1])[:10])
+    np.testing.assert_array_equal(traj.g_path, short.g_path)
+    np.testing.assert_array_equal(traj.qv_path, short.qv_path)

@@ -20,7 +20,7 @@ from varopt import (
     phi_vector,
     polynomial_schedule,
 )
-from varopt.schedules import adaptive_simpson, phi_scalar_path, phi_vector_path
+from varopt.schedules import integrate_intervals, phi_scalar_path, phi_vector_path
 
 
 def _fine_simpson(fn, a, b, panels=4096):
@@ -91,33 +91,46 @@ class TestMesh:
 
 class TestQuadrature:
     def test_polynomial_exact(self):
-        # Simpson is exact on cubics.
-        val = adaptive_simpson(lambda t: t ** 3 - 2 * t + 1, 0.0, 2.0)
+        # Gauss-Legendre with 8 nodes is exact on cubics.
+        val = integrate_intervals(lambda t: t ** 3 - 2 * t + 1, [0.0, 2.0])[0]
         assert val == pytest.approx(2.0, abs=1e-12)
 
     def test_exponential(self):
-        val = adaptive_simpson(math.exp, 0.0, 3.0)
+        val = integrate_intervals(np.exp, [0.0, 3.0])[0]
         assert val == pytest.approx(math.exp(3.0) - 1.0, rel=1e-10)
 
     def test_large_magnitude_integrand(self):
         # Near machine precision relative to the integrand scale the
-        # recursion must terminate rather than chase an absolute tolerance.
-        val = adaptive_simpson(lambda t: 1e8 * math.exp(t), 0.0, 4.0)
+        # bisection must terminate rather than chase an absolute tolerance.
+        val = integrate_intervals(lambda t: 1e8 * np.exp(t), [0.0, 4.0])[0]
         assert val == pytest.approx(1e8 * (math.exp(4.0) - 1.0), rel=1e-11)
 
     def test_array_valued(self):
-        val = adaptive_simpson(lambda t: np.array([math.sin(t), math.cos(t)]),
-                               0.0, math.pi / 2)
+        val = integrate_intervals(lambda t: np.stack([np.sin(t), np.cos(t)], axis=-1),
+                                  [0.0, math.pi / 2])[0]
         np.testing.assert_allclose(val, [1.0, 1.0], atol=1e-10)
 
     @given(st.floats(min_value=-2.0, max_value=2.0),
            st.floats(min_value=0.1, max_value=3.0))
     @settings(max_examples=30, deadline=None)
     def test_against_fine_grid_oracle(self, a, width):
-        fn = lambda t: math.exp(0.7 * t) * math.cos(t)
+        fn = lambda t: np.exp(0.7 * t) * np.cos(t)
         b = a + width
-        assert adaptive_simpson(fn, a, b) == pytest.approx(
+        assert integrate_intervals(fn, [a, b])[0] == pytest.approx(
             float(_fine_simpson(fn, a, b)), abs=1e-9)
+
+    def test_intervals_add_up(self):
+        edges = [0.0, 0.0, 0.3, 1.1, 2.0]
+        parts = integrate_intervals(np.exp, edges)
+        assert parts.shape == (4,)
+        assert parts[0] == 0.0
+        np.testing.assert_allclose(parts, np.diff(np.exp(edges)), rtol=1e-13)
+
+    def test_depth_budget_exhausted(self):
+        # 1/sqrt(t) is integrable but no Gauss-Legendre level resolves the
+        # singularity to a tolerance that halves with every bisection.
+        with pytest.raises(RuntimeError):
+            integrate_intervals(lambda t: 1.0 / np.sqrt(t), [0.0, 1.0])
 
 
 class TestMatrixExp:
@@ -142,6 +155,15 @@ class TestMatrixExp:
         m = rng.standard_normal((3, 3))
         np.testing.assert_allclose(matrix_exp(m) @ matrix_exp(-m), np.eye(3),
                                    atol=1e-10)
+
+    def test_stack_matches_single_calls(self):
+        rng = np.random.default_rng(5)
+        scales = np.array([0.0, 0.01, 0.3, 1.0, 3.0, 10.0, 40.0])
+        stack = rng.standard_normal((7, 3, 3)) * scales[:, None, None]
+        got = matrix_exp(stack)
+        assert got.shape == stack.shape
+        for m, e in zip(stack, got):
+            np.testing.assert_allclose(e, matrix_exp(m), rtol=1e-14, atol=0)
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
@@ -189,6 +211,24 @@ class TestScalarPath:
         s = constant_schedule(horizon_T=1.0)
         with pytest.raises(ValueError):
             phi_scalar(s, 2.0)
+
+    @pytest.mark.parametrize("times", [[0.0, 2.0], [0.5, 0.2], [-0.1, 0.5],
+                                       [0.0, math.nan, 0.5]],
+                             ids=["past-T", "unsorted", "before-t_min", "nan"])
+    def test_path_rejects_bad_times(self, times):
+        s = constant_schedule(delta_T=2.0, horizon_T=1.0)
+        with pytest.raises(ValueError):
+            phi_scalar_path(s, times)
+
+    def test_polynomial_closed_form_long_grid(self):
+        # w = p t^(2p - 1), and delta_T = log(1 + T^(2p) / 2) makes
+        # Phi(t) = t^-p (1 + t^(2p) / 2) on [t_min, T].
+        p, T = 2.5, 2.0
+        s = polynomial_schedule(p=p, c=1.0, t_min=0.1, horizon_T=T,
+                                delta_T=math.log(1.0 + T ** (2 * p) / 2))
+        ts = np.linspace(0.1, T, 400)
+        np.testing.assert_allclose(phi_scalar_path(s, ts),
+                                   ts ** -p * (1.0 + ts ** (2 * p) / 2), rtol=1e-12)
 
 
 class TestVectorPath:
@@ -239,6 +279,30 @@ class TestVectorPath:
         for t, row in zip(ts, path):
             np.testing.assert_allclose(row, phi_vector(s, a, b, float(t)),
                                        atol=1e-12)
+
+    @pytest.mark.parametrize("times", [[0.5, 0.2], [0.2, 2.0, 0.5],
+                                       [0.0, math.nan, 0.5]],
+                             ids=["unsorted", "past-T-inside", "nan"])
+    def test_path_rejects_bad_times(self, times):
+        s = constant_schedule(delta_T=2.0, horizon_T=1.0)
+        with pytest.raises(ValueError):
+            phi_vector_path(s, np.array([[1.0]]), np.array([1.0]), times)
+
+    def test_constant_schedule_closed_form_long_grid(self):
+        # Symmetric A = V diag(lam) V': on a constant schedule
+        # Phi(t) = exp(-gamma0) b' V diag(exp(delta_T + lam s)
+        #          - w (exp(lam s) - 1) / lam) V' with s = T - t.
+        a = np.array([[0.1, 0.05, 0.05], [0.05, 0.1, 0.05], [0.05, 0.05, 0.1]])
+        b = np.array([1.0, 0.5, 0.25])
+        alpha0, T, w = math.log(25.0), 20.0, 0.01
+        s = constant_schedule(alpha0=alpha0, beta0=math.log(w) - alpha0,
+                              horizon_T=T)
+        ts = build_mesh(s, 500).times[:-1]
+        lam, vecs = np.linalg.eigh(a)
+        ls = np.outer(T - ts, lam)
+        coeff = np.exp(ls) - w * np.expm1(ls) / lam
+        expected = (coeff * (b @ vecs)) @ vecs.T
+        np.testing.assert_allclose(phi_vector_path(s, a, b, ts), expected, rtol=1e-12)
 
     def test_rejects_indefinite_a(self):
         s = constant_schedule(horizon_T=1.0)
