@@ -208,10 +208,10 @@ def run_optimizer(spec: OptimizerSpec, problem, steps: int, seed: int,
     spec.mirror.check_domain(x0)
 
     if steps == 0:
-        gap0 = _loss_gap(spec, problem, x0)
+        x_path = x0[None, :]
         return Trajectory(
-            times=times, x_path=x0[None, :], nu_path=np.zeros((0, d)),
-            loss_gap=np.array([gap0]), qv_path=np.zeros(1), seed=seed,
+            times=times, x_path=x_path, nu_path=np.zeros((0, d)),
+            loss_gap=_loss_gaps(spec, problem, x_path), qv_path=np.zeros(1), seed=seed,
         )
 
     step_times = times[:-1]
@@ -227,7 +227,7 @@ def run_optimizer(spec: OptimizerSpec, problem, steps: int, seed: int,
     if y_path is not None:
         filter_norm = np.linalg.norm(y_path.reshape(len(y_path), -1), axis=1)
     nu_path = np.diff(x_path, axis=0) / dts[:k, None]
-    loss_gap = np.array([_loss_gap(spec, problem, x) for x in x_path])
+    loss_gap = _loss_gaps(spec, problem, x_path)
     qv_path = _qv_path(_filter_coefficient(spec, problem), schedule, step_times,
                        g_stream, k)
     return Trajectory(
@@ -237,10 +237,11 @@ def run_optimizer(spec: OptimizerSpec, problem, steps: int, seed: int,
     )
 
 
-def _loss_gap(spec: OptimizerSpec, problem, x: np.ndarray) -> float:
+def _loss_gaps(spec: OptimizerSpec, problem, x_path: np.ndarray) -> np.ndarray:
+    """f(X_k) - f(x*) for every kept iterate, in one stacked pass."""
     if spec.mode == "empirical" and problem is not None:
-        return float(problem.loss(x) - problem.f_star)
-    return float("nan")
+        return problem.loss_gap(x_path)
+    return np.full(len(x_path), np.nan)
 
 
 def _filter_coefficient(spec: OptimizerSpec, problem) -> float:

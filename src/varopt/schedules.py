@@ -336,10 +336,12 @@ def _phi_path(schedule: Schedule, a_mat: np.ndarray, b_vec: np.ndarray,
     heads = b_vec @ matrix_exp(-a_mat * times[:, None, None])
     gamma = np.array([schedule.gamma(t) for t in times])
     out = np.exp(-gamma)[:, None] * np.einsum("ki,kij->kj", heads, phi0 + cum[:-1])
-    if np.any(out < 0):
+    # A component of opposite sign to b turns descent into ascent; a
+    # negative b_j makes Phi_j negative by construction.
+    if np.any(out * b_vec < 0):
         warnings.warn(
-            "learning-rate path is negative on part of the mesh; descent "
-            "steps become ascent steps there",
+            "learning-rate path has the opposite sign to b on part of the "
+            "mesh; descent steps become ascent steps there",
             RuntimeWarning,
         )
     return out

@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from varopt import OptimizerSpec, linear_schedule, quadratic_map, run_optimizer
 from varopt.harness import (
     ConfigError,
     build_experiment,
@@ -44,6 +45,13 @@ def _write_config(tmp_path, text, name="exp.cfg"):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+def _scaling_linear(steps=20):
+    """Linear schedule whose mesh has `steps` unit steps and whose
+    learning-rate path is the constant exp(-0.7)."""
+    return linear_schedule(beta0=-0.7, gamma1=1.0, delta_T=-0.7 + steps,
+                           horizon_T=float(steps))
 
 
 class TestConfigParsing:
@@ -146,6 +154,93 @@ class TestProblems:
         s2 = float(np.sum((grads - grads.mean(axis=0)) ** 2)) / (problem.n - 1)
         expected = s2 / m * (problem.n - m) / problem.n
         assert trace == pytest.approx(expected, rel=0.1)
+
+    @pytest.mark.parametrize("kind", ["quadratic", "logistic"])
+    @pytest.mark.parametrize("d,n", [(3, 40), (16, 500)])
+    def test_minibatch_gradient_is_the_batch_rows(self, kind, d, n):
+        # The batch gradient is computed on the m drawn rows only, and
+        # equals the mean of those rows of the full per-sample array.
+        problem = generate_problem(kind, d=d, n=n, rng=component_rng(6, "problem"))
+        x = component_rng(7, "problem").standard_normal(d)
+        full = problem.per_sample_gradients(x)
+        for m in (1, 2, 3, 5, 17, n - 1):
+            got = problem.minibatch_gradient(x, m, component_rng(m, "batch"))
+            idx = component_rng(m, "batch").choice(n, size=m, replace=False)
+            np.testing.assert_array_equal(got, full[idx].mean(axis=0))
+
+    @pytest.mark.parametrize("kind", ["quadratic", "logistic"])
+    def test_stacked_loss_matches_pointwise(self, kind):
+        # n = 7000 makes logistic loss blocks of 9 rows, so 11 rows span
+        # two blocks and end in a partial one.
+        problem = generate_problem(kind, d=4, n=7000, rng=component_rng(8, "problem"))
+        xs = component_rng(9, "problem").standard_normal((11, 4))
+        losses, gaps = problem.loss(xs), problem.loss_gap(xs)
+        assert losses.shape == gaps.shape == (11,)
+        if kind == "quadratic":
+            reference = [0.5 * np.mean(np.sum((x - problem.z) ** 2, axis=1)) for x in xs]
+        else:
+            reference = [np.mean(np.logaddexp(0.0, -problem.labels * (problem.features @ x)))
+                         + 0.5 * problem.ridge * x @ x for x in xs]
+        np.testing.assert_allclose(losses, reference, rtol=1e-14)
+        np.testing.assert_allclose(losses, [problem.loss(x) for x in xs], rtol=1e-14)
+        np.testing.assert_allclose(gaps, [problem.loss_gap(x) for x in xs], rtol=1e-14)
+        np.testing.assert_allclose(gaps, losses - problem.f_star, rtol=1e-12)
+
+    def test_quadratic_gap_has_no_cancellation(self):
+        # Centred data puts x* within 1e-16 of 0, so x* + 1e-7 rounds at
+        # the 1e-23 level and the exact gap is 1/2 d 1e-14.  Subtracting
+        # f(x*) ~ d/2 from f(x) would lose all but two digits of it.
+        d = 3
+        problem = generate_problem("quadratic", d=d, n=200,
+                                   rng=component_rng(10, "problem"))
+        problem.z = problem.z - problem.x_star
+        problem.x_star = problem.z.mean(axis=0)
+        problem.f_star = problem.loss(problem.x_star)
+        spec = OptimizerSpec(kind="mirror_sgd", mirror=quadratic_map(),
+                             schedule=_scaling_linear(), mode="empirical",
+                             batch_m=10, x0=problem.x_star + 1e-7)
+        traj = run_optimizer(spec, problem, 0, seed=0)
+        assert traj.steps == 0
+        assert traj.loss_gap.shape == (1,)
+        assert traj.loss_gap[0] == pytest.approx(0.5 * d * 1e-14, rel=1e-12, abs=0)
+
+    def test_failed_run_keeps_one_gap_per_iterate(self):
+        problem = generate_problem("logistic", d=3, n=80, rng=component_rng(11, "problem"))
+        draw = problem.minibatch_gradient
+        steps = iter(range(20))
+
+        def fails_at_step_4(x, m, rng):
+            if next(steps) == 4:
+                raise FloatingPointError("overflow")
+            return draw(x, m, rng)
+
+        problem.minibatch_gradient = fails_at_step_4
+        spec = OptimizerSpec(kind="mirror_sgd", mirror=quadratic_map(),
+                             schedule=_scaling_linear(), mode="empirical", batch_m=8)
+        traj = run_optimizer(spec, problem, 20, seed=0)
+        assert traj.error.startswith("FloatingPointError at step 4:")
+        assert traj.steps == 4
+        np.testing.assert_array_equal(traj.loss_gap, problem.loss_gap(traj.x_path))
+        assert np.all(np.isfinite(traj.loss_gap))
+
+    def test_logistic_extreme_margins_do_not_overflow(self):
+        # |margins| reach beyond 709, where exp(margin) overflows.
+        problem = generate_problem("logistic", d=3, n=50, rng=component_rng(12, "problem"))
+        x = np.array([400.0, -400.0, 400.0])
+        feats, labels = problem.features, problem.labels
+        margins = labels * (feats @ x)
+        assert margins.max() > 1000 and margins.min() < -1000
+        weights = -labels * np.exp(-np.logaddexp(0.0, margins))
+        ref_grads = weights[:, None] * feats + problem.ridge * x
+        ref_loss = np.mean(np.logaddexp(0.0, -margins)) + 0.5 * problem.ridge * x @ x
+        with np.errstate(over="raise", invalid="raise"):
+            grads = problem.per_sample_gradients(x)
+            batch = problem.minibatch_gradient(x, 10, component_rng(12, "batch"))
+            loss = problem.loss(x)
+        assert np.all(np.isfinite(grads)) and np.all(np.isfinite(batch))
+        np.testing.assert_allclose(grads, ref_grads, rtol=1e-12, atol=0)
+        assert math.isfinite(loss)
+        assert loss == pytest.approx(ref_loss, rel=1e-12, abs=0)
 
     def test_invalid_requests(self):
         problem = generate_problem("quadratic", d=2, n=10,

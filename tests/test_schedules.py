@@ -257,6 +257,9 @@ class TestVectorPath:
             got = phi_vector(s, np.array([[a_val]]), np.array([b_val]), t)
             assert got[0] == pytest.approx(expected, abs=1e-8)
 
+    # b has a negative entry, so Phi(T) = exp(delta_T - gamma_T) b does
+    # too; that is not an ascent step and must not warn.
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_terminal_condition_matrix(self):
         rng = np.random.default_rng(31)
         m = rng.standard_normal((2, 2))
