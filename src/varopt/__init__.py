@@ -49,6 +49,7 @@ from .optimizers import (
     mirror_descent_step,
     momentum_from_nu,
     nu_from_momentum,
+    run_ensemble,
     run_optimizer,
 )
 from .schedules import (

@@ -10,7 +10,9 @@ Two priors on the gradient stream are supported:
   latent OU-type state dy = -A y dt + L dW observed through white noise
   of scale sigma.  Its filters are the Kalman-Bucy equations in
   continuous time and the standard four-equation Kalman recursion in
-  discrete time, whose gains converge to a steady-state gain K_inf.
+  discrete time, whose gains converge to a steady-state gain K_inf: the
+  fixed point of that same recursion.  The process noise L dW has
+  covariance L L' in every filter, as in the stream simulator.
 
 All coordinates share the same latent dynamics, so one covariance P is
 maintained and applied row-wise to the d x dtilde filter mean.
@@ -19,7 +21,7 @@ maintained and applied row-wise to the d x dtilde filter mean.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,12 +32,17 @@ __all__ = [
     "MartingaleStream",
     "StateSpaceStream",
     "martingale_filter",
+    "kalman_mean_update",
     "kalman_discrete_step",
     "kalman_bucy_step",
     "kalman_steady_gain",
     "initial_kalman_state",
     "FilterDivergenceError",
 ]
+
+
+STEADY_GAIN_TOL = 1e-10
+_STEADY_GAIN_MAX_ITER = 100_000
 
 
 class FilterDivergenceError(RuntimeError):
@@ -207,29 +214,40 @@ def _check_psd(p: np.ndarray, floor: float, what: str) -> None:
         )
 
 
-def kalman_discrete_step(state: KalmanState, g_k: np.ndarray, a_tilde: np.ndarray,
-                         l_tilde: np.ndarray, b_vec: np.ndarray,
-                         sigma_disc: float) -> KalmanState:
-    """One step of the discrete Kalman recursion, applied with the same
-    covariance and gain to every coordinate row of the mean."""
-    a_tilde = np.atleast_2d(np.asarray(a_tilde, dtype=float))
-    l_tilde = np.atleast_2d(np.asarray(l_tilde, dtype=float))
-    b_vec = np.atleast_1d(np.asarray(b_vec, dtype=float))
-    g_k = np.atleast_1d(np.asarray(g_k, dtype=float))
+def kalman_mean_update(y_hat: np.ndarray, g_k: np.ndarray, a_tilde: np.ndarray,
+                       b_vec: np.ndarray, gain: np.ndarray) -> np.ndarray:
+    """Filter-mean step of every coordinate row with a given gain:
+    y_hat' = y_hat A_til' + (g - y_hat A_til' b) gain'."""
+    pred_mean = y_hat @ a_tilde.T                             # d x dtilde
+    return pred_mean + np.outer(g_k - pred_mean @ b_vec, gain)
 
-    p_pred = a_tilde @ state.p_post @ a_tilde.T + l_tilde.T @ l_tilde
+
+def _kalman_cov_step(p_post, a_tilde, q, b_vec, sigma_disc):
+    """Covariance part of one discrete Kalman step: (P_pred, gain, s, P_post)."""
+    p_pred = a_tilde @ p_post @ a_tilde.T + q
     p_pred = 0.5 * (p_pred + p_pred.T)
     s = sigma_disc ** 2 + float(b_vec @ p_pred @ b_vec)
     if s <= 0:
         raise FilterDivergenceError(f"innovation variance is not positive ({s:.3e})")
     gain = p_pred @ b_vec / s
     p_post = (np.eye(len(b_vec)) - np.outer(gain, b_vec)) @ p_pred
-    p_post = 0.5 * (p_post + p_post.T)
-    _check_psd(p_post, -1e-10, "posterior covariance")
+    return p_pred, gain, s, 0.5 * (p_post + p_post.T)
 
-    pred_mean = state.y_hat @ a_tilde.T                       # d x dtilde
-    innovation = g_k - pred_mean @ b_vec                      # d
-    y_hat = pred_mean + np.outer(innovation, gain)
+
+def kalman_discrete_step(state: KalmanState, g_k: np.ndarray, a_tilde: np.ndarray,
+                         l_tilde: np.ndarray, b_vec: np.ndarray,
+                         sigma_disc: float) -> KalmanState:
+    """One step of the discrete Kalman recursion, applied with the same
+    covariance and gain to every coordinate row of the mean (none for a
+    zero-row state).  The process noise L_til w has covariance L_til L_til'."""
+    a_tilde = np.atleast_2d(np.asarray(a_tilde, dtype=float))
+    l_tilde = np.atleast_2d(np.asarray(l_tilde, dtype=float))
+    b_vec = np.atleast_1d(np.asarray(b_vec, dtype=float))
+
+    p_pred, gain, s, p_post = _kalman_cov_step(state.p_post, a_tilde,
+                                               l_tilde @ l_tilde.T, b_vec, sigma_disc)
+    _check_psd(p_post, -1e-10, "posterior covariance")
+    y_hat = kalman_mean_update(state.y_hat, g_k, a_tilde, b_vec, gain)
     return KalmanState(y_hat=y_hat, p_post=p_post, gain=gain, s_innov=s,
                        p_pred=p_pred)
 
@@ -256,44 +274,28 @@ def kalman_bucy_step(state: KalmanState, g_t: np.ndarray, dt: float,
     p_dot = -a @ p - p.T @ a - (p @ np.outer(b, b) @ p.T) / sig2 + l @ l.T
     p_new = p + dt * p_dot
     p_new = 0.5 * (p_new + p_new.T)
-    eigs = np.linalg.eigvalsh(p_new)
-    if eigs.min() < -1e-8:
-        raise FilterDivergenceError(
-            f"Riccati covariance lost PSD at this step size (min eig {eigs.min():.3e})"
-        )
+    _check_psd(p_new, -1e-8, "Riccati covariance")
     return KalmanState(y_hat=y_hat, p_post=p_new, gain=gain,
                        s_innov=sig2, p_pred=p_new)
 
 
 def kalman_steady_gain(a_tilde: np.ndarray, l_tilde: np.ndarray, b_vec: np.ndarray,
-                       sigma_disc: float, tol: float = 1e-10,
-                       max_iter: int = 100_000) -> np.ndarray:
-    """Steady-state gain of the time-invariant discrete filter.
-
-    Iterates the covariance recursion
-        P_pred <- A_til [(I - K b') P_pred] A_til' + L_til' L_til,
-        K       = P_pred b / (sigma^2 + b' P_pred b),
-    to its fixed point and returns the limiting gain vector.
-    """
+                       sigma_disc: float) -> np.ndarray:
+    """Steady-state gain of the time-invariant discrete filter: the fixed
+    point of the covariance part of kalman_discrete_step from P = I,
+    reached when gain and P_pred move by at most STEADY_GAIN_TOL."""
     a_tilde = np.atleast_2d(np.asarray(a_tilde, dtype=float))
     l_tilde = np.atleast_2d(np.asarray(l_tilde, dtype=float))
     b_vec = np.atleast_1d(np.asarray(b_vec, dtype=float))
-    dtilde = len(b_vec)
-    q = l_tilde.T @ l_tilde
-
-    p_pred = q + np.eye(dtilde)
-    gain = np.zeros(dtilde)
-    for _ in range(max_iter):
-        s = sigma_disc ** 2 + float(b_vec @ p_pred @ b_vec)
-        if s <= 0:
-            raise FilterDivergenceError("innovation variance is not positive")
-        new_gain = p_pred @ b_vec / s
-        p_post = (np.eye(dtilde) - np.outer(new_gain, b_vec)) @ p_pred
-        new_pred = a_tilde @ p_post @ a_tilde.T + q
-        new_pred = 0.5 * (new_pred + new_pred.T)
-        resid = max(np.max(np.abs(new_gain - gain)), np.max(np.abs(new_pred - p_pred)))
+    q = l_tilde @ l_tilde.T
+    p_pred = p_post = np.eye(len(b_vec))
+    gain = np.zeros(len(b_vec))
+    for _ in range(_STEADY_GAIN_MAX_ITER):
+        new_pred, new_gain, _, p_post = _kalman_cov_step(p_post, a_tilde, q, b_vec,
+                                                         sigma_disc)
+        resid = max(abs(new_gain - gain).max(), abs(new_pred - p_pred).max())
         p_pred, gain = new_pred, new_gain
-        if resid <= tol:
+        if resid <= STEADY_GAIN_TOL:
             return gain
     raise FilterDivergenceError(
         f"steady-gain iteration did not converge (last residual {resid:.3e})"

@@ -9,9 +9,9 @@ Example::
     map.name = quadratic
     schedule.family = linear
     schedule.params = {"beta0": -0.7, "gamma1": 1.0}
-    schedule.delta_T = 3.0
+    schedule.delta_T = 3.3
     schedule.T = 4.0
-    mesh.steps = 40
+    mesh.steps = 4
     model.kind = martingale
     model.sigma = 0.5
     model.n = 200
@@ -36,7 +36,7 @@ import numpy as np
 
 from ..bregman import MirrorMap, entropy_map, quadratic_map
 from ..gradient_models import MartingaleGradientModel, StateSpaceGradientModel
-from ..optimizers import OPTIMIZER_KINDS, OptimizerSpec
+from ..optimizers import OPTIMIZER_KINDS, OptimizerSpec, _mesh_times
 from ..schedules import (
     Schedule,
     constant_schedule,
@@ -221,15 +221,10 @@ def build_experiment(cfg: dict) -> ExperimentConfig:
     steps = int(cfg.get("mesh", {}).get("steps", opt_section.get("steps", 100)))
     if steps < 0:
         raise ConfigError("mesh.steps must be >= 0")
-    if steps > 0:
-        from ..schedules import build_mesh
-
-        mesh = build_mesh(schedule, steps)
-        if mesh.times[-1] > schedule.horizon_T + 1e-9:
-            raise ConfigError(
-                f"mesh.steps = {steps} reaches t = {mesh.times[-1]:.6g}, past "
-                f"the schedule horizon T = {schedule.horizon_T:.6g}"
-            )
+    try:
+        _mesh_times(schedule, steps)
+    except ValueError as exc:
+        raise ConfigError(f"mesh.steps = {steps}: {exc}") from exc
 
     return ExperimentConfig(
         problem=problem, mirror=mirror, schedule=schedule, optimizer_spec=spec,

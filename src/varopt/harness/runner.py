@@ -9,15 +9,14 @@ from __future__ import annotations
 
 import copy
 import itertools
-import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .. import diagnostics as diag
-from ..optimizers import run_optimizer
+from ..optimizers import run_ensemble
 from .config import ExperimentConfig, build_experiment
 
 __all__ = ["RunArtifacts", "run_experiment", "sweep", "compare"]
@@ -91,13 +90,8 @@ def run_experiment(config: ExperimentConfig, write: bool = True) -> RunArtifacts
     aborting the remaining seeds.
     """
     spec = config.optimizer_spec
-    trajectories = []
-    errors = {}
-    for seed in config.seeds:
-        traj = run_optimizer(spec, config.problem, config.steps, seed)
-        trajectories.append(traj)
-        if traj.error is not None:
-            errors[seed] = traj.error
+    trajectories = run_ensemble(spec, config.problem, config.steps, config.seeds)
+    errors = {t.seed: t.error for t in trajectories if t.error is not None}
 
     report = None
     supermartingale = None

@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .bregman import MirrorMap, grad_dual
-from .diagnostics import Trajectory
+from .diagnostics import Trajectory, qv_accumulate
 from .gradient_models import (
     MartingaleGradientModel,
     MartingaleStream,
@@ -29,6 +29,7 @@ from .gradient_models import (
     StateSpaceStream,
     initial_kalman_state,
     kalman_discrete_step,
+    kalman_mean_update,
     kalman_steady_gain,
 )
 from .schedules import Schedule, build_mesh, phi_scalar_path, phi_vector_path
@@ -42,6 +43,7 @@ __all__ = [
     "nu_from_momentum",
     "momentum_from_nu",
     "run_optimizer",
+    "run_ensemble",
     "OPTIMIZER_KINDS",
 ]
 
@@ -82,17 +84,15 @@ def generalized_momentum_step(mirror: MirrorMap, x: np.ndarray, y_hat: np.ndarra
                               b_vec: Optional[np.ndarray] = None):
     """Steady-state filter recursion followed by the mirror update.
 
-    y_hat' = (A_til - k_inf b' A_til) y_hat + k_inf g applied to every
-    coordinate row, then X' = kalman_gd_step(X, y_hat').  b_vec defaults
-    to all-ones (the scalar reduction b = 1).
+    y_hat' = y_hat A_til' + (g - y_hat A_til' b) k_inf' applied to every
+    coordinate row (kalman_mean_update with the steady gain), then
+    X' = kalman_gd_step(X, y_hat').  b_vec defaults to all-ones (the
+    scalar reduction b = 1).
     """
     a_tilde = np.atleast_2d(np.asarray(a_tilde, dtype=float))
     k_inf = np.atleast_1d(np.asarray(k_inf, dtype=float))
     b_vec = np.ones(len(k_inf)) if b_vec is None else np.atleast_1d(np.asarray(b_vec, dtype=float))
-    y_hat = np.atleast_2d(np.asarray(y_hat, dtype=float))
-    g = np.atleast_1d(np.asarray(g, dtype=float))
-    p1 = a_tilde - np.outer(k_inf, b_vec) @ a_tilde
-    y_new = y_hat @ p1.T + np.outer(g, k_inf)
+    y_new = kalman_mean_update(y_hat, g, a_tilde, b_vec, k_inf)
     return kalman_gd_step(mirror, x, y_new, phi_vec), y_new
 
 
@@ -159,6 +159,8 @@ class OptimizerSpec:
                 raise ValueError(f"synthetic {self.kind} requires a gradient model")
         if self.mode == "empirical" and self.batch_m is None:
             raise ValueError("empirical mode requires batch_m")
+        if self.fosp_substeps < 1:
+            raise ValueError(f"fosp_substeps must be >= 1, got {self.fosp_substeps}")
         if self.kind in ("generalized_momentum", "polyak_momentum"):
             s = self.schedule
             ts = np.linspace(s.t_min, s.horizon_T, 32)
@@ -174,67 +176,65 @@ class OptimizerSpec:
         return np.zeros(d)
 
 
-def _stream_dimension(spec: OptimizerSpec, problem) -> int:
-    if spec.mode == "empirical":
-        return problem.d
-    return spec.model.d
-
-
-def run_optimizer(spec: OptimizerSpec, problem, steps: int, seed: int,
-                  rng_factory=None) -> Trajectory:
-    """Run one seeded optimization and record its trajectory.
-
-    problem may be None in synthetic mode (the latent gradient model is
-    not tied to a loss landscape; loss gaps are then NaN).  rng_factory
-    maps a stream name ("stream" or "batch") to a Generator; by default
-    the harness RNG streams for this seed are used.
-    """
-    spec.validate()
-    if rng_factory is None:
-        from .harness.rng import component_rng
-        rng_factory = lambda component: component_rng(seed, component)
-
-    schedule = spec.schedule
-    mesh = build_mesh(schedule, max(steps, 1))
-    times = mesh.times[: steps + 1]
+def _mesh_times(schedule: Schedule, steps: int) -> np.ndarray:
+    """Times t_0 .. t_K of a K-step mesh; ValueError past the horizon."""
+    times = build_mesh(schedule, max(steps, 1)).times[: steps + 1]
     if times[-1] > schedule.horizon_T + 1e-9:
         raise ValueError(
             f"mesh reaches t = {times[-1]:.6g}, past the schedule horizon "
             f"T = {schedule.horizon_T:.6g}; reduce steps or extend the horizon"
         )
-    dts = np.diff(times)
-    d = _stream_dimension(spec, problem)
+    return times
+
+
+def run_optimizer(spec: OptimizerSpec, problem, steps: int, seed: int) -> Trajectory:
+    """Run one seeded optimization: run_ensemble on the single seed."""
+    return run_ensemble(spec, problem, steps, [seed])[0]
+
+
+def run_ensemble(spec: OptimizerSpec, problem, steps: int, seeds) -> list[Trajectory]:
+    """One seeded trajectory per seed.  The mesh, Phi, the factors of the
+    quadratic-variation proxy and the filter gains do not depend on the
+    seed and are computed once; each seed runs the step loop on its own
+    harness RNG streams.  problem may be None in synthetic mode (the
+    latent gradient model is not tied to a loss landscape; loss gaps are
+    then NaN)."""
+    spec.validate()
+    schedule = spec.schedule
+    times = _mesh_times(schedule, steps)
+    d = problem.d if spec.mode == "empirical" else spec.model.d
     x0 = spec.default_x0(d)
     spec.mirror.check_domain(x0)
 
     if steps == 0:
         x_path = x0[None, :]
-        return Trajectory(
-            times=times, x_path=x_path, nu_path=np.zeros((0, d)),
-            loss_gap=_loss_gaps(spec, problem, x_path), qv_path=np.zeros(1), seed=seed,
-        )
+        return [Trajectory(times=times, x_path=x_path, nu_path=np.zeros((0, d)),
+                           loss_gap=_loss_gaps(spec, problem, x_path),
+                           qv_path=np.zeros(1), seed=seed) for seed in seeds]
 
-    step_times = times[:-1]
-    if spec.kind in _FILTERED_KINDS:
-        phi = phi_vector_path(schedule, spec.model.a_mat, spec.model.b_vec, step_times)
-    else:
-        phi = phi_scalar_path(schedule, step_times)
+    step_times, dts = times[:-1], np.diff(times)
+    filtered = spec.kind in _FILTERED_KINDS
+    phi = (phi_vector_path(schedule, spec.model.a_mat, spec.model.b_vec, step_times)
+           if filtered else phi_scalar_path(schedule, step_times))
+    filt = _filter_gains(spec, dts) if filtered else None
+    coeff = _filter_coefficient(spec, problem)
+    ts = step_times[:-1].tolist()            # _qv_path reads steps 0 .. K-2
+    qv_factors = ([math.exp(schedule.alpha(t) + schedule.beta(t) + schedule.gamma(t))
+                   for t in ts], [math.exp(-schedule.gamma(t)) for t in ts])
 
-    x_path, g_stream, y_path, error = _run_steps(spec, problem, x0, step_times,
-                                                 dts, phi, rng_factory)
-    k = x_path.shape[0] - 1
-    filter_norm = None
-    if y_path is not None:
-        filter_norm = np.linalg.norm(y_path.reshape(len(y_path), -1), axis=1)
-    nu_path = np.diff(x_path, axis=0) / dts[:k, None]
-    loss_gap = _loss_gaps(spec, problem, x_path)
-    qv_path = _qv_path(_filter_coefficient(spec, problem), schedule, step_times,
-                       g_stream, k)
-    return Trajectory(
-        times=times[: k + 1], x_path=x_path, nu_path=nu_path,
-        loss_gap=loss_gap, qv_path=qv_path, g_path=g_stream,
-        filter_mean_norm=filter_norm, phi_path=phi[:k], seed=seed, error=error,
-    )
+    trajectories = []
+    for seed in seeds:
+        x_path, g_stream, y_path, error = _run_steps(spec, problem, seed, x0, step_times,
+                                                     dts, phi, coeff, filt)
+        k = len(g_stream)
+        trajectories.append(Trajectory(
+            times=times[: k + 1], x_path=x_path, nu_path=np.diff(x_path, axis=0) / dts[:k, None],
+            loss_gap=_loss_gaps(spec, problem, x_path),
+            qv_path=_qv_path(coeff, qv_factors, g_stream), g_path=g_stream,
+            filter_mean_norm=None if y_path is None else np.linalg.norm(
+                y_path.reshape(k + 1, -1), axis=1),
+            phi_path=phi[:k], seed=seed, error=error))
+    return trajectories
 
 
 def _loss_gaps(spec: OptimizerSpec, problem, x_path: np.ndarray) -> np.ndarray:
@@ -253,45 +253,63 @@ def _filter_coefficient(spec: OptimizerSpec, problem) -> float:
     return 1.0
 
 
-def _run_steps(spec, problem, x0, step_times, dts, phi, rng_factory):
-    """The step loop of every kind and stream mode: observe g, filter it,
-    apply the kind's update rule.  Returns (x_path, g_stream, y_path,
-    error), y_path being the (K+1, d, dtilde) filter means of the
-    filtered kinds and None otherwise.  When step k fails, the paths stop
-    at X_k and error names the step and the exception."""
+def _filter_gains(spec: OptimizerSpec, dts: np.ndarray):
+    """Seed-independent filter inputs: A_til = I - dt A per step, the gain
+    of each step and the error that cut the gains short (else None).
+    kalman_gd runs the covariance recursion once on a zero-row state; the
+    momentum kinds use the steady gain on every step."""
+    model = spec.model
+    a_tils = np.eye(model.dtilde) - dts[:, None, None] * model.a_mat
+    gains = []
+    try:
+        if spec.kind == "kalman_gd":
+            p0 = spec.p0 if spec.p0 is not None else model.stationary_covariance()
+            state = initial_kalman_state(0, model.dtilde, p0)
+            for a_til, dt in zip(a_tils, dts.tolist()):
+                state = kalman_discrete_step(state, np.zeros(0), a_til, dt * model.l_mat,
+                                             model.b_vec, model.sigma * dt)
+                gains.append(state.gain)
+        else:
+            # Momentum kinds need a constant-alpha schedule, so dt is
+            # constant and one steady gain serves every step.
+            dt0 = float(dts[0])
+            gains = [kalman_steady_gain(a_tils[0], dt0 * model.l_mat, model.b_vec,
+                                        model.sigma * dt0)] * len(dts)
+    except Exception as exc:
+        return a_tils, gains, exc
+    return a_tils, gains, None
+
+
+def _run_steps(spec, problem, seed, x0, step_times, dts, phi, coeff, filt):
+    """The step loop of every kind and stream mode: observe g, filter it
+    with the gains in filt (filtered kinds), apply the kind's update rule.
+    Returns (x_path, g_stream, y_path, error), y_path being the
+    (K+1, d, dtilde) filter means of the filtered kinds and None
+    otherwise.  When step k fails, the paths stop at X_k and error names
+    the step and the exception; a gain sequence cut short fails its step
+    after the observation."""
+    from .harness.rng import component_rng
+
     mirror, model = spec.mirror, spec.model
     k_steps, d = len(dts), len(x0)
     x_path = np.empty((k_steps + 1, d))
     g_stream = np.empty((k_steps, d))
     x_path[0] = x = x0
     y_path = None
-    if spec.kind in _FILTERED_KINDS:
+    if filt is not None:
+        a_tils, gains, gain_error = filt
         y_path = np.zeros((k_steps + 1, d, model.dtilde))
+        y_hat = y_path[0]
     k = 0
     try:
         if spec.mode == "synthetic":
             stream_type = (MartingaleStream if isinstance(model, MartingaleGradientModel)
                            else StateSpaceStream)
-            stream = stream_type(model, rng_factory("stream"))
+            stream = stream_type(model, component_rng(seed, "stream"))
             observe = lambda x, dt: stream.step(dt)[1]
         else:
-            rng = rng_factory("batch")
+            rng = component_rng(seed, "batch")
             observe = lambda x, dt: problem.minibatch_gradient(x, spec.batch_m, rng)
-
-        if spec.kind in _FILTERED_KINDS:
-            a_tils = np.eye(model.dtilde) - dts[:, None, None] * model.a_mat
-            y_hat = np.zeros((d, model.dtilde))
-            if spec.kind == "kalman_gd":
-                p0 = spec.p0 if spec.p0 is not None else model.stationary_covariance()
-                state = initial_kalman_state(d, model.dtilde, p0)
-            else:
-                # Momentum kinds need a constant-alpha schedule, so dt is
-                # constant and one steady gain serves every step.
-                dt0 = float(dts[0])
-                k_inf = kalman_steady_gain(a_tils[0], dt0 * model.l_mat, model.b_vec,
-                                           model.sigma * dt0)
-        else:
-            coeff = _filter_coefficient(spec, problem)
 
         for k in range(k_steps):
             dt = float(dts[k])
@@ -300,21 +318,17 @@ def _run_steps(spec, problem, x0, step_times, dts, phi, rng_factory):
                 x = mirror_descent_step(mirror, x, coeff * g, float(phi[k]))
             elif spec.kind == "fosp_continuous":
                 # The observation is frozen over fosp_substeps Euler steps.
-                sub = max(1, spec.fosp_substeps)
                 effective = float(phi[k]) * coeff * g
                 alpha_t = spec.schedule.alpha(float(step_times[k]))
-                for _ in range(sub):
-                    x = fosp_flow_step(mirror, x, effective, alpha_t, dt / sub)
-            elif spec.kind == "kalman_gd":
-                state = kalman_discrete_step(state, g, a_tils[k], dt * model.l_mat,
-                                             model.b_vec, model.sigma * dt)
-                y_hat = state.y_hat
-                x = kalman_gd_step(mirror, x, y_hat, phi[k])
+                for _ in range(spec.fosp_substeps):
+                    x = fosp_flow_step(mirror, x, effective, alpha_t,
+                                       dt / spec.fosp_substeps)
             else:
-                x, y_hat = generalized_momentum_step(mirror, x, y_hat, g, a_tils[k],
-                                                     k_inf, phi[k], model.b_vec)
-            if y_path is not None:
-                y_path[k + 1] = y_hat
+                if k == len(gains):
+                    raise gain_error
+                y_hat = y_path[k + 1] = kalman_mean_update(y_hat, g, a_tils[k],
+                                                           model.b_vec, gains[k])
+                x = kalman_gd_step(mirror, x, y_hat, phi[k])
             x_path[k + 1] = x
     except Exception as exc:
         return (x_path[:k + 1], g_stream[:k],
@@ -323,20 +337,14 @@ def _run_steps(spec, problem, x0, step_times, dts, phi, rng_factory):
     return x_path, g_stream, y_path, None
 
 
-def _qv_path(coeff, schedule, step_times, g_stream, k_steps):
+def _qv_path(coeff, qv_factors, g_stream):
     """Accumulated quadratic variation of the exp(-gamma)-scaled
-    martingale proxy built from increments of the observed stream."""
-    from .diagnostics import qv_accumulate
-
-    qv = np.zeros(k_steps + 1)
-    acc = 0.0
-    for k in range(1, k_steps):
-        t = float(step_times[k - 1])
-        w = math.exp(schedule.alpha(t) + schedule.beta(t) + schedule.gamma(t))
-        delta = -coeff * w * (g_stream[k] - g_stream[k - 1])
-        scaled = math.exp(-schedule.gamma(t)) * delta
-        acc = qv_accumulate(acc, scaled, scaled)
-        qv[k] = acc
-    if k_steps >= 1:
-        qv[k_steps] = acc
+    martingale proxy built from increments of the observed stream;
+    qv_factors holds exp(alpha + beta + gamma) and exp(-gamma) per step."""
+    weights, decays = qv_factors
+    qv = np.zeros(len(g_stream) + 1)
+    for k in range(1, len(g_stream)):
+        scaled = decays[k - 1] * (-coeff * weights[k - 1] * (g_stream[k] - g_stream[k - 1]))
+        qv[k] = qv_accumulate(qv[k - 1], scaled, scaled)
+    qv[len(g_stream)] = qv[max(len(g_stream) - 1, 0)]
     return qv

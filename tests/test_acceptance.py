@@ -114,7 +114,7 @@ def test_criterion_02_sgd_reduction():
 def _conditioning_oracle(a_til, l_til, b, sigma_d, p0, g_obs):
     k = len(g_obs)
     dt = len(b)
-    q = l_til.T @ l_til
+    q = l_til @ l_til.T
     dim = dt + k * dt + k
     cov = np.zeros((dim, dim))
     cov[:dt, :dt] = p0

@@ -33,7 +33,7 @@ def _conditioning_oracle(a_til, l_til, b, sigma_d, p0, g_obs):
     conditioning on the stacked noise basis."""
     k = len(g_obs)
     dt = len(b)
-    q = l_til.T @ l_til
+    q = l_til @ l_til.T
     dim = dt + k * dt + k          # y0, w_1..w_k, xi_1..xi_k
     cov = np.zeros((dim, dim))
     cov[:dt, :dt] = p0
@@ -188,6 +188,21 @@ class TestDiscreteKalman:
         for i in range(d):
             np.testing.assert_allclose(joint.y_hat[i], rows[i].y_hat[0],
                                        atol=1e-12)
+
+    def test_process_noise_covariance_matches_stream(self):
+        # The stream adds L w, of covariance L L'; for a non-normal L this
+        # differs from L'L = [[1, 0.9], [0.9, 0.9]].  With A = I and dt = 1
+        # one step from y = 0 leaves the rows at y = w L'.
+        l = np.array([[1.0, 0.9], [0.0, 0.3]])
+        model = StateSpaceGradientModel(a_mat=np.eye(2), l_mat=l,
+                                        b_vec=np.array([1.0, 0.0]), sigma=1.0,
+                                        d=20_000)
+        stream = StateSpaceStream(model, np.random.default_rng(5))
+        stream.step(1.0)
+        state = initial_kalman_state(1, 2, p0=np.zeros((2, 2)))
+        state = kalman_discrete_step(state, np.zeros(1), np.zeros((2, 2)), l,
+                                     model.b_vec, 1.0)
+        np.testing.assert_allclose(state.p_pred, np.cov(stream.y.T), atol=0.05)
 
     def test_degenerate_innovation_raises(self):
         state = initial_kalman_state(1, 1, p0=np.zeros((1, 1)))

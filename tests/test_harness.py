@@ -2,6 +2,9 @@
 
 import math
 import os
+import re
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +20,7 @@ from varopt.harness import (
     run_experiment,
     sweep,
 )
+from varopt.harness import config as config_module
 from varopt.harness.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 from varopt.harness.runner import compare
 
@@ -95,6 +99,8 @@ class TestBuildExperiment:
         "optimizer.kind = adam",
         "model.kind = arma",
         "mesh.steps = -3",
+        "optimizer.fosp_substeps = 0",
+        "optimizer.fosp_substeps = -3",
     ])
     def test_invalid_values_rejected(self, override):
         raw = parse_config_text(BASE_CONFIG + override + "\n")
@@ -322,7 +328,30 @@ class TestSweepAndCompare:
         assert lines[1].startswith("mirror_sgd,")
 
 
+def _readme_example():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+
+
+def _config_docstring_example():
+    """The indented block after 'Example::' in the config module docstring."""
+    lines = []
+    for line in config_module.__doc__.split("Example::\n", 1)[1].splitlines()[1:]:
+        if line and not line.startswith(" "):
+            break
+        lines.append(line)
+    return textwrap.dedent("\n".join(lines))
+
+
 class TestCli:
+    @pytest.mark.parametrize("example", [_readme_example, _config_docstring_example],
+                             ids=["readme", "config-docstring"])
+    def test_documented_example_runs(self, example, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("VAROPT_SEED", raising=False)
+        assert main(["run", _write_config(tmp_path, example())]) == EXIT_OK
+        assert (tmp_path / "out" / "summary.txt").exists()
+
     def test_run_success(self, tmp_path, capsys):
         cfg = _write_config(tmp_path, BASE_CONFIG + f"output = {tmp_path}/out\n")
         assert main(["run", cfg]) == EXIT_OK

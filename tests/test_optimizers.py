@@ -1,5 +1,6 @@
 """Update rules and the seeded run driver."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -25,8 +26,11 @@ from varopt import (
     momentum_from_nu,
     nu_from_momentum,
     quadratic_map,
+    run_ensemble,
     run_optimizer,
 )
+from varopt import optimizers
+from varopt.diagnostics import Trajectory
 from varopt.gradient_models import initial_kalman_state
 from varopt.harness import component_rng, generate_problem
 from varopt.schedules import phi_scalar_path, phi_vector_path
@@ -254,6 +258,12 @@ class TestRunOptimizer:
             OptimizerSpec(kind="mirror_sgd", mirror=quadratic_map(),
                           schedule=_scaling_linear(), mode="empirical",
                           batch_m=None).validate()
+        for substeps in (0, -3):
+            with pytest.raises(ValueError, match="fosp_substeps"):
+                OptimizerSpec(kind="fosp_continuous", mirror=quadratic_map(),
+                              schedule=_scaling_linear(),
+                              model=MartingaleGradientModel(sigma=0.5, n=100, m=25, d=3),
+                              mode="synthetic", fosp_substeps=substeps).validate()
 
     def test_degenerate_kalman_filter_is_an_error(self):
         # L = 0 and sigma = 0 make the innovation variance zero on the
@@ -392,3 +402,116 @@ def test_failed_run_keeps_completed_steps():
                                   phi_scalar_path(spec.schedule, times[:-1])[:10])
     np.testing.assert_array_equal(traj.g_path, short.g_path)
     np.testing.assert_array_equal(traj.qv_path, short.qv_path)
+
+
+def _ensemble_spec(kind, mode):
+    """A spec of the given kind and stream mode, on the d = 3 quadratic
+    problem in empirical mode."""
+    if kind in ("mirror_sgd", "fosp_continuous"):
+        model = MartingaleGradientModel(sigma=0.5, n=40, m=10, d=3)
+    else:
+        dtilde = 1 if kind == "polyak_momentum" else 2
+        model = StateSpaceGradientModel(a_mat=0.5 * np.eye(dtilde),
+                                        l_mat=0.5 * np.eye(dtilde),
+                                        b_vec=np.linspace(1.0, 0.5, dtilde),
+                                        sigma=0.5, d=3)
+    # 20 steps of dt = 0.1 with w = exp(alpha + beta) = 0.05 and A T = 1
+    # keep Phi of order one: 0.9 to 1 on the scalar path.
+    schedule = constant_schedule(alpha0=math.log(10.0), beta0=math.log(0.005),
+                                 horizon_T=2.0)
+    return OptimizerSpec(kind=kind, mirror=quadratic_map(), schedule=schedule,
+                         model=model, mode=mode,
+                         batch_m=10 if mode == "empirical" else None)
+
+
+def _covariance_failure_spec(steps):
+    """kalman_gd whose covariance recursion fails on step 1: with dt = 1,
+    A_til = I - A is nilpotent, and L = 0, sigma = 0 and b = e_1 leave
+    P_post = 0 after step 0, hence a zero innovation variance on step 1."""
+    model = StateSpaceGradientModel(a_mat=np.array([[1.0, -1.0], [0.0, 1.0]]),
+                                    l_mat=np.zeros((2, 2)), b_vec=np.array([1.0, 0.0]),
+                                    sigma=0.0, d=3)
+    return OptimizerSpec(kind="kalman_gd", mirror=quadratic_map(),
+                         schedule=constant_schedule(horizon_T=float(steps)),
+                         model=model, mode="synthetic", p0=np.eye(2))
+
+
+def _ensemble_cases():
+    problem = generate_problem("quadratic", d=3, n=40, rng=component_rng(0, "problem"))
+    for kind in optimizers.OPTIMIZER_KINDS:
+        for mode in ("synthetic", "empirical"):
+            yield pytest.param(_ensemble_spec(kind, mode),
+                               problem if mode == "empirical" else None, 20,
+                               id=f"{kind}-{mode}")
+    # Seed 1 leaves the entropy domain on step 18; seeds 0 and 2 complete.
+    noisy = dataclasses.replace(
+        _entropy_mirror_spec(), model=MartingaleGradientModel(sigma=30.0, n=100, m=25, d=3),
+        schedule=linear_schedule(beta0=-0.7, gamma1=1.0, delta_T=19.3, horizon_T=20.0))
+    yield pytest.param(noisy, None, 20, id="mirror_sgd-one-seed-fails")
+    yield pytest.param(_covariance_failure_spec(5), None, 5, id="kalman_gd-covariance-fails")
+
+
+@pytest.mark.parametrize("spec, problem, steps", list(_ensemble_cases()))
+def test_ensemble_is_the_per_seed_runs(spec, problem, steps):
+    seeds = [0, 1, 2]
+    ensemble = run_ensemble(spec, problem, steps, seeds)
+    assert [t.seed for t in ensemble] == seeds
+    for seed, got in zip(seeds, ensemble):
+        want = run_optimizer(spec, problem, steps, seed)
+        for field in dataclasses.fields(Trajectory):
+            a, b = getattr(got, field.name), getattr(want, field.name)
+            if isinstance(b, np.ndarray):
+                np.testing.assert_array_equal(a, b, strict=True)
+            else:
+                assert a == b
+
+
+def _count_calls(monkeypatch, module, name, calls):
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+@pytest.mark.parametrize("n_seeds", [1, 3])
+@pytest.mark.parametrize("kind", ["mirror_sgd", "kalman_gd"])
+def test_seed_independent_work_runs_once(monkeypatch, kind, n_seeds):
+    calls = dict.fromkeys(["build_mesh", "phi_scalar_path", "phi_vector_path",
+                           "kalman_discrete_step"], 0)
+    for name in calls:
+        _count_calls(monkeypatch, optimizers, name, calls)
+    trajs = run_ensemble(_ensemble_spec(kind, "synthetic"), None, 20, list(range(n_seeds)))
+    assert all(t.error is None for t in trajs)
+    assert calls["build_mesh"] == 1
+    assert calls["phi_scalar_path"] + calls["phi_vector_path"] == 1
+    assert calls["kalman_discrete_step"] == (20 if kind == "kalman_gd" else 0)
+
+
+def test_covariance_failure_stops_every_seed_at_its_step(monkeypatch):
+    # The gain sequence stops on step 1.  Each seed keeps X_0 and X_1,
+    # still observes g on step 1, and reports the filter's error there,
+    # as the public step loop does.
+    spec = _covariance_failure_spec(5)
+    model = spec.model
+    calls = {"step": 0}
+    _count_calls(monkeypatch, StateSpaceStream, "step", calls)
+    seeds = [0, 1, 2]
+    trajs = run_ensemble(spec, None, 5, seeds)
+    assert calls["step"] == 2 * len(seeds)
+    phi = phi_vector_path(spec.schedule, model.a_mat, model.b_vec, np.arange(5.0))
+    a_til = np.eye(2) - model.a_mat
+    for seed, traj in zip(seeds, trajs):
+        stream = StateSpaceStream(model, component_rng(seed, "stream"))
+        state = initial_kalman_state(model.d, 2, spec.p0)
+        state = kalman_discrete_step(state, stream.step(1.0)[1], a_til, model.l_mat,
+                                     model.b_vec, 0.0)
+        x1 = kalman_gd_step(spec.mirror, np.zeros(3), state.y_hat, phi[0])
+        with pytest.raises(FilterDivergenceError) as info:
+            kalman_discrete_step(state, stream.step(1.0)[1], a_til, model.l_mat,
+                                 model.b_vec, 0.0)
+        assert traj.error == f"FilterDivergenceError at step 1: {info.value}"
+        np.testing.assert_array_equal(traj.x_path, [np.zeros(3), x1])
+        assert traj.steps == 1 and traj.g_path.shape == (1, 3)
