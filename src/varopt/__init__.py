@@ -61,7 +61,9 @@ from .schedules import (
     linear_schedule,
     matrix_exp,
     phi_scalar,
+    phi_scalar_path,
     phi_vector,
+    phi_vector_path,
     polynomial_schedule,
 )
 

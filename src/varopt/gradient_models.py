@@ -10,9 +10,13 @@ Two priors on the gradient stream are supported:
   latent OU-type state dy = -A y dt + L dW observed through white noise
   of scale sigma.  Its filters are the Kalman-Bucy equations in
   continuous time and the standard four-equation Kalman recursion in
-  discrete time, whose gains converge to a steady-state gain K_inf: the
-  fixed point of that same recursion.  The process noise L dW has
-  covariance L L' in every filter, as in the stream simulator.
+  discrete time, whose gains converge to a steady-state gain K_inf.
+  K_inf comes from the steady predicted covariance, the solution of the
+  recursion's discrete Riccati equation, found by structure-preserving
+  doubling in O(log 1/dt) steps.  One step of the recursion from that
+  solution must then reproduce it to STEADY_GAIN_RESIDUAL.  The process
+  noise L dW has covariance L L' in every filter, as in the stream
+  simulator.
 
 All coordinates share the same latent dynamics, so one covariance P is
 maintained and applied row-wise to the d x dtilde filter mean.
@@ -41,8 +45,20 @@ __all__ = [
 ]
 
 
-STEADY_GAIN_TOL = 1e-10
-_STEADY_GAIN_MAX_ITER = 100_000
+# Relative residual allowed when one recursion step from the doubling
+# solution P is checked against P.  The residual is rounding, amplified by
+# the conditioning of I + G H, which grows like 1/dt.  On
+# A = [[0.5, 0.1], [0.1, 0.4]], L = 0.5 I, b = [1, 0.5], sigma = 0.5 it is
+# 1e-16 at dt = 0.1, 1.5e-12 at dt = 1e-5 and 6e-10 at dt = 1e-8; on 3000
+# random stable models with dtilde <= 5 and dt >= 1e-5 it stayed below
+# 3e-11.  The bound admits that rounding down to dt ~ 1e-8 and refuses a
+# P that is not a fixed point to nine digits.
+STEADY_GAIN_RESIDUAL = 1e-9
+# Doubling k covers 2^k steps of the recursion; 64 doublings cover more
+# steps than any float64 mesh holds.
+_MAX_DOUBLINGS = 64
+# Lowest eigenvalue accepted in a posterior covariance of the discrete filter.
+_POSTERIOR_PSD_FLOOR = -1e-10
 
 
 class FilterDivergenceError(RuntimeError):
@@ -206,12 +222,28 @@ def martingale_filter(model: MartingaleGradientModel, g: np.ndarray) -> np.ndarr
     return model.filter_coefficient * np.asarray(g, dtype=float)
 
 
+def _psd_error(min_eigenvalue: float, what: str) -> FilterDivergenceError:
+    return FilterDivergenceError(
+        f"{what} lost positive semi-definiteness (min eigenvalue {min_eigenvalue:.3e})"
+    )
+
+
 def _check_psd(p: np.ndarray, floor: float, what: str) -> None:
     eigs = np.linalg.eigvalsh(p)
     if eigs.min() < floor:
-        raise FilterDivergenceError(
-            f"{what} lost positive semi-definiteness (min eigenvalue {eigs.min():.3e})"
-        )
+        raise _psd_error(eigs.min(), what)
+
+
+def _posterior_psd_prefix(p_posts: np.ndarray):
+    """(k, error) for a (K, dtilde, dtilde) stack of posterior covariances,
+    checked with one eigvalsh: the first k pass the check of
+    kalman_discrete_step, and error is that step's error for the next
+    one (None when all K pass)."""
+    min_eigs = np.linalg.eigvalsh(p_posts).min(axis=-1)
+    bad = np.flatnonzero(min_eigs < _POSTERIOR_PSD_FLOOR)
+    if not bad.size:
+        return len(p_posts), None
+    return int(bad[0]), _psd_error(min_eigs[bad[0]], "posterior covariance")
 
 
 def kalman_mean_update(y_hat: np.ndarray, g_k: np.ndarray, a_tilde: np.ndarray,
@@ -222,16 +254,25 @@ def kalman_mean_update(y_hat: np.ndarray, g_k: np.ndarray, a_tilde: np.ndarray,
     return pred_mean + np.outer(g_k - pred_mean @ b_vec, gain)
 
 
+def _innovation_error(s: float) -> FilterDivergenceError:
+    return FilterDivergenceError(f"innovation variance is not positive ({s:.3e})")
+
+
 def _kalman_cov_step(p_post, a_tilde, q, b_vec, sigma_disc):
     """Covariance part of one discrete Kalman step: (P_pred, gain, s, P_post)."""
     p_pred = a_tilde @ p_post @ a_tilde.T + q
     p_pred = 0.5 * (p_pred + p_pred.T)
+    return (p_pred,) + _kalman_update(p_pred, b_vec, sigma_disc)
+
+
+def _kalman_update(p_pred, b_vec, sigma_disc):
+    """Measurement update of a predicted covariance: (gain, s, P_post)."""
     s = sigma_disc ** 2 + float(b_vec @ p_pred @ b_vec)
     if s <= 0:
-        raise FilterDivergenceError(f"innovation variance is not positive ({s:.3e})")
+        raise _innovation_error(s)
     gain = p_pred @ b_vec / s
     p_post = (np.eye(len(b_vec)) - np.outer(gain, b_vec)) @ p_pred
-    return p_pred, gain, s, 0.5 * (p_post + p_post.T)
+    return gain, s, 0.5 * (p_post + p_post.T)
 
 
 def kalman_discrete_step(state: KalmanState, g_k: np.ndarray, a_tilde: np.ndarray,
@@ -246,7 +287,7 @@ def kalman_discrete_step(state: KalmanState, g_k: np.ndarray, a_tilde: np.ndarra
 
     p_pred, gain, s, p_post = _kalman_cov_step(state.p_post, a_tilde,
                                                l_tilde @ l_tilde.T, b_vec, sigma_disc)
-    _check_psd(p_post, -1e-10, "posterior covariance")
+    _check_psd(p_post, _POSTERIOR_PSD_FLOOR, "posterior covariance")
     y_hat = kalman_mean_update(state.y_hat, g_k, a_tilde, b_vec, gain)
     return KalmanState(y_hat=y_hat, p_post=p_post, gain=gain, s_innov=s,
                        p_pred=p_pred)
@@ -279,24 +320,67 @@ def kalman_bucy_step(state: KalmanState, g_t: np.ndarray, dt: float,
                        s_innov=sig2, p_pred=p_new)
 
 
+def _steady_covariance(a_tilde, q, b_vec, sigma_disc) -> np.ndarray:
+    """Steady predicted covariance P of the time-invariant discrete filter:
+    the solution of the discrete Riccati equation of kalman_discrete_step,
+    P = A_til P (I + G P)^{-1} A_til' + Q with G = b b' / sigma_disc^2.
+
+    Structure-preserving doubling (Anderson 1978; Chu, Fan, Lin & Wang
+    2004) starts from A = A_til', G and H = Q and repeats
+
+        W = (I + G H)^{-1},  A <- A W A,  G <- G + A W G A',  H <- H + A' H W A;
+
+    doubling k covers 2^k recursion steps and H tends to P.  G is carried
+    as b b' / sigma_disc^2 + F with only F stored: with M = I + F H,
+    Sherman-Morrison gives W = M^{-1} - c e' / s and W G = W F + c b' / s,
+    where c = M^{-1} b, e' = b' H M^{-1} and s = sigma_disc^2 + e'b, all
+    finite at sigma_disc = 0.  Since H W <= H, an update changes H by at
+    most ||A||^2 ||H||, so the loop stops once ||A||_F^2 < eps.
+    FilterDivergenceError on a non-positive s, on a non-finite iterate (no
+    stabilizing solution, as with an unobserved unstable mode) and after
+    _MAX_DOUBLINGS doublings.
+    """
+    eye = np.eye(len(b_vec))
+    a, f, h = a_tilde.T, np.zeros_like(eye), q
+    # Overflow is caught as a non-finite iterate below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(_MAX_DOUBLINGS):
+            m_inv = np.linalg.solve(eye + f @ h, eye)
+            c, e = m_inv @ b_vec, b_vec @ h @ m_inv
+            s = sigma_disc ** 2 + float(e @ b_vec)
+            if not s > 0:
+                raise _innovation_error(s)
+            w = m_inv - np.outer(c, e) / s
+            f = f + a @ (w @ f + np.outer(c, b_vec) / s) @ a.T
+            h = h + a.T @ h @ w @ a
+            a = a @ w @ a
+            f, h = 0.5 * (f + f.T), 0.5 * (h + h.T)
+            if not (np.isfinite(a).all() and np.isfinite(f).all() and np.isfinite(h).all()):
+                raise FilterDivergenceError(
+                    "steady-gain doubling diverged: the filter has no stabilizing "
+                    "steady covariance (is an unstable mode unobserved?)")
+            if np.sum(a * a) < np.finfo(float).eps:
+                return h
+    raise FilterDivergenceError(
+        f"steady-gain doubling did not converge in {_MAX_DOUBLINGS} doublings")
+
+
 def kalman_steady_gain(a_tilde: np.ndarray, l_tilde: np.ndarray, b_vec: np.ndarray,
                        sigma_disc: float) -> np.ndarray:
-    """Steady-state gain of the time-invariant discrete filter: the fixed
-    point of the covariance part of kalman_discrete_step from P = I,
-    reached when gain and P_pred move by at most STEADY_GAIN_TOL."""
+    """Steady-state gain of the time-invariant discrete filter: the gain of
+    one _kalman_cov_step from the doubling solution P (_steady_covariance),
+    whose predicted covariance must reproduce P to STEADY_GAIN_RESIDUAL
+    relative to max |P|; FilterDivergenceError otherwise."""
     a_tilde = np.atleast_2d(np.asarray(a_tilde, dtype=float))
     l_tilde = np.atleast_2d(np.asarray(l_tilde, dtype=float))
     b_vec = np.atleast_1d(np.asarray(b_vec, dtype=float))
     q = l_tilde @ l_tilde.T
-    p_pred = p_post = np.eye(len(b_vec))
-    gain = np.zeros(len(b_vec))
-    for _ in range(_STEADY_GAIN_MAX_ITER):
-        new_pred, new_gain, _, p_post = _kalman_cov_step(p_post, a_tilde, q, b_vec,
-                                                         sigma_disc)
-        resid = max(abs(new_gain - gain).max(), abs(new_pred - p_pred).max())
-        p_pred, gain = new_pred, new_gain
-        if resid <= STEADY_GAIN_TOL:
-            return gain
-    raise FilterDivergenceError(
-        f"steady-gain iteration did not converge (last residual {resid:.3e})"
-    )
+    p_steady = _steady_covariance(a_tilde, q, b_vec, sigma_disc)
+    _, _, p_post = _kalman_update(p_steady, b_vec, sigma_disc)
+    p_pred, gain, _, _ = _kalman_cov_step(p_post, a_tilde, q, b_vec, sigma_disc)
+    resid, scale = float(np.abs(p_pred - p_steady).max()), float(np.abs(p_steady).max())
+    if not resid <= STEADY_GAIN_RESIDUAL * scale:
+        raise FilterDivergenceError(
+            f"steady covariance fails the Riccati check (residual {resid:.3e}, "
+            f"max |P| {scale:.3e})")
+    return gain

@@ -21,8 +21,10 @@ Example::
     seeds = [0, 1, 2]
     output = out/
 
-Values are JSON where they parse as JSON, bare strings otherwise.  The
-environment variable VAROPT_SEED, when set, overrides the seed list.
+Values are JSON where they parse as JSON, bare strings otherwise.  Every
+setting has one spelling, and a key that build_experiment does not read
+is refused.  The environment variable VAROPT_SEED, when set, overrides
+the seed list.
 """
 
 from __future__ import annotations
@@ -47,11 +49,59 @@ from .problems import ProblemInstance, generate_problem
 from .rng import component_rng
 
 __all__ = ["ConfigError", "ExperimentConfig", "parse_config_text",
-           "load_config", "build_experiment"]
+           "load_config", "check_keys", "build_experiment"]
 
 
 class ConfigError(ValueError):
     """The configuration failed validation."""
+
+
+# The keys build_experiment reads, per section (None: a top-level value).
+# schedule.params is passed to the family's builder, which refuses names
+# it does not take.
+_KEYS = {
+    "problem": {"kind", "d", "N", "seed", "ridge"},
+    "map": {"name", "m_diag", "lower", "upper"},
+    "schedule": {"family", "params", "delta_T", "T"},
+    "mesh": {"steps"},
+    "model": {"kind", "sigma", "n", "m", "d", "dtilde", "A", "L", "b"},
+    "optimizer": {"kind", "mode", "x0", "batch_m", "fosp_substeps"},
+    "diagnostics": {"bound_constant"},
+    "seeds": None,
+    "output": None,
+}
+# Spellings that name a setting whose key is elsewhere.
+_ELSEWHERE = {"optimizer.steps": "mesh.steps",
+              "schedule.params.delta_T": "schedule.delta_T",
+              "schedule.params.horizon_T": "schedule.T"}
+
+
+def check_keys(cfg: dict) -> None:
+    """ConfigError naming the first key of cfg that build_experiment does
+    not read."""
+    def refuse(key):
+        hint = f"; the setting is {_ELSEWHERE[key]}" if key in _ELSEWHERE else ""
+        raise ConfigError(f"unknown config key {key!r}{hint}")
+
+    for section, value in cfg.items():
+        if section not in _KEYS:
+            refuse(section)
+        keys = _KEYS[section]
+        if keys is None:
+            if isinstance(value, dict):
+                raise ConfigError(f"{section} takes a value, not dotted keys")
+            continue
+        if not isinstance(value, dict):
+            raise ConfigError(f"{section} takes dotted keys, not the value {value!r}")
+        for key in value:
+            if key not in keys:
+                refuse(f"{section}.{key}")
+    params = cfg.get("schedule", {}).get("params", {})
+    if not isinstance(params, dict):
+        raise ConfigError(f"schedule.params must be a JSON object, got {params!r}")
+    for key in ("delta_T", "horizon_T"):
+        if key in params:
+            refuse(f"schedule.params.{key}")
 
 
 def parse_config_text(text: str) -> dict:
@@ -127,9 +177,8 @@ def _build_schedule(cfg: dict) -> Schedule:
     builder = _SCHEDULE_FAMILIES.get(family)
     if builder is None:
         raise ConfigError(f"unknown schedule family {family!r}")
-    params = dict(section.get("params", {}))
-    params["delta_T"] = float(section.get("delta_T", params.get("delta_T", 0.0)))
-    params["horizon_T"] = float(section.get("T", params.get("horizon_T", 1.0)))
+    params = dict(section.get("params", {}), delta_T=float(section.get("delta_T", 0.0)),
+                  horizon_T=float(section.get("T", 1.0)))
     try:
         schedule = builder(**params)
         schedule.validate_finite()
@@ -167,6 +216,7 @@ def _build_model(cfg: dict, d: int):
 
 def build_experiment(cfg: dict) -> ExperimentConfig:
     """Assemble and validate an experiment from a parsed config dict."""
+    check_keys(cfg)
     prob_section = cfg.get("problem", {})
     opt_section = cfg.get("optimizer", {})
     mode = opt_section.get("mode", "empirical" if prob_section else "synthetic")
@@ -218,7 +268,7 @@ def build_experiment(cfg: dict) -> ExperimentConfig:
             raise ConfigError(f"VAROPT_SEED must be an integer, got {env_seed!r}")
     seeds = [int(s) for s in seeds]
 
-    steps = int(cfg.get("mesh", {}).get("steps", opt_section.get("steps", 100)))
+    steps = int(cfg.get("mesh", {}).get("steps", 100))
     if steps < 0:
         raise ConfigError("mesh.steps must be >= 0")
     try:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .. import diagnostics as diag
 from ..optimizers import run_ensemble
-from .config import ExperimentConfig, build_experiment
+from .config import ExperimentConfig, build_experiment, check_keys
 
 __all__ = ["RunArtifacts", "run_experiment", "sweep", "compare"]
 
@@ -45,42 +45,41 @@ class RunArtifacts:
         return np.array([t.loss_gap[-1] for t in self.trajectories])
 
 
+def _write_csv(path: str, header: list, block: np.ndarray, fmt=_FMT) -> None:
+    """The header line, then one line per row of the float block, each
+    value formatted by fmt (one format or one per column)."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        np.savetxt(fh, block, fmt=fmt, delimiter=",", header=",".join(header),
+                   comments="")
+
+
+def _padded(values, rows: int, cols: int) -> np.ndarray:
+    """values as a (rows, cols) block, NaN below its own rows."""
+    out = np.full((rows, cols), np.nan)
+    if values is not None:
+        values = np.asarray(values, dtype=float).reshape(-1, cols)
+        out[:len(values)] = values
+    return out
+
+
 def _write_trajectory_csv(path: str, traj) -> None:
-    d = traj.x_path.shape[1]
+    rows, d = traj.x_path.shape
     phi = traj.phi_path
-    phi_cols = 0
-    if phi is not None:
-        phi = np.atleast_2d(np.asarray(phi, dtype=float).T).T
-        phi_cols = phi.shape[1] if phi.ndim == 2 else 1
+    phi_cols = 0 if phi is None else 1 if np.ndim(phi) == 1 else np.shape(phi)[1]
     header = (["k", "t"] + [f"x{i}" for i in range(d)] + ["loss_gap", "qv"]
               + [f"phi{j}" for j in range(phi_cols)] + ["filter_norm"])
-    lines = [",".join(header)]
-    for k in range(len(traj.times)):
-        row = [str(k), _fmt(traj.times[k])]
-        row += [_fmt(v) for v in traj.x_path[k]]
-        row += [_fmt(traj.loss_gap[k]), _fmt(traj.qv_path[k])]
-        for j in range(phi_cols):
-            row.append(_fmt(phi[k][j]) if k < len(phi) else "nan")
-        if traj.filter_mean_norm is not None and k < len(traj.filter_mean_norm):
-            row.append(_fmt(traj.filter_mean_norm[k]))
-        else:
-            row.append("nan")
-        lines.append(",".join(row))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    block = np.column_stack([np.arange(rows), traj.times, traj.x_path, traj.loss_gap,
+                             traj.qv_path, _padded(phi, rows, phi_cols),
+                             _padded(traj.filter_mean_norm, rows, 1)])
+    _write_csv(path, header, block, ["%d"] + [_FMT] * (block.shape[1] - 1))
 
 
 def _write_diagnostics_csv(path: str, report: diag.EnsembleReport,
                            rate: diag.RateBoundReport) -> None:
-    header = "t,mean_energy,se_energy,mean_gap,bound_value,ratio"
-    lines = [header]
-    for i, t in enumerate(report.times):
-        lines.append(",".join([
-            _fmt(t), _fmt(report.mean_energy[i]), _fmt(report.se_energy[i]),
-            _fmt(report.mean_gap[i]), _fmt(rate.bound_value[i]), _fmt(rate.ratio[i]),
-        ]))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    header = ["t", "mean_energy", "se_energy", "mean_gap", "bound_value", "ratio"]
+    block = np.column_stack([report.times, report.mean_energy, report.se_energy,
+                             report.mean_gap, rate.bound_value, rate.ratio])
+    _write_csv(path, header, block)
 
 
 def run_experiment(config: ExperimentConfig, write: bool = True) -> RunArtifacts:
@@ -173,11 +172,17 @@ def _set_dotted(cfg: dict, dotted: str, value) -> None:
 def sweep(raw_cfg: dict, grid: dict, output: Optional[str] = None) -> str:
     """Cross-product sweep over config scalars.
 
-    grid maps dotted config keys to value lists.  Writes one summary CSV
-    with a row per grid cell and returns its path; per-cell failures are
-    recorded in the row instead of aborting the sweep.
+    grid maps dotted config keys to value lists; a key that
+    build_experiment does not read is a ConfigError before any cell runs.
+    Writes one summary CSV with a row per grid cell and returns its path;
+    per-cell failures are recorded in the row instead of aborting the
+    sweep.
     """
     keys = sorted(grid.keys())
+    for key in keys:
+        probe: dict = {}
+        _set_dotted(probe, key, None)
+        check_keys(probe)
     values = [grid[k] for k in keys]
     base_output = output or str(raw_cfg.get("output", "varopt_out"))
     os.makedirs(base_output, exist_ok=True)

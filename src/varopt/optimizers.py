@@ -23,12 +23,13 @@ import numpy as np
 from .bregman import MirrorMap, grad_dual
 from .diagnostics import Trajectory, qv_accumulate
 from .gradient_models import (
+    FilterDivergenceError,
     MartingaleGradientModel,
     MartingaleStream,
     StateSpaceGradientModel,
     StateSpaceStream,
-    initial_kalman_state,
-    kalman_discrete_step,
+    _kalman_cov_step,
+    _posterior_psd_prefix,
     kalman_mean_update,
     kalman_steady_gain,
 )
@@ -256,28 +257,38 @@ def _filter_coefficient(spec: OptimizerSpec, problem) -> float:
 def _filter_gains(spec: OptimizerSpec, dts: np.ndarray):
     """Seed-independent filter inputs: A_til = I - dt A per step, the gain
     of each step and the error that cut the gains short (else None).
-    kalman_gd runs the covariance recursion once on a zero-row state; the
-    momentum kinds use the steady gain on every step."""
+    kalman_gd runs the covariance recursion once and checks its K
+    posteriors with one stacked eigvalsh; the gains stop at the first
+    failing step, and a PSD failure before a non-positive innovation
+    variance wins.  The momentum kinds use the steady gain on every step."""
     model = spec.model
     a_tils = np.eye(model.dtilde) - dts[:, None, None] * model.a_mat
-    gains = []
+    if spec.kind != "kalman_gd":
+        # Momentum kinds need a constant-alpha schedule, so dt is
+        # constant and one steady gain serves every step.
+        dt0 = float(dts[0])
+        try:
+            gain = kalman_steady_gain(a_tils[0], dt0 * model.l_mat, model.b_vec,
+                                      model.sigma * dt0)
+        except FilterDivergenceError as exc:
+            return a_tils, [], exc
+        return a_tils, [gain] * len(dts), None
+
+    p_post = np.atleast_2d(np.asarray(
+        spec.p0 if spec.p0 is not None else model.stationary_covariance(), dtype=float))
+    p_posts = np.empty((len(dts), model.dtilde, model.dtilde))
+    gains, error = [], None
     try:
-        if spec.kind == "kalman_gd":
-            p0 = spec.p0 if spec.p0 is not None else model.stationary_covariance()
-            state = initial_kalman_state(0, model.dtilde, p0)
-            for a_til, dt in zip(a_tils, dts.tolist()):
-                state = kalman_discrete_step(state, np.zeros(0), a_til, dt * model.l_mat,
-                                             model.b_vec, model.sigma * dt)
-                gains.append(state.gain)
-        else:
-            # Momentum kinds need a constant-alpha schedule, so dt is
-            # constant and one steady gain serves every step.
-            dt0 = float(dts[0])
-            gains = [kalman_steady_gain(a_tils[0], dt0 * model.l_mat, model.b_vec,
-                                        model.sigma * dt0)] * len(dts)
-    except Exception as exc:
-        return a_tils, gains, exc
-    return a_tils, gains, None
+        for a_til, dt in zip(a_tils, dts.tolist()):
+            l_til = dt * model.l_mat
+            _, gain, _, p_post = _kalman_cov_step(p_post, a_til, l_til @ l_til.T,
+                                                  model.b_vec, model.sigma * dt)
+            p_posts[len(gains)] = p_post
+            gains.append(gain)
+    except FilterDivergenceError as exc:
+        error = exc
+    k, psd_error = _posterior_psd_prefix(p_posts[:len(gains)])
+    return a_tils, gains[:k], psd_error if psd_error is not None else error
 
 
 def _run_steps(spec, problem, seed, x0, step_times, dts, phi, coeff, filt):

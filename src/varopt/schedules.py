@@ -45,6 +45,8 @@ __all__ = [
     "build_mesh",
     "phi_scalar",
     "phi_vector",
+    "phi_scalar_path",
+    "phi_vector_path",
     "matrix_exp",
     "integrate_intervals",
 ]

@@ -1,6 +1,8 @@
 """Gradient-stream models and filters against independent oracles."""
 
 import math
+import time
+import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +18,14 @@ from varopt import (
     kalman_steady_gain,
     martingale_filter,
 )
-from varopt.gradient_models import initial_kalman_state
+from varopt.gradient_models import (
+    STEADY_GAIN_RESIDUAL,
+    _kalman_cov_step,
+    _kalman_update,
+    _posterior_psd_prefix,
+    _steady_covariance,
+    initial_kalman_state,
+)
 
 
 def _random_model(rng, dtilde):
@@ -211,7 +220,51 @@ class TestDiscreteKalman:
                                  np.zeros((1, 1)), np.array([1.0]), 0.0)
 
 
+def _two_mode_model(dt):
+    """A_til, L_til and b of A = [[0.5, 0.1], [0.1, 0.4]], L = 0.5 I,
+    b = [1, 0.5] on a mesh step dt, and sigma = 0.5."""
+    a = np.array([[0.5, 0.1], [0.1, 0.4]])
+    return np.eye(2) - dt * a, dt * 0.5 * np.eye(2), np.array([1.0, 0.5]), 0.5
+
+
 class TestSteadyGain:
+    @pytest.mark.parametrize("zero_noise", [False, True])
+    @pytest.mark.parametrize("dt", [1e-1, 1e-2, 1e-3, 1e-4, 1e-5])
+    def test_doubling_solves_the_riccati_equation(self, dt, zero_noise):
+        # A fixed-point iteration of the recursion would need about 2.7/dt
+        # steps on this model: more than 1e5 at dt <= 1e-4.
+        a_til, l_til, b, sigma = _two_mode_model(dt)
+        sigma_d = 0.0 if zero_noise else sigma * dt
+        elapsed = []
+        for _ in range(3):
+            start = time.perf_counter()
+            gain = kalman_steady_gain(a_til, l_til, b, sigma_d)
+            elapsed.append(time.perf_counter() - start)
+        assert min(elapsed) < 5e-3
+        assert np.all(np.isfinite(gain))
+        q = l_til @ l_til.T
+        p_steady = _steady_covariance(a_til, q, b, sigma_d)
+        _, _, p_post = _kalman_update(p_steady, b, sigma_d)
+        p_pred, step_gain, _, _ = _kalman_cov_step(p_post, a_til, q, b, sigma_d)
+        assert (np.abs(p_pred - p_steady).max()
+                <= STEADY_GAIN_RESIDUAL * np.abs(p_steady).max())
+        np.testing.assert_array_equal(gain, step_gain)
+
+    def test_zero_observation_noise(self):
+        # Reference from a fixed-point iteration of the recursion, which
+        # stops about 1e-9 relative short of the fixed point here.
+        gain = kalman_steady_gain(*_two_mode_model(0.1)[:3], 0.0)
+        np.testing.assert_allclose(gain, [0.81155092, 0.37689817], rtol=1e-8)
+
+    def test_undetectable_model_is_refused_without_overflow(self):
+        # The first mode grows by 1.1 per step and b does not observe it,
+        # so no steady covariance exists.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FilterDivergenceError, match="stabilizing"):
+                kalman_steady_gain(np.diag([1.1, 0.5]), np.eye(2),
+                                   np.array([0.0, 1.0]), 1.0)
+
     def test_scalar_half(self):
         gain = kalman_steady_gain(np.array([[0.0]]), np.array([[1.0]]),
                                   np.array([1.0]), 1.0)
@@ -236,6 +289,16 @@ class TestSteadyGain:
                 state = kalman_discrete_step(state, np.zeros(1), a_til, l_til,
                                              b, sigma_d)
             assert np.max(np.abs(state.gain - k_inf)) <= 1e-6
+
+
+def test_posterior_psd_prefix_names_the_first_failure():
+    stack = np.array([np.eye(2), np.eye(2), np.diag([1.0, -0.5]), -np.eye(2)])
+    k, error = _posterior_psd_prefix(stack)
+    assert k == 2
+    assert str(error) == ("posterior covariance lost positive semi-definiteness "
+                          "(min eigenvalue -5.000e-01)")
+    assert _posterior_psd_prefix(stack[:2]) == (2, None)
+    assert _posterior_psd_prefix(stack[:0]) == (0, None)
 
 
 class TestKalmanBucy:

@@ -101,10 +101,30 @@ class TestBuildExperiment:
         "mesh.steps = -3",
         "optimizer.fosp_substeps = 0",
         "optimizer.fosp_substeps = -3",
+        # Keys that build_experiment does not read, and the spellings of
+        # settings whose key is elsewhere.
+        "schedule.delta_t = 19.3",
+        "problem.n = 50",
+        "optimiser.kind = mirror_sgd",
+        "output.dir = out",
+        "optimizer.steps = 20",
+        "schedule.params.delta_T = 19.3",
+        "schedule.params.horizon_T = 2.0",
     ])
     def test_invalid_values_rejected(self, override):
         raw = parse_config_text(BASE_CONFIG + override + "\n")
         with pytest.raises(ConfigError):
+            build_experiment(raw)
+
+    @pytest.mark.parametrize("override, key", [
+        ("schedule.delta_t = 19.3", "'schedule.delta_t'"),
+        ("optimizer.steps = 20", "'optimizer.steps'; the setting is mesh.steps"),
+        ("schedule.params.horizon_T = 2.0",
+         "'schedule.params.horizon_T'; the setting is schedule.T"),
+    ])
+    def test_unknown_key_is_named(self, override, key):
+        raw = parse_config_text(BASE_CONFIG + override + "\n")
+        with pytest.raises(ConfigError, match=f"unknown config key {key}$"):
             build_experiment(raw)
 
     def test_mesh_past_horizon_rejected(self):
@@ -317,6 +337,13 @@ class TestSweepAndCompare:
         lines = open(path).read().strip().splitlines()
         assert len(lines) == 3
         assert "error:" in lines[2]
+
+    def test_sweep_refuses_unknown_grid_key(self, tmp_path):
+        raw = parse_config_text(BASE_CONFIG + f"output = {tmp_path}/sw\n"
+                                "seeds = [0]\n")
+        with pytest.raises(ConfigError, match="'model.sigma2'"):
+            sweep(raw, {"model.sigma2": [0.1, 1.0]})
+        assert not (tmp_path / "sw").exists()
 
     def test_compare_runs_kinds(self, tmp_path):
         raw = parse_config_text(BASE_CONFIG + f"output = {tmp_path}/cmp\n"

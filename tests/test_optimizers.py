@@ -480,14 +480,35 @@ def _count_calls(monkeypatch, module, name, calls):
 @pytest.mark.parametrize("kind", ["mirror_sgd", "kalman_gd"])
 def test_seed_independent_work_runs_once(monkeypatch, kind, n_seeds):
     calls = dict.fromkeys(["build_mesh", "phi_scalar_path", "phi_vector_path",
-                           "kalman_discrete_step"], 0)
+                           "_kalman_cov_step"], 0)
     for name in calls:
         _count_calls(monkeypatch, optimizers, name, calls)
     trajs = run_ensemble(_ensemble_spec(kind, "synthetic"), None, 20, list(range(n_seeds)))
     assert all(t.error is None for t in trajs)
     assert calls["build_mesh"] == 1
     assert calls["phi_scalar_path"] + calls["phi_vector_path"] == 1
-    assert calls["kalman_discrete_step"] == (20 if kind == "kalman_gd" else 0)
+    assert calls["_kalman_cov_step"] == (20 if kind == "kalman_gd" else 0)
+
+
+def test_indefinite_prior_fails_every_seed_at_the_public_step():
+    # An indefinite p0 makes a posterior covariance indefinite.  Every
+    # seed reports the PSD error of kalman_discrete_step at the step where
+    # the public recursion raises it.
+    spec = dataclasses.replace(_ensemble_spec("kalman_gd", "synthetic"),
+                               p0=np.diag([1.0, -1.0]))
+    model, dt = spec.model, 0.1
+    state = initial_kalman_state(model.d, model.dtilde, spec.p0)
+    for step in range(20):
+        try:
+            state = kalman_discrete_step(state, np.zeros(model.d),
+                                         np.eye(2) - dt * model.a_mat, dt * model.l_mat,
+                                         model.b_vec, model.sigma * dt)
+        except FilterDivergenceError as exc:
+            want = f"FilterDivergenceError at step {step}: {exc}"
+            break
+    assert "positive semi-definiteness" in want
+    for traj in run_ensemble(spec, None, 20, [0, 1, 2]):
+        assert traj.error == want and traj.steps == step
 
 
 def test_covariance_failure_stops_every_seed_at_its_step(monkeypatch):
