@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .bregman import MirrorMap, divergence, grad_dual, _dual_divergence
-from .schedules import Schedule
+from .schedules import Schedule, _exp
 
 __all__ = [
     "Trajectory",
@@ -128,16 +128,11 @@ def action_estimate(mirror: MirrorMap, schedule: Schedule,
     total = 0.0
     for traj, tgap in zip(trajectories, terminal_gaps):
         k = traj.steps
-        if k > 0:
-            lag = np.array([
-                lagrangian(mirror, float(traj.loss_gap[j]), schedule,
-                           float(traj.times[j]), traj.x_path[j], traj.nu_path[j])
-                for j in range(k)
-            ])
-            integral = float(np.trapezoid(lag, traj.times[:k]))
-        else:
-            integral = 0.0
-        total += integral + math.exp(schedule.delta_T) * float(tgap)
+        lag = np.array([lagrangian(mirror, float(traj.loss_gap[j]), schedule,
+                                   float(traj.times[j]), traj.x_path[j], traj.nu_path[j])
+                        for j in range(k)])
+        total += (float(np.trapezoid(lag, traj.times[:k]))
+                  + math.exp(schedule.delta_T) * float(tgap))
     return total / len(trajectories)
 
 
@@ -171,25 +166,16 @@ def energy_path(mirror: MirrorMap, schedule: Schedule, traj: Trajectory,
     """Lyapunov energy at every step point of a trajectory (length K).
 
     Uses Y_k = X_k + exp(-alpha_k) nu_k and the realized covariation
-    Sum <grad h(Y_{k+1}) - grad h(Y_k), Y_{k+1} - Y_k> as the bracket.
+    Sum <grad h(Y_{k+1}) - grad h(Y_k), Y_{k+1} - Y_k> as the bracket,
+    summed in step order.
     """
-    k = traj.steps
-    x_star = np.asarray(x_star, dtype=float)
-    out = np.empty(k)
-    bracket = 0.0
-    prev_y = None
-    prev_gy = None
-    for j in range(k):
-        t = float(traj.times[j])
-        y = traj.x_path[j] + math.exp(-schedule.alpha(t)) * traj.nu_path[j]
-        gy = mirror.grad_h(y)
-        if prev_y is not None:
-            bracket = qv_accumulate(bracket, gy - prev_gy, y - prev_y)
-        prev_y, prev_gy = y, gy
-        out[j] = (divergence(mirror, x_star, y)
-                  + math.exp(schedule.beta(t)) * float(traj.loss_gap[j])
-                  - bracket)
-    return out
+    times = traj.times[:-1]
+    ys = traj.x_path[:-1] + _exp(-schedule.alpha(times))[:, None] * traj.nu_path
+    gys = np.array([mirror.grad_h(y) for y in ys]).reshape(ys.shape)
+    bracket = np.zeros(len(ys))
+    bracket[1:] = np.cumsum(np.vecdot(np.diff(gys, axis=0), np.diff(ys, axis=0)))
+    divergences = np.array([divergence(mirror, x_star, y) for y in ys])
+    return divergences + _exp(schedule.beta(times)) * traj.loss_gap[:-1] - bracket
 
 
 def ensemble_report(times: np.ndarray, energy_paths: np.ndarray,
@@ -245,8 +231,7 @@ def rate_bound_check(report: EnsembleReport, schedule: Schedule,
     and whether it stays below bound_constant.
     """
     times = report.times
-    beta = np.array([schedule.beta(float(t)) for t in times])
-    bound = np.exp(-beta) * np.maximum(1.0, report.mean_qv)
+    bound = _exp(-schedule.beta(times)) * np.maximum(1.0, report.mean_qv)
     ratio = report.mean_gap / bound
     t_burn = times[0] + t_burn_frac * (times[-1] - times[0])
     mask = times >= t_burn

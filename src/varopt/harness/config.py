@@ -21,10 +21,10 @@ Example::
     seeds = [0, 1, 2]
     output = out/
 
-Values are JSON where they parse as JSON, bare strings otherwise.  Every
-setting has one spelling, and a key that build_experiment does not read
-is refused.  The environment variable VAROPT_SEED, when set, overrides
-the seed list.
+Values are JSON where they parse as JSON, bare strings otherwise, and a
+null numeric value reads as the setting's default.  Every setting has one
+spelling, and a key that build_experiment does not read is refused.  The
+environment variable VAROPT_SEED, when set, overrides the seed list.
 """
 
 from __future__ import annotations
@@ -157,15 +157,38 @@ _SCHEDULE_FAMILIES = {
 }
 
 
+def _value(cfg, key: str, default, convert=float):
+    """The value at the dotted key of cfg passed through convert, or
+    default when the key is absent or null; ConfigError naming the key
+    when the conversion fails."""
+    *sections, name = key.split(".")
+    node = cfg
+    for section in sections:
+        node = node.get(section, {})
+    value = node.get(name)
+    if value is None:
+        return default
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{key} = {value!r} cannot be read: {exc}") from exc
+
+
+def _floats(value) -> np.ndarray:
+    return np.asarray(value, dtype=float)
+
+
 def _build_mirror(cfg: dict) -> MirrorMap:
-    section = cfg.get("map", {})
-    name = section.get("name", "quadratic")
-    if name == "quadratic":
-        m_diag = section.get("m_diag")
-        return quadratic_map(m_diag=np.asarray(m_diag, dtype=float) if m_diag else None)
-    if name == "entropy":
-        return entropy_map(lower=float(section.get("lower", 0.05)),
-                           upper=float(section.get("upper", 20.0)))
+    name = cfg.get("map", {}).get("name", "quadratic")
+    try:
+        if name == "quadratic":
+            return quadratic_map(m_diag=_value(cfg, "map.m_diag", None,
+                                               lambda v: _floats(v) if v else None))
+        if name == "entropy":
+            return entropy_map(lower=_value(cfg, "map.lower", 0.05),
+                               upper=_value(cfg, "map.upper", 20.0))
+    except ValueError as exc:
+        raise ConfigError(f"invalid map: {exc}") from exc
     if name == "custom":
         raise ConfigError("custom maps are library-embedding only, not configurable")
     raise ConfigError(f"unknown map name {name!r}")
@@ -177,14 +200,12 @@ def _build_schedule(cfg: dict) -> Schedule:
     builder = _SCHEDULE_FAMILIES.get(family)
     if builder is None:
         raise ConfigError(f"unknown schedule family {family!r}")
-    params = dict(section.get("params", {}), delta_T=float(section.get("delta_T", 0.0)),
-                  horizon_T=float(section.get("T", 1.0)))
+    params = dict(section.get("params", {}), delta_T=_value(cfg, "schedule.delta_T", 0.0),
+                  horizon_T=_value(cfg, "schedule.T", 1.0))
     try:
-        schedule = builder(**params)
-        schedule.validate_finite()
+        return builder(**params)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid schedule: {exc}") from exc
-    return schedule
 
 
 def _build_model(cfg: dict, d: int):
@@ -193,22 +214,16 @@ def _build_model(cfg: dict, d: int):
         return None
     kind = section.get("kind")
     try:
+        sigma = _value(cfg, "model.sigma", 1.0)
         if kind == "martingale":
-            return MartingaleGradientModel(
-                sigma=float(section.get("sigma", 1.0)),
-                n=int(section.get("n", 1)),
-                m=int(section.get("m", 1)),
-                d=d,
-            )
+            return MartingaleGradientModel(sigma=sigma, n=_value(cfg, "model.n", 1, int),
+                                           m=_value(cfg, "model.m", 1, int), d=d)
         if kind == "state_space":
-            dtilde = int(section.get("dtilde", 1))
-            a = np.asarray(section.get("A", np.eye(dtilde).tolist()), dtype=float)
-            l = np.asarray(section.get("L", np.eye(dtilde).tolist()), dtype=float)
-            b = np.asarray(section.get("b", np.ones(dtilde).tolist()), dtype=float)
-            return StateSpaceGradientModel(
-                a_mat=a.reshape(dtilde, dtilde), l_mat=l.reshape(dtilde, dtilde),
-                b_vec=b, sigma=float(section.get("sigma", 1.0)), d=d,
-            )
+            dtilde = _value(cfg, "model.dtilde", 1, int)
+            a, l = (_value(cfg, f"model.{key}", np.eye(dtilde), _floats).reshape(dtilde, dtilde)
+                    for key in ("A", "L"))
+            return StateSpaceGradientModel(a_mat=a, l_mat=l, sigma=sigma, d=d,
+                                           b_vec=_value(cfg, "model.b", np.ones(dtilde), _floats))
     except ValueError as exc:
         raise ConfigError(f"invalid gradient model: {exc}") from exc
     raise ConfigError(f"unknown model kind {kind!r}")
@@ -222,15 +237,14 @@ def build_experiment(cfg: dict) -> ExperimentConfig:
     mode = opt_section.get("mode", "empirical" if prob_section else "synthetic")
 
     problem = None
-    d = int(prob_section.get("d", cfg.get("model", {}).get("d", 2)))
-    problem_seed = int(prob_section.get("seed", 0))
+    d = _value(cfg, "problem.d" if "d" in prob_section else "model.d", 2, int)
     if prob_section:
         kind = prob_section.get("kind", "quadratic")
         try:
             problem = generate_problem(
-                kind, d=d, n=int(prob_section.get("N", 100)),
-                rng=component_rng(problem_seed, "problem"),
-                ridge=float(prob_section.get("ridge", 1e-2)),
+                kind, d=d, n=_value(cfg, "problem.N", 100, int),
+                rng=component_rng(_value(cfg, "problem.seed", 0, int), "problem"),
+                ridge=_value(cfg, "problem.ridge", 1e-2),
             )
         except (ValueError, RuntimeError) as exc:
             raise ConfigError(f"invalid problem: {exc}") from exc
@@ -242,33 +256,26 @@ def build_experiment(cfg: dict) -> ExperimentConfig:
     kind = opt_section.get("kind", "mirror_sgd")
     if kind not in OPTIMIZER_KINDS:
         raise ConfigError(f"unknown optimizer kind {kind!r}")
-    x0 = opt_section.get("x0")
-    batch_m = opt_section.get("batch_m")
+    batch_m = _value(cfg, "optimizer.batch_m", None, int)
     if batch_m is None and mode == "empirical":
-        batch_m = cfg.get("model", {}).get("m", problem.n if problem else None)
+        batch_m = _value(cfg, "model.m", problem.n if problem else None, int)
     spec = OptimizerSpec(
         kind=kind, mirror=mirror, schedule=schedule, model=model, mode=mode,
-        x0=np.asarray(x0, dtype=float) if x0 is not None else None,
-        batch_m=int(batch_m) if batch_m is not None else None,
-        fosp_substeps=int(opt_section.get("fosp_substeps", 4)),
+        x0=_value(cfg, "optimizer.x0", None, _floats), batch_m=batch_m,
+        fosp_substeps=_value(cfg, "optimizer.fosp_substeps", 4, int),
     )
     try:
         spec.validate()
     except ValueError as exc:
         raise ConfigError(f"invalid optimizer spec: {exc}") from exc
 
-    seeds = cfg.get("seeds", [0])
-    if isinstance(seeds, (int, float)):
-        seeds = [int(seeds)]
-    env_seed = os.environ.get("VAROPT_SEED")
-    if env_seed is not None:
-        try:
-            seeds = [int(env_seed)]
-        except ValueError:
-            raise ConfigError(f"VAROPT_SEED must be an integer, got {env_seed!r}")
-    seeds = [int(s) for s in seeds]
+    if "VAROPT_SEED" in os.environ:
+        seeds = _value(os.environ, "VAROPT_SEED", None, lambda v: [int(v)])
+    else:
+        seeds = _value(cfg, "seeds", [0],
+                       lambda v: [int(s) for s in (v if isinstance(v, list) else [v])])
 
-    steps = int(cfg.get("mesh", {}).get("steps", 100))
+    steps = _value(cfg, "mesh.steps", 100, int)
     if steps < 0:
         raise ConfigError("mesh.steps must be >= 0")
     try:
@@ -279,6 +286,6 @@ def build_experiment(cfg: dict) -> ExperimentConfig:
     return ExperimentConfig(
         problem=problem, mirror=mirror, schedule=schedule, optimizer_spec=spec,
         seeds=seeds, steps=steps, output=str(cfg.get("output", "varopt_out")),
-        bound_constant=float(cfg.get("diagnostics", {}).get("bound_constant", 10.0)),
+        bound_constant=_value(cfg, "diagnostics.bound_constant", 10.0),
         raw=cfg,
     )

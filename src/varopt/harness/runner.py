@@ -44,6 +44,13 @@ class RunArtifacts:
     def final_gaps(self) -> np.ndarray:
         return np.array([t.loss_gap[-1] for t in self.trajectories])
 
+    @property
+    def mean_final_gap(self) -> float:
+        """Mean of the finite final gaps; NaN when none is finite."""
+        gaps = self.final_gaps
+        finite = gaps[np.isfinite(gaps)]
+        return float(finite.mean()) if len(finite) else float("nan")
+
 
 def _write_csv(path: str, header: list, block: np.ndarray, fmt=_FMT) -> None:
     """The header line, then one line per row of the float block, each
@@ -143,10 +150,9 @@ def _summary_text(artifacts: RunArtifacts) -> str:
         f"steps = {config.steps}",
         f"seeds = {','.join(str(s) for s in config.seeds)}",
     ]
-    gaps = artifacts.final_gaps
-    finite = gaps[np.isfinite(gaps)]
-    if len(finite):
-        lines.append(f"mean_final_gap = {_fmt(float(finite.mean()))}")
+    mean_gap = artifacts.mean_final_gap
+    if not np.isnan(mean_gap):
+        lines.append(f"mean_final_gap = {_fmt(mean_gap)}")
     for seed, traj in zip(config.seeds, artifacts.trajectories):
         status = traj.error if traj.error else "ok"
         lines.append(f"seed {seed}: final_gap = {_fmt(float(traj.loss_gap[-1]))} [{status}]")
@@ -197,11 +203,8 @@ def sweep(raw_cfg: dict, grid: dict, output: Optional[str] = None) -> str:
         try:
             experiment = build_experiment(cfg)
             artifacts = run_experiment(experiment, write=False)
-            gaps = artifacts.final_gaps
-            finite = gaps[np.isfinite(gaps)]
-            mean_gap = float(finite.mean()) if len(finite) else float("nan")
             row += [str(len(experiment.seeds)), str(len(artifacts.errors)),
-                    _fmt(mean_gap)]
+                    _fmt(artifacts.mean_final_gap)]
         except Exception as exc:
             row += ["0", "all", f"error:{type(exc).__name__}"]
         lines.append(",".join(row))
@@ -223,11 +226,8 @@ def compare(raw_cfg: dict, kinds: Sequence[str]) -> str:
         cfg["output"] = os.path.join(base_output, f"compare_{kind}")
         experiment = build_experiment(cfg)
         artifacts = run_experiment(experiment, write=True)
-        gaps = artifacts.final_gaps
-        finite = gaps[np.isfinite(gaps)]
-        mean_gap = float(finite.mean()) if len(finite) else float("nan")
         lines.append(",".join([kind, str(len(experiment.seeds)),
-                               str(len(artifacts.errors)), _fmt(mean_gap)]))
+                               str(len(artifacts.errors)), _fmt(artifacts.mean_final_gap)]))
     path = os.path.join(base_output, "compare.csv")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .bregman import MirrorMap, grad_dual
-from .diagnostics import Trajectory, qv_accumulate
+from .diagnostics import Trajectory
 from .gradient_models import (
     FilterDivergenceError,
     MartingaleGradientModel,
@@ -33,7 +33,7 @@ from .gradient_models import (
     kalman_mean_update,
     kalman_steady_gain,
 )
-from .schedules import Schedule, build_mesh, phi_scalar_path, phi_vector_path
+from .schedules import Schedule, _exp, _weight, build_mesh, phi_scalar_path, phi_vector_path
 
 __all__ = [
     "OptimizerSpec",
@@ -164,9 +164,8 @@ class OptimizerSpec:
             raise ValueError(f"fosp_substeps must be >= 1, got {self.fosp_substeps}")
         if self.kind in ("generalized_momentum", "polyak_momentum"):
             s = self.schedule
-            ts = np.linspace(s.t_min, s.horizon_T, 32)
-            a0 = s.alpha(s.t_min)
-            if any(abs(s.alpha(float(t)) - a0) > 1e-12 for t in ts):
+            alpha = s.alpha(np.linspace(s.t_min, s.horizon_T, 32))
+            if np.any(np.abs(alpha - alpha[0]) > 1e-12):
                 raise ValueError("momentum kinds need a constant-alpha schedule")
 
     def default_x0(self, d: int) -> np.ndarray:
@@ -219,14 +218,14 @@ def run_ensemble(spec: OptimizerSpec, problem, steps: int, seeds) -> list[Trajec
            if filtered else phi_scalar_path(schedule, step_times))
     filt = _filter_gains(spec, dts) if filtered else None
     coeff = _filter_coefficient(spec, problem)
-    ts = step_times[:-1].tolist()            # _qv_path reads steps 0 .. K-2
-    qv_factors = ([math.exp(schedule.alpha(t) + schedule.beta(t) + schedule.gamma(t))
-                   for t in ts], [math.exp(-schedule.gamma(t)) for t in ts])
+    ts = step_times[:-1]                     # _qv_path reads steps 0 .. K-2
+    qv_factors = (_weight(schedule, ts), _exp(-schedule.gamma(ts)))
+    alphas = schedule.alpha(step_times)
 
     trajectories = []
     for seed in seeds:
-        x_path, g_stream, y_path, error = _run_steps(spec, problem, seed, x0, step_times,
-                                                     dts, phi, coeff, filt)
+        x_path, g_stream, y_path, error = _run_steps(spec, problem, seed, x0, alphas, dts,
+                                                     phi, coeff, filt)
         k = len(g_stream)
         trajectories.append(Trajectory(
             times=times[: k + 1], x_path=x_path, nu_path=np.diff(x_path, axis=0) / dts[:k, None],
@@ -291,7 +290,7 @@ def _filter_gains(spec: OptimizerSpec, dts: np.ndarray):
     return a_tils, gains[:k], psd_error if psd_error is not None else error
 
 
-def _run_steps(spec, problem, seed, x0, step_times, dts, phi, coeff, filt):
+def _run_steps(spec, problem, seed, x0, alphas, dts, phi, coeff, filt):
     """The step loop of every kind and stream mode: observe g, filter it
     with the gains in filt (filtered kinds), apply the kind's update rule.
     Returns (x_path, g_stream, y_path, error), y_path being the
@@ -330,9 +329,8 @@ def _run_steps(spec, problem, seed, x0, step_times, dts, phi, coeff, filt):
             elif spec.kind == "fosp_continuous":
                 # The observation is frozen over fosp_substeps Euler steps.
                 effective = float(phi[k]) * coeff * g
-                alpha_t = spec.schedule.alpha(float(step_times[k]))
                 for _ in range(spec.fosp_substeps):
-                    x = fosp_flow_step(mirror, x, effective, alpha_t,
+                    x = fosp_flow_step(mirror, x, effective, float(alphas[k]),
                                        dt / spec.fosp_substeps)
             else:
                 if k == len(gains):
@@ -351,11 +349,13 @@ def _run_steps(spec, problem, seed, x0, step_times, dts, phi, coeff, filt):
 def _qv_path(coeff, qv_factors, g_stream):
     """Accumulated quadratic variation of the exp(-gamma)-scaled
     martingale proxy built from increments of the observed stream;
-    qv_factors holds exp(alpha + beta + gamma) and exp(-gamma) per step."""
+    qv_factors holds exp(alpha + beta + gamma) and exp(-gamma) per step.
+    The squared increments are summed in step order."""
     weights, decays = qv_factors
-    qv = np.zeros(len(g_stream) + 1)
-    for k in range(1, len(g_stream)):
-        scaled = decays[k - 1] * (-coeff * weights[k - 1] * (g_stream[k] - g_stream[k - 1]))
-        qv[k] = qv_accumulate(qv[k - 1], scaled, scaled)
-    qv[len(g_stream)] = qv[max(len(g_stream) - 1, 0)]
+    k = len(g_stream)
+    n = max(k - 1, 0)
+    scaled = decays[:n, None] * (-coeff * weights[:n, None] * np.diff(g_stream, axis=0))
+    qv = np.zeros(k + 1)
+    qv[1:k] = np.cumsum(np.vecdot(scaled, scaled))
+    qv[k] = qv[n]
     return qv

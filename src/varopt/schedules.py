@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -60,17 +60,23 @@ _QUAD_REL = 1e-12  # relative floor; intervals stop near rounding noise
 
 @dataclass(frozen=True)
 class Schedule:
-    """Deterministic hyperparameter functions on [0, horizon_T]."""
+    """Deterministic hyperparameter functions on [0, horizon_T].
 
-    alpha: Callable[[float], float]
-    beta: Callable[[float], float]
-    gamma: Callable[[float], float]
+    Every function maps an array of times to the array of its values,
+    elementwise; a float time gives a float.  Construction evaluates each
+    function once on a grid of the horizon and raises ValueError naming
+    any that does not return a finite array of the grid's shape.
+    """
+
+    alpha: Callable[[np.ndarray], np.ndarray]
+    beta: Callable[[np.ndarray], np.ndarray]
+    gamma: Callable[[np.ndarray], np.ndarray]
     delta_T: float
     horizon_T: float
     # Closed-form derivatives when the family provides them; otherwise
     # central differences are used for the scaling check.
-    beta_dot: Optional[Callable[[float], float]] = None
-    gamma_dot: Optional[Callable[[float], float]] = None
+    beta_dot: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    gamma_dot: Optional[Callable[[np.ndarray], np.ndarray]] = None
     # Earliest admissible time (nonzero for the polynomial family).
     t_min: float = 0.0
     name: str = "custom"
@@ -78,13 +84,22 @@ class Schedule:
     def __post_init__(self):
         if not (self.horizon_T > 0):
             raise ValueError("horizon_T must be positive")
+        self.validate_finite()
 
     def validate_finite(self, grid_points: int = 1000) -> None:
         ts = np.linspace(self.t_min, self.horizon_T, grid_points)
-        for fn, label in ((self.alpha, "alpha"), (self.beta, "beta"), (self.gamma, "gamma")):
-            vals = np.array([fn(t) for t in ts])
-            if not np.all(np.isfinite(vals)):
-                raise ValueError(f"schedule function {label} is not finite on the horizon")
+        for label in ("alpha", "beta", "gamma", "beta_dot", "gamma_dot"):
+            fn = getattr(self, label)
+            if fn is None:
+                continue
+            try:
+                vals = fn(ts)
+                ok = np.shape(vals) == ts.shape and bool(np.all(np.isfinite(vals)))
+            except (TypeError, ValueError, ArithmeticError):
+                ok = False
+            if not ok:
+                raise ValueError(f"schedule function {label} does not map the horizon "
+                                 "grid to a finite array of its shape")
 
 
 @dataclass(frozen=True)
@@ -117,16 +132,9 @@ class ScalingReport:
 
 def constant_schedule(alpha0=0.0, beta0=0.0, gamma0=0.0, delta_T=0.0, horizon_T=1.0,
                       name="constant") -> Schedule:
-    return Schedule(
-        alpha=lambda t: alpha0,
-        beta=lambda t: beta0,
-        gamma=lambda t: gamma0,
-        delta_T=delta_T,
-        horizon_T=horizon_T,
-        beta_dot=lambda t: 0.0,
-        gamma_dot=lambda t: 0.0,
-        name=name,
-    )
+    """The linear family with zero slopes."""
+    return linear_schedule(alpha0=alpha0, beta0=beta0, gamma0=gamma0, delta_T=delta_T,
+                           horizon_T=horizon_T, name=name)
 
 
 def linear_schedule(alpha0=0.0, alpha1=0.0, beta0=0.0, beta1=0.0,
@@ -143,8 +151,8 @@ def linear_schedule(alpha0=0.0, alpha1=0.0, beta0=0.0, beta1=0.0,
         gamma=lambda t: gamma0 + gamma1 * t,
         delta_T=delta_T,
         horizon_T=horizon_T,
-        beta_dot=lambda t: beta1,
-        gamma_dot=lambda t: gamma1,
+        beta_dot=lambda t: beta1 + 0.0 * t,
+        gamma_dot=lambda t: gamma1 + 0.0 * t,
         name=name,
     )
 
@@ -161,9 +169,9 @@ def polynomial_schedule(p=2.0, c=1.0, delta_T=0.0, horizon_T=1.0, t_min=0.1,
     if p <= 0 or c <= 0:
         raise ValueError("p and c must be positive")
     return Schedule(
-        alpha=lambda t: math.log(p) - math.log(t),
-        beta=lambda t: p * math.log(t) + math.log(c),
-        gamma=lambda t: p * math.log(t),
+        alpha=lambda t: math.log(p) - np.log(t),
+        beta=lambda t: p * np.log(t) + math.log(c),
+        gamma=lambda t: p * np.log(t),
         delta_T=delta_T,
         horizon_T=horizon_T,
         beta_dot=lambda t: p / t,
@@ -173,10 +181,9 @@ def polynomial_schedule(p=2.0, c=1.0, delta_T=0.0, horizon_T=1.0, t_min=0.1,
     )
 
 
-def _central_diff(fn, t, lo, hi):
-    h = _FD_STEP
-    a = max(t - h, lo)
-    b = min(t + h, hi)
+def _central_diff(fn, ts):
+    """Central differences of fn on the grid ts, one-sided at its ends."""
+    a, b = np.maximum(ts - _FD_STEP, ts[0]), np.minimum(ts + _FD_STEP, ts[-1])
     return (fn(b) - fn(a)) / (b - a)
 
 
@@ -184,22 +191,14 @@ def check_scaling(schedule: Schedule, grid_points: int = 1000) -> ScalingReport:
     """Check gamma' = exp(alpha) and beta' <= exp(alpha) on a uniform grid."""
     if grid_points < 2:
         raise ValueError("grid_points must be >= 2")
-    schedule.validate_finite(grid_points)
-    lo, hi = schedule.t_min, schedule.horizon_T
-    ts = np.linspace(lo, hi, grid_points)
-    gdot = schedule.gamma_dot or (lambda t: _central_diff(schedule.gamma, t, lo, hi))
-    bdot = schedule.beta_dot or (lambda t: _central_diff(schedule.beta, t, lo, hi))
-    max_gamma = 0.0
-    max_beta = 0.0
-    for t in ts:
-        ea = math.exp(schedule.alpha(t))
-        max_gamma = max(max_gamma, abs(gdot(t) - ea))
-        max_beta = max(max_beta, bdot(t) - ea)
-    return ScalingReport(
-        max_gamma_residual=max_gamma,
-        max_beta_excess=max(max_beta, 0.0),
-        passed=(max_gamma <= SCALING_TOL) and (max_beta <= SCALING_TOL),
-    )
+    ts = np.linspace(schedule.t_min, schedule.horizon_T, grid_points)
+    gdot = schedule.gamma_dot(ts) if schedule.gamma_dot else _central_diff(schedule.gamma, ts)
+    bdot = schedule.beta_dot(ts) if schedule.beta_dot else _central_diff(schedule.beta, ts)
+    ea = _exp(schedule.alpha(ts))
+    max_gamma = float(np.max(np.abs(gdot - ea)))
+    max_beta = max(float(np.max(bdot - ea)), 0.0)
+    return ScalingReport(max_gamma_residual=max_gamma, max_beta_excess=max_beta,
+                         passed=(max_gamma <= SCALING_TOL) and (max_beta <= SCALING_TOL))
 
 
 def build_mesh(schedule: Schedule, steps: int, t0: Optional[float] = None) -> Mesh:
@@ -278,8 +277,16 @@ def integrate_intervals(fn, edges):
     raise RuntimeError(f"quadrature failed to reach tolerance (residual {err.max():.3e})")
 
 
-def _weight(schedule: Schedule, u: float) -> float:
-    return math.exp(schedule.alpha(u) + schedule.beta(u) + schedule.gamma(u))
+def _exp(x):
+    """np.exp that raises FloatingPointError on overflow, so that an
+    overflowing schedule value is refused rather than read as inf."""
+    with np.errstate(over="raise"):
+        return np.exp(x)
+
+
+def _weight(schedule: Schedule, u):
+    """The weight w = exp(alpha + beta + gamma) at the times u."""
+    return _exp(schedule.alpha(u) + schedule.beta(u) + schedule.gamma(u))
 
 
 def matrix_exp(m: np.ndarray) -> np.ndarray:
@@ -329,15 +336,14 @@ def _phi_path(schedule: Schedule, a_mat: np.ndarray, b_vec: np.ndarray,
 
     def integrand(u):
         exps = matrix_exp(a_mat * u[:, None, None])
-        exps *= np.array([_weight(schedule, x) for x in u])[:, None, None]
+        exps *= _weight(schedule, u)[:, None, None]
         return exps
 
     cum = np.cumsum(integrate_intervals(integrand, np.concatenate(([t0], times, [T]))),
                     axis=0)
     phi0 = math.exp(schedule.delta_T) * matrix_exp(a_mat * T) - cum[-1]
     heads = b_vec @ matrix_exp(-a_mat * times[:, None, None])
-    gamma = np.array([schedule.gamma(t) for t in times])
-    out = np.exp(-gamma)[:, None] * np.einsum("ki,kij->kj", heads, phi0 + cum[:-1])
+    out = _exp(-schedule.gamma(times))[:, None] * np.einsum("ki,kij->kj", heads, phi0 + cum[:-1])
     # A component of opposite sign to b turns descent into ascent; a
     # negative b_j makes Phi_j negative by construction.
     if np.any(out * b_vec < 0):

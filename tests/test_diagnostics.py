@@ -10,6 +10,7 @@ from varopt import (
     OptimizerSpec,
     Trajectory,
     action_estimate,
+    energy,
     energy_path,
     entropy_map,
     hamiltonian,
@@ -118,6 +119,30 @@ class TestEnergy:
         problem, spec, traj = self._noiseless_trajectory()
         e = energy_path(spec.mirror, spec.schedule, traj, problem.x_star)
         assert e[0] >= 0.0
+
+
+    def test_energy_path_is_the_stepwise_energy(self):
+        # Reference: the public one-point energy with the bracket summed
+        # step by step; a non-identity M makes the bracket differ from QV.
+        problem = generate_problem("quadratic", d=3, n=30,
+                                   rng=component_rng(0, "problem"))
+        mirror = quadratic_map(m_diag=[1.0, 2.0, 3.0])
+        s = _scaling_linear(steps=15, beta0=-1.5)
+        spec = OptimizerSpec(kind="mirror_sgd", mirror=mirror, schedule=s,
+                             mode="empirical", batch_m=5)
+        traj = run_optimizer(spec, problem, 15, seed=3)
+        expected, bracket, prev = [], 0.0, None
+        for t, x, nu, gap in zip(traj.times, traj.x_path, traj.nu_path, traj.loss_gap):
+            y = x + math.exp(-s.alpha(t)) * nu
+            if prev is not None:
+                bracket = qv_accumulate(bracket, mirror.grad_h(y) - mirror.grad_h(prev),
+                                        y - prev)
+            prev = y
+            expected.append(energy(mirror, gap, s, t, x, nu, bracket, problem.x_star))
+        assert bracket > 0.0
+        # np.exp and math.exp may round exp(beta) differently by one ulp.
+        np.testing.assert_allclose(energy_path(mirror, s, traj, problem.x_star), expected,
+                                   rtol=1e-13, atol=1e-13)
 
 
 class TestAction:

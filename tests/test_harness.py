@@ -110,6 +110,7 @@ class TestBuildExperiment:
         "optimizer.steps = 20",
         "schedule.params.delta_T = 19.3",
         "schedule.params.horizon_T = 2.0",
+        "map.name = entropy\nmap.lower = 5\nmap.upper = 1",
     ])
     def test_invalid_values_rejected(self, override):
         raw = parse_config_text(BASE_CONFIG + override + "\n")
@@ -126,6 +127,13 @@ class TestBuildExperiment:
         raw = parse_config_text(BASE_CONFIG + override + "\n")
         with pytest.raises(ConfigError, match=f"unknown config key {key}$"):
             build_experiment(raw)
+
+    def test_null_value_reads_as_default(self):
+        raw = parse_config_text(BASE_CONFIG + "diagnostics.bound_constant = null\n"
+                                "optimizer.fosp_substeps = null\n")
+        exp = build_experiment(raw)
+        assert exp.bound_constant == 10.0
+        assert exp.optimizer_spec.fosp_substeps == 4
 
     def test_mesh_past_horizon_rejected(self):
         raw = parse_config_text(BASE_CONFIG + "mesh.steps = 200\n")
@@ -391,6 +399,36 @@ class TestCli:
     def test_invalid_config_is_config_error(self, tmp_path, capsys):
         cfg = _write_config(tmp_path, BASE_CONFIG + "map.name = sphere\n")
         assert main(["run", cfg]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("override, key", [
+        ("schedule.delta_T = abc", "schedule.delta_T"),
+        ("schedule.T = abc", "schedule.T"),
+        ("mesh.steps = abc", "mesh.steps"),
+        ('seeds = [0, "a"]', "seeds"),
+        ("problem.d = abc", "problem.d"),
+        ("problem.N = abc", "problem.N"),
+        ("problem.seed = abc", "problem.seed"),
+        ("model.sigma = abc", "model.sigma"),
+        ("optimizer.fosp_substeps = abc", "optimizer.fosp_substeps"),
+        ("optimizer.batch_m = abc", "optimizer.batch_m"),
+        ("optimizer.x0 = abc", "optimizer.x0"),
+        ("diagnostics.bound_constant = abc", "diagnostics.bound_constant"),
+        ("map.name = entropy\nmap.lower = abc", "map.lower"),
+        ("map.name = entropy\nmap.upper = abc", "map.upper"),
+    ])
+    def test_unreadable_value_is_config_error(self, override, key, tmp_path,
+                                              monkeypatch, capsys):
+        monkeypatch.delenv("VAROPT_SEED", raising=False)
+        cfg = _write_config(tmp_path, BASE_CONFIG + override + "\n")
+        assert main(["run", cfg]) == EXIT_CONFIG
+        assert f"{key} = " in capsys.readouterr().err
+
+    def test_overflowing_schedule_is_numerical_error(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path, BASE_CONFIG + f"output = {tmp_path}/out\n"
+                            'schedule.params = {"gamma1": 400.0}\n'
+                            "schedule.delta_T = 1.0\nschedule.T = 2.0\nmesh.steps = 2\n")
+        assert main(["run", cfg]) == EXIT_NUMERICAL
+        assert "overflow" in capsys.readouterr().err
 
     def test_seed_failure_is_numerical_error(self, tmp_path, capsys):
         cfg = _write_config(tmp_path, BASE_CONFIG + f"output = {tmp_path}/out\n"

@@ -30,7 +30,7 @@ from varopt import (
     run_optimizer,
 )
 from varopt import optimizers
-from varopt.diagnostics import Trajectory
+from varopt.diagnostics import Trajectory, qv_accumulate
 from varopt.gradient_models import initial_kalman_state
 from varopt.harness import component_rng, generate_problem
 from varopt.schedules import phi_scalar_path, phi_vector_path
@@ -536,3 +536,18 @@ def test_covariance_failure_stops_every_seed_at_its_step(monkeypatch):
         assert traj.error == f"FilterDivergenceError at step 1: {info.value}"
         np.testing.assert_array_equal(traj.x_path, [np.zeros(3), x1])
         assert traj.steps == 1 and traj.g_path.shape == (1, 3)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 50])
+def test_qv_path_is_the_stepwise_accumulation(k):
+    rng = np.random.default_rng(k)
+    g_stream = rng.standard_normal((k, 3))
+    weights, decays = rng.uniform(0.5, 3.0, 60), rng.uniform(0.1, 1.0, 60)
+    coeff = 0.37
+    expected = np.zeros(k + 1)
+    for j in range(1, k):
+        scaled = decays[j - 1] * (-coeff * weights[j - 1] * (g_stream[j] - g_stream[j - 1]))
+        expected[j] = qv_accumulate(expected[j - 1], scaled, scaled)
+    expected[k] = expected[max(k - 1, 0)]
+    np.testing.assert_array_equal(optimizers._qv_path(coeff, (weights, decays), g_stream),
+                                  expected)

@@ -311,3 +311,50 @@ class TestVectorPath:
         s = constant_schedule(horizon_T=1.0)
         with pytest.raises(ValueError):
             phi_vector(s, np.array([[-1.0]]), np.array([1.0]), 0.5)
+
+
+_FAMILIES = {
+    "constant": lambda: constant_schedule(alpha0=0.3, beta0=-0.7, gamma0=1.1, horizon_T=3.0),
+    "linear": lambda: linear_schedule(alpha0=0.2, alpha1=-0.1, beta0=-0.7, beta1=0.4,
+                                      gamma0=0.5, gamma1=1.3, horizon_T=3.0),
+    "polynomial": lambda: polynomial_schedule(p=2.5, c=0.7, horizon_T=3.0, t_min=0.2),
+}
+
+
+class TestArrayContract:
+    @pytest.mark.parametrize("family", sorted(_FAMILIES))
+    def test_array_call_is_the_pointwise_values(self, family):
+        s = _FAMILIES[family]()
+        ts = np.linspace(s.t_min, s.horizon_T, 257)
+        for label in ("alpha", "beta", "gamma", "beta_dot", "gamma_dot"):
+            fn = getattr(s, label)
+            values = fn(ts)
+            assert values.shape == ts.shape
+            pointwise = np.array([fn(float(t)) for t in ts])
+            np.testing.assert_array_equal(values, pointwise, err_msg=label)
+
+    def _custom(self, **fns):
+        base = linear_schedule(beta0=-0.7, gamma1=1.0, horizon_T=2.0)
+        parts = {"alpha": base.alpha, "beta": base.beta, "gamma": base.gamma, **fns}
+        return Schedule(delta_T=0.0, horizon_T=2.0, t_min=0.1, **parts)
+
+    @pytest.mark.parametrize("label", ["alpha", "beta", "gamma", "beta_dot", "gamma_dot"])
+    def test_scalar_for_an_array_is_refused(self, label):
+        with pytest.raises(ValueError, match=f"schedule function {label} "):
+            self._custom(**{label: lambda t: 0.5})
+
+    def test_math_function_is_refused(self):
+        with pytest.raises(ValueError, match="schedule function gamma "):
+            self._custom(gamma=lambda t: math.log(t))
+
+    def test_non_finite_values_are_refused(self):
+        with pytest.raises(ValueError, match="schedule function beta "):
+            self._custom(beta=lambda t: np.where(t > 1.0, np.inf, 0.0))
+
+    def test_overflowing_weight_raises(self):
+        # w = exp(gamma_t) overflows near T; np.exp alone would return inf.
+        s = linear_schedule(gamma1=400.0, delta_T=1.0, horizon_T=2.0)
+        with pytest.raises(ArithmeticError):
+            phi_scalar_path(s, [0.0, 1.0, 2.0])
+        with pytest.raises(ArithmeticError):
+            check_scaling(linear_schedule(alpha1=800.0, horizon_T=1.0))
