@@ -10,8 +10,11 @@ strictly convex reference function h.  Two reference maps ship built in:
 * negative entropy: h(x) = sum_i x_i log x_i on the open positive
   orthant, which exercises genuinely nonlinear mirror updates.
 
-User-supplied maps may omit the dual gradient, in which case it is
-recovered by damped Newton inversion of grad h.
+Every callable of a map except hess_h, which takes one point, acts on the
+last axis: h maps points (..., d) to (...), grad_h and grad_h_dual map
+(..., d) to (..., d), so a whole path is evaluated with one call.
+User-supplied maps must do the same, and may omit the dual gradient, in
+which case it is recovered by damped Newton inversion of grad h per point.
 """
 
 from __future__ import annotations
@@ -56,7 +59,7 @@ class MirrorMap:
     """
 
     name: str
-    h: Callable[[np.ndarray], float]
+    h: Callable[[np.ndarray], np.ndarray]
     grad_h: Callable[[np.ndarray], np.ndarray]
     hess_h: Callable[[np.ndarray], np.ndarray]
     mu: float
@@ -82,7 +85,7 @@ def quadratic_map(m_diag=None, m_full=None) -> MirrorMap:
     """h(x) = 1/2 x' M x with M symmetric positive definite.
 
     Pass either a diagonal (1-d array) or a full matrix; the default is
-    the identity, which makes grad h the identity map.
+    the identity (the diagonal 1.0), which makes grad h the identity map.
     """
     if m_diag is not None and m_full is not None:
         raise ValueError("pass at most one of m_diag, m_full")
@@ -93,37 +96,28 @@ def quadratic_map(m_diag=None, m_full=None) -> MirrorMap:
         if eigs.min() <= 0:
             raise ValueError("M must be positive definite")
         m_inv = np.linalg.inv(m)
+        # A stacked X @ M need not equal its rows' x @ M bit for bit; this does.
+        grad_h = lambda x: np.vecdot(m, np.asarray(x, dtype=float)[..., None, :])
         return MirrorMap(
             name="quadratic",
-            h=lambda x: 0.5 * float(x @ m @ x),
-            grad_h=lambda x: m @ x,
-            grad_h_dual=lambda z: m_inv @ z,
+            h=lambda x: 0.5 * np.vecdot(x, grad_h(x)),
+            grad_h=grad_h,
+            grad_h_dual=lambda z: np.vecdot(m_inv, np.asarray(z, dtype=float)[..., None, :]),
             hess_h=lambda x: m,
             mu=float(eigs.min()),
             lip=float(eigs.max()),
         )
-    if m_diag is None:
-        # Identity M: mirror steps reduce to plain gradient steps.
-        return MirrorMap(
-            name="quadratic",
-            h=lambda x: 0.5 * float(x @ x),
-            grad_h=lambda x: np.array(x, dtype=float),
-            grad_h_dual=lambda z: np.array(z, dtype=float),
-            hess_h=lambda x: np.eye(len(np.atleast_1d(x))),
-            mu=1.0,
-            lip=1.0,
-        )
-    d = np.asarray(m_diag, dtype=float)
-    if np.any(d <= 0):
+    diag = np.asarray(1.0 if m_diag is None else m_diag, dtype=float)
+    if np.any(diag <= 0):
         raise ValueError("diagonal of M must be positive")
     return MirrorMap(
         name="quadratic",
-        h=lambda x: 0.5 * float(x @ (d * x)),
-        grad_h=lambda x: d * x,
-        grad_h_dual=lambda z: z / d,
-        hess_h=lambda x: np.diag(d),
-        mu=float(d.min()),
-        lip=float(d.max()),
+        h=lambda x: 0.5 * np.vecdot(x, diag * x),
+        grad_h=lambda x: diag * x,
+        grad_h_dual=lambda z: z / diag,
+        hess_h=lambda x: np.diag(np.broadcast_to(diag, np.shape(x))),
+        mu=float(diag.min()),
+        lip=float(diag.max()),
     )
 
 
@@ -138,13 +132,9 @@ def entropy_map(lower: float = 0.05, upper: float = 20.0) -> MirrorMap:
     """
     if not (0 < lower < upper):
         raise ValueError("need 0 < lower < upper")
-
-    def h(x):
-        return float(np.sum(x * np.log(x)))
-
     return MirrorMap(
         name="entropy",
-        h=h,
+        h=lambda x: np.sum(x * np.log(x), axis=-1),
         grad_h=lambda x: 1.0 + np.log(x),
         grad_h_dual=lambda z: np.exp(z - 1.0),
         hess_h=lambda x: np.diag(1.0 / x),
@@ -154,50 +144,45 @@ def entropy_map(lower: float = 0.05, upper: float = 20.0) -> MirrorMap:
     )
 
 
-def custom_map(
-    name,
-    h,
-    grad_h,
-    hess_h,
-    mu,
-    lip,
-    grad_h_dual=None,
-    in_domain=lambda x: True,
-) -> MirrorMap:
-    """Wrap user-supplied callables.  Omitting grad_h_dual requests
+def custom_map(name, h, grad_h, hess_h, mu, lip, grad_h_dual=None,
+               in_domain=lambda x: True) -> MirrorMap:
+    """Wrap user-supplied callables, which must act on the last axis like
+    the built-in maps (hess_h on one point).  Omitting grad_h_dual requests
     damped-Newton inversion of grad_h inside grad_dual."""
-    return MirrorMap(
-        name=name,
-        h=h,
-        grad_h=grad_h,
-        hess_h=hess_h,
-        mu=mu,
-        lip=lip,
-        grad_h_dual=grad_h_dual,
-        in_domain=in_domain,
-    )
+    return MirrorMap(name, h, grad_h, hess_h, mu, lip, grad_h_dual, in_domain)
 
 
-def divergence(mirror: MirrorMap, y, x) -> float:
-    """D_h(y, x) = h(y) - h(x) - <grad h(x), y - x>.  Non-negative."""
+def _h(mirror: MirrorMap, x: np.ndarray) -> np.ndarray:
+    """h at the points x (..., d); ValueError naming h unless it returns
+    one value per point."""
+    value = np.asarray(mirror.h(x), dtype=float)
+    if value.shape != x.shape[:-1]:
+        raise ValueError(f"h of mirror map {mirror.name!r} maps points of shape {x.shape} "
+                         f"to shape {value.shape}; it must act on the last axis")
+    return value
+
+
+def divergence(mirror: MirrorMap, y, x):
+    """D_h(y, x) = h(y) - h(x) - <grad h(x), y - x>, non-negative, for
+    points y, x broadcasting to (..., d): one value per point, a float
+    for one point."""
     y = np.asarray(y, dtype=float)
     x = np.asarray(x, dtype=float)
     mirror.check_domain(x)
     mirror.check_domain(y)
-    return float(mirror.h(y) - mirror.h(x) - mirror.grad_h(x) @ (y - x))
+    return _h(mirror, y) - _h(mirror, x) - np.vecdot(mirror.grad_h(x), y - x)
 
 
 def grad_dual(mirror: MirrorMap, z) -> np.ndarray:
-    """Evaluate grad h*(z), the inverse of grad h, at a dual point z.
-
-    Built-in maps use their closed forms.  Maps without a closed-form
-    dual are inverted by damped Newton on grad h(x) - z, which raises
-    NumericalError with the achieved residual on non-convergence.
-    """
+    """grad h*(z), the inverse of grad h, at dual points z (..., d): the
+    map's closed form, else damped Newton on grad h(x) - z point by point,
+    which raises NumericalError with the achieved residual on
+    non-convergence."""
     z = np.asarray(z, dtype=float)
     if mirror.grad_h_dual is not None:
         return np.asarray(mirror.grad_h_dual(z), dtype=float)
-    return _newton_invert(mirror, z)
+    rows = [_newton_invert(mirror, row) for row in z.reshape(-1, *z.shape[-1:])]
+    return np.reshape(rows, z.shape)
 
 
 def _newton_invert(mirror: MirrorMap, z: np.ndarray) -> np.ndarray:
@@ -232,19 +217,19 @@ def _newton_invert(mirror: MirrorMap, z: np.ndarray) -> np.ndarray:
     )
 
 
-def _dual_divergence(mirror: MirrorMap, z1, z2) -> float:
+def _dual_divergence(mirror: MirrorMap, z1, z2):
     """D_{h*}(z1, z2) through the dual gradient: h*(z) = <z, x> - h(x)
-    with x = grad h*(z)."""
+    with x = grad h*(z), for dual points broadcasting to (..., d)."""
     x1 = grad_dual(mirror, z1)
     x2 = grad_dual(mirror, z2)
-    hstar1 = float(z1 @ x1) - mirror.h(x1)
-    hstar2 = float(z2 @ x2) - mirror.h(x2)
-    return hstar1 - hstar2 - float(x2 @ (np.asarray(z1) - np.asarray(z2)))
+    hstar1 = np.vecdot(z1, x1) - _h(mirror, x1)
+    hstar2 = np.vecdot(z2, x2) - _h(mirror, x2)
+    return hstar1 - hstar2 - np.vecdot(x2, z1 - z2)
 
 
-def dual_divergence_check(mirror: MirrorMap, x, y) -> float:
+def dual_divergence_check(mirror: MirrorMap, x, y):
     """Residual of the duality identity D_h(x, y) = D_{h*}(grad h(y), grad h(x))
-    (convex duality swaps the arguments).
+    (convex duality swaps the arguments), one per point of x, y (..., d).
 
     Returns |lhs - rhs|; at most ~1e-8 for the built-in maps.
     """
@@ -252,4 +237,4 @@ def dual_divergence_check(mirror: MirrorMap, x, y) -> float:
     y = np.asarray(y, dtype=float)
     lhs = divergence(mirror, x, y)
     rhs = _dual_divergence(mirror, mirror.grad_h(y), mirror.grad_h(x))
-    return abs(lhs - rhs)
+    return np.abs(lhs - rhs)

@@ -4,7 +4,9 @@ Evaluates the Lagrangian, expected action, Lyapunov energy and
 Hamiltonian along optimizer trajectories, accumulates discrete quadratic
 variation, and checks the two theoretical claims empirically: the energy
 is a supermartingale under scaling schedules, and the loss gap obeys the
-exp(-beta) rate bound with a quadratic-variation noise penalty.
+exp(-beta) rate bound with a quadratic-variation noise penalty.  The
+Lagrangian, energy and Hamiltonian take a float time with one point, or
+an array of times (K,) with points (K, d) and values (K,).
 """
 
 from __future__ import annotations
@@ -105,14 +107,14 @@ class RateBoundReport:
     passed: bool
 
 
-def lagrangian(mirror: MirrorMap, f_value: float, schedule: Schedule, t: float,
-               x: np.ndarray, nu: np.ndarray) -> float:
+def lagrangian(mirror: MirrorMap, f_value, schedule: Schedule, t,
+               x: np.ndarray, nu: np.ndarray):
     """exp(gamma) (exp(alpha) D_h(X + exp(-alpha) nu, X) - exp(beta) f_value),
     the kinetic-minus-potential energy density at (t, X, nu)."""
-    ea = math.exp(schedule.alpha(t))
-    kinetic = ea * divergence(mirror, np.asarray(x) + nu / ea, x)
-    potential = math.exp(schedule.beta(t)) * f_value
-    return math.exp(schedule.gamma(t)) * (kinetic - potential)
+    ea = _exp(schedule.alpha(t))
+    kinetic = ea * divergence(mirror, np.asarray(x) + nu / np.expand_dims(ea, -1), x)
+    potential = _exp(schedule.beta(t)) * f_value
+    return _exp(schedule.gamma(t)) * (kinetic - potential)
 
 
 def action_estimate(mirror: MirrorMap, schedule: Schedule,
@@ -128,21 +130,24 @@ def action_estimate(mirror: MirrorMap, schedule: Schedule,
     total = 0.0
     for traj, tgap in zip(trajectories, terminal_gaps):
         k = traj.steps
-        lag = np.array([lagrangian(mirror, float(traj.loss_gap[j]), schedule,
-                                   float(traj.times[j]), traj.x_path[j], traj.nu_path[j])
-                        for j in range(k)])
+        lag = lagrangian(mirror, traj.loss_gap[:k], schedule, traj.times[:k],
+                         traj.x_path[:k], traj.nu_path)
         total += (float(np.trapezoid(lag, traj.times[:k]))
                   + math.exp(schedule.delta_T) * float(tgap))
     return total / len(trajectories)
 
 
-def energy(mirror: MirrorMap, f_gap: float, schedule: Schedule, t: float,
-           x: np.ndarray, nu: np.ndarray, qv_bracket: float,
-           x_star: np.ndarray) -> float:
+def _displaced(schedule: Schedule, t, x, nu) -> np.ndarray:
+    """Y = X + exp(-alpha) nu."""
+    return np.asarray(x, dtype=float) + np.expand_dims(_exp(-schedule.alpha(t)), -1) * nu
+
+
+def energy(mirror: MirrorMap, f_gap, schedule: Schedule, t,
+           x: np.ndarray, nu: np.ndarray, qv_bracket, x_star: np.ndarray):
     """Lyapunov energy D_h(x*, X + exp(-alpha) nu) + exp(beta) f_gap
     minus the realized covariation bracket of (grad h(Y), Y)."""
-    y = np.asarray(x, dtype=float) + np.asarray(nu, dtype=float) * math.exp(-schedule.alpha(t))
-    return divergence(mirror, x_star, y) + math.exp(schedule.beta(t)) * f_gap - qv_bracket
+    y = _displaced(schedule, t, x, nu)
+    return divergence(mirror, x_star, y) + _exp(schedule.beta(t)) * f_gap - qv_bracket
 
 
 def qv_accumulate(prev: float, delta_a: np.ndarray, delta_b: np.ndarray) -> float:
@@ -151,14 +156,15 @@ def qv_accumulate(prev: float, delta_a: np.ndarray, delta_b: np.ndarray) -> floa
                                np.asarray(delta_b, dtype=float)))
 
 
-def hamiltonian(mirror: MirrorMap, f_value: float, schedule: Schedule, t: float,
-                x: np.ndarray, p: np.ndarray) -> float:
+def hamiltonian(mirror: MirrorMap, f_value, schedule: Schedule, t,
+                x: np.ndarray, p: np.ndarray):
     """exp(alpha+gamma) D_{h*}(grad h(X) + exp(-gamma) p, grad h(X))
     + exp(gamma+beta) f_value, the Legendre dual of the Lagrangian."""
     z = mirror.grad_h(np.asarray(x, dtype=float))
-    dual_div = _dual_divergence(mirror, z + math.exp(-schedule.gamma(t)) * np.asarray(p, dtype=float), z)
-    return (math.exp(schedule.alpha(t) + schedule.gamma(t)) * dual_div
-            + math.exp(schedule.gamma(t) + schedule.beta(t)) * f_value)
+    shift = np.expand_dims(_exp(-schedule.gamma(t)), -1) * np.asarray(p, dtype=float)
+    dual_div = _dual_divergence(mirror, z + shift, z)
+    return (_exp(schedule.alpha(t) + schedule.gamma(t)) * dual_div
+            + _exp(schedule.gamma(t) + schedule.beta(t)) * f_value)
 
 
 def energy_path(mirror: MirrorMap, schedule: Schedule, traj: Trajectory,
@@ -170,12 +176,11 @@ def energy_path(mirror: MirrorMap, schedule: Schedule, traj: Trajectory,
     summed in step order.
     """
     times = traj.times[:-1]
-    ys = traj.x_path[:-1] + _exp(-schedule.alpha(times))[:, None] * traj.nu_path
-    gys = np.array([mirror.grad_h(y) for y in ys]).reshape(ys.shape)
+    ys = _displaced(schedule, times, traj.x_path[:-1], traj.nu_path)
     bracket = np.zeros(len(ys))
-    bracket[1:] = np.cumsum(np.vecdot(np.diff(gys, axis=0), np.diff(ys, axis=0)))
-    divergences = np.array([divergence(mirror, x_star, y) for y in ys])
-    return divergences + _exp(schedule.beta(times)) * traj.loss_gap[:-1] - bracket
+    bracket[1:] = np.cumsum(np.vecdot(np.diff(mirror.grad_h(ys), axis=0), np.diff(ys, axis=0)))
+    return energy(mirror, traj.loss_gap[:-1], schedule, times, traj.x_path[:-1],
+                  traj.nu_path, bracket, x_star)
 
 
 def ensemble_report(times: np.ndarray, energy_paths: np.ndarray,

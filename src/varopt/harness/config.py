@@ -178,12 +178,19 @@ def _floats(value) -> np.ndarray:
     return np.asarray(value, dtype=float)
 
 
-def _build_mirror(cfg: dict) -> MirrorMap:
+def _vector(cfg, key: str, d: int):
+    """_value of a float vector; ConfigError naming key unless its length is d."""
+    value = _value(cfg, key, None, _floats)
+    if value is not None and value.shape != (d,):
+        raise ConfigError(f"{key} = {value.tolist()} does not have the dimension d = {d}")
+    return value
+
+
+def _build_mirror(cfg: dict, d: int) -> MirrorMap:
     name = cfg.get("map", {}).get("name", "quadratic")
     try:
         if name == "quadratic":
-            return quadratic_map(m_diag=_value(cfg, "map.m_diag", None,
-                                               lambda v: _floats(v) if v else None))
+            return quadratic_map(m_diag=_vector(cfg, "map.m_diag", d))
         if name == "entropy":
             return entropy_map(lower=_value(cfg, "map.lower", 0.05),
                                upper=_value(cfg, "map.upper", 20.0))
@@ -200,7 +207,9 @@ def _build_schedule(cfg: dict) -> Schedule:
     builder = _SCHEDULE_FAMILIES.get(family)
     if builder is None:
         raise ConfigError(f"unknown schedule family {family!r}")
-    params = dict(section.get("params", {}), delta_T=_value(cfg, "schedule.delta_T", 0.0),
+    params = {name: value for name in section.get("params", {})  # null: the default
+              if (value := _value(cfg, f"schedule.params.{name}", None)) is not None}
+    params.update(delta_T=_value(cfg, "schedule.delta_T", 0.0),
                   horizon_T=_value(cfg, "schedule.T", 1.0))
     try:
         return builder(**params)
@@ -249,7 +258,7 @@ def build_experiment(cfg: dict) -> ExperimentConfig:
         except (ValueError, RuntimeError) as exc:
             raise ConfigError(f"invalid problem: {exc}") from exc
 
-    mirror = _build_mirror(cfg)
+    mirror = _build_mirror(cfg, d)
     schedule = _build_schedule(cfg)
     model = _build_model(cfg, d)
 
@@ -261,7 +270,7 @@ def build_experiment(cfg: dict) -> ExperimentConfig:
         batch_m = _value(cfg, "model.m", problem.n if problem else None, int)
     spec = OptimizerSpec(
         kind=kind, mirror=mirror, schedule=schedule, model=model, mode=mode,
-        x0=_value(cfg, "optimizer.x0", None, _floats), batch_m=batch_m,
+        x0=_vector(cfg, "optimizer.x0", d), batch_m=batch_m,
         fosp_substeps=_value(cfg, "optimizer.fosp_substeps", 4, int),
     )
     try:

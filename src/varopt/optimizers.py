@@ -204,6 +204,8 @@ def run_ensemble(spec: OptimizerSpec, problem, steps: int, seeds) -> list[Trajec
     times = _mesh_times(schedule, steps)
     d = problem.d if spec.mode == "empirical" else spec.model.d
     x0 = spec.default_x0(d)
+    if x0.shape != (d,):
+        raise ValueError(f"x0 has shape {x0.shape}, but the dimension is d = {d}")
     spec.mirror.check_domain(x0)
 
     if steps == 0:

@@ -15,6 +15,7 @@ from varopt import (
     grad_dual,
     quadratic_map,
 )
+from varopt.bregman import _dual_divergence
 
 
 def _points(rng, mirror, n, d):
@@ -148,3 +149,83 @@ class TestNewtonInversion:
         )
         with pytest.raises(NumericalError):
             grad_dual(mirror, np.array([5.0, -3.0]))
+
+
+def _cosh_map(with_dual):
+    """h(x) = sum cosh(x_i) written per point: one float for any input."""
+    return custom_map(
+        name="cosh",
+        h=lambda x: float(np.sum(np.cosh(x))),
+        grad_h=np.sinh,
+        hess_h=lambda x: np.diag(np.cosh(x)),
+        mu=1.0,
+        lip=float(np.cosh(3.0)),
+        grad_h_dual=np.arcsinh if with_dual else None,
+    )
+
+
+class TestLastAxisContract:
+    """Every map callable but hess_h acts on the last axis, so a stack of
+    points gives, row for row, the bits of the one-point calls."""
+
+    @staticmethod
+    def _maps():
+        rng = np.random.default_rng(31)
+        a = rng.standard_normal((5, 5))
+        return [quadratic_map(), quadratic_map(m_diag=rng.uniform(0.5, 3.0, 5)),
+                quadratic_map(m_full=a @ a.T + 5 * np.eye(5)), entropy_map()]
+
+    @pytest.mark.parametrize("index", range(4), ids=["identity", "diagonal", "full", "entropy"])
+    def test_stack_equals_rows(self, index):
+        mirror = self._maps()[index]
+        rng = np.random.default_rng(8)
+        xs, ys = _points(rng, mirror, 14, 5).reshape(2, 7, 5)
+        zs, ws = mirror.grad_h(xs), mirror.grad_h(ys)
+
+        def assert_rows(stacked, one_point):
+            assert np.shape(stacked) == np.shape(one_point)
+            np.testing.assert_array_equal(stacked, one_point, strict=True)
+
+        assert_rows(mirror.h(xs), np.array([mirror.h(x) for x in xs]))
+        assert_rows(zs, np.array([mirror.grad_h(x) for x in xs]))
+        assert_rows(mirror.grad_h_dual(zs), np.array([mirror.grad_h_dual(z) for z in zs]))
+        assert_rows(divergence(mirror, ys, xs),
+                    np.array([divergence(mirror, y, x) for y, x in zip(ys, xs)]))
+        assert_rows(_dual_divergence(mirror, ws, zs),
+                    np.array([_dual_divergence(mirror, w, z) for w, z in zip(ws, zs)]))
+        assert_rows(dual_divergence_check(mirror, xs, ys),
+                    np.array([dual_divergence_check(mirror, x, y) for x, y in zip(xs, ys)]))
+
+    @pytest.mark.parametrize("m_diag", [None, np.array([2.0, 0.5, 1.5])],
+                             ids=["identity", "diagonal"])
+    def test_quadratic_values_are_the_one_point_formulas(self, m_diag):
+        # The identity is the diagonal 1.0: m * x is x, bit for bit.
+        mirror = quadratic_map(m_diag=m_diag)
+        m = np.ones(3) if m_diag is None else m_diag
+        rng = np.random.default_rng(4)
+        for x, y in rng.standard_normal((20, 2, 3)) * 3.0:
+            assert mirror.h(x) == 0.5 * float(x @ (m * x))
+            np.testing.assert_array_equal(mirror.grad_h(x), m * x)
+            np.testing.assert_array_equal(mirror.grad_h_dual(x), x / m)
+            assert divergence(mirror, y, x) == float(
+                0.5 * float(y @ (m * y)) - 0.5 * float(x @ (m * x)) - (m * x) @ (y - x))
+        np.testing.assert_array_equal(mirror.hess_h(x), np.diag(m))
+
+    def test_per_point_h_is_refused_on_a_stack(self):
+        mirror = _cosh_map(with_dual=True)
+        rng = np.random.default_rng(6)
+        xs, ys = rng.uniform(-1.0, 1.0, (2, 4, 3))
+        with pytest.raises(ValueError, match="h of mirror map 'cosh'"):
+            divergence(mirror, ys, xs)
+        with pytest.raises(ValueError, match="h of mirror map 'cosh'"):
+            _dual_divergence(mirror, np.sinh(ys), np.sinh(xs))
+        # One point is still one value.
+        expected = float(np.sum(np.cosh(ys[0]) - np.cosh(xs[0]) - np.sinh(xs[0]) * (ys[0] - xs[0])))
+        assert divergence(mirror, ys[0], xs[0]) == pytest.approx(expected, abs=1e-12)
+
+    def test_newton_dual_is_per_row_on_a_stack(self):
+        mirror = _cosh_map(with_dual=False)
+        zs = np.random.default_rng(9).uniform(-5.0, 5.0, (2, 3, 3))
+        rows = np.array([grad_dual(mirror, z) for z in zs.reshape(-1, 3)]).reshape(zs.shape)
+        np.testing.assert_array_equal(grad_dual(mirror, zs), rows, strict=True)
+        np.testing.assert_allclose(rows, np.arcsinh(zs), atol=1e-8)

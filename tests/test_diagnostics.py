@@ -140,9 +140,33 @@ class TestEnergy:
             prev = y
             expected.append(energy(mirror, gap, s, t, x, nu, bracket, problem.x_star))
         assert bracket > 0.0
-        # np.exp and math.exp may round exp(beta) differently by one ulp.
+        # y above uses math.exp, which may round differently from np.exp.
         np.testing.assert_allclose(energy_path(mirror, s, traj, problem.x_star), expected,
                                    rtol=1e-13, atol=1e-13)
+
+
+class TestArrayTimes:
+    @pytest.mark.parametrize("mirror", [quadratic_map(), quadratic_map(m_diag=[1.0, 2.0, 3.0]),
+                                        entropy_map()], ids=["identity", "diagonal", "entropy"])
+    def test_arrays_are_the_float_time_values(self, mirror):
+        rng = np.random.default_rng(19)
+        s = linear_schedule(alpha0=0.1, beta0=-0.3, gamma1=0.6, delta_T=0.5, horizon_T=2.0)
+        k = 9
+        ts, fs, brackets = rng.uniform(0.0, 2.0, (3, k))
+        xs, x_star = rng.uniform(0.5, 3.0, (k, 3)), rng.uniform(0.5, 3.0, 3)
+        nus, ps = 0.1 * rng.standard_normal((2, k, 3))
+        t = lambda i: ts[i] if isinstance(i, slice) else float(ts[i])
+        cases = [
+            (lagrangian, lambda i: (mirror, fs[i], s, t(i), xs[i], nus[i])),
+            (hamiltonian, lambda i: (mirror, fs[i], s, t(i), xs[i], ps[i])),
+            (energy, lambda i: (mirror, fs[i], s, t(i), xs[i], nus[i], brackets[i], x_star)),
+        ]
+        for fn, args in cases:
+            one = [fn(*args(i)) for i in range(k)]
+            assert all(isinstance(v, float) for v in one)
+            stacked = fn(*args(slice(None)))
+            assert stacked.shape == (k,)
+            np.testing.assert_array_equal(stacked, one)
 
 
 class TestAction:

@@ -111,6 +111,9 @@ class TestBuildExperiment:
         "schedule.params.delta_T = 19.3",
         "schedule.params.horizon_T = 2.0",
         "map.name = entropy\nmap.lower = 5\nmap.upper = 1",
+        # Vectors whose length is not problem.d = 3.
+        "optimizer.x0 = [1.0, 2.0]",
+        "map.m_diag = [1.0, 2.0]",
     ])
     def test_invalid_values_rejected(self, override):
         raw = parse_config_text(BASE_CONFIG + override + "\n")
@@ -130,10 +133,13 @@ class TestBuildExperiment:
 
     def test_null_value_reads_as_default(self):
         raw = parse_config_text(BASE_CONFIG + "diagnostics.bound_constant = null\n"
-                                "optimizer.fosp_substeps = null\n")
+                                "optimizer.fosp_substeps = null\n"
+                                'schedule.params = {"alpha0": 2.302585092994046, '
+                                '"beta0": null, "gamma1": 10.0}\n')
         exp = build_experiment(raw)
         assert exp.bound_constant == 10.0
         assert exp.optimizer_spec.fosp_substeps == 4
+        assert exp.schedule.beta(0.0) == 0.0      # linear_schedule's beta0
 
     def test_mesh_past_horizon_rejected(self):
         raw = parse_config_text(BASE_CONFIG + "mesh.steps = 200\n")
@@ -415,6 +421,8 @@ class TestCli:
         ("diagnostics.bound_constant = abc", "diagnostics.bound_constant"),
         ("map.name = entropy\nmap.lower = abc", "map.lower"),
         ("map.name = entropy\nmap.upper = abc", "map.upper"),
+        ('schedule.params = {"beta0": "abc"}', "schedule.params.beta0"),
+        ('schedule.family = polynomial\nschedule.params = {"p": "abc"}', "schedule.params.p"),
     ])
     def test_unreadable_value_is_config_error(self, override, key, tmp_path,
                                               monkeypatch, capsys):

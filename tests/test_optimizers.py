@@ -192,6 +192,11 @@ class TestRunOptimizer:
         assert traj.steps == 0
         assert traj.x_path.shape == (1, 3)
 
+    def test_wrong_length_x0_refused_before_any_step(self):
+        spec = self._martingale_spec(x0=np.ones(2))     # the model has d = 3
+        with pytest.raises(ValueError, match=r"x0 has shape \(2,\).*d = 3"):
+            run_optimizer(spec, None, 20, seed=0)
+
     def test_kernel_matches_generic_loop(self):
         # A diagonal quadratic map and the full-matrix map with the same
         # diagonal define the same update and must agree.
