@@ -33,9 +33,7 @@ from .gradient_models import (
     FilterDivergenceError,
     KalmanState,
     MartingaleGradientModel,
-    MartingaleStream,
     StateSpaceGradientModel,
-    StateSpaceStream,
     kalman_bucy_step,
     kalman_discrete_step,
     kalman_steady_gain,

@@ -15,8 +15,10 @@ Two priors on the gradient stream are supported:
   recursion's discrete Riccati equation, found by structure-preserving
   doubling in O(log 1/dt) steps.  One step of the recursion from that
   solution must then reproduce it to STEADY_GAIN_RESIDUAL.  The process
-  noise L dW has covariance L L' in every filter, as in the stream
-  simulator.
+  noise L dW has covariance L L' in every filter, as in simulate.
+
+Each model draws its seeded stream on a mesh in one block (simulate); the
+state-space model's discretization is written once, in discretize.
 
 All coordinates share the same latent dynamics, so one covariance P is
 maintained and applied row-wise to the d x dtilde filter mean.
@@ -33,8 +35,6 @@ __all__ = [
     "MartingaleGradientModel",
     "StateSpaceGradientModel",
     "KalmanState",
-    "MartingaleStream",
-    "StateSpaceStream",
     "martingale_filter",
     "kalman_mean_update",
     "kalman_discrete_step",
@@ -65,6 +65,14 @@ class FilterDivergenceError(RuntimeError):
     """Covariance or innovation variance left its admissible region."""
 
 
+def _mesh_steps(dts) -> np.ndarray:
+    """dts as a float array; ValueError unless it is 1-d and positive."""
+    dts = np.asarray(dts, dtype=float)
+    if dts.ndim != 1 or not np.all(dts > 0):
+        raise ValueError("dts must be a 1-d array of positive mesh steps")
+    return dts
+
+
 @dataclass(frozen=True)
 class MartingaleGradientModel:
     """Brownian gradient prior matched to mini-batching with n training
@@ -76,8 +84,8 @@ class MartingaleGradientModel:
     d: int = 1
 
     def __post_init__(self):
-        if self.sigma < 0:
-            raise ValueError("sigma must be >= 0")
+        if not (math.isfinite(self.sigma) and self.sigma >= 0):
+            raise ValueError("sigma must be finite and >= 0")
         if not (1 <= self.m <= self.n):
             raise ValueError("need 1 <= m <= n")
 
@@ -89,6 +97,16 @@ class MartingaleGradientModel:
     def filter_coefficient(self) -> float:
         # 1 / (1 + rho^2) = m / n exactly.
         return self.m / self.n
+
+    def simulate(self, dts, rng: np.random.Generator):
+        """(grad_true, g), each (K, d), on the K mesh steps dts.  Per step
+        both Brownian states advance by sqrt(dt) times d standard normals,
+        W^f's first, drawn for all K steps in one block and summed in step
+        order."""
+        dts = _mesh_steps(dts)
+        increments = np.sqrt(dts)[:, None, None] * rng.standard_normal((len(dts), 2, self.d))
+        w_f, w_e = np.moveaxis(np.cumsum(increments, axis=0), 1, 0)
+        return self.sigma * w_f, self.sigma * (w_f + math.sqrt(self.rho2) * w_e)
 
 
 @dataclass(frozen=True)
@@ -108,17 +126,19 @@ class StateSpaceGradientModel:
         object.__setattr__(self, "a_mat", a)
         object.__setattr__(self, "l_mat", l)
         object.__setattr__(self, "b_vec", b)
-        if self.sigma < 0:
-            raise ValueError("sigma must be >= 0")
+        if not (math.isfinite(self.sigma) and self.sigma >= 0):
+            raise ValueError("sigma must be finite and >= 0")
+        if not np.isfinite(b).all():
+            raise ValueError("b must be finite")
         for name, mat in (("A", a), ("L", l)):
-            if mat.shape != (self.dtilde, self.dtilde):
-                raise ValueError(f"{name} must be dtilde x dtilde")
-            if np.allclose(mat, 0):
-                continue
+            if mat.shape != (self.dtilde, self.dtilde) or not np.isfinite(mat).all():
+                raise ValueError(f"{name} must be a finite dtilde x dtilde matrix")
+        # L enters only as L w and L L', so any square L is a noise factor.
+        if not np.allclose(a, 0):
             try:
-                np.linalg.cholesky(0.5 * (mat + mat.T))
+                np.linalg.cholesky(0.5 * (a + a.T))
             except np.linalg.LinAlgError:
-                raise ValueError(f"{name} must be positive definite") from None
+                raise ValueError("A must be positive definite") from None
 
     @property
     def dtilde(self) -> int:
@@ -135,63 +155,32 @@ class StateSpaceGradientModel:
         p = np.linalg.solve(k, q.reshape(-1)).reshape(n, n)
         return 0.5 * (p + p.T)
 
+    def discretize(self, dts):
+        """The model on the K mesh steps dts = exp(-alpha): transitions
+        A_til_k = I - dt_k A (K, dtilde, dtilde), noise factors
+        L_til_k = dt_k L (K, dtilde, dtilde) and observation noise scales
+        sigma_k = sigma dt_k (K,); the model noise carries the same
+        exp(-alpha) factor as the mesh."""
+        dts = _mesh_steps(dts)
+        steps = dts[:, None, None]
+        return np.eye(self.dtilde) - steps * self.a_mat, steps * self.l_mat, self.sigma * dts
 
-class MartingaleStream:
-    """Seeded simulator of the martingale model's gradient stream.
-
-    Both Brownian states advance by independent N(0, dt) increments
-    scaled by sigma; the same seed reproduces the stream bit for bit.
-    """
-
-    def __init__(self, model: MartingaleGradientModel, rng: np.random.Generator):
-        self.model = model
-        self.rng = rng
-        self.w_f = np.zeros(model.d)
-        self.w_e = np.zeros(model.d)
-
-    def step(self, dt: float):
-        if dt <= 0:
-            raise ValueError("dt must be positive")
-        model = self.model
-        sqdt = math.sqrt(dt)
-        self.w_f = self.w_f + sqdt * self.rng.standard_normal(model.d)
-        self.w_e = self.w_e + sqdt * self.rng.standard_normal(model.d)
-        grad_true = model.sigma * self.w_f
-        rho = math.sqrt(model.rho2)
-        g = model.sigma * (self.w_f + rho * self.w_e)
-        return grad_true, g
-
-
-class StateSpaceStream:
-    """Seeded simulator of the discretized state-space model.
-
-    One mesh step of size dt = exp(-alpha) advances every latent row by
-        y <- (I - dt A) y + dt L w,      g = b'y + sigma dt xi,
-    with standard normal draws w, xi (the model noise carries the same
-    exp(-alpha) factor as the mesh).
-    """
-
-    def __init__(self, model: StateSpaceGradientModel, rng: np.random.Generator,
-                 y0: np.ndarray | None = None):
-        self.model = model
-        self.rng = rng
-        if y0 is None:
-            self.y = np.zeros((model.d, model.dtilde))
-        else:
-            self.y = np.array(y0, dtype=float).reshape(model.d, model.dtilde)
-
-    def step(self, dt: float):
-        if dt <= 0:
-            raise ValueError("dt must be positive")
-        model = self.model
-        a_til = np.eye(model.dtilde) - dt * model.a_mat
-        l_til = dt * model.l_mat
-        w = self.rng.standard_normal((model.d, model.dtilde))
-        xi = self.rng.standard_normal(model.d)
-        self.y = self.y @ a_til.T + w @ l_til.T
-        grad_true = self.y @ model.b_vec
-        g = grad_true + model.sigma * dt * xi
-        return grad_true, g
+    def simulate(self, dts, rng: np.random.Generator):
+        """(grad_true, g), each (K, d), of the discretized model from y = 0.
+        Step k advances every latent row by
+            y <- y A_til_k' + w L_til_k',      g = y b + sigma_k xi,
+        with standard normals w (d x dtilde) then xi (d), drawn for all K
+        steps in one block; only the current latent state is kept."""
+        a_tils, l_tils, sigmas = self.discretize(dts)
+        k_steps, d, n_w = len(sigmas), self.d, self.d * self.dtilde
+        draws = rng.standard_normal((k_steps, n_w + d))
+        w = draws[:, :n_w].reshape(k_steps, d, self.dtilde)
+        grad_true = np.empty((k_steps, d))
+        y = np.zeros((d, self.dtilde))
+        for k in range(k_steps):
+            y = y @ a_tils[k].T + w[k] @ l_tils[k].T
+            grad_true[k] = y @ self.b_vec
+        return grad_true, grad_true + sigmas[:, None] * draws[:, n_w:]
 
 
 @dataclass(frozen=True)

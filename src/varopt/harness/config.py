@@ -30,13 +30,14 @@ environment variable VAROPT_SEED, when set, overrides the seed list.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from ..bregman import MirrorMap, entropy_map, quadratic_map
+from ..bregman import DomainError, MirrorMap, entropy_map, quadratic_map
 from ..gradient_models import MartingaleGradientModel, StateSpaceGradientModel
 from ..optimizers import OPTIMIZER_KINDS, OptimizerSpec, _mesh_times
 from ..schedules import (
@@ -160,7 +161,7 @@ _SCHEDULE_FAMILIES = {
 def _value(cfg, key: str, default, convert=float):
     """The value at the dotted key of cfg passed through convert, or
     default when the key is absent or null; ConfigError naming the key
-    when the conversion fails."""
+    when the conversion fails or gives NaN or an infinity."""
     *sections, name = key.split(".")
     node = cfg
     for section in sections:
@@ -169,9 +170,13 @@ def _value(cfg, key: str, default, convert=float):
     if value is None:
         return default
     try:
-        return convert(value)
-    except (TypeError, ValueError) as exc:
+        result = convert(value)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{key} = {value!r} cannot be read: {exc}") from exc
+    if (isinstance(result, float) and not math.isfinite(result)
+            or isinstance(result, np.ndarray) and not np.isfinite(result).all()):
+        raise ConfigError(f"{key} = {value!r} is not finite")
+    return result
 
 
 def _floats(value) -> np.ndarray:
@@ -277,6 +282,11 @@ def build_experiment(cfg: dict) -> ExperimentConfig:
         spec.validate()
     except ValueError as exc:
         raise ConfigError(f"invalid optimizer spec: {exc}") from exc
+    if spec.x0 is not None:
+        try:
+            mirror.check_domain(spec.x0)
+        except DomainError as exc:
+            raise ConfigError(f"optimizer.x0 = {spec.x0.tolist()}: {exc}") from exc
 
     if "VAROPT_SEED" in os.environ:
         seeds = _value(os.environ, "VAROPT_SEED", None, lambda v: [int(v)])

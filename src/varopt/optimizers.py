@@ -25,9 +25,7 @@ from .diagnostics import Trajectory
 from .gradient_models import (
     FilterDivergenceError,
     MartingaleGradientModel,
-    MartingaleStream,
     StateSpaceGradientModel,
-    StateSpaceStream,
     _kalman_cov_step,
     _posterior_psd_prefix,
     kalman_mean_update,
@@ -263,14 +261,12 @@ def _filter_gains(spec: OptimizerSpec, dts: np.ndarray):
     failing step, and a PSD failure before a non-positive innovation
     variance wins.  The momentum kinds use the steady gain on every step."""
     model = spec.model
-    a_tils = np.eye(model.dtilde) - dts[:, None, None] * model.a_mat
+    a_tils, l_tils, sigmas = model.discretize(dts)
     if spec.kind != "kalman_gd":
         # Momentum kinds need a constant-alpha schedule, so dt is
         # constant and one steady gain serves every step.
-        dt0 = float(dts[0])
         try:
-            gain = kalman_steady_gain(a_tils[0], dt0 * model.l_mat, model.b_vec,
-                                      model.sigma * dt0)
+            gain = kalman_steady_gain(a_tils[0], l_tils[0], model.b_vec, float(sigmas[0]))
         except FilterDivergenceError as exc:
             return a_tils, [], exc
         return a_tils, [gain] * len(dts), None
@@ -280,10 +276,9 @@ def _filter_gains(spec: OptimizerSpec, dts: np.ndarray):
     p_posts = np.empty((len(dts), model.dtilde, model.dtilde))
     gains, error = [], None
     try:
-        for a_til, dt in zip(a_tils, dts.tolist()):
-            l_til = dt * model.l_mat
+        for a_til, l_til, sigma_d in zip(a_tils, l_tils, sigmas.tolist()):
             _, gain, _, p_post = _kalman_cov_step(p_post, a_til, l_til @ l_til.T,
-                                                  model.b_vec, model.sigma * dt)
+                                                  model.b_vec, sigma_d)
             p_posts[len(gains)] = p_post
             gains.append(gain)
     except FilterDivergenceError as exc:
@@ -293,8 +288,10 @@ def _filter_gains(spec: OptimizerSpec, dts: np.ndarray):
 
 
 def _run_steps(spec, problem, seed, x0, alphas, dts, phi, coeff, filt):
-    """The step loop of every kind and stream mode: observe g, filter it
-    with the gains in filt (filtered kinds), apply the kind's update rule.
+    """The step loop of every kind and stream mode: observe g (the
+    model's simulated stream, drawn before the loop, or a fresh
+    mini-batch gradient), filter it with the gains in filt (filtered
+    kinds), apply the kind's update rule.
     Returns (x_path, g_stream, y_path, error), y_path being the
     (K+1, d, dtilde) filter means of the filtered kinds and None
     otherwise.  When step k fails, the paths stop at X_k and error names
@@ -312,20 +309,19 @@ def _run_steps(spec, problem, seed, x0, alphas, dts, phi, coeff, filt):
         a_tils, gains, gain_error = filt
         y_path = np.zeros((k_steps + 1, d, model.dtilde))
         y_hat = y_path[0]
+    synthetic = spec.mode == "synthetic"
     k = 0
     try:
-        if spec.mode == "synthetic":
-            stream_type = (MartingaleStream if isinstance(model, MartingaleGradientModel)
-                           else StateSpaceStream)
-            stream = stream_type(model, component_rng(seed, "stream"))
-            observe = lambda x, dt: stream.step(dt)[1]
+        if synthetic:
+            g_stream[:] = model.simulate(dts, component_rng(seed, "stream"))[1]
         else:
             rng = component_rng(seed, "batch")
-            observe = lambda x, dt: problem.minibatch_gradient(x, spec.batch_m, rng)
 
         for k in range(k_steps):
-            dt = float(dts[k])
-            g = g_stream[k] = observe(x, dt)
+            if synthetic:
+                g = g_stream[k]
+            else:
+                g = g_stream[k] = problem.minibatch_gradient(x, spec.batch_m, rng)
             if spec.kind == "mirror_sgd":
                 x = mirror_descent_step(mirror, x, coeff * g, float(phi[k]))
             elif spec.kind == "fosp_continuous":
@@ -333,7 +329,7 @@ def _run_steps(spec, problem, seed, x0, alphas, dts, phi, coeff, filt):
                 effective = float(phi[k]) * coeff * g
                 for _ in range(spec.fosp_substeps):
                     x = fosp_flow_step(mirror, x, effective, float(alphas[k]),
-                                       dt / spec.fosp_substeps)
+                                       float(dts[k]) / spec.fosp_substeps)
             else:
                 if k == len(gains):
                     raise gain_error

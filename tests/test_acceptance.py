@@ -254,9 +254,11 @@ def test_criterion_07_learning_rate_paths():
     s = constant_schedule(alpha0=a0, beta0=b0, gamma0=g0, delta_T=dT,
                           horizon_T=T)
     w0 = math.exp(a0 + b0 + g0)
-    for t in np.linspace(0.0, T, 6):
-        expected = math.exp(-g0) * (math.exp(dT) - w0 * (T - t))
-        ok &= bool(abs(phi_scalar(s, float(t)) - expected) <= 1e-9)
+    # Phi(0) = exp(-g0) (e - 2.5 w0) is negative, which phi_scalar reports.
+    with pytest.warns(RuntimeWarning, match="opposite sign"):
+        for t in np.linspace(0.0, T, 6):
+            expected = math.exp(-g0) * (math.exp(dT) - w0 * (T - t))
+            ok &= bool(abs(phi_scalar(s, float(t)) - expected) <= 1e-9)
     # Vector path vs an independent fixed-grid quadrature oracle.
     s = linear_schedule(beta0=-0.3, beta1=0.2, gamma0=0.1, gamma1=0.7,
                         delta_T=1.2, horizon_T=2.0)

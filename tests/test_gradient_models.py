@@ -10,9 +10,7 @@ import pytest
 from varopt import (
     FilterDivergenceError,
     MartingaleGradientModel,
-    MartingaleStream,
     StateSpaceGradientModel,
-    StateSpaceStream,
     kalman_bucy_step,
     kalman_discrete_step,
     kalman_steady_gain,
@@ -83,10 +81,8 @@ class TestMartingaleModel:
 
     def test_full_batch_is_noiseless(self):
         model = MartingaleGradientModel(sigma=0.7, n=50, m=50, d=3)
-        stream = MartingaleStream(model, np.random.default_rng(0))
-        for _ in range(5):
-            grad_true, g = stream.step(0.1)
-            np.testing.assert_array_equal(g, grad_true)
+        grad_true, g = model.simulate(np.full(5, 0.1), np.random.default_rng(0))
+        np.testing.assert_array_equal(g, grad_true)
 
     def test_filter_rescales(self):
         model = MartingaleGradientModel(sigma=1.0, n=10, m=2, d=4)
@@ -96,17 +92,10 @@ class TestMartingaleModel:
     def test_stream_increment_statistics(self):
         model = MartingaleGradientModel(sigma=2.0, n=8, m=2, d=1)
         rng = np.random.default_rng(123)
-        stream = MartingaleStream(model, rng)
         dt = 0.25
-        prev_t, prev_g = np.zeros(1), np.zeros(1)
-        inc_t, inc_g = [], []
-        for _ in range(4000):
-            grad_true, g = stream.step(dt)
-            inc_t.append(grad_true - prev_t)
-            inc_g.append(g - prev_g)
-            prev_t, prev_g = grad_true, g
-        var_t = np.var(np.array(inc_t))
-        var_g = np.var(np.array(inc_g))
+        grad_true, g = model.simulate(np.full(4000, dt), rng)
+        var_t = np.var(np.diff(grad_true, axis=0, prepend=0.0))
+        var_g = np.var(np.diff(g, axis=0, prepend=0.0))
         # Var = sigma^2 dt and sigma^2 (1 + rho^2) dt = sigma^2 (n/m) dt.
         assert var_t == pytest.approx(4.0 * dt, rel=0.1)
         assert var_g == pytest.approx(4.0 * 4.0 * dt, rel=0.1)
@@ -138,20 +127,100 @@ class TestStateSpaceModel:
         model = StateSpaceGradientModel(a_mat=np.eye(2), l_mat=np.eye(2),
                                         b_vec=np.array([1.0, -1.0]), sigma=0.5,
                                         d=3)
-        s1 = StateSpaceStream(model, np.random.default_rng(42))
-        s2 = StateSpaceStream(model, np.random.default_rng(42))
-        for _ in range(10):
-            t1, g1 = s1.step(0.2)
-            t2, g2 = s2.step(0.2)
-            assert g1.shape == (3,)
-            np.testing.assert_array_equal(g1, g2)
-            np.testing.assert_array_equal(t1, t2)
+        t1, g1 = model.simulate(np.full(10, 0.2), np.random.default_rng(42))
+        t2, g2 = model.simulate(np.full(10, 0.2), np.random.default_rng(42))
+        assert g1.shape == t1.shape == (10, 3)
+        np.testing.assert_array_equal(g1, g2)
+        np.testing.assert_array_equal(t1, t2)
 
     def test_rejects_indefinite(self):
         with pytest.raises(ValueError):
             StateSpaceGradientModel(a_mat=np.array([[-1.0]]),
                                     l_mat=np.array([[1.0]]),
                                     b_vec=np.array([1.0]), sigma=1.0)
+
+    @pytest.mark.parametrize("l", [[[1.0, 0.0], [3.0, 1.0]], [[0.0, 1.0], [1.0, 0.0]],
+                                   [[1.0, 0.0], [0.0, 0.0]]],
+                             ids=["cholesky", "permutation", "rank-deficient"])
+    def test_accepts_any_square_noise_factor(self, l):
+        # L enters only as L w and L L', so neither L nor its symmetric
+        # part needs to be positive definite.
+        model = StateSpaceGradientModel(a_mat=0.5 * np.eye(2), l_mat=l,
+                                        b_vec=np.ones(2), sigma=0.5)
+        np.testing.assert_array_equal(model.l_mat, l)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["sigma", "a_mat", "l_mat", "b_vec"])
+    def test_rejects_nonfinite(self, name, bad):
+        kwargs = dict(a_mat=0.5 * np.eye(2), l_mat=np.eye(2), b_vec=np.ones(2), sigma=0.5)
+        value = np.array(kwargs[name], dtype=float)
+        value.flat[0] = bad
+        kwargs[name] = float(value) if name == "sigma" else value
+        with pytest.raises(ValueError, match="finite"):
+            StateSpaceGradientModel(**kwargs)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_martingale_rejects_nonfinite_sigma(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            MartingaleGradientModel(sigma=bad, n=10, m=2)
+
+
+def _stepwise_state_space(model, dts, rng):
+    """The per-step stream recursion: (d, dtilde) then d normals per step,
+    y <- y A_til' + w L_til', g = b'y + sigma dt xi."""
+    y = np.zeros((model.d, model.dtilde))
+    grad_true, g = [], []
+    for dt in dts.tolist():
+        a_til = np.eye(model.dtilde) - dt * model.a_mat
+        l_til = dt * model.l_mat
+        w = rng.standard_normal((model.d, model.dtilde))
+        xi = rng.standard_normal(model.d)
+        y = y @ a_til.T + w @ l_til.T
+        grad_true.append(y @ model.b_vec)
+        g.append(grad_true[-1] + model.sigma * dt * xi)
+    return np.array(grad_true), np.array(g)
+
+
+def _stepwise_martingale(model, dts, rng):
+    """The per-step stream recursion: two d-vectors of normals per step,
+    W^f's first, each scaled by sqrt(dt) and added to its state."""
+    w_f = w_e = np.zeros(model.d)
+    grad_true, g = [], []
+    for dt in dts.tolist():
+        sqdt = math.sqrt(dt)
+        w_f = w_f + sqdt * rng.standard_normal(model.d)
+        w_e = w_e + sqdt * rng.standard_normal(model.d)
+        grad_true.append(model.sigma * w_f)
+        g.append(model.sigma * (w_f + math.sqrt(model.rho2) * w_e))
+    return np.array(grad_true), np.array(g)
+
+
+def _simulate_cases():
+    rng = np.random.default_rng(8)
+    for dtilde in (1, 3):
+        a, l, b, sigma = _random_model(rng, dtilde)
+        model = StateSpaceGradientModel(a_mat=a, l_mat=l, b_vec=b, sigma=sigma, d=4)
+        yield pytest.param(model, _stepwise_state_space, id=f"state_space-dtilde{dtilde}")
+    yield pytest.param(MartingaleGradientModel(sigma=0.7, n=40, m=10, d=4),
+                       _stepwise_martingale, id="martingale")
+
+
+class TestSimulate:
+    @pytest.mark.parametrize("model, stepwise", _simulate_cases())
+    def test_block_draw_is_the_stepwise_recursion(self, model, stepwise):
+        dts = np.random.default_rng(1).uniform(0.01, 0.5, 40)
+        grad_true, g = model.simulate(dts, np.random.default_rng(11))
+        want_true, want_g = stepwise(model, dts, np.random.default_rng(11))
+        assert g.shape == grad_true.shape == (40, 4)
+        np.testing.assert_array_equal(grad_true, want_true)
+        np.testing.assert_array_equal(g, want_g)
+
+    @pytest.mark.parametrize("dts", [[0.1, 0.0], [0.1, -0.2], [0.1, np.nan], [[0.1]], 0.1],
+                             ids=["zero", "negative", "nan", "2-d", "0-d"])
+    @pytest.mark.parametrize("model, stepwise", _simulate_cases())
+    def test_rejects_a_bad_mesh(self, model, stepwise, dts):
+        with pytest.raises(ValueError, match="positive mesh steps"):
+            model.simulate(dts, np.random.default_rng(0))
 
 
 class TestDiscreteKalman:
@@ -201,17 +270,17 @@ class TestDiscreteKalman:
     def test_process_noise_covariance_matches_stream(self):
         # The stream adds L w, of covariance L L'; for a non-normal L this
         # differs from L'L = [[1, 0.9], [0.9, 0.9]].  With A = I and dt = 1
-        # one step from y = 0 leaves the rows at y = w L'.
+        # one step from y = 0 leaves the rows at y = w L', whose columns
+        # b = e_1 and b = e_2 read on the same draws.
         l = np.array([[1.0, 0.9], [0.0, 0.3]])
-        model = StateSpaceGradientModel(a_mat=np.eye(2), l_mat=l,
-                                        b_vec=np.array([1.0, 0.0]), sigma=1.0,
-                                        d=20_000)
-        stream = StateSpaceStream(model, np.random.default_rng(5))
-        stream.step(1.0)
+        y_cols = [StateSpaceGradientModel(a_mat=np.eye(2), l_mat=l, b_vec=b, sigma=1.0,
+                                          d=20_000).simulate(np.ones(1),
+                                                             np.random.default_rng(5))[0][0]
+                  for b in np.eye(2)]
         state = initial_kalman_state(1, 2, p0=np.zeros((2, 2)))
         state = kalman_discrete_step(state, np.zeros(1), np.zeros((2, 2)), l,
-                                     model.b_vec, 1.0)
-        np.testing.assert_allclose(state.p_pred, np.cov(stream.y.T), atol=0.05)
+                                     np.array([1.0, 0.0]), 1.0)
+        np.testing.assert_allclose(state.p_pred, np.cov(y_cols), atol=0.05)
 
     def test_degenerate_innovation_raises(self):
         state = initial_kalman_state(1, 1, p0=np.zeros((1, 1)))

@@ -423,6 +423,12 @@ class TestCli:
         ("map.name = entropy\nmap.upper = abc", "map.upper"),
         ('schedule.params = {"beta0": "abc"}', "schedule.params.beta0"),
         ('schedule.family = polynomial\nschedule.params = {"p": "abc"}', "schedule.params.p"),
+        ("model.sigma = NaN", "model.sigma"),
+        ("schedule.delta_T = NaN", "schedule.delta_T"),
+        ("schedule.T = -Infinity", "schedule.T"),
+        ("mesh.steps = Infinity", "mesh.steps"),
+        ("optimizer.x0 = [NaN, 1, 1]", "optimizer.x0"),
+        ("map.name = entropy\noptimizer.x0 = [-1, 1, 1]", "optimizer.x0"),
     ])
     def test_unreadable_value_is_config_error(self, override, key, tmp_path,
                                               monkeypatch, capsys):

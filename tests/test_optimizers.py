@@ -9,10 +9,8 @@ import pytest
 from varopt import (
     FilterDivergenceError,
     MartingaleGradientModel,
-    MartingaleStream,
     OptimizerSpec,
     StateSpaceGradientModel,
-    StateSpaceStream,
     build_mesh,
     constant_schedule,
     entropy_map,
@@ -292,13 +290,13 @@ def _hand_kalman_gd(spec, steps, seed):
     model, schedule = spec.model, spec.schedule
     times = build_mesh(schedule, steps).times[: steps + 1]
     phi = phi_vector_path(schedule, model.a_mat, model.b_vec, times[:-1])
-    stream = StateSpaceStream(model, component_rng(seed, "stream"))
+    dts = np.diff(times)
+    _, g_stream = model.simulate(dts, component_rng(seed, "stream"))
     state = initial_kalman_state(model.d, model.dtilde,
                                  model.stationary_covariance())
     x = spec.default_x0(model.d)
     path = [x]
-    for k, dt in enumerate(np.diff(times)):
-        _, g = stream.step(float(dt))
+    for k, (dt, g) in enumerate(zip(dts, g_stream)):
         state = kalman_discrete_step(state, g, np.eye(model.dtilde) - dt * model.a_mat,
                                      dt * model.l_mat, model.b_vec, model.sigma * dt)
         x = kalman_gd_step(spec.mirror, x, state.y_hat, phi[k])
@@ -312,11 +310,10 @@ def _hand_mirror_sgd(spec, steps, seed, stop=None):
     model, schedule = spec.model, spec.schedule
     times = build_mesh(schedule, steps).times[: steps + 1]
     phi = phi_scalar_path(schedule, times[:-1])
-    stream = MartingaleStream(model, component_rng(seed, "stream"))
+    _, g_stream = model.simulate(np.diff(times), component_rng(seed, "stream"))
     x = spec.default_x0(model.d)
     path = [x]
-    for k, dt in enumerate(np.diff(times)[:stop]):
-        _, g = stream.step(float(dt))
+    for k, g in enumerate(g_stream[:stop]):
         x = mirror_descent_step(spec.mirror, x, model.filter_coefficient * g,
                                 float(phi[k]))
         path.append(x)
@@ -329,15 +326,14 @@ def _hand_momentum(spec, steps, seed):
     model, schedule = spec.model, spec.schedule
     times = build_mesh(schedule, steps).times[: steps + 1]
     phi = phi_vector_path(schedule, model.a_mat, model.b_vec, times[:-1])
-    stream = StateSpaceStream(model, component_rng(seed, "stream"))
     dts = np.diff(times)
+    _, g_stream = model.simulate(dts, component_rng(seed, "stream"))
     eye = np.eye(model.dtilde)
     k_inf = kalman_steady_gain(eye - dts[0] * model.a_mat, dts[0] * model.l_mat,
                                model.b_vec, model.sigma * dts[0])
     x, y = spec.default_x0(model.d), np.zeros((model.d, model.dtilde))
     path = [x]
-    for k, dt in enumerate(dts):
-        _, g = stream.step(float(dt))
+    for k, (dt, g) in enumerate(zip(dts, g_stream)):
         x, y = generalized_momentum_step(spec.mirror, x, y, g, eye - dt * model.a_mat,
                                          k_inf, phi[k], model.b_vec)
         path.append(x)
@@ -427,6 +423,14 @@ def _ensemble_spec(kind, mode):
     return OptimizerSpec(kind=kind, mirror=quadratic_map(), schedule=schedule,
                          model=model, mode=mode,
                          batch_m=10 if mode == "empirical" else None)
+
+
+def test_kalman_gd_runs_with_a_cholesky_noise_factor():
+    spec = _ensemble_spec("kalman_gd", "synthetic")
+    spec.model = dataclasses.replace(spec.model, l_mat=np.array([[1.0, 0.0], [3.0, 1.0]]))
+    traj = run_optimizer(spec, None, 20, seed=0)
+    assert traj.error is None and traj.steps == 20
+    assert np.all(np.isfinite(traj.x_path))
 
 
 def _covariance_failure_spec(steps):
@@ -522,21 +526,21 @@ def test_covariance_failure_stops_every_seed_at_its_step(monkeypatch):
     # as the public step loop does.
     spec = _covariance_failure_spec(5)
     model = spec.model
-    calls = {"step": 0}
-    _count_calls(monkeypatch, StateSpaceStream, "step", calls)
+    calls = {"simulate": 0}
+    _count_calls(monkeypatch, StateSpaceGradientModel, "simulate", calls)
     seeds = [0, 1, 2]
     trajs = run_ensemble(spec, None, 5, seeds)
-    assert calls["step"] == 2 * len(seeds)
+    assert calls["simulate"] == len(seeds)
     phi = phi_vector_path(spec.schedule, model.a_mat, model.b_vec, np.arange(5.0))
     a_til = np.eye(2) - model.a_mat
     for seed, traj in zip(seeds, trajs):
-        stream = StateSpaceStream(model, component_rng(seed, "stream"))
+        _, g_stream = model.simulate(np.ones(2), component_rng(seed, "stream"))
         state = initial_kalman_state(model.d, 2, spec.p0)
-        state = kalman_discrete_step(state, stream.step(1.0)[1], a_til, model.l_mat,
+        state = kalman_discrete_step(state, g_stream[0], a_til, model.l_mat,
                                      model.b_vec, 0.0)
         x1 = kalman_gd_step(spec.mirror, np.zeros(3), state.y_hat, phi[0])
         with pytest.raises(FilterDivergenceError) as info:
-            kalman_discrete_step(state, stream.step(1.0)[1], a_til, model.l_mat,
+            kalman_discrete_step(state, g_stream[1], a_til, model.l_mat,
                                  model.b_vec, 0.0)
         assert traj.error == f"FilterDivergenceError at step 1: {info.value}"
         np.testing.assert_array_equal(traj.x_path, [np.zeros(3), x1])
