@@ -243,8 +243,14 @@ def kalman_mean_update(y_hat: np.ndarray, g_k: np.ndarray, a_tilde: np.ndarray,
     return pred_mean + np.outer(g_k - pred_mean @ b_vec, gain)
 
 
-def _innovation_error(s: float) -> FilterDivergenceError:
-    return FilterDivergenceError(f"innovation variance is not positive ({s:.3e})")
+def _innovation_variance(sigma_disc, b_p_b: float) -> float:
+    """sigma_disc^2 + b' P b; FilterDivergenceError unless it is positive
+    and finite.  The square is a float product, which overflows to inf
+    where ** raises OverflowError."""
+    s = float(sigma_disc) * float(sigma_disc) + b_p_b
+    if not 0 < s < math.inf:
+        raise FilterDivergenceError(f"innovation variance is not positive and finite ({s:.3e})")
+    return s
 
 
 def _kalman_cov_step(p_post, a_tilde, q, b_vec, sigma_disc):
@@ -256,9 +262,7 @@ def _kalman_cov_step(p_post, a_tilde, q, b_vec, sigma_disc):
 
 def _kalman_update(p_pred, b_vec, sigma_disc):
     """Measurement update of a predicted covariance: (gain, s, P_post)."""
-    s = sigma_disc ** 2 + float(b_vec @ p_pred @ b_vec)
-    if s <= 0:
-        raise _innovation_error(s)
+    s = _innovation_variance(sigma_disc, float(b_vec @ p_pred @ b_vec))
     gain = p_pred @ b_vec / s
     p_post = (np.eye(len(b_vec)) - np.outer(gain, b_vec)) @ p_pred
     return gain, s, 0.5 * (p_post + p_post.T)
@@ -325,9 +329,9 @@ def _steady_covariance(a_tilde, q, b_vec, sigma_disc) -> np.ndarray:
     where c = M^{-1} b, e' = b' H M^{-1} and s = sigma_disc^2 + e'b, all
     finite at sigma_disc = 0.  Since H W <= H, an update changes H by at
     most ||A||^2 ||H||, so the loop stops once ||A||_F^2 < eps.
-    FilterDivergenceError on a non-positive s, on a non-finite iterate (no
-    stabilizing solution, as with an unobserved unstable mode) and after
-    _MAX_DOUBLINGS doublings.
+    FilterDivergenceError on an s that is not positive and finite, on a
+    non-finite iterate (no stabilizing solution, as with an unobserved
+    unstable mode) and after _MAX_DOUBLINGS doublings.
     """
     eye = np.eye(len(b_vec))
     a, f, h = a_tilde.T, np.zeros_like(eye), q
@@ -336,9 +340,7 @@ def _steady_covariance(a_tilde, q, b_vec, sigma_disc) -> np.ndarray:
         for _ in range(_MAX_DOUBLINGS):
             m_inv = np.linalg.solve(eye + f @ h, eye)
             c, e = m_inv @ b_vec, b_vec @ h @ m_inv
-            s = sigma_disc ** 2 + float(e @ b_vec)
-            if not s > 0:
-                raise _innovation_error(s)
+            s = _innovation_variance(sigma_disc, float(e @ b_vec))
             w = m_inv - np.outer(c, e) / s
             f = f + a @ (w @ f + np.outer(c, b_vec) / s) @ a.T
             h = h + a.T @ h @ w @ a

@@ -183,6 +183,14 @@ def _floats(value) -> np.ndarray:
     return np.asarray(value, dtype=float)
 
 
+def _dimension(cfg, key: str, default: int) -> int:
+    """_value of an int; ConfigError naming key unless it is >= 1."""
+    value = _value(cfg, key, default, int)
+    if value < 1:
+        raise ConfigError(f"{key} = {value} must be >= 1")
+    return value
+
+
 def _vector(cfg, key: str, d: int):
     """_value of a float vector; ConfigError naming key unless its length is d."""
     value = _value(cfg, key, None, _floats)
@@ -233,11 +241,14 @@ def _build_model(cfg: dict, d: int):
             return MartingaleGradientModel(sigma=sigma, n=_value(cfg, "model.n", 1, int),
                                            m=_value(cfg, "model.m", 1, int), d=d)
         if kind == "state_space":
-            dtilde = _value(cfg, "model.dtilde", 1, int)
+            dtilde = _dimension(cfg, "model.dtilde", 1)
+            b = _value(cfg, "model.b", np.ones(dtilde), _floats)
+            if b.shape != (dtilde,):
+                raise ConfigError(f"model.b = {b.tolist()} does not have the length "
+                                  f"model.dtilde = {dtilde}")
             a, l = (_value(cfg, f"model.{key}", np.eye(dtilde), _floats).reshape(dtilde, dtilde)
                     for key in ("A", "L"))
-            return StateSpaceGradientModel(a_mat=a, l_mat=l, sigma=sigma, d=d,
-                                           b_vec=_value(cfg, "model.b", np.ones(dtilde), _floats))
+            return StateSpaceGradientModel(a_mat=a, l_mat=l, sigma=sigma, d=d, b_vec=b)
     except ValueError as exc:
         raise ConfigError(f"invalid gradient model: {exc}") from exc
     raise ConfigError(f"unknown model kind {kind!r}")
@@ -251,7 +262,7 @@ def build_experiment(cfg: dict) -> ExperimentConfig:
     mode = opt_section.get("mode", "empirical" if prob_section else "synthetic")
 
     problem = None
-    d = _value(cfg, "problem.d" if "d" in prob_section else "model.d", 2, int)
+    d = _dimension(cfg, "problem.d" if "d" in prob_section else "model.d", 2)
     if prob_section:
         kind = prob_section.get("kind", "quadratic")
         try:

@@ -7,22 +7,21 @@ potential term and gamma the overall energy.  A schedule "scales" when
 gamma' = exp(alpha) and beta' <= exp(alpha); those are the hypotheses of
 the convergence guarantees and are checked numerically here.
 
-The deterministic learning-rate paths are
+The deterministic learning-rate path is Phi(t) = exp(-gamma_t) b' M(t),
+where M solves the linear backward equation M' = w I - A M with the
+terminal condition M(T) = exp(delta_T) I,
 
-    scalar:  Phi(t) = exp(-gamma_t) (Phi0 + int_0^t w(u) du),
-             Phi0   = exp(delta_T) - int_0^T w(u) du,
-    vector:  Phi(t) = exp(-gamma_t) (b' expm(-A t) Phi0
-                                     + int_0^t w(u) b' expm(-A (t-u)) du),
-             Phi0   = exp(delta_T) expm(A T) - int_0^T w(u) expm(A u) du,
+    M(t) = exp(delta_T) expm(A (T - t)) - int_t^T w(u) expm(A (u - t)) du,
 
-with weight w(u) = exp(alpha_u + beta_u + gamma_u).  Both satisfy the
-terminal condition Phi(T) = exp(delta_T - gamma_T) (times b' in the
-vector case).  The scalar path is the vector one with A = 0 and b = 1,
-and a single time is a grid of length one, so all four phi_* functions
-evaluate one formula on a sorted grid in [t_min, T] and reject unsorted or
-out-of-horizon times with ValueError.  One adaptive Gauss-Legendre pass
-integrates over all grid intervals at once, with the matrix exponentials
-at its nodes from stacked scaling and squaring.
+with weight w(u) = exp(alpha_u + beta_u + gamma_u); the scalar path is
+the vector one with A = 0 and b = 1.  All four phi_* functions evaluate it
+on a sorted grid in [t_min, T] (a single time is a grid of length one) and
+reject unsorted or out-of-horizon times with ValueError.  M is propagated
+backward from T over the grid, one local integral per interval
+(_phi_path): for the linear family, whose weight is exp(c0 + c1 t), every
+interval's propagator and integral come from one stacked Van Loan block
+exponential; for any other schedule the local integrals come from one
+adaptive Gauss-Legendre pass (integrate_intervals) over all intervals.
 """
 
 from __future__ import annotations
@@ -80,6 +79,9 @@ class Schedule:
     # Earliest admissible time (nonzero for the polynomial family).
     t_min: float = 0.0
     name: str = "custom"
+    # c1 when log w = alpha + beta + gamma is affine, c0 + c1 t, as in the
+    # linear family; the learning-rate paths then integrate w in closed form.
+    weight_slope: Optional[float] = None
 
     def __post_init__(self):
         if not (self.horizon_T > 0):
@@ -154,6 +156,7 @@ def linear_schedule(alpha0=0.0, alpha1=0.0, beta0=0.0, beta1=0.0,
         beta_dot=lambda t: beta1 + 0.0 * t,
         gamma_dot=lambda t: gamma1 + 0.0 * t,
         name=name,
+        weight_slope=alpha1 + beta1 + gamma1,
     )
 
 
@@ -211,7 +214,10 @@ def build_mesh(schedule: Schedule, steps: int, t0: Optional[float] = None) -> Me
     t = schedule.t_min if t0 is None else t0
     times = [t]
     for _ in range(steps):
-        t = t + math.exp(-schedule.alpha(t))
+        try:
+            t = t + math.exp(-schedule.alpha(t))
+        except OverflowError:
+            t = math.inf
         if not math.isfinite(t):
             raise ValueError("mesh recursion produced a non-finite time")
         times.append(t)
@@ -322,11 +328,42 @@ def matrix_exp(m: np.ndarray) -> np.ndarray:
     return result
 
 
+def _local_propagators(schedule: Schedule, a_mat: np.ndarray, edges: np.ndarray):
+    """(expm(A Delta_i), J_i) for every interval [e_i, e_{i+1}] of edges,
+    J_i = int_{e_i}^{e_{i+1}} w(u) expm(A (u - e_i)) du, as (n, dtilde, dtilde)
+    stacks.  For a weight w(u) = w(v) exp(c1 (u - v)) (schedule.weight_slope),
+    both are blocks of one stacked exponential (Van Loan 1978):
+        expm([[A, I], [0, -c1 I]] Delta_i) = [[expm(A Delta_i), J_i / w(e_{i+1})],
+                                              [0,               exp(-c1 Delta_i) I]].
+    Otherwise J_i is the quadrature of its local, bounded integrand."""
+    lo, widths = edges[:-1], np.diff(edges)
+    n = len(a_mat)
+    if schedule.weight_slope is not None:
+        c1 = schedule.weight_slope
+        block = np.zeros((2 * n, 2 * n))
+        block[:n, :n], block[:n, n:], block[n:, n:] = a_mat, np.eye(n), -c1 * np.eye(n)
+        with np.errstate(over="raise"):  # exp(-c1 Delta) past the float range
+            blocks = matrix_exp(widths[:, None, None] * block)
+        return blocks[:, :n, :n], blocks[:, :n, n:] * _weight(schedule, edges[1:])[:, None, None]
+
+    def integrand(u):
+        # Quadrature nodes arrive from all intervals at once; each finds its
+        # interval's left edge.
+        left = lo[np.maximum(np.searchsorted(lo, u, side="right") - 1, 0)]
+        exps = matrix_exp(a_mat * (u - left)[:, None, None])
+        exps *= _weight(schedule, u)[:, None, None]
+        return exps
+
+    return matrix_exp(widths[:, None, None] * a_mat), integrate_intervals(integrand, edges)
+
+
 def _phi_path(schedule: Schedule, a_mat: np.ndarray, b_vec: np.ndarray,
               times) -> np.ndarray:
-    """Phi(t) = exp(-gamma_t) b' expm(-A t) (Phi0 + int_{t0}^t w(u) expm(A u) du)
-    on a sorted grid, with one quadrature pass over the intervals
-    [t0, t_1], [t_1, t_2], ..., [t_K, T].  Returns (len(times), dtilde)."""
+    """Phi(t) = exp(-gamma_t) b' M(t) on a sorted grid, with M propagated
+    backward over the edges t_1, ..., t_K, T from M(T) = exp(delta_T) I by
+        M(e_i) = expm(A Delta_i) M(e_{i+1}) - J_i
+    (_local_propagators).  Every M is a function of A, so b' M follows the
+    same recursion as a row.  Returns (len(times), dtilde)."""
     times = np.asarray(times, dtype=float)
     t0, T = schedule.t_min, schedule.horizon_T
     if times.ndim != 1 or not np.all(np.diff(times) >= 0):
@@ -334,16 +371,15 @@ def _phi_path(schedule: Schedule, a_mat: np.ndarray, b_vec: np.ndarray,
     if len(times) and not (t0 <= times[0] and times[-1] <= T + 1e-12):
         raise ValueError("times must lie in the schedule horizon")
 
-    def integrand(u):
-        exps = matrix_exp(a_mat * u[:, None, None])
-        exps *= _weight(schedule, u)[:, None, None]
-        return exps
-
-    cum = np.cumsum(integrate_intervals(integrand, np.concatenate(([t0], times, [T]))),
-                    axis=0)
-    phi0 = math.exp(schedule.delta_T) * matrix_exp(a_mat * T) - cum[-1]
-    heads = b_vec @ matrix_exp(-a_mat * times[:, None, None])
-    out = _exp(-schedule.gamma(times))[:, None] * np.einsum("ki,kij->kj", heads, phi0 + cum[:-1])
+    edges = np.append(np.minimum(times, T), T)  # a time within 1e-12 past T is T
+    steps, jumps = _local_propagators(schedule, a_mat, edges)
+    row = math.exp(schedule.delta_T) * b_vec
+    rows = [row]                                   # b' M at T, t_K, ..., t_1
+    for step, b_jump in zip(steps[::-1], b_vec @ jumps[::-1]):
+        row = row @ step - b_jump
+        rows.append(row)
+    out = (_exp(-schedule.gamma(times))[:, None]
+           * np.reshape(rows[:0:-1], (len(times), len(b_vec))))
     # A component of opposite sign to b turns descent into ascent; a
     # negative b_j makes Phi_j negative by construction.
     if np.any(out * b_vec < 0):

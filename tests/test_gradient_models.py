@@ -288,6 +288,18 @@ class TestDiscreteKalman:
             kalman_discrete_step(state, np.array([1.0]), np.array([[1.0]]),
                                  np.zeros((1, 1)), np.array([1.0]), 0.0)
 
+    @pytest.mark.parametrize("sigma_d", [1e308, np.float64(1e308), math.nan],
+                             ids=["float", "float64", "nan"])
+    def test_innovation_variance_must_be_finite(self, sigma_d):
+        # sigma_d^2 overflows a float; the step refuses it rather than
+        # filtering with a zero gain.
+        state = initial_kalman_state(2, 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FilterDivergenceError, match="positive and finite"):
+                kalman_discrete_step(state, np.ones(2), np.array([[0.9]]),
+                                     np.array([[0.1]]), np.array([1.0]), sigma_d)
+
 
 def _two_mode_model(dt):
     """A_til, L_til and b of A = [[0.5, 0.1], [0.1, 0.4]], L = 0.5 I,
@@ -333,6 +345,14 @@ class TestSteadyGain:
             with pytest.raises(FilterDivergenceError, match="stabilizing"):
                 kalman_steady_gain(np.diag([1.1, 0.5]), np.eye(2),
                                    np.array([0.0, 1.0]), 1.0)
+
+    @pytest.mark.parametrize("sigma_d", [1e308, np.float64(1e308), math.nan],
+                             ids=["float", "float64", "nan"])
+    def test_innovation_variance_must_be_finite(self, sigma_d):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FilterDivergenceError, match="positive and finite"):
+                kalman_steady_gain(*_two_mode_model(0.1)[:3], sigma_d)
 
     def test_scalar_half(self):
         gain = kalman_steady_gain(np.array([[0.0]]), np.array([[1.0]]),

@@ -44,6 +44,24 @@ optimizer.mode = empirical
 seeds = [0, 1, 2]
 """
 
+# kalman_gd on the simulated state-space stream of a 3-dimensional latent state.
+KALMAN_CONFIG = """
+map.name = quadratic
+schedule.family = constant
+schedule.params = {"alpha0": 3.2188758248682006, "beta0": -7.824046010856292}
+schedule.T = 20.0
+mesh.steps = 10
+model.kind = state_space
+model.d = 4
+model.dtilde = 3
+model.A = [[0.1, 0.05, 0.05], [0.05, 0.1, 0.05], [0.05, 0.05, 0.1]]
+model.b = [1.0, 0.5, 0.25]
+model.sigma = 0.5
+optimizer.kind = kalman_gd
+optimizer.mode = synthetic
+seeds = [0, 1]
+"""
+
 
 def _write_config(tmp_path, text, name="exp.cfg"):
     path = tmp_path / name
@@ -443,6 +461,50 @@ class TestCli:
                             "schedule.delta_T = 1.0\nschedule.T = 2.0\nmesh.steps = 2\n")
         assert main(["run", cfg]) == EXIT_NUMERICAL
         assert "overflow" in capsys.readouterr().err
+
+    def test_mesh_overflow_is_config_error(self, tmp_path, capsys):
+        # alpha turns negative, so exp(-alpha) overflows before the mesh
+        # passes the horizon check.
+        cfg = _write_config(tmp_path, BASE_CONFIG
+                            + 'schedule.params = {"alpha0": 1.0, "alpha1": -0.2}\n'
+                            "schedule.T = 3.0\nmesh.steps = 40\n")
+        assert main(["run", cfg]) == EXIT_CONFIG
+        assert "mesh.steps = 40: mesh recursion produced a non-finite time" in (
+            capsys.readouterr().err)
+
+    @pytest.mark.parametrize("base, override, key", [
+        (KALMAN_CONFIG, "model.d = 0", "model.d = 0"),
+        (KALMAN_CONFIG, "model.d = -1", "model.d = -1"),
+        (KALMAN_CONFIG, "model.dtilde = 0", "model.dtilde = 0"),
+        (BASE_CONFIG, "problem.d = 0", "problem.d = 0"),
+    ], ids=["model.d=0", "model.d=-1", "model.dtilde=0", "problem.d=0"])
+    def test_dimension_below_one_is_config_error(self, base, override, key, tmp_path,
+                                                 monkeypatch, capsys):
+        monkeypatch.delenv("VAROPT_SEED", raising=False)
+        cfg = _write_config(tmp_path, base + f"output = {tmp_path}/out\n{override}\n")
+        assert main(["run", cfg]) == EXIT_CONFIG
+        assert f"{key} must be >= 1" in capsys.readouterr().err
+
+    def test_b_length_is_checked_against_dtilde(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path, KALMAN_CONFIG + f"output = {tmp_path}/out\n"
+                            "model.dtilde = 1\nmodel.b = [1, 2]\n")
+        assert main(["run", cfg]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "model.b = [1.0, 2.0] does not have the length model.dtilde = 1" in err
+        assert "A must be" not in err
+
+    # sigma^2 overflows a float: the kalman_gd gain pass and the steady
+    # gain of the momentum kinds both refuse the infinite innovation variance.
+    @pytest.mark.parametrize("kind", ["kalman_gd", "generalized_momentum"])
+    def test_sigma_overflow_fails_every_seed(self, kind, tmp_path, monkeypatch, capsys):
+        monkeypatch.delenv("VAROPT_SEED", raising=False)
+        cfg = _write_config(tmp_path, KALMAN_CONFIG + f"output = {tmp_path}/out\n"
+                            f"model.sigma = 1e308\noptimizer.kind = {kind}\n")
+        assert main(["run", cfg]) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        for seed in (0, 1):
+            assert (f"seed {seed} failed: FilterDivergenceError at step 0: innovation "
+                    "variance is not positive and finite (inf)") in err
 
     def test_seed_failure_is_numerical_error(self, tmp_path, capsys):
         cfg = _write_config(tmp_path, BASE_CONFIG + f"output = {tmp_path}/out\n"

@@ -20,6 +20,7 @@ from varopt import (
     phi_vector,
     polynomial_schedule,
 )
+from varopt import schedules as schedules_module
 from varopt.schedules import integrate_intervals, phi_scalar_path, phi_vector_path
 
 
@@ -81,6 +82,12 @@ class TestMesh:
     def test_polynomial_starts_at_t_min(self):
         s = polynomial_schedule(p=2.0, t_min=0.5, horizon_T=4.0)
         assert build_mesh(s, 3).times[0] == 0.5
+
+    def test_overflowing_step_is_a_non_finite_time(self):
+        # alpha = 1 - 0.2 t turns negative and exp(-alpha) overflows a float.
+        s = linear_schedule(alpha0=1.0, alpha1=-0.2, horizon_T=3.0)
+        with pytest.raises(ValueError, match="non-finite time"):
+            build_mesh(s, 40)
 
     def test_invalid_mesh_rejected(self):
         with pytest.raises(ValueError):
@@ -313,6 +320,77 @@ class TestVectorPath:
         s = constant_schedule(horizon_T=1.0)
         with pytest.raises(ValueError):
             phi_vector(s, np.array([[-1.0]]), np.array([1.0]), 0.5)
+
+
+def _without_weight_slope(s):
+    """The same schedule functions in a plain Schedule, whose paths take
+    their local integrals by quadrature."""
+    return Schedule(alpha=s.alpha, beta=s.beta, gamma=s.gamma, delta_T=s.delta_T,
+                    horizon_T=s.horizon_T)
+
+
+def _path_rel_err(got, expected):
+    return np.max(np.abs(got - expected).max(axis=1) / np.abs(expected).max(axis=1))
+
+
+# Non-symmetric, with a positive definite symmetric part.
+_A_NONSYM = np.array([[0.5, 0.3, 0.0], [-0.1, 0.4, 0.2], [0.05, -0.2, 0.6]])
+
+
+class TestPropagator:
+    def test_van_loan_matches_local_quadrature(self):
+        # alpha1 != 0, so the mesh steps and the Van Loan intervals vary.
+        s = linear_schedule(alpha0=1.0, alpha1=0.3, beta0=-0.5, beta1=0.2,
+                            gamma0=0.1, gamma1=0.7, delta_T=4.0, horizon_T=3.0)
+        assert s.weight_slope == pytest.approx(1.2)
+        times = build_mesh(s, 12).times
+        times = times[times < s.horizon_T]
+        assert np.ptp(np.diff(times)) > 0.1
+        b = np.array([1.0, 0.6, 0.3])
+        got = phi_vector_path(s, _A_NONSYM, b, times)
+        expected = phi_vector_path(_without_weight_slope(s), _A_NONSYM, b, times)
+        assert _path_rel_err(got, expected) <= 1e-10
+
+    @given(alpha0=st.floats(-1.0, 2.0), alpha1=st.floats(-0.5, 0.5),
+           beta0=st.floats(-1.0, 1.0), beta1=st.floats(-1.0, 1.0),
+           gamma0=st.floats(-1.0, 1.0), gamma1=st.floats(0.0, 3.0),
+           horizon=st.floats(0.5, 4.0), steps=st.integers(1, 30),
+           a_scale=st.floats(0.01, 1.0))
+    @settings(max_examples=40, deadline=None)
+    def test_van_loan_matches_local_quadrature_random(self, alpha0, alpha1, beta0, beta1,
+                                                      gamma0, gamma1, horizon, steps,
+                                                      a_scale):
+        # delta_T leaves exp(delta_T) at least twice the integral of the
+        # weight, so no cancellation hides a difference of the two paths.
+        kw = dict(alpha0=alpha0, alpha1=alpha1, beta0=beta0, beta1=beta1,
+                  gamma0=gamma0, gamma1=gamma1, horizon_T=horizon)
+        log_max_w = alpha0 + beta0 + gamma0 + max((alpha1 + beta1 + gamma1) * horizon, 0.0)
+        s = linear_schedule(delta_T=log_max_w + math.log(2.0 * horizon) + 1.0, **kw)
+        times = np.linspace(0.0, horizon, steps + 1)[:-1] ** 1.5 / horizon ** 0.5
+        a, b = a_scale * _A_NONSYM, np.array([1.0, 0.6, 0.3])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            got = phi_vector_path(s, a, b, times)
+            expected = phi_vector_path(_without_weight_slope(s), a, b, times)
+        assert _path_rel_err(got, expected) <= 1e-10
+
+    @pytest.mark.parametrize("family", ["constant", "linear"])
+    def test_linear_family_path_is_one_matrix_exp(self, family, monkeypatch):
+        calls = []
+        original = schedules_module.matrix_exp
+
+        def counting(m):
+            calls.append(np.shape(m))
+            return original(m)
+
+        monkeypatch.setattr(schedules_module, "matrix_exp", counting)
+        s = _FAMILIES[family]()
+        times = np.linspace(0.0, s.horizon_T, 20, endpoint=False)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # delta_T = 0: Phi < 0
+            phi_vector_path(s, _A_NONSYM, np.array([1.0, 0.6, 0.3]), times)
+            phi_scalar_path(s, times)
+        assert calls == [(20, 6, 6), (20, 2, 2)]
 
 
 _FAMILIES = {
