@@ -74,11 +74,18 @@ class MirrorMap:
             raise ValueError("Lipschitz constant must satisfy lip >= mu")
 
     def check_domain(self, x: np.ndarray) -> None:
+        """DomainError unless every point of x (..., d) is finite and in the
+        domain, checked once for the whole stack; the error names the first
+        point that is not, so a one-row stack reports as its point."""
         x = np.asarray(x, dtype=float)
-        if not np.all(np.isfinite(x)) or not self.in_domain(x):
-            raise DomainError(
-                f"point outside the domain of mirror map {self.name!r}: {x!r}"
-            )
+        if np.isfinite(x).all() and self.in_domain(x):
+            return
+        for point in x.reshape(-1, x.shape[-1]) if x.ndim else [x]:
+            if not (np.isfinite(point).all() and self.in_domain(point)):
+                break
+        raise DomainError(
+            f"point outside the domain of mirror map {self.name!r}: {point!r}"
+        )
 
 
 def quadratic_map(m_diag=None, m_full=None) -> MirrorMap:
@@ -140,7 +147,7 @@ def entropy_map(lower: float = 0.05, upper: float = 20.0) -> MirrorMap:
         hess_h=lambda x: np.diag(1.0 / x),
         mu=1.0 / upper,
         lip=1.0 / lower,
-        in_domain=lambda x: bool(np.all(x > 0)),
+        in_domain=lambda x: bool((x > 0).all()),
     )
 
 

@@ -175,12 +175,22 @@ def energy_path(mirror: MirrorMap, schedule: Schedule, traj: Trajectory,
     Sum <grad h(Y_{k+1}) - grad h(Y_k), Y_{k+1} - Y_k> as the bracket,
     summed in step order.
     """
-    times = traj.times[:-1]
-    ys = _displaced(schedule, times, traj.x_path[:-1], traj.nu_path)
-    bracket = np.zeros(len(ys))
-    bracket[1:] = np.cumsum(np.vecdot(np.diff(mirror.grad_h(ys), axis=0), np.diff(ys, axis=0)))
-    return energy(mirror, traj.loss_gap[:-1], schedule, times, traj.x_path[:-1],
-                  traj.nu_path, bracket, x_star)
+    return _energy_paths(mirror, schedule, traj.times, traj.x_path[None], traj.nu_path[None],
+                         traj.loss_gap[None], x_star)[0]
+
+
+def _energy_paths(mirror: MirrorMap, schedule: Schedule, times: np.ndarray,
+                  x_paths: np.ndarray, nu_paths: np.ndarray, gap_paths: np.ndarray,
+                  x_star: np.ndarray) -> np.ndarray:
+    """energy_path of S trajectories on the same mesh times (K+1,), from
+    their stacked iterates (S, K+1, d), displacements (S, K, d) and loss
+    gaps (S, K+1): one energy path per row, (S, K)."""
+    times, x_paths, gaps = times[:-1], x_paths[:, :-1], gap_paths[:, :-1]
+    ys = _displaced(schedule, times, x_paths, nu_paths)
+    bracket = np.zeros(ys.shape[:2])
+    bracket[:, 1:] = np.cumsum(np.vecdot(np.diff(mirror.grad_h(ys), axis=1),
+                                         np.diff(ys, axis=1)), axis=1)
+    return energy(mirror, gaps, schedule, times, x_paths, nu_paths, bracket, x_star)
 
 
 def ensemble_report(times: np.ndarray, energy_paths: np.ndarray,

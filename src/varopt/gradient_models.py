@@ -18,7 +18,11 @@ Two priors on the gradient stream are supported:
   noise L dW has covariance L L' in every filter, as in simulate.
 
 Each model draws its seeded stream on a mesh in one block (simulate); the
-state-space model's discretization is written once, in discretize.
+state-space model's discretization is written once, in discretize.  An
+ensemble draws the streams of all its seeds with one call, each seed from
+its own generator, and the latent recursion advances the states of all
+seeds together; each row is bit for bit that seed's simulate.  The
+filter-mean step acts on one d x dtilde mean or on a stack of them.
 
 All coordinates share the same latent dynamics, so one covariance P is
 maintained and applied row-wise to the d x dtilde filter mean.
@@ -26,6 +30,7 @@ maintained and applied row-wise to the d x dtilde filter mean.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -103,9 +108,17 @@ class MartingaleGradientModel:
         both Brownian states advance by sqrt(dt) times d standard normals,
         W^f's first, drawn for all K steps in one block and summed in step
         order."""
+        return tuple(path[0] for path in self._simulate_seeds(dts, [rng]))
+
+    def _simulate_seeds(self, dts, rngs):
+        """simulate for every generator of rngs at once: (grad_true, g),
+        each (S, K, d), row i drawn from rngs[i] alone."""
         dts = _mesh_steps(dts)
-        increments = np.sqrt(dts)[:, None, None] * rng.standard_normal((len(dts), 2, self.d))
-        w_f, w_e = np.moveaxis(np.cumsum(increments, axis=0), 1, 0)
+        increments = np.empty((len(rngs), len(dts), 2, self.d))
+        for rng, block in zip(rngs, increments):
+            rng.standard_normal(out=block)
+        increments *= np.sqrt(dts)[:, None, None]
+        w_f, w_e = np.moveaxis(np.cumsum(increments, axis=1), 2, 0)
         return self.sigma * w_f, self.sigma * (w_f + math.sqrt(self.rho2) * w_e)
 
 
@@ -171,16 +184,25 @@ class StateSpaceGradientModel:
             y <- y A_til_k' + w L_til_k',      g = y b + sigma_k xi,
         with standard normals w (d x dtilde) then xi (d), drawn for all K
         steps in one block; only the current latent state is kept."""
+        return tuple(path[0] for path in self._simulate_seeds(dts, [rng]))
+
+    def _simulate_seeds(self, dts, rngs):
+        """simulate for every generator of rngs at once: (grad_true, g),
+        each (S, K, d).  Each generator fills its own block of draws, and
+        the latent recursion advances the (S, d, dtilde) stack of states,
+        so row i is bit for bit simulate(dts, rngs[i])."""
         a_tils, l_tils, sigmas = self.discretize(dts)
-        k_steps, d, n_w = len(sigmas), self.d, self.d * self.dtilde
-        draws = rng.standard_normal((k_steps, n_w + d))
-        w = draws[:, :n_w].reshape(k_steps, d, self.dtilde)
-        grad_true = np.empty((k_steps, d))
-        y = np.zeros((d, self.dtilde))
+        n_seeds, k_steps, d, n_w = len(rngs), len(sigmas), self.d, self.d * self.dtilde
+        draws = np.empty((n_seeds, k_steps, n_w + d))
+        for rng, block in zip(rngs, draws):
+            rng.standard_normal(out=block)
+        w = draws[..., :n_w].reshape(n_seeds, k_steps, d, self.dtilde)
+        grad_true = np.empty((n_seeds, k_steps, d))
+        y = np.zeros((n_seeds, d, self.dtilde))
         for k in range(k_steps):
-            y = y @ a_tils[k].T + w[k] @ l_tils[k].T
-            grad_true[k] = y @ self.b_vec
-        return grad_true, grad_true + sigmas[:, None] * draws[:, n_w:]
+            y = y @ a_tils[k].T + w[:, k] @ l_tils[k].T
+            grad_true[:, k] = y @ self.b_vec
+        return grad_true, grad_true + sigmas[:, None] * draws[..., n_w:]
 
 
 @dataclass(frozen=True)
@@ -238,9 +260,11 @@ def _posterior_psd_prefix(p_posts: np.ndarray):
 def kalman_mean_update(y_hat: np.ndarray, g_k: np.ndarray, a_tilde: np.ndarray,
                        b_vec: np.ndarray, gain: np.ndarray) -> np.ndarray:
     """Filter-mean step of every coordinate row with a given gain:
-    y_hat' = y_hat A_til' + (g - y_hat A_til' b) gain'."""
-    pred_mean = y_hat @ a_tilde.T                             # d x dtilde
-    return pred_mean + np.outer(g_k - pred_mean @ b_vec, gain)
+    y_hat' = y_hat A_til' + (g - y_hat A_til' b) gain', for one mean
+    (d, dtilde) observed through g (d,) or a stack (..., d, dtilde) with
+    g (..., d)."""
+    pred_mean = y_hat @ a_tilde.T                             # ... x d x dtilde
+    return pred_mean + (g_k - pred_mean @ b_vec)[..., None] * gain
 
 
 def _innovation_variance(sigma_disc, b_p_b: float) -> float:
@@ -251,6 +275,14 @@ def _innovation_variance(sigma_disc, b_p_b: float) -> float:
     if not 0 < s < math.inf:
         raise FilterDivergenceError(f"innovation variance is not positive and finite ({s:.3e})")
     return s
+
+
+@functools.lru_cache(maxsize=None)
+def _identity(n: int) -> np.ndarray:
+    """The read-only n x n identity, built once per n."""
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return eye
 
 
 def _kalman_cov_step(p_post, a_tilde, q, b_vec, sigma_disc):
@@ -264,7 +296,7 @@ def _kalman_update(p_pred, b_vec, sigma_disc):
     """Measurement update of a predicted covariance: (gain, s, P_post)."""
     s = _innovation_variance(sigma_disc, float(b_vec @ p_pred @ b_vec))
     gain = p_pred @ b_vec / s
-    p_post = (np.eye(len(b_vec)) - np.outer(gain, b_vec)) @ p_pred
+    p_post = (_identity(len(b_vec)) - gain[:, None] * b_vec) @ p_pred
     return gain, s, 0.5 * (p_post + p_post.T)
 
 

@@ -105,14 +105,14 @@ def run_experiment(config: ExperimentConfig, write: bool = True) -> RunArtifacts
     complete = [t for t in trajectories if t.error is None and t.steps == config.steps]
     empirical = spec.mode == "empirical" and config.problem is not None
     if complete and empirical and config.steps > 0:
-        energy_paths = np.stack([
-            diag.energy_path(config.mirror, config.schedule, t, config.problem.x_star)
-            for t in complete
-        ])
-        gap_paths = np.stack([t.loss_gap[:-1] for t in complete])
+        gap_paths = np.stack([t.loss_gap for t in complete])
+        energy_paths = diag._energy_paths(
+            config.mirror, config.schedule, complete[0].times,
+            np.stack([t.x_path for t in complete]), np.stack([t.nu_path for t in complete]),
+            gap_paths, config.problem.x_star)
         qv_paths = np.stack([t.qv_path[:-1] for t in complete])
         report = diag.ensemble_report(complete[0].times[:-1], energy_paths,
-                                      gap_paths, qv_paths)
+                                      gap_paths[:, :-1], qv_paths)
         supermartingale = diag.supermartingale_check(energy_paths)
         rate = diag.rate_bound_check(report, config.schedule,
                                      bound_constant=config.bound_constant)

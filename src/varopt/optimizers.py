@@ -10,6 +10,15 @@ Kalman-filtered latent state contracted with a vector learning rate
 (Kalman gradient descent), or a steady-state filter recursion
 (generalized / Polyak momentum).  No rule ever sees the true gradient;
 optimizers consume only the observation stream g.
+
+Each update is one private array kernel on stacks of points; the public
+*_step functions convert and check their inputs, then call it.  An
+ensemble runs one step loop for all S seeds: iterates (S, d), filter
+means (S, d, dtilde) and the observed stream (S, K, d) advance together,
+with one domain check per step on the whole stack, and every row equals
+its seed's one-seed run bit for bit.  Failures stay per seed: a step that
+raises for the stack is rerun row by row, and a row that raises records
+its error, ends its paths at X_k and leaves the stack.
 """
 
 from __future__ import annotations
@@ -57,13 +66,36 @@ OPTIMIZER_KINDS = (
 _FILTERED_KINDS = ("kalman_gd", "generalized_momentum", "polyak_momentum")
 
 
+def _mirror_update(mirror: MirrorMap, x: np.ndarray, step: np.ndarray) -> np.ndarray:
+    """grad_h*(grad_h(X) - step) for points X (..., d); no conversion, no checks."""
+    return grad_dual(mirror, mirror.grad_h(x) - step)
+
+
+def _flow_update(mirror: MirrorMap, x: np.ndarray, effective: np.ndarray,
+                 alpha_t: float, dt: float) -> np.ndarray:
+    """Euler step X + dt exp(alpha) (grad_h*(grad_h(X) - effective) - X)
+    for points X (..., d); no conversion, no checks."""
+    return x + dt * math.exp(alpha_t) * (_mirror_update(mirror, x, effective) - x)
+
+
+def _filtered_update(mirror: MirrorMap, x: np.ndarray, y_hat: np.ndarray, g: np.ndarray,
+                     a_tilde: np.ndarray, b_vec: np.ndarray, gain: np.ndarray,
+                     phi_vec: np.ndarray):
+    """(X', y_hat') of the filtered kinds for points X (..., d), filter
+    means (..., d, dtilde) and observations (..., d): the filter-mean step
+    with the given gain, then the mirror update by y_hat' phi; no
+    conversion, no checks."""
+    y_new = kalman_mean_update(y_hat, g, a_tilde, b_vec, gain)
+    return _mirror_update(mirror, x, y_new @ phi_vec), y_new
+
+
 def mirror_descent_step(mirror: MirrorMap, x: np.ndarray, g: np.ndarray,
                         phi: float) -> np.ndarray:
     """X' = grad_h*(grad_h(X) - phi g).  With the identity quadratic map
     this is exactly X - phi g."""
     x = np.asarray(x, dtype=float)
     mirror.check_domain(x)
-    x_new = grad_dual(mirror, mirror.grad_h(x) - phi * np.asarray(g, dtype=float))
+    x_new = _mirror_update(mirror, x, phi * np.asarray(g, dtype=float))
     mirror.check_domain(x_new)
     return x_new
 
@@ -72,9 +104,12 @@ def kalman_gd_step(mirror: MirrorMap, x: np.ndarray, y_hat: np.ndarray,
                    phi_vec: np.ndarray) -> np.ndarray:
     """Mirror update driven by the filtered latent state: the dual-space
     step is sum_j phi_j y_hat[:, j]."""
+    x = np.asarray(x, dtype=float)
+    mirror.check_domain(x)
     y_hat = np.atleast_2d(np.asarray(y_hat, dtype=float))
-    effective = y_hat @ np.atleast_1d(np.asarray(phi_vec, dtype=float))
-    return mirror_descent_step(mirror, x, effective, 1.0)
+    x_new = _mirror_update(mirror, x, y_hat @ np.atleast_1d(np.asarray(phi_vec, dtype=float)))
+    mirror.check_domain(x_new)
+    return x_new
 
 
 def generalized_momentum_step(mirror: MirrorMap, x: np.ndarray, y_hat: np.ndarray,
@@ -88,11 +123,16 @@ def generalized_momentum_step(mirror: MirrorMap, x: np.ndarray, y_hat: np.ndarra
     X' = kalman_gd_step(X, y_hat').  b_vec defaults to all-ones (the
     scalar reduction b = 1).
     """
-    a_tilde = np.atleast_2d(np.asarray(a_tilde, dtype=float))
+    x = np.asarray(x, dtype=float)
+    mirror.check_domain(x)
     k_inf = np.atleast_1d(np.asarray(k_inf, dtype=float))
     b_vec = np.ones(len(k_inf)) if b_vec is None else np.atleast_1d(np.asarray(b_vec, dtype=float))
-    y_new = kalman_mean_update(y_hat, g, a_tilde, b_vec, k_inf)
-    return kalman_gd_step(mirror, x, y_new, phi_vec), y_new
+    x_new, y_new = _filtered_update(
+        mirror, x, np.asarray(y_hat, dtype=float), np.asarray(g, dtype=float),
+        np.atleast_2d(np.asarray(a_tilde, dtype=float)), b_vec, k_inf,
+        np.atleast_1d(np.asarray(phi_vec, dtype=float)))
+    mirror.check_domain(x_new)
+    return x_new, y_new
 
 
 def fosp_flow_step(mirror: MirrorMap, x: np.ndarray, effective_term: np.ndarray,
@@ -103,8 +143,7 @@ def fosp_flow_step(mirror: MirrorMap, x: np.ndarray, effective_term: np.ndarray,
         raise ValueError("dt must be positive")
     x = np.asarray(x, dtype=float)
     mirror.check_domain(x)
-    target = grad_dual(mirror, mirror.grad_h(x) - np.asarray(effective_term, dtype=float))
-    x_new = x + dt * math.exp(alpha_t) * (target - x)
+    x_new = _flow_update(mirror, x, np.asarray(effective_term, dtype=float), alpha_t, dt)
     mirror.check_domain(x_new)
     return x_new
 
@@ -193,11 +232,14 @@ def run_optimizer(spec: OptimizerSpec, problem, steps: int, seed: int) -> Trajec
 def run_ensemble(spec: OptimizerSpec, problem, steps: int, seeds) -> list[Trajectory]:
     """One seeded trajectory per seed.  The mesh, Phi, the factors of the
     quadratic-variation proxy and the filter gains do not depend on the
-    seed and are computed once; each seed runs the step loop on its own
-    harness RNG streams.  problem may be None in synthetic mode (the
-    latent gradient model is not tied to a loss landscape; loss gaps are
-    then NaN)."""
+    seed and are computed once; one step loop then advances all seeds
+    together, each on its own harness RNG streams, and the displacement,
+    quadratic-variation and filter-norm paths of all seeds are formed in
+    one stacked pass.  problem may be None in synthetic mode (the latent
+    gradient model is not tied to a loss landscape; loss gaps are then
+    NaN)."""
     spec.validate()
+    seeds = list(seeds)
     schedule = spec.schedule
     times = _mesh_times(schedule, steps)
     d = problem.d if spec.mode == "empirical" else spec.model.d
@@ -222,19 +264,19 @@ def run_ensemble(spec: OptimizerSpec, problem, steps: int, seeds) -> list[Trajec
     qv_factors = (_weight(schedule, ts), _exp(-schedule.gamma(ts)))
     alphas = schedule.alpha(step_times)
 
-    trajectories = []
-    for seed in seeds:
-        x_path, g_stream, y_path, error = _run_steps(spec, problem, seed, x0, alphas, dts,
-                                                     phi, coeff, filt)
-        k = len(g_stream)
-        trajectories.append(Trajectory(
-            times=times[: k + 1], x_path=x_path, nu_path=np.diff(x_path, axis=0) / dts[:k, None],
-            loss_gap=_loss_gaps(spec, problem, x_path),
-            qv_path=_qv_path(coeff, qv_factors, g_stream), g_path=g_stream,
-            filter_mean_norm=None if y_path is None else np.linalg.norm(
-                y_path.reshape(k + 1, -1), axis=1),
-            phi_path=phi[:k], seed=seed, error=error))
-    return trajectories
+    x_paths, g_stream, y_paths, lengths, errors = _run_steps(
+        spec, problem, seeds, x0, alphas, dts, phi, coeff, filt)
+    nu_paths = np.diff(x_paths, axis=1) / dts[:, None]
+    qv_paths = _qv_path(coeff, qv_factors, g_stream)
+    norms = (None if y_paths is None
+             else np.linalg.norm(y_paths.reshape(*y_paths.shape[:2], -1), axis=-1))
+    return [Trajectory(
+        times=times[: k + 1], x_path=x_paths[i, : k + 1], nu_path=nu_paths[i, :k],
+        loss_gap=_loss_gaps(spec, problem, x_paths[i, : k + 1]),
+        qv_path=qv_paths[i, : k + 1], g_path=g_stream[i, :k],
+        filter_mean_norm=None if norms is None else norms[i, : k + 1],
+        phi_path=phi[:k], seed=seed, error=error)
+        for i, (seed, k, error) in enumerate(zip(seeds, lengths, errors))]
 
 
 def _loss_gaps(spec: OptimizerSpec, problem, x_path: np.ndarray) -> np.ndarray:
@@ -273,87 +315,175 @@ def _filter_gains(spec: OptimizerSpec, dts: np.ndarray):
 
     p_post = np.atleast_2d(np.asarray(
         spec.p0 if spec.p0 is not None else model.stationary_covariance(), dtype=float))
+    qs = l_tils @ l_tils.transpose(0, 2, 1)
+    gains = np.empty((len(dts), model.dtilde))
     p_posts = np.empty((len(dts), model.dtilde, model.dtilde))
-    gains, error = [], None
-    try:
-        for a_til, l_til, sigma_d in zip(a_tils, l_tils, sigmas.tolist()):
-            _, gain, _, p_post = _kalman_cov_step(p_post, a_til, l_til @ l_til.T,
-                                                  model.b_vec, sigma_d)
-            p_posts[len(gains)] = p_post
-            gains.append(gain)
-    except FilterDivergenceError as exc:
-        error = exc
-    k, psd_error = _posterior_psd_prefix(p_posts[:len(gains)])
+    n_gains, error = len(dts), None
+    for k in range(len(dts)):
+        try:
+            _, gains[k], _, p_post = _kalman_cov_step(p_post, a_tils[k], qs[k],
+                                                      model.b_vec, sigmas[k])
+        except FilterDivergenceError as exc:
+            n_gains, error = k, exc
+            break
+        p_posts[k] = p_post
+    k, psd_error = _posterior_psd_prefix(p_posts[:n_gains])
     return a_tils, gains[:k], psd_error if psd_error is not None else error
 
 
-def _run_steps(spec, problem, seed, x0, alphas, dts, phi, coeff, filt):
-    """The step loop of every kind and stream mode: observe g (the
-    model's simulated stream, drawn before the loop, or a fresh
-    mini-batch gradient), filter it with the gains in filt (filtered
-    kinds), apply the kind's update rule.
-    Returns (x_path, g_stream, y_path, error), y_path being the
-    (K+1, d, dtilde) filter means of the filtered kinds and None
-    otherwise.  When step k fails, the paths stop at X_k and error names
-    the step and the exception; a gain sequence cut short fails its step
-    after the observation."""
+def _simulated_streams(model, dts, seeds, out: np.ndarray) -> dict:
+    """Fill out (S, K, d) with each seed's observation stream, simulated
+    from its "stream" generator for all seeds at once, and return
+    {row: exception} for the seeds whose simulation raised: when the
+    stacked simulation raises, each seed is simulated on its own."""
     from .harness.rng import component_rng
 
-    mirror, model = spec.mirror, spec.model
-    k_steps, d = len(dts), len(x0)
-    x_path = np.empty((k_steps + 1, d))
-    g_stream = np.empty((k_steps, d))
-    x_path[0] = x = x0
-    y_path = None
+    try:
+        out[:] = model._simulate_seeds(dts, [component_rng(s, "stream") for s in seeds])[1]
+        return {}
+    except Exception:
+        failures = {}
+        for i, seed in enumerate(seeds):
+            try:
+                out[i] = model.simulate(dts, component_rng(seed, "stream"))[1]
+            except Exception as exc:
+                failures[i] = exc
+        return failures
+
+
+def _row_by_row(step, k, x, g, y):
+    """Step k rerun on each row of the stacks as a one-row stack: the
+    stacked results of the rows that pass and {row: exception} for the
+    rows that raise."""
+    done, failures = [], {}
+    for j in range(len(x)):
+        try:
+            done.append(step(k, x[j:j + 1], g[j:j + 1], None if y is None else y[j:j + 1]))
+        except Exception as exc:
+            failures[j] = exc
+    if not done:
+        return x[:0], None if y is None else y[:0], failures
+    xs, ys = zip(*done)
+    return np.concatenate(xs), None if y is None else np.concatenate(ys), failures
+
+
+def _run_steps(spec, problem, seeds, x0, alphas, dts, phi, coeff, filt):
+    """The step loop of every kind and stream mode, advancing the S seeds
+    together as stacks: iterates (S, d), filter means (S, d, dtilde) and
+    the observed stream (S, K, d).  Step k observes g for every live seed
+    (its row of the model's stream, simulated before the loop, or a fresh
+    mini-batch gradient from its "batch" generator), filters it with the
+    gains in filt (filtered kinds), applies the kind's update rule to the
+    stack and checks the domain of the new stack once (fosp_continuous:
+    once per Euler substep).
+
+    Failures stay per seed.  When anything in step k raises for the
+    stack, step k is rerun on each live row as a one-row stack; a row
+    that raises, or whose observation raises, records
+    "{Type} at step {k}: {message}", keeps X_0 .. X_k and leaves the
+    stack, and the other rows go on.  A gain sequence cut short fails its
+    step after the observation.
+
+    Returns (x_paths (S, K+1, d), g_stream (S, K, d), y_paths
+    (S, K+1, d, dtilde) or None for the unfiltered kinds, steps completed
+    per seed, error per seed or None).  A failed row is frozen after its
+    last step, its iterate, filter mean and observation repeated to the
+    end, so the stacked paths add nothing past its prefix."""
+    from .harness.rng import component_rng
+
+    mirror, model, kind = spec.mirror, spec.model, spec.kind
+    n_seeds, k_steps, d = len(seeds), len(dts), len(x0)
+    x_paths = np.empty((n_seeds, k_steps + 1, d))
+    g_stream = np.empty((n_seeds, k_steps, d))
+    x_paths[:, 0] = x0
+    x, y, y_paths = x_paths[:, 0], None, None
     if filt is not None:
         a_tils, gains, gain_error = filt
-        y_path = np.zeros((k_steps + 1, d, model.dtilde))
-        y_hat = y_path[0]
-    synthetic = spec.mode == "synthetic"
-    k = 0
-    try:
-        if synthetic:
-            g_stream[:] = model.simulate(dts, component_rng(seed, "stream"))[1]
-        else:
-            rng = component_rng(seed, "batch")
+        y_paths = np.empty((n_seeds, k_steps + 1, d, model.dtilde))
+        y_paths[:, 0] = 0.0
+        y = y_paths[:, 0]
+    lengths, errors = [k_steps] * n_seeds, [None] * n_seeds
+    live = np.arange(n_seeds)
 
-        for k in range(k_steps):
-            if synthetic:
-                g = g_stream[k]
-            else:
-                g = g_stream[k] = problem.minibatch_gradient(x, spec.batch_m, rng)
-            if spec.kind == "mirror_sgd":
-                x = mirror_descent_step(mirror, x, coeff * g, float(phi[k]))
-            elif spec.kind == "fosp_continuous":
-                # The observation is frozen over fosp_substeps Euler steps.
-                effective = float(phi[k]) * coeff * g
-                for _ in range(spec.fosp_substeps):
-                    x = fosp_flow_step(mirror, x, effective, float(alphas[k]),
-                                       float(dts[k]) / spec.fosp_substeps)
-            else:
-                if k == len(gains):
-                    raise gain_error
-                y_hat = y_path[k + 1] = kalman_mean_update(y_hat, g, a_tils[k],
-                                                           model.b_vec, gains[k])
-                x = kalman_gd_step(mirror, x, y_hat, phi[k])
-            x_path[k + 1] = x
-    except Exception as exc:
-        return (x_path[:k + 1], g_stream[:k],
-                None if y_path is None else y_path[:k + 1],
-                f"{type(exc).__name__} at step {k}: {exc}")
-    return x_path, g_stream, y_path, None
+    def step(k, x, g, y):
+        if kind == "fosp_continuous":
+            # The observation is frozen over fosp_substeps Euler steps.
+            effective = float(phi[k]) * coeff * g
+            for _ in range(spec.fosp_substeps):
+                x = _flow_update(mirror, x, effective, float(alphas[k]),
+                                 float(dts[k]) / spec.fosp_substeps)
+                mirror.check_domain(x)
+            return x, y
+        if kind == "mirror_sgd":
+            x = _mirror_update(mirror, x, float(phi[k]) * (coeff * g))
+        else:
+            if k == len(gains):
+                raise gain_error
+            x, y = _filtered_update(mirror, x, y, g, a_tils[k], model.b_vec, gains[k], phi[k])
+        mirror.check_domain(x)
+        return x, y
+
+    def record(failures, k):
+        """Record the error of each failing live row; the mask of the rest."""
+        keep = np.ones(len(live), dtype=bool)
+        for j, exc in failures.items():
+            lengths[live[j]] = k
+            errors[live[j]] = f"{type(exc).__name__} at step {k}: {exc}"
+            keep[j] = False
+        return keep
+
+    synthetic = spec.mode == "synthetic"
+    failures = {}
+    if synthetic:
+        failures = _simulated_streams(model, dts, seeds, g_stream)
+    else:
+        rngs = [component_rng(seed, "batch") for seed in seeds]
+    for k in range(k_steps):
+        if not synthetic:
+            for j, i in enumerate(live):
+                try:
+                    g_stream[i, k] = problem.minibatch_gradient(x[j], spec.batch_m, rngs[i])
+                except Exception as exc:
+                    failures[j] = exc
+        if failures:
+            keep = record(failures, k)
+            live, x = live[keep], x[keep]
+            y = None if y is None else y[keep]
+            failures = {}
+        if not len(live):
+            break
+        rows = slice(None) if len(live) == n_seeds else live
+        g = g_stream[rows, k]
+        try:
+            x, y = step(k, x, g, y)
+        except Exception:
+            x, y, failures = _row_by_row(step, k, x, g, y)
+            live = live[record(failures, k)]
+            rows, failures = live, {}
+        x_paths[rows, k + 1] = x
+        if y is not None:
+            y_paths[rows, k + 1] = y
+
+    for i, k in enumerate(lengths):
+        if k < k_steps:
+            x_paths[i, k + 1:] = x_paths[i, k]
+            g_stream[i, k:] = g_stream[i, k - 1] if k else 0.0
+            if y_paths is not None:
+                y_paths[i, k + 1:] = y_paths[i, k]
+    return x_paths, g_stream, y_paths, lengths, errors
 
 
 def _qv_path(coeff, qv_factors, g_stream):
     """Accumulated quadratic variation of the exp(-gamma)-scaled
-    martingale proxy built from increments of the observed stream;
-    qv_factors holds exp(alpha + beta + gamma) and exp(-gamma) per step.
-    The squared increments are summed in step order."""
+    martingale proxy built from increments of the observed stream
+    (..., K, d), one path (..., K+1) per stream; qv_factors holds
+    exp(alpha + beta + gamma) and exp(-gamma) per step.  The squared
+    increments are summed in step order."""
     weights, decays = qv_factors
-    k = len(g_stream)
+    k = g_stream.shape[-2]
     n = max(k - 1, 0)
-    scaled = decays[:n, None] * (-coeff * weights[:n, None] * np.diff(g_stream, axis=0))
-    qv = np.zeros(k + 1)
-    qv[1:k] = np.cumsum(np.vecdot(scaled, scaled))
-    qv[k] = qv[n]
+    scaled = decays[:n, None] * (-coeff * weights[:n, None] * np.diff(g_stream, axis=-2))
+    qv = np.zeros(g_stream.shape[:-2] + (k + 1,))
+    qv[..., 1:k] = np.cumsum(np.vecdot(scaled, scaled), axis=-1)
+    qv[..., k] = qv[..., n]
     return qv

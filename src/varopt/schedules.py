@@ -33,6 +33,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .bregman import NumericalError
+
 __all__ = [
     "Schedule",
     "Mesh",
@@ -298,7 +300,9 @@ def _weight(schedule: Schedule, u):
 def matrix_exp(m: np.ndarray) -> np.ndarray:
     """Matrix exponential by scaling and squaring with a truncated Taylor
     series, of one matrix or of a stack (..., n, n), each matrix scaled by
-    its own power of two.  Intended for small dense matrices (n <= 16)."""
+    its own power of two.  Intended for small dense matrices (n <= 16).
+    NumericalError, naming the first stack index, when an exponential
+    overflows the float range."""
     m = np.atleast_2d(np.asarray(m, dtype=float))
     if m.shape[-1] != m.shape[-2]:
         raise ValueError("matrix_exp needs a square matrix")
@@ -325,6 +329,11 @@ def matrix_exp(m: np.ndarray) -> np.ndarray:
     for level in range(int(s.max(initial=0.0))):
         np.matmul(result, result, out=buf)
         np.copyto(result, buf, where=(s > level)[..., None, None])
+    overflowed = ~np.isfinite(result).all(axis=(-2, -1))
+    if overflowed.any():
+        index = tuple(int(i) for i in np.argwhere(overflowed)[0])
+        where = f" at stack index {index}" if index else ""
+        raise NumericalError(f"matrix exponential overflows the float range{where}")
     return result
 
 

@@ -20,10 +20,11 @@ from varopt import (
     qv_accumulate,
     quadratic_map,
     rate_bound_check,
+    run_ensemble,
     run_optimizer,
     supermartingale_check,
 )
-from varopt.diagnostics import ensemble_report
+from varopt.diagnostics import _energy_paths, ensemble_report
 from varopt.harness import component_rng, generate_problem
 
 
@@ -143,6 +144,27 @@ class TestEnergy:
         # y above uses math.exp, which may round differently from np.exp.
         np.testing.assert_allclose(energy_path(mirror, s, traj, problem.x_star), expected,
                                    rtol=1e-13, atol=1e-13)
+
+    @pytest.mark.parametrize("mirror", [
+        quadratic_map(m_full=[[2.0, 0.5, 0.0], [0.5, 1.0, 0.2], [0.0, 0.2, 3.0]]),
+        entropy_map(),
+    ], ids=["full-matrix", "entropy"])
+    def test_stacked_energy_rows_are_the_single_paths(self, mirror):
+        problem = generate_problem("quadratic", d=3, n=30,
+                                   rng=component_rng(0, "problem"))
+        spec = OptimizerSpec(kind="mirror_sgd", mirror=mirror,
+                             schedule=_scaling_linear(steps=15, beta0=-1.5),
+                             mode="empirical", batch_m=5, x0=np.ones(3))
+        trajs = run_ensemble(spec, problem, 15, range(4))
+        assert all(t.error is None for t in trajs)
+        x_ref = np.full(3, 0.5)          # x* of the problem is not in the orthant
+        stacked = _energy_paths(mirror, spec.schedule, trajs[0].times,
+                                np.stack([t.x_path for t in trajs]),
+                                np.stack([t.nu_path for t in trajs]),
+                                np.stack([t.loss_gap for t in trajs]), x_ref)
+        for row, traj in zip(stacked, trajs, strict=True):
+            np.testing.assert_array_equal(
+                row, energy_path(mirror, spec.schedule, traj, x_ref), strict=True)
 
 
 class TestArrayTimes:

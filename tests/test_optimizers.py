@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from varopt import (
+    DomainError,
     FilterDivergenceError,
     MartingaleGradientModel,
+    MirrorMap,
     OptimizerSpec,
     StateSpaceGradientModel,
     build_mesh,
@@ -475,6 +477,102 @@ def test_ensemble_is_the_per_seed_runs(spec, problem, steps):
                 assert a == b
 
 
+def _assert_same_trajectories(ensemble, runs):
+    for got, want in zip(ensemble, runs, strict=True):
+        for field in dataclasses.fields(Trajectory):
+            a, b = getattr(got, field.name), getattr(want, field.name)
+            if isinstance(b, np.ndarray):
+                np.testing.assert_array_equal(a, b, strict=True)
+            else:
+                assert a == b
+
+
+def _gradient_raising_at_step_4(problem, seed):
+    """The problem's mini-batch gradients times 1000, raising on step 4 of
+    the batch generator of `seed`."""
+    draw, calls = problem.minibatch_gradient, {}
+
+    def gradient(x, m, rng):
+        entry = calls.setdefault(id(rng), [rng, 0])     # holds rng: ids stay unique
+        entry[1] += 1
+        if entry[1] == 5 and rng.bit_generator.seed_seq.entropy == seed:
+            raise FloatingPointError("mini-batch gradient raised")
+        return 1000.0 * draw(x, m, rng)
+
+    problem.minibatch_gradient = gradient
+    return problem
+
+
+def _failing_entropy_spec(mode, sigma):
+    return OptimizerSpec(kind="mirror_sgd", mirror=entropy_map(),
+                         schedule=linear_schedule(beta0=-0.7, gamma1=1.0, delta_T=19.3,
+                                                  horizon_T=20.0),
+                         model=MartingaleGradientModel(sigma=sigma, n=100, m=25, d=3),
+                         mode=mode, batch_m=10 if mode == "empirical" else None)
+
+
+@pytest.mark.parametrize("mode", ["synthetic", "empirical"])
+def test_rows_failing_at_different_steps_are_the_per_seed_runs(mode):
+    # Synthetic: sigma = 60 drives seeds out of the entropy domain, or
+    # overflows exp, on steps 10 to 17.  Empirical: gradients scaled by
+    # 1000 leave the domain on steps 12 and 17, and seed 3's mini-batch
+    # gradient raises on step 4.  Every row equals its single-seed run,
+    # failed rows included, and a failing row does not stop the others.
+    seeds = list(range(8))
+    if mode == "synthetic":
+        spec, problem = _failing_entropy_spec(mode, 60.0), None
+    else:
+        spec = _failing_entropy_spec(mode, 30.0)
+        problem = _gradient_raising_at_step_4(
+            generate_problem("quadratic", d=3, n=40, rng=component_rng(0, "problem")), seed=3)
+    ensemble = run_ensemble(spec, problem, 20, seeds)
+    _assert_same_trajectories(ensemble, [run_optimizer(spec, problem, 20, s) for s in seeds])
+    failed_steps = {t.steps for t in ensemble if t.error is not None}
+    assert len(failed_steps) >= 2 and any(t.error is None for t in ensemble)
+    if mode == "empirical":
+        assert ensemble[3].error == "FloatingPointError at step 4: mini-batch gradient raised"
+        return
+    # The error is the public step's: a DomainError naming the seed's own
+    # point, or numpy's overflow warning, which the tests raise as errors.
+    errors = set()
+    for traj in ensemble:
+        if traj.error is not None:
+            with pytest.raises(Exception) as info:
+                _hand_mirror_sgd(spec, 20, traj.seed, stop=traj.steps + 1)
+            errors.add(type(info.value))
+            assert traj.error == f"{type(info.value).__name__} at step {traj.steps}: {info.value}"
+    assert DomainError in errors
+
+
+def test_seed_whose_stream_raises_fails_alone(monkeypatch):
+    # The stacked simulation raises, so each seed is simulated on its own;
+    # only seed 2 fails, on step 0.
+    simulate_seeds = MartingaleGradientModel._simulate_seeds
+
+    def raising(self, dts, rngs):
+        if any(rng.bit_generator.seed_seq.entropy == 2 for rng in rngs):
+            raise FloatingPointError("stream raised")
+        return simulate_seeds(self, dts, rngs)
+
+    monkeypatch.setattr(MartingaleGradientModel, "_simulate_seeds", raising)
+    spec, seeds = _ensemble_spec("mirror_sgd", "synthetic"), [0, 1, 2, 3]
+    ensemble = run_ensemble(spec, None, 20, seeds)
+    _assert_same_trajectories(ensemble, [run_optimizer(spec, None, 20, s) for s in seeds])
+    assert [t.error for t in ensemble] == [None, None, "FloatingPointError at step 0: stream raised",
+                                           None]
+
+
+def test_64_seed_kalman_gd_rows_are_the_single_seed_runs():
+    spec = _ensemble_spec("kalman_gd", "synthetic")
+    a = np.array([[0.1, 0.05, 0.05], [0.05, 0.1, 0.05], [0.05, 0.05, 0.1]])
+    spec.model = StateSpaceGradientModel(a_mat=a, l_mat=0.5 * np.eye(3),
+                                         b_vec=np.array([1.0, 0.5, 0.25]), sigma=0.5, d=16)
+    seeds = list(range(64))
+    ensemble = run_ensemble(spec, None, 20, seeds)
+    assert all(t.error is None for t in ensemble)
+    _assert_same_trajectories(ensemble, [run_optimizer(spec, None, 20, s) for s in seeds])
+
+
 def _count_calls(monkeypatch, module, name, calls):
     original = getattr(module, name)
 
@@ -492,11 +590,15 @@ def test_seed_independent_work_runs_once(monkeypatch, kind, n_seeds):
                            "_kalman_cov_step"], 0)
     for name in calls:
         _count_calls(monkeypatch, optimizers, name, calls)
+    calls["check_domain"] = 0
+    _count_calls(monkeypatch, MirrorMap, "check_domain", calls)
     trajs = run_ensemble(_ensemble_spec(kind, "synthetic"), None, 20, list(range(n_seeds)))
     assert all(t.error is None for t in trajs)
     assert calls["build_mesh"] == 1
     assert calls["phi_scalar_path"] + calls["phi_vector_path"] == 1
     assert calls["_kalman_cov_step"] == (20 if kind == "kalman_gd" else 0)
+    # x0, then the whole stack once per step.
+    assert calls["check_domain"] == 21
 
 
 def test_indefinite_prior_fails_every_seed_at_the_public_step():
@@ -523,14 +625,15 @@ def test_indefinite_prior_fails_every_seed_at_the_public_step():
 def test_covariance_failure_stops_every_seed_at_its_step(monkeypatch):
     # The gain sequence stops on step 1.  Each seed keeps X_0 and X_1,
     # still observes g on step 1, and reports the filter's error there,
-    # as the public step loop does.
+    # as the public step loop does.  The streams of all seeds are
+    # simulated together, once.
     spec = _covariance_failure_spec(5)
     model = spec.model
-    calls = {"simulate": 0}
-    _count_calls(monkeypatch, StateSpaceGradientModel, "simulate", calls)
+    calls = {"_simulate_seeds": 0}
+    _count_calls(monkeypatch, StateSpaceGradientModel, "_simulate_seeds", calls)
     seeds = [0, 1, 2]
     trajs = run_ensemble(spec, None, 5, seeds)
-    assert calls["simulate"] == len(seeds)
+    assert calls["_simulate_seeds"] == 1
     phi = phi_vector_path(spec.schedule, model.a_mat, model.b_vec, np.arange(5.0))
     a_til = np.eye(2) - model.a_mat
     for seed, traj in zip(seeds, trajs):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from varopt import (
     Mesh,
+    NumericalError,
     Schedule,
     build_mesh,
     check_scaling,
@@ -171,6 +172,14 @@ class TestMatrixExp:
         assert got.shape == stack.shape
         for m, e in zip(stack, got):
             np.testing.assert_allclose(e, matrix_exp(m), rtol=1e-14, atol=0)
+
+    def test_overflow_is_a_numerical_error(self):
+        # e^800 is past the float range: the second matrix of the stack is
+        # named instead of returned as inf, after numpy's own warning.
+        stack = np.array([[[0.0, 1.0], [0.0, 1.0]], [[0.0, 1.0], [0.0, 800.0]]])
+        with pytest.warns(RuntimeWarning, match="overflow"), \
+                pytest.raises(NumericalError, match=r"overflows .* at stack index \(1,\)"):
+            matrix_exp(stack)
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
