@@ -287,16 +287,17 @@ def _identity(n: int) -> np.ndarray:
 
 def _kalman_cov_step(p_post, a_tilde, q, b_vec, sigma_disc):
     """Covariance part of one discrete Kalman step: (P_pred, gain, s, P_post)."""
-    p_pred = a_tilde @ p_post @ a_tilde.T + q
+    p_pred = a_tilde.dot(p_post).dot(a_tilde.T)
+    p_pred += q
     p_pred = 0.5 * (p_pred + p_pred.T)
     return (p_pred,) + _kalman_update(p_pred, b_vec, sigma_disc)
 
 
 def _kalman_update(p_pred, b_vec, sigma_disc):
     """Measurement update of a predicted covariance: (gain, s, P_post)."""
-    s = _innovation_variance(sigma_disc, float(b_vec @ p_pred @ b_vec))
-    gain = p_pred @ b_vec / s
-    p_post = (_identity(len(b_vec)) - gain[:, None] * b_vec) @ p_pred
+    s = _innovation_variance(sigma_disc, float(b_vec.dot(p_pred).dot(b_vec)))
+    gain = p_pred.dot(b_vec) / s
+    p_post = (_identity(len(b_vec)) - gain[:, None] * b_vec).dot(p_pred)
     return gain, s, 0.5 * (p_post + p_post.T)
 
 
@@ -334,10 +335,11 @@ def kalman_bucy_step(state: KalmanState, g_t: np.ndarray, dt: float,
     p = state.p_post
     g_t = np.atleast_1d(np.asarray(g_t, dtype=float))
 
-    innovation = g_t - state.y_hat @ b                        # d
-    gain = p @ b / sig2                                       # dtilde
-    y_hat = state.y_hat + dt * (-state.y_hat @ a.T + np.outer(innovation, gain))
-    p_dot = -a @ p - p.T @ a - (p @ np.outer(b, b) @ p.T) / sig2 + l @ l.T
+    innovation = g_t - state.y_hat.dot(b)                     # d
+    gain = p.dot(b) / sig2                                    # dtilde
+    y_hat = state.y_hat + dt * ((-state.y_hat).dot(a.T) + np.outer(innovation, gain))
+    p_dot = (-a).dot(p) - p.T.dot(a) - p.dot(np.outer(b, b)).dot(p.T) / sig2
+    p_dot += l.dot(l.T)
     p_new = p + dt * p_dot
     p_new = 0.5 * (p_new + p_new.T)
     _check_psd(p_new, -1e-8, "Riccati covariance")

@@ -22,6 +22,9 @@ from .config import ExperimentConfig, build_experiment, check_keys
 __all__ = ["RunArtifacts", "run_experiment", "sweep", "compare"]
 
 _FMT = "%.17g"
+# Rows converted to Python floats at a time when writing a CSV: the whole
+# block at once would raise the peak memory of a run by its size.
+_CSV_ROWS = 64
 
 
 def _fmt(value: float) -> str:
@@ -55,9 +58,13 @@ class RunArtifacts:
 def _write_csv(path: str, header: list, block: np.ndarray, fmt=_FMT) -> None:
     """The header line, then one line per row of the float block, each
     value formatted by fmt (one format or one per column)."""
+    fmts = [fmt] * block.shape[1] if isinstance(fmt, str) else fmt
+    line = ",".join(fmts) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        np.savetxt(fh, block, fmt=fmt, delimiter=",", header=",".join(header),
-                   comments="")
+        fh.write(",".join(header) + "\n")
+        for start in range(0, len(block), _CSV_ROWS):
+            fh.writelines(line % tuple(row)
+                          for row in block[start:start + _CSV_ROWS].tolist())
 
 
 def _padded(values, rows: int, cols: int) -> np.ndarray:

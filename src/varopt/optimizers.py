@@ -268,6 +268,7 @@ def run_ensemble(spec: OptimizerSpec, problem, steps: int, seeds) -> list[Trajec
         spec, problem, seeds, x0, alphas, dts, phi, coeff, filt)
     nu_paths = np.diff(x_paths, axis=1) / dts[:, None]
     qv_paths = _qv_path(coeff, qv_factors, g_stream)
+    _fail_nonfinite_qv(qv_paths, lengths, errors)
     norms = (None if y_paths is None
              else np.linalg.norm(y_paths.reshape(*y_paths.shape[:2], -1), axis=-1))
     return [Trajectory(
@@ -482,8 +483,24 @@ def _qv_path(coeff, qv_factors, g_stream):
     weights, decays = qv_factors
     k = g_stream.shape[-2]
     n = max(k - 1, 0)
-    scaled = decays[:n, None] * (-coeff * weights[:n, None] * np.diff(g_stream, axis=-2))
     qv = np.zeros(g_stream.shape[:-2] + (k + 1,))
-    qv[..., 1:k] = np.cumsum(np.vecdot(scaled, scaled), axis=-1)
+    # A stream near the float range gives inf or NaN here, silently under
+    # any warning filter; _fail_nonfinite_qv fails those rows.
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = decays[:n, None] * (-coeff * weights[:n, None] * np.diff(g_stream, axis=-2))
+        qv[..., 1:k] = np.cumsum(np.vecdot(scaled, scaled), axis=-1)
     qv[..., k] = qv[..., n]
     return qv
+
+
+def _fail_nonfinite_qv(qv_paths, lengths, errors) -> None:
+    """Fail each row of the (S, K+1) QV paths whose kept prefix
+    qv_0 .. qv_{length} is not finite at step j of its first non-finite
+    entry, as if its observation at step j had raised: the row keeps
+    X_0 .. X_j, its QV frozen at the finite qv_{j-1}."""
+    for i in np.flatnonzero(~np.isfinite(qv_paths).all(axis=-1)):
+        j = int(np.argmin(np.isfinite(qv_paths[i])))
+        if j <= lengths[i]:
+            qv_paths[i, j:] = qv_paths[i, j - 1]
+            lengths[i] = j
+            errors[i] = f"FloatingPointError at step {j}: quadratic-variation proxy is not finite"

@@ -4,6 +4,7 @@ import math
 import os
 import re
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,8 @@ from varopt.harness import (
     sweep,
 )
 from varopt.harness import config as config_module
+from varopt.harness import problems as problems_module
+from varopt.harness import runner
 from varopt.harness.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 from varopt.harness.runner import compare
 
@@ -228,9 +231,9 @@ class TestProblems:
 
     @pytest.mark.parametrize("kind", ["quadratic", "logistic"])
     def test_stacked_loss_matches_pointwise(self, kind):
-        # n = 7000 makes logistic loss blocks of 9 rows, so 11 rows span
+        # n = 14000 makes logistic loss blocks of 9 rows, so 11 rows span
         # two blocks and end in a partial one.
-        problem = generate_problem(kind, d=4, n=7000, rng=component_rng(8, "problem"))
+        problem = generate_problem(kind, d=4, n=14000, rng=component_rng(8, "problem"))
         xs = component_rng(9, "problem").standard_normal((11, 4))
         losses, gaps = problem.loss(xs), problem.loss_gap(xs)
         assert losses.shape == gaps.shape == (11,)
@@ -280,6 +283,38 @@ class TestProblems:
         assert traj.steps == 4
         np.testing.assert_array_equal(traj.loss_gap, problem.loss_gap(traj.x_path))
         assert np.all(np.isfinite(traj.loss_gap))
+
+    def test_logistic_loss_does_not_depend_on_the_block(self, monkeypatch):
+        # Blocks of 2, 3, 5 and 12 rows; 62 rows leave tails of 0 or 2.
+        n = 500
+        problem = generate_problem("logistic", d=5, n=n, rng=component_rng(13, "problem"))
+        xs = component_rng(14, "problem").standard_normal((62, 5))
+        whole = problem.loss(xs)
+        for rows in (2, 3, 5, 12):
+            monkeypatch.setattr(problems_module, "_LOSS_BLOCK", rows * n)
+            np.testing.assert_array_equal(problem.loss(xs), whole, strict=True)
+
+    def test_softplus_tail_is_the_max_form_bit_for_bit(self):
+        margins = np.array([0.0, -0.0, 1e-300, -1e-300, 37.0, -37.0, 800.0, -800.0, np.nan,
+                            0.5, -0.5, 709.0, -709.0, 1e-17, -1e-17])
+        with np.errstate(over="raise", invalid="raise"):
+            old = np.maximum(-margins, 0.0) + np.log1p(np.exp(-np.abs(margins)))
+            new = problems_module._softplus_neg(margins.copy(), np.empty_like(margins))
+        finite = ~np.isnan(old)
+        np.testing.assert_array_equal(np.isnan(new), ~finite)
+        np.testing.assert_array_equal(new[finite].view(np.uint64), old[finite].view(np.uint64))
+
+    def test_logistic_loss_holds_two_block_buffers(self):
+        # One (2000, n) product would need 320 MB.
+        problem = generate_problem("logistic", d=3, n=20000, rng=component_rng(15, "problem"))
+        xs = component_rng(16, "problem").standard_normal((2000, 3))
+        tracemalloc.start()
+        try:
+            problem.loss(xs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * problems_module._LOSS_BLOCK * 8 + xs.shape[0] * 8
 
     def test_logistic_extreme_margins_do_not_overflow(self):
         # |margins| reach beyond 709, where exp(margin) overflows.
@@ -344,6 +379,17 @@ class TestRunExperiment:
             contents.append({os.path.basename(p): open(p, "rb").read()
                              for p in art.files})
         assert contents[0] == contents[1]
+
+    @pytest.mark.parametrize("fmt", ["%.17g", ["%d"] + ["%.17g"] * 5], ids=["one", "per_column"])
+    def test_csv_bytes_are_savetxt_bytes(self, tmp_path, fmt):
+        # 140 rows span three of the writer's row chunks.
+        block = np.tile([[0.0, np.nan, np.inf, -np.inf, -0.0, 0.1],
+                         [12.0, 5e-324, -1e308, 1.0 / 3.0, 2.0 ** 60, -1.5]], (70, 1))
+        header = ["k", "a", "b", "c", "d", "e"]
+        runner._write_csv(tmp_path / "new.csv", header, block, fmt)
+        with open(tmp_path / "ref.csv", "w", encoding="utf-8", newline="\n") as fh:
+            np.savetxt(fh, block, fmt=fmt, delimiter=",", header=",".join(header), comments="")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
     def test_per_seed_failure_recorded(self, tmp_path):
         raw = parse_config_text(BASE_CONFIG + f"output = {tmp_path}/out\n"

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -648,6 +649,39 @@ def test_covariance_failure_stops_every_seed_at_its_step(monkeypatch):
         assert traj.error == f"FilterDivergenceError at step 1: {info.value}"
         np.testing.assert_array_equal(traj.x_path, [np.zeros(3), x1])
         assert traj.steps == 1 and traj.g_path.shape == (1, 3)
+
+
+@pytest.mark.parametrize("action", ["ignore", "error"])
+def test_qv_overflow_fails_its_seed_not_the_ensemble(monkeypatch, action):
+    # sigma = 7e153 makes the squared QV increments of 5 of 8 seeds
+    # overflow, on steps 12 to 18.  Under either warning filter each such
+    # row fails at the step of its first non-finite QV entry, keeping
+    # X_0 .. X_j and its finite QV prefix; the other rows complete.
+    spec = OptimizerSpec(kind="mirror_sgd", mirror=quadratic_map(),
+                         schedule=linear_schedule(beta0=-0.7, gamma1=1.0, delta_T=19.3,
+                                                  horizon_T=20.0),
+                         model=MartingaleGradientModel(sigma=7e153, n=100, m=25, d=3))
+    seeds = list(range(8))
+    with warnings.catch_warnings():
+        warnings.simplefilter(action, RuntimeWarning)
+        ensemble = run_ensemble(spec, None, 20, seeds)
+    monkeypatch.setattr(optimizers, "_fail_nonfinite_qv", lambda *args: None)
+    with np.errstate(invalid="ignore"):     # the inf - inf of Trajectory's QV check
+        unchecked = run_ensemble(spec, None, 20, seeds)
+    failed = [t for t in ensemble if t.error is not None]
+    assert 0 < len(failed) < len(seeds)
+    for got, full in zip(ensemble, unchecked):
+        assert np.all(np.isfinite(got.qv_path))
+        if got.error is None:
+            _assert_same_trajectories([got], [full])
+            continue
+        j = got.steps
+        assert got.error == (f"FloatingPointError at step {j}: "
+                             "quadratic-variation proxy is not finite")
+        assert np.all(np.isfinite(full.qv_path[:j])) and not np.isfinite(full.qv_path[j])
+        np.testing.assert_array_equal(got.x_path, full.x_path[:j + 1])
+        np.testing.assert_array_equal(got.g_path, full.g_path[:j])
+        np.testing.assert_array_equal(got.qv_path, np.append(full.qv_path[:j], full.qv_path[j - 1]))
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 50])
