@@ -36,6 +36,9 @@ __all__ = [
     "ensemble_report",
 ]
 
+_NOISELESS_TOL = 1e-9  # energy increase a single noiseless path may show
+_BURN_FRAC = 0.1       # share of the horizon the rate bound skips
+
 
 @dataclass
 class Trajectory:
@@ -213,11 +216,10 @@ def ensemble_report(times: np.ndarray, energy_paths: np.ndarray,
     )
 
 
-def supermartingale_check(energy_paths: np.ndarray,
-                          noiseless_tol: float = 1e-9) -> SupermartingaleReport:
+def supermartingale_check(energy_paths: np.ndarray) -> SupermartingaleReport:
     """Check that mean energy is non-increasing in time.
 
-    A single path (noiseless run) must be monotone to noiseless_tol
+    A single path (noiseless run) must be monotone to _NOISELESS_TOL
     absolute; an ensemble must be non-increasing within two standard
     errors of each increment.
     """
@@ -228,18 +230,17 @@ def supermartingale_check(energy_paths: np.ndarray,
     if n == 1:
         max_inc = float(np.max(inc, initial=0.0))
         return SupermartingaleReport(max_increase=max_inc,
-                                     passed=max_inc <= noiseless_tol, n_seeds=1)
+                                     passed=max_inc <= _NOISELESS_TOL, n_seeds=1)
     diffs = np.diff(energy_paths, axis=1)
     se = diffs.std(axis=0, ddof=1) / math.sqrt(n)
     excess = inc - 2.0 * se
     max_excess = float(np.max(excess, initial=0.0))
     return SupermartingaleReport(max_increase=max_excess,
-                                 passed=max_excess <= noiseless_tol, n_seeds=n)
+                                 passed=max_excess <= _NOISELESS_TOL, n_seeds=n)
 
 
 def rate_bound_check(report: EnsembleReport, schedule: Schedule,
-                     bound_constant: float = 10.0,
-                     t_burn_frac: float = 0.1) -> RateBoundReport:
+                     bound_constant: float = 10.0) -> RateBoundReport:
     """Compare the mean loss gap against exp(-beta) max(1, mean QV).
 
     Reports the largest ratio after the burn-in fraction of the horizon
@@ -248,7 +249,7 @@ def rate_bound_check(report: EnsembleReport, schedule: Schedule,
     times = report.times
     bound = _exp(-schedule.beta(times)) * np.maximum(1.0, report.mean_qv)
     ratio = report.mean_gap / bound
-    t_burn = times[0] + t_burn_frac * (times[-1] - times[0])
+    t_burn = times[0] + _BURN_FRAC * (times[-1] - times[0])
     mask = times >= t_burn
     max_ratio = float(np.max(ratio[mask])) if np.any(mask) else 0.0
     return RateBoundReport(

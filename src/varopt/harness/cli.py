@@ -75,7 +75,7 @@ def _cmd_compare(args) -> int:
 def _cmd_selftest(args) -> int:
     from .selftest import run_selftest
 
-    return EXIT_OK if run_selftest(verbose=True) else EXIT_NUMERICAL
+    return EXIT_OK if run_selftest() else EXIT_NUMERICAL
 
 
 def main(argv=None) -> int:

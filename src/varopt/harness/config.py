@@ -304,6 +304,8 @@ def build_experiment(cfg: dict) -> ExperimentConfig:
     else:
         seeds = _value(cfg, "seeds", [0],
                        lambda v: [int(s) for s in (v if isinstance(v, list) else [v])])
+        if not seeds or len(set(seeds)) < len(seeds):
+            raise ConfigError(f"seeds = {seeds} must be a non-empty list of distinct seeds")
 
     steps = _value(cfg, "mesh.steps", 100, int)
     if steps < 0:

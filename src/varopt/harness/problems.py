@@ -37,6 +37,7 @@ import numpy as np
 __all__ = ["ProblemInstance", "generate_problem"]
 
 _REFERENCE_TOL = 1e-10
+_NEWTON_MAX_ITER = 100
 # Doubles (1 MB) per buffer of the stacked logistic loss: blocks of
 # _LOSS_BLOCK // n rows (6 at n = 20000), so that both buffers stay in a
 # 2 MB per-core L2 cache and each block's product amortizes the packing
@@ -176,20 +177,20 @@ def generate_problem(kind: str, d: int, n: int, rng: np.random.Generator,
     raise ValueError(f"unknown problem kind {kind!r}")
 
 
-def _newton_solve(problem: ProblemInstance, max_iter: int = 100) -> np.ndarray:
+def _newton_solve(problem: ProblemInstance) -> np.ndarray:
     """Full-batch Newton reference solve of the ridge-logistic problem.
     One margin pass per iteration gives both the gradient
     features' (-labels p) / n + ridge x and the Hessian weights p (1 - p),
     with p = 1 / (1 + exp(margins))."""
     x = np.zeros(problem.d)
     feats, labels, ridge, n = problem.features, problem.labels, problem.ridge, problem.n
-    for it in range(max_iter + 1):
+    for it in range(_NEWTON_MAX_ITER + 1):
         p = _sigmoid_neg(labels * (feats @ x))
         grad = feats.T @ (-labels * p) / n + ridge * x
         grad_norm = float(np.linalg.norm(grad))
         if grad_norm <= _REFERENCE_TOL:
             return x
-        if it == max_iter:
+        if it == _NEWTON_MAX_ITER:
             break
         hess = (feats.T * (p * (1.0 - p))) @ feats / n + ridge * np.eye(problem.d)
         x = x - np.linalg.solve(hess, grad)

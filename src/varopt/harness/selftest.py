@@ -95,7 +95,7 @@ def _checks():
     ]
 
 
-def run_selftest(verbose: bool = True) -> bool:
+def run_selftest() -> bool:
     ok = True
     for name, check in _checks():
         try:
@@ -104,6 +104,5 @@ def run_selftest(verbose: bool = True) -> bool:
             passed = False
             name = f"{name} ({type(exc).__name__}: {exc})"
         ok = ok and passed
-        if verbose:
-            print(f"{'PASS' if passed else 'FAIL'}  {name}")
+        print(f"{'PASS' if passed else 'FAIL'}  {name}")
     return ok

@@ -16,9 +16,11 @@ Each update is one private array kernel on stacks of points; the public
 ensemble runs one step loop for all S seeds: iterates (S, d), filter
 means (S, d, dtilde) and the observed stream (S, K, d) advance together,
 with one domain check per step on the whole stack, and every row equals
-its seed's one-seed run bit for bit.  Failures stay per seed: a step that
-raises for the stack is rerun row by row, and a row that raises records
-its error, ends its paths at X_k and leaves the stack.
+its seed's one-seed run bit for bit.  Failures stay per seed: anything
+that raises in step k ends the stacked run there, and the ensemble is then
+rerun one seed at a time, so that a failing seed records its error and
+ends its paths at its own X_k while the others complete.  A gain sequence
+cut short is the same for every seed and ends all rows at its step.
 """
 
 from __future__ import annotations
@@ -40,7 +42,15 @@ from .gradient_models import (
     kalman_mean_update,
     kalman_steady_gain,
 )
-from .schedules import Schedule, _exp, _weight, build_mesh, phi_scalar_path, phi_vector_path
+from .schedules import (
+    Schedule,
+    _exp,
+    _positive_definite,
+    _weight,
+    build_mesh,
+    phi_scalar_path,
+    phi_vector_path,
+)
 
 __all__ = [
     "OptimizerSpec",
@@ -190,6 +200,8 @@ class OptimizerSpec:
         if (self.kind in _FILTERED_KINDS
                 and not isinstance(self.model, StateSpaceGradientModel)):
             raise ValueError(f"{self.kind} requires a StateSpaceGradientModel")
+        if self.kind in _FILTERED_KINDS and not _positive_definite(self.model.a_mat):
+            raise ValueError(f"{self.kind} requires a positive definite model.A")
         if self.kind == "polyak_momentum" and self.model.dtilde != 1:
             raise ValueError("polyak_momentum is the dtilde = 1 special case")
         if self.mode == "synthetic" and self.kind in ("mirror_sgd", "fosp_continuous"):
@@ -235,9 +247,10 @@ def run_ensemble(spec: OptimizerSpec, problem, steps: int, seeds) -> list[Trajec
     seed and are computed once; one step loop then advances all seeds
     together, each on its own harness RNG streams, and the displacement,
     quadratic-variation and filter-norm paths of all seeds are formed in
-    one stacked pass.  problem may be None in synthetic mode (the latent
-    gradient model is not tied to a loss landscape; loss gaps are then
-    NaN)."""
+    one stacked pass.  When the stacked loop raised, each seed is rerun
+    alone and the one-seed runs are stacked.  problem may be None in
+    synthetic mode (the latent gradient model is not tied to a loss
+    landscape; loss gaps are then NaN)."""
     spec.validate()
     seeds = list(seeds)
     schedule = spec.schedule
@@ -247,6 +260,8 @@ def run_ensemble(spec: OptimizerSpec, problem, steps: int, seeds) -> list[Trajec
     if x0.shape != (d,):
         raise ValueError(f"x0 has shape {x0.shape}, but the dimension is d = {d}")
     spec.mirror.check_domain(x0)
+    if not seeds:
+        return []
 
     if steps == 0:
         x_path = x0[None, :]
@@ -264,8 +279,16 @@ def run_ensemble(spec: OptimizerSpec, problem, steps: int, seeds) -> list[Trajec
     qv_factors = (_weight(schedule, ts), _exp(-schedule.gamma(ts)))
     alphas = schedule.alpha(step_times)
 
-    x_paths, g_stream, y_paths, lengths, errors = _run_steps(
-        spec, problem, seeds, x0, alphas, dts, phi, coeff, filt)
+    args = (spec, problem, x0, alphas, dts, phi, coeff, filt)
+    x_paths, g_stream, y_paths, length, error, raised = _run_steps(seeds, *args)
+    lengths, errors = [length] * len(seeds), [error] * len(seeds)
+    if raised and len(seeds) > 1:
+        # Each seed alone: every row is then its one-seed run.
+        x_paths, g_stream, y_paths, lengths, errors, _ = zip(
+            *(_run_steps([seed], *args) for seed in seeds))
+        x_paths, g_stream = np.concatenate(x_paths), np.concatenate(g_stream)
+        y_paths = None if y_paths[0] is None else np.concatenate(y_paths)
+        lengths, errors = list(lengths), list(errors)
     nu_paths = np.diff(x_paths, axis=1) / dts[:, None]
     qv_paths = _qv_path(coeff, qv_factors, g_stream)
     _fail_nonfinite_qv(qv_paths, lengths, errors)
@@ -332,64 +355,28 @@ def _filter_gains(spec: OptimizerSpec, dts: np.ndarray):
     return a_tils, gains[:k], psd_error if psd_error is not None else error
 
 
-def _simulated_streams(model, dts, seeds, out: np.ndarray) -> dict:
-    """Fill out (S, K, d) with each seed's observation stream, simulated
-    from its "stream" generator for all seeds at once, and return
-    {row: exception} for the seeds whose simulation raised: when the
-    stacked simulation raises, each seed is simulated on its own."""
-    from .harness.rng import component_rng
-
-    try:
-        out[:] = model._simulate_seeds(dts, [component_rng(s, "stream") for s in seeds])[1]
-        return {}
-    except Exception:
-        failures = {}
-        for i, seed in enumerate(seeds):
-            try:
-                out[i] = model.simulate(dts, component_rng(seed, "stream"))[1]
-            except Exception as exc:
-                failures[i] = exc
-        return failures
-
-
-def _row_by_row(step, k, x, g, y):
-    """Step k rerun on each row of the stacks as a one-row stack: the
-    stacked results of the rows that pass and {row: exception} for the
-    rows that raise."""
-    done, failures = [], {}
-    for j in range(len(x)):
-        try:
-            done.append(step(k, x[j:j + 1], g[j:j + 1], None if y is None else y[j:j + 1]))
-        except Exception as exc:
-            failures[j] = exc
-    if not done:
-        return x[:0], None if y is None else y[:0], failures
-    xs, ys = zip(*done)
-    return np.concatenate(xs), None if y is None else np.concatenate(ys), failures
-
-
-def _run_steps(spec, problem, seeds, x0, alphas, dts, phi, coeff, filt):
+def _run_steps(seeds, spec, problem, x0, alphas, dts, phi, coeff, filt):
     """The step loop of every kind and stream mode, advancing the S seeds
     together as stacks: iterates (S, d), filter means (S, d, dtilde) and
-    the observed stream (S, K, d).  Step k observes g for every live seed
-    (its row of the model's stream, simulated before the loop, or a fresh
+    the observed stream (S, K, d).  The streams of all seeds are simulated
+    first, from their "stream" generators (synthetic mode); step k then
+    observes g for every seed (its row of the stream, or a fresh
     mini-batch gradient from its "batch" generator), filters it with the
     gains in filt (filtered kinds), applies the kind's update rule to the
     stack and checks the domain of the new stack once (fosp_continuous:
     once per Euler substep).
 
-    Failures stay per seed.  When anything in step k raises for the
-    stack, step k is rerun on each live row as a one-row stack; a row
-    that raises, or whose observation raises, records
-    "{Type} at step {k}: {message}", keeps X_0 .. X_k and leaves the
-    stack, and the other rows go on.  A gain sequence cut short fails its
-    step after the observation.
+    Anything that raises, the simulation counting as step 0, ends every
+    row at step k with "{Type} at step {k}: {message}"; so does a gain
+    sequence cut short, after the observation of its step.  The rows keep
+    X_0 .. X_k and are frozen after it, iterate, filter mean and
+    observation repeated to the end, so the stacked paths add nothing past
+    the prefix.
 
     Returns (x_paths (S, K+1, d), g_stream (S, K, d), y_paths
-    (S, K+1, d, dtilde) or None for the unfiltered kinds, steps completed
-    per seed, error per seed or None).  A failed row is frozen after its
-    last step, its iterate, filter mean and observation repeated to the
-    end, so the stacked paths add nothing past its prefix."""
+    (S, K+1, d, dtilde) or None for the unfiltered kinds, steps completed,
+    error or None, and whether the stack raised: its rows may then fail
+    alone at other steps, and only a one-seed run tells)."""
     from .harness.rng import component_rng
 
     mirror, model, kind = spec.mirror, spec.model, spec.kind
@@ -398,80 +385,57 @@ def _run_steps(spec, problem, seeds, x0, alphas, dts, phi, coeff, filt):
     g_stream = np.empty((n_seeds, k_steps, d))
     x_paths[:, 0] = x0
     x, y, y_paths = x_paths[:, 0], None, None
+    n_gains, gain_error = k_steps, None
     if filt is not None:
         a_tils, gains, gain_error = filt
+        n_gains = len(gains)
         y_paths = np.empty((n_seeds, k_steps + 1, d, model.dtilde))
         y_paths[:, 0] = 0.0
         y = y_paths[:, 0]
-    lengths, errors = [k_steps] * n_seeds, [None] * n_seeds
-    live = np.arange(n_seeds)
 
-    def step(k, x, g, y):
-        if kind == "fosp_continuous":
-            # The observation is frozen over fosp_substeps Euler steps.
-            effective = float(phi[k]) * coeff * g
-            for _ in range(spec.fosp_substeps):
-                x = _flow_update(mirror, x, effective, float(alphas[k]),
-                                 float(dts[k]) / spec.fosp_substeps)
-                mirror.check_domain(x)
-            return x, y
-        if kind == "mirror_sgd":
-            x = _mirror_update(mirror, x, float(phi[k]) * (coeff * g))
+    k, error, raised = 0, None, False
+    try:
+        if spec.mode == "synthetic":
+            g_stream[:] = model._simulate_seeds(
+                dts, [component_rng(seed, "stream") for seed in seeds])[1]
         else:
-            if k == len(gains):
+            rngs = [component_rng(seed, "batch") for seed in seeds]
+        while k < k_steps:
+            if spec.mode == "empirical":
+                for i, rng in enumerate(rngs):
+                    g_stream[i, k] = problem.minibatch_gradient(x[i], spec.batch_m, rng)
+            g = g_stream[:, k]
+            if k == n_gains:
                 raise gain_error
-            x, y = _filtered_update(mirror, x, y, g, a_tils[k], model.b_vec, gains[k], phi[k])
-        mirror.check_domain(x)
-        return x, y
+            if kind == "fosp_continuous":
+                # The observation is frozen over fosp_substeps Euler steps.
+                effective = float(phi[k]) * coeff * g
+                for _ in range(spec.fosp_substeps):
+                    x = _flow_update(mirror, x, effective, float(alphas[k]),
+                                     float(dts[k]) / spec.fosp_substeps)
+                    mirror.check_domain(x)
+            else:
+                if kind == "mirror_sgd":
+                    x = _mirror_update(mirror, x, float(phi[k]) * (coeff * g))
+                else:
+                    x, y = _filtered_update(mirror, x, y, g, a_tils[k], model.b_vec,
+                                            gains[k], phi[k])
+                mirror.check_domain(x)
+            x_paths[:, k + 1] = x
+            if y is not None:
+                y_paths[:, k + 1] = y
+            k += 1
+    except Exception as exc:
+        error = f"{type(exc).__name__} at step {k}: {exc}"
+        # The gains do not depend on the seed: their cut ends every row alike.
+        raised = exc is not gain_error
 
-    def record(failures, k):
-        """Record the error of each failing live row; the mask of the rest."""
-        keep = np.ones(len(live), dtype=bool)
-        for j, exc in failures.items():
-            lengths[live[j]] = k
-            errors[live[j]] = f"{type(exc).__name__} at step {k}: {exc}"
-            keep[j] = False
-        return keep
-
-    synthetic = spec.mode == "synthetic"
-    failures = {}
-    if synthetic:
-        failures = _simulated_streams(model, dts, seeds, g_stream)
-    else:
-        rngs = [component_rng(seed, "batch") for seed in seeds]
-    for k in range(k_steps):
-        if not synthetic:
-            for j, i in enumerate(live):
-                try:
-                    g_stream[i, k] = problem.minibatch_gradient(x[j], spec.batch_m, rngs[i])
-                except Exception as exc:
-                    failures[j] = exc
-        if failures:
-            keep = record(failures, k)
-            live, x = live[keep], x[keep]
-            y = None if y is None else y[keep]
-            failures = {}
-        if not len(live):
-            break
-        rows = slice(None) if len(live) == n_seeds else live
-        g = g_stream[rows, k]
-        try:
-            x, y = step(k, x, g, y)
-        except Exception:
-            x, y, failures = _row_by_row(step, k, x, g, y)
-            live = live[record(failures, k)]
-            rows, failures = live, {}
-        x_paths[rows, k + 1] = x
-        if y is not None:
-            y_paths[rows, k + 1] = y
-
-    for i, k in enumerate(lengths):
-        if k < k_steps:
-            x_paths[i, k + 1:] = x_paths[i, k]
-            g_stream[i, k:] = g_stream[i, k - 1] if k else 0.0
-            if y_paths is not None:
-                y_paths[i, k + 1:] = y_paths[i, k]
-    return x_paths, g_stream, y_paths, lengths, errors
+    if k < k_steps:
+        x_paths[:, k + 1:] = x_paths[:, k, None]
+        g_stream[:, k:] = g_stream[:, k - 1, None] if k else 0.0
+        if y_paths is not None:
+            y_paths[:, k + 1:] = y_paths[:, k, None]
+    return x_paths, g_stream, y_paths, k, error, raised
 
 
 def _qv_path(coeff, qv_factors, g_stream):

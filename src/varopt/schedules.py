@@ -57,6 +57,7 @@ _FD_STEP = 1e-5
 QUAD_TOL = 1e-11
 _QUAD_MAX_DEPTH = 20  # bisection levels
 _QUAD_REL = 1e-12  # relative floor; intervals stop near rounding noise
+_GRID_POINTS = 1000  # horizon grid of the finiteness and scaling checks
 
 
 @dataclass(frozen=True)
@@ -90,8 +91,8 @@ class Schedule:
             raise ValueError("horizon_T must be positive")
         self.validate_finite()
 
-    def validate_finite(self, grid_points: int = 1000) -> None:
-        ts = np.linspace(self.t_min, self.horizon_T, grid_points)
+    def validate_finite(self) -> None:
+        ts = np.linspace(self.t_min, self.horizon_T, _GRID_POINTS)
         for label in ("alpha", "beta", "gamma", "beta_dot", "gamma_dot"):
             fn = getattr(self, label)
             if fn is None:
@@ -192,11 +193,9 @@ def _central_diff(fn, ts):
     return (fn(b) - fn(a)) / (b - a)
 
 
-def check_scaling(schedule: Schedule, grid_points: int = 1000) -> ScalingReport:
+def check_scaling(schedule: Schedule) -> ScalingReport:
     """Check gamma' = exp(alpha) and beta' <= exp(alpha) on a uniform grid."""
-    if grid_points < 2:
-        raise ValueError("grid_points must be >= 2")
-    ts = np.linspace(schedule.t_min, schedule.horizon_T, grid_points)
+    ts = np.linspace(schedule.t_min, schedule.horizon_T, _GRID_POINTS)
     gdot = schedule.gamma_dot(ts) if schedule.gamma_dot else _central_diff(schedule.gamma, ts)
     bdot = schedule.beta_dot(ts) if schedule.beta_dot else _central_diff(schedule.beta, ts)
     ea = _exp(schedule.alpha(ts))
@@ -206,14 +205,12 @@ def check_scaling(schedule: Schedule, grid_points: int = 1000) -> ScalingReport:
                          passed=(max_gamma <= SCALING_TOL) and (max_beta <= SCALING_TOL))
 
 
-def build_mesh(schedule: Schedule, steps: int, t0: Optional[float] = None) -> Mesh:
-    """Mesh recursion t_{k+1} = t_k + exp(-alpha(t_k)), K steps.
-
-    t0 defaults to 0 (or to the schedule's t_min when that is positive).
-    """
+def build_mesh(schedule: Schedule, steps: int) -> Mesh:
+    """Mesh recursion t_{k+1} = t_k + exp(-alpha(t_k)), K steps from the
+    schedule's t_min (0 unless the family sets it)."""
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    t = schedule.t_min if t0 is None else t0
+    t = schedule.t_min
     times = [t]
     for _ in range(steps):
         try:
@@ -411,12 +408,18 @@ def phi_scalar(schedule: Schedule, t: float) -> float:
     return float(phi_scalar_path(schedule, [t])[0])
 
 
+def _positive_definite(a_mat: np.ndarray) -> bool:
+    """Whether the symmetric part of the square matrix a_mat has only
+    positive eigenvalues."""
+    return bool(np.linalg.eigvalsh(0.5 * (a_mat + a_mat.T)).min() > 0)
+
+
 def phi_vector_path(schedule: Schedule, a_mat, b_vec, times) -> np.ndarray:
     """Vector learning-rate path of the linear state-space gradient model
     on a sorted time grid; a_mat must be positive definite.  Returns an
     array of shape (len(times), dtilde)."""
     a_mat = np.atleast_2d(np.asarray(a_mat, dtype=float))
-    if np.linalg.eigvalsh(0.5 * (a_mat + a_mat.T)).min() <= 0:
+    if not _positive_definite(a_mat):
         raise ValueError("A must be positive definite")
     return _phi_path(schedule, a_mat, np.atleast_1d(np.asarray(b_vec, dtype=float)), times)
 

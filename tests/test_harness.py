@@ -531,6 +531,23 @@ class TestCli:
         assert main(["run", cfg]) == EXIT_CONFIG
         assert f"{key} must be >= 1" in capsys.readouterr().err
 
+    # A = 0 passes the model's own check, but the filtered kinds need A
+    # positive definite; an empty or repeated seed list has no run.
+    @pytest.mark.parametrize("override, key", [
+        ("model.A = [[0, 0, 0], [0, 0, 0], [0, 0, 0]]", "model.A"),
+        ("model.A = [[0, 0, 0], [0, 0, 0], [0, 0, 0]]\n"
+         "optimizer.kind = generalized_momentum", "model.A"),
+        ("seeds = []", "seeds = []"),
+        ("seeds = [1, 1]", "seeds = [1, 1]"),
+    ], ids=["A=0-kalman_gd", "A=0-generalized_momentum", "seeds=[]", "seeds=[1,1]"])
+    def test_unrunnable_value_is_config_error(self, override, key, tmp_path,
+                                              monkeypatch, capsys):
+        monkeypatch.delenv("VAROPT_SEED", raising=False)
+        cfg = _write_config(tmp_path, KALMAN_CONFIG + f"output = {tmp_path}/out\n{override}\n")
+        assert main(["run", cfg]) == EXIT_CONFIG
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_b_length_is_checked_against_dtilde(self, tmp_path, capsys):
         cfg = _write_config(tmp_path, KALMAN_CONFIG + f"output = {tmp_path}/out\n"
                             "model.dtilde = 1\nmodel.b = [1, 2]\n")

@@ -478,6 +478,11 @@ def test_ensemble_is_the_per_seed_runs(spec, problem, steps):
                 assert a == b
 
 
+@pytest.mark.parametrize("kind", optimizers.OPTIMIZER_KINDS)
+def test_empty_ensemble_is_empty(kind):
+    assert run_ensemble(_ensemble_spec(kind, "synthetic"), None, 20, []) == []
+
+
 def _assert_same_trajectories(ensemble, runs):
     for got, want in zip(ensemble, runs, strict=True):
         for field in dataclasses.fields(Trajectory):
@@ -504,24 +509,43 @@ def _gradient_raising_at_step_4(problem, seed):
     return problem
 
 
-def _failing_entropy_spec(mode, sigma):
-    return OptimizerSpec(kind="mirror_sgd", mirror=entropy_map(),
+def _failing_entropy_spec(mode, sigma, kind="mirror_sgd"):
+    return OptimizerSpec(kind=kind, mirror=entropy_map(),
                          schedule=linear_schedule(beta0=-0.7, gamma1=1.0, delta_T=19.3,
                                                   horizon_T=20.0),
                          model=MartingaleGradientModel(sigma=sigma, n=100, m=25, d=3),
                          mode=mode, batch_m=10 if mode == "empirical" else None)
 
 
-@pytest.mark.parametrize("mode", ["synthetic", "empirical"])
-def test_rows_failing_at_different_steps_are_the_per_seed_runs(mode):
-    # Synthetic: sigma = 60 drives seeds out of the entropy domain, or
-    # overflows exp, on steps 10 to 17.  Empirical: gradients scaled by
-    # 1000 leave the domain on steps 12 and 17, and seed 3's mini-batch
-    # gradient raises on step 4.  Every row equals its single-seed run,
-    # failed rows included, and a failing row does not stop the others.
+def _failing_entropy_momentum_spec():
+    # _ensemble_spec keeps Phi of order one; latent noise L = 100 I makes
+    # the stream loud enough to leave the entropy domain.
+    spec = _ensemble_spec("generalized_momentum", "synthetic")
+    return dataclasses.replace(spec, mirror=entropy_map(),
+                               model=dataclasses.replace(spec.model, l_mat=100.0 * np.eye(2)))
+
+
+@pytest.mark.parametrize("kind, mode", [
+    ("mirror_sgd", "synthetic"),
+    ("mirror_sgd", "empirical"),
+    ("fosp_continuous", "synthetic"),
+    ("generalized_momentum", "synthetic"),
+], ids=["synthetic", "empirical", "fosp_continuous", "generalized_momentum"])
+def test_rows_failing_at_different_steps_are_the_per_seed_runs(kind, mode):
+    # Synthetic mirror_sgd: sigma = 60 drives seeds out of the entropy
+    # domain, or overflows exp, on steps 10 to 17.  Empirical: gradients
+    # scaled by 1000 leave the domain on steps 12 and 17, and seed 3's
+    # mini-batch gradient raises on step 4.  fosp_continuous: sigma = 20
+    # overflows exp in 6 of 8 seeds, on steps 11 to 19.
+    # generalized_momentum: 3 of 8 seeds fail, on steps 11 and 12.  Every
+    # row equals its single-seed run, failed rows included, and a failing
+    # row does not stop the others.
     seeds = list(range(8))
-    if mode == "synthetic":
-        spec, problem = _failing_entropy_spec(mode, 60.0), None
+    problem = None
+    if kind == "generalized_momentum":
+        spec = _failing_entropy_momentum_spec()
+    elif mode == "synthetic":
+        spec = _failing_entropy_spec(mode, 20.0 if kind == "fosp_continuous" else 60.0, kind)
     else:
         spec = _failing_entropy_spec(mode, 30.0)
         problem = _gradient_raising_at_step_4(
@@ -532,6 +556,7 @@ def test_rows_failing_at_different_steps_are_the_per_seed_runs(mode):
     assert len(failed_steps) >= 2 and any(t.error is None for t in ensemble)
     if mode == "empirical":
         assert ensemble[3].error == "FloatingPointError at step 4: mini-batch gradient raised"
+    if kind != "mirror_sgd" or mode == "empirical":
         return
     # The error is the public step's: a DomainError naming the seed's own
     # point, or numpy's overflow warning, which the tests raise as errors.
