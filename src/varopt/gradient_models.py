@@ -70,6 +70,16 @@ class FilterDivergenceError(RuntimeError):
     """Covariance or innovation variance left its admissible region."""
 
 
+def _positive_definite(a_mat: np.ndarray) -> bool:
+    """Whether the symmetric part of the square matrix a_mat is positive
+    definite: it has a Cholesky factor, and a finite one (the factor of a
+    NaN or an infinite entry is NaN or inf, not an error)."""
+    try:
+        return bool(np.isfinite(np.linalg.cholesky(0.5 * (a_mat + a_mat.T))).all())
+    except np.linalg.LinAlgError:
+        return False
+
+
 def _mesh_steps(dts) -> np.ndarray:
     """dts as a float array; ValueError unless it is 1-d and positive."""
     dts = np.asarray(dts, dtype=float)
@@ -147,11 +157,9 @@ class StateSpaceGradientModel:
             if mat.shape != (self.dtilde, self.dtilde) or not np.isfinite(mat).all():
                 raise ValueError(f"{name} must be a finite dtilde x dtilde matrix")
         # L enters only as L w and L L', so any square L is a noise factor.
-        if not np.allclose(a, 0):
-            try:
-                np.linalg.cholesky(0.5 * (a + a.T))
-            except np.linalg.LinAlgError:
-                raise ValueError("A must be positive definite") from None
+        # A = 0 is the unfiltered kinds' drift-free prior.
+        if a.any() and not _positive_definite(a):
+            raise ValueError("A must be positive definite")
 
     @property
     def dtilde(self) -> int:

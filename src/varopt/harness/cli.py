@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from ..gradient_models import FilterDivergenceError
-from .config import ConfigError, build_experiment, load_config
+from .config import ConfigError, _json_or_string, build_experiment, load_config
 from .runner import compare, run_experiment, sweep
 
 EXIT_OK = 0
@@ -22,7 +22,9 @@ EXIT_NUMERICAL = 3
 
 
 def _parse_grid(spec: str) -> dict:
-    """Grid syntax: 'key=v1,v2;other.key=v3,v4' with JSON-parsed values."""
+    """Grid syntax: 'key=v1,v2;other.key=v3,v4'.  A clause's values are one
+    JSON array when they parse as one ('optimizer.x0=[1,1],[2,2]'), else
+    they are split at every comma into JSON values or bare strings."""
     grid = {}
     for clause in spec.split(";"):
         clause = clause.strip()
@@ -31,13 +33,12 @@ def _parse_grid(spec: str) -> dict:
         if "=" not in clause:
             raise ConfigError(f"bad grid clause {clause!r}")
         key, values = clause.split("=", 1)
-        parsed = []
-        for token in values.split(","):
-            token = token.strip()
-            try:
-                parsed.append(json.loads(token))
-            except json.JSONDecodeError:
-                parsed.append(token)
+        try:
+            parsed = json.loads(f"[{values}]")
+        except json.JSONDecodeError:
+            parsed = [_json_or_string(token.strip()) for token in values.split(",")]
+        if not parsed:
+            raise ConfigError(f"grid clause {clause!r} has no values")
         grid[key.strip()] = parsed
     if not grid:
         raise ConfigError("empty parameter grid")
@@ -106,10 +107,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except FileNotFoundError as exc:
+    except (ConfigError, FileNotFoundError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (FilterDivergenceError, np.linalg.LinAlgError, ArithmeticError,

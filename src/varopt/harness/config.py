@@ -32,14 +32,14 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from ..bregman import DomainError, MirrorMap, entropy_map, quadratic_map
 from ..gradient_models import MartingaleGradientModel, StateSpaceGradientModel
-from ..optimizers import OPTIMIZER_KINDS, OptimizerSpec, _mesh_times
+from ..optimizers import OptimizerSpec, _mesh_times
 from ..schedules import (
     Schedule,
     constant_schedule,
@@ -117,18 +117,22 @@ def parse_config_text(text: str) -> dict:
         key, value = (part.strip() for part in line.split("=", 1))
         if not key:
             raise ConfigError(f"line {lineno}: empty key")
-        try:
-            parsed = json.loads(value)
-        except json.JSONDecodeError:
-            parsed = value
         node = root
         parts = key.split(".")
         for part in parts[:-1]:
             node = node.setdefault(part, {})
             if not isinstance(node, dict):
                 raise ConfigError(f"line {lineno}: key {key!r} conflicts with a scalar")
-        node[parts[-1]] = parsed
+        node[parts[-1]] = _json_or_string(value)
     return root
+
+
+def _json_or_string(text: str):
+    """text parsed as JSON, or text itself when it is not JSON."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:
+        return text
 
 
 def load_config(path: str) -> dict:
@@ -148,7 +152,6 @@ class ExperimentConfig:
     steps: int
     output: str
     bound_constant: float = 10.0
-    raw: dict = field(default_factory=dict)
 
 
 _SCHEDULE_FAMILIES = {
@@ -278,15 +281,12 @@ def build_experiment(cfg: dict) -> ExperimentConfig:
     schedule = _build_schedule(cfg)
     model = _build_model(cfg, d)
 
-    kind = opt_section.get("kind", "mirror_sgd")
-    if kind not in OPTIMIZER_KINDS:
-        raise ConfigError(f"unknown optimizer kind {kind!r}")
     batch_m = _value(cfg, "optimizer.batch_m", None, int)
     if batch_m is None and mode == "empirical":
         batch_m = _value(cfg, "model.m", problem.n if problem else None, int)
     spec = OptimizerSpec(
-        kind=kind, mirror=mirror, schedule=schedule, model=model, mode=mode,
-        x0=_vector(cfg, "optimizer.x0", d), batch_m=batch_m,
+        kind=opt_section.get("kind", "mirror_sgd"), mirror=mirror, schedule=schedule,
+        model=model, mode=mode, x0=_vector(cfg, "optimizer.x0", d), batch_m=batch_m,
         fosp_substeps=_value(cfg, "optimizer.fosp_substeps", 4, int),
     )
     try:
@@ -308,8 +308,6 @@ def build_experiment(cfg: dict) -> ExperimentConfig:
             raise ConfigError(f"seeds = {seeds} must be a non-empty list of distinct seeds")
 
     steps = _value(cfg, "mesh.steps", 100, int)
-    if steps < 0:
-        raise ConfigError("mesh.steps must be >= 0")
     try:
         _mesh_times(schedule, steps)
     except ValueError as exc:
@@ -319,5 +317,4 @@ def build_experiment(cfg: dict) -> ExperimentConfig:
         problem=problem, mirror=mirror, schedule=schedule, optimizer_spec=spec,
         seeds=seeds, steps=steps, output=str(cfg.get("output", "varopt_out")),
         bound_constant=_value(cfg, "diagnostics.bound_constant", 10.0),
-        raw=cfg,
     )

@@ -8,6 +8,7 @@ full-precision (17 significant digit) decimal floats, so a fixed
 from __future__ import annotations
 
 import copy
+import csv
 import itertools
 import os
 from dataclasses import dataclass, field
@@ -183,29 +184,28 @@ def _set_dotted(cfg: dict, dotted: str, value) -> None:
 
 
 def sweep(raw_cfg: dict, grid: dict, output: Optional[str] = None) -> str:
-    """Cross-product sweep over config scalars.
+    """Cross-product sweep over config values.
 
     grid maps dotted config keys to value lists; a key that
-    build_experiment does not read is a ConfigError before any cell runs.
-    Writes one summary CSV with a row per grid cell and returns its path;
-    per-cell failures are recorded in the row instead of aborting the
-    sweep.
+    build_experiment does not read, or whose first value it cannot take
+    in that place, is a ConfigError before any cell runs.  Writes one
+    summary CSV with a row per grid cell and returns its path; per-cell
+    failures are recorded in the row instead of aborting the sweep.
     """
     keys = sorted(grid.keys())
     for key in keys:
-        probe: dict = {}
-        _set_dotted(probe, key, None)
-        check_keys(probe)
+        for value in grid[key][:1]:
+            probe: dict = {}
+            _set_dotted(probe, key, value)
+            check_keys(probe)
     values = [grid[k] for k in keys]
     base_output = output or str(raw_cfg.get("output", "varopt_out"))
     os.makedirs(base_output, exist_ok=True)
-    header = keys + ["n_seeds", "n_failed", "mean_final_gap"]
-    lines = [",".join(header)]
-    for cell_index, combo in enumerate(itertools.product(*values)):
+    rows = [keys + ["n_seeds", "n_failed", "mean_final_gap"]]
+    for combo in itertools.product(*values):
         cfg = copy.deepcopy(raw_cfg)
         for key, value in zip(keys, combo):
             _set_dotted(cfg, key, value)
-        cfg["output"] = os.path.join(base_output, f"cell{cell_index}")
         row = [str(v) for v in combo]
         try:
             experiment = build_experiment(cfg)
@@ -214,10 +214,10 @@ def sweep(raw_cfg: dict, grid: dict, output: Optional[str] = None) -> str:
                     _fmt(artifacts.mean_final_gap)]
         except Exception as exc:
             row += ["0", "all", f"error:{type(exc).__name__}"]
-        lines.append(",".join(row))
+        rows.append(row)
     path = os.path.join(base_output, "sweep.csv")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
     return path
 
 

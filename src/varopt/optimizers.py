@@ -45,7 +45,6 @@ from .gradient_models import (
 from .schedules import (
     Schedule,
     _exp,
-    _positive_definite,
     _weight,
     build_mesh,
     phi_scalar_path,
@@ -200,8 +199,9 @@ class OptimizerSpec:
         if (self.kind in _FILTERED_KINDS
                 and not isinstance(self.model, StateSpaceGradientModel)):
             raise ValueError(f"{self.kind} requires a StateSpaceGradientModel")
-        if self.kind in _FILTERED_KINDS and not _positive_definite(self.model.a_mat):
-            raise ValueError(f"{self.kind} requires a positive definite model.A")
+        # The model refuses every other A that is not positive definite.
+        if self.kind in _FILTERED_KINDS and not self.model.a_mat.any():
+            raise ValueError(f"{self.kind} requires a positive definite model.A, not A = 0")
         if self.kind == "polyak_momentum" and self.model.dtilde != 1:
             raise ValueError("polyak_momentum is the dtilde = 1 special case")
         if self.mode == "synthetic" and self.kind in ("mirror_sgd", "fosp_continuous"):
@@ -226,7 +226,9 @@ class OptimizerSpec:
 
 
 def _mesh_times(schedule: Schedule, steps: int) -> np.ndarray:
-    """Times t_0 .. t_K of a K-step mesh; ValueError past the horizon."""
+    """Times t_0 .. t_K of a K-step mesh; ValueError for K < 0 or past the horizon."""
+    if steps < 0:
+        raise ValueError("steps must be >= 0")
     times = build_mesh(schedule, max(steps, 1)).times[: steps + 1]
     if times[-1] > schedule.horizon_T + 1e-9:
         raise ValueError(

@@ -34,6 +34,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .bregman import NumericalError
+from .gradient_models import _positive_definite
 
 __all__ = [
     "Schedule",
@@ -81,12 +82,14 @@ class Schedule:
     gamma_dot: Optional[Callable[[np.ndarray], np.ndarray]] = None
     # Earliest admissible time (nonzero for the polynomial family).
     t_min: float = 0.0
-    name: str = "custom"
     # c1 when log w = alpha + beta + gamma is affine, c0 + c1 t, as in the
     # linear family; the learning-rate paths then integrate w in closed form.
     weight_slope: Optional[float] = None
 
     def __post_init__(self):
+        for label in ("delta_T", "horizon_T"):
+            if not math.isfinite(getattr(self, label)):
+                raise ValueError(f"{label} must be finite, got {getattr(self, label)}")
         if not (self.horizon_T > 0):
             raise ValueError("horizon_T must be positive")
         self.validate_finite()
@@ -135,16 +138,14 @@ class ScalingReport:
     passed: bool
 
 
-def constant_schedule(alpha0=0.0, beta0=0.0, gamma0=0.0, delta_T=0.0, horizon_T=1.0,
-                      name="constant") -> Schedule:
+def constant_schedule(alpha0=0.0, beta0=0.0, gamma0=0.0, delta_T=0.0, horizon_T=1.0) -> Schedule:
     """The linear family with zero slopes."""
     return linear_schedule(alpha0=alpha0, beta0=beta0, gamma0=gamma0, delta_T=delta_T,
-                           horizon_T=horizon_T, name=name)
+                           horizon_T=horizon_T)
 
 
 def linear_schedule(alpha0=0.0, alpha1=0.0, beta0=0.0, beta1=0.0,
-                    gamma0=0.0, gamma1=0.0, delta_T=0.0, horizon_T=1.0,
-                    name="linear") -> Schedule:
+                    gamma0=0.0, gamma1=0.0, delta_T=0.0, horizon_T=1.0) -> Schedule:
     """Exponents linear in t: alpha_t = alpha0 + alpha1 t, etc.
 
     With alpha1 = 0, gamma1 = exp(alpha0) and beta1 <= exp(alpha0) this
@@ -158,13 +159,11 @@ def linear_schedule(alpha0=0.0, alpha1=0.0, beta0=0.0, beta1=0.0,
         horizon_T=horizon_T,
         beta_dot=lambda t: beta1 + 0.0 * t,
         gamma_dot=lambda t: gamma1 + 0.0 * t,
-        name=name,
         weight_slope=alpha1 + beta1 + gamma1,
     )
 
 
-def polynomial_schedule(p=2.0, c=1.0, delta_T=0.0, horizon_T=1.0, t_min=0.1,
-                        name="polynomial") -> Schedule:
+def polynomial_schedule(p=2.0, c=1.0, delta_T=0.0, horizon_T=1.0, t_min=0.1) -> Schedule:
     """alpha_t = log p - log t, beta_t = p log t + log c, gamma_t = p log t.
 
     Defined for t >= t_min > 0.  Realizes the scaling conditions with a
@@ -183,7 +182,6 @@ def polynomial_schedule(p=2.0, c=1.0, delta_T=0.0, horizon_T=1.0, t_min=0.1,
         beta_dot=lambda t: p / t,
         gamma_dot=lambda t: p / t,
         t_min=t_min,
-        name=name,
     )
 
 
@@ -406,12 +404,6 @@ def phi_scalar_path(schedule: Schedule, times) -> np.ndarray:
 def phi_scalar(schedule: Schedule, t: float) -> float:
     """phi_scalar_path at one time."""
     return float(phi_scalar_path(schedule, [t])[0])
-
-
-def _positive_definite(a_mat: np.ndarray) -> bool:
-    """Whether the symmetric part of the square matrix a_mat has only
-    positive eigenvalues."""
-    return bool(np.linalg.eigvalsh(0.5 * (a_mat + a_mat.T)).min() > 0)
 
 
 def phi_vector_path(schedule: Schedule, a_mat, b_vec, times) -> np.ndarray:

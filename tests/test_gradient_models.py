@@ -139,6 +139,15 @@ class TestStateSpaceModel:
                                     l_mat=np.array([[1.0]]),
                                     b_vec=np.array([1.0]), sigma=1.0)
 
+    # Only A = 0 is exempt: a drift that is tiny or skew-symmetric is
+    # not positive definite either.
+    @pytest.mark.parametrize("a", [1e-9 * np.diag([1.0, -1.0]), 1e-9 * np.diag([1.0, 0.0]),
+                                   [[0.0, 1.0], [-1.0, 0.0]]],
+                             ids=["tiny-indefinite", "tiny-semidefinite", "skew"])
+    def test_rejects_nonzero_a_without_positive_definite_symmetric_part(self, a):
+        with pytest.raises(ValueError, match="A must be positive definite"):
+            StateSpaceGradientModel(a_mat=a, l_mat=np.eye(2), b_vec=np.ones(2), sigma=1.0)
+
     @pytest.mark.parametrize("l", [[[1.0, 0.0], [3.0, 1.0]], [[0.0, 1.0], [1.0, 0.0]],
                                    [[1.0, 0.0], [0.0, 0.0]]],
                              ids=["cholesky", "permutation", "rank-deficient"])

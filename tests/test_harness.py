@@ -1,5 +1,6 @@
 """Problems, configs, the experiment runner and the CLI."""
 
+import csv
 import math
 import os
 import re
@@ -151,6 +152,35 @@ class TestBuildExperiment:
         raw = parse_config_text(BASE_CONFIG + override + "\n")
         with pytest.raises(ConfigError, match=f"unknown config key {key}$"):
             build_experiment(raw)
+
+    # The harness wraps the library's own checks of the kind and the step
+    # count instead of repeating them.
+    @pytest.mark.parametrize("override, message", [
+        ("optimizer.kind = adam", "invalid optimizer spec: unknown optimizer kind 'adam'"),
+        ("mesh.steps = -3", "mesh.steps = -3: steps must be >= 0"),
+    ])
+    def test_library_checks_are_wrapped(self, override, message):
+        raw = parse_config_text(BASE_CONFIG + override + "\n")
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            build_experiment(raw)
+
+    def test_a_is_factored_once_per_entry_point(self, monkeypatch):
+        # The model and phi_vector_path each take one Cholesky test of A;
+        # eigvalsh sees only the stacked posterior covariances.
+        calls = {"cholesky": 0, "eigvalsh": 0}
+        for name in calls:
+            original = getattr(np.linalg, name)
+
+            def counted(m, *args, _name=name, _original=original, **kwargs):
+                calls[_name] += np.ndim(m) == 2
+                return _original(m, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        monkeypatch.delenv("VAROPT_SEED", raising=False)
+        artifacts = run_experiment(build_experiment(parse_config_text(KALMAN_CONFIG)),
+                                   write=False)
+        assert not artifacts.errors
+        assert calls == {"cholesky": 2, "eigvalsh": 0}
 
     def test_null_value_reads_as_default(self):
         raw = parse_config_text(BASE_CONFIG + "diagnostics.bound_constant = null\n"
@@ -416,6 +446,21 @@ class TestSweepAndCompare:
         assert len(lines) == 3
         assert "error:" in lines[2]
 
+    def test_sweep_over_vectors_and_objects(self, tmp_path):
+        # Each key is checked with its first value, and a value with commas
+        # is one quoted CSV field.
+        raw = parse_config_text(BASE_CONFIG + f"output = {tmp_path}/sw\n"
+                                "seeds = [0]\n")
+        path = sweep(raw, {"optimizer.x0": [[1, 1, 1], [2, 2, 2]],
+                           "schedule.params": [{"alpha0": 2.302585092994046, "beta0": -0.7,
+                                                "gamma1": 10.0}]})
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["optimizer.x0", "schedule.params", "n_seeds", "n_failed",
+                           "mean_final_gap"]
+        assert [row[:4] for row in rows[1:]] == [
+            ["[1, 1, 1]", rows[1][1], "1", "0"], ["[2, 2, 2]", rows[1][1], "1", "0"]]
+
     def test_sweep_refuses_unknown_grid_key(self, tmp_path):
         raw = parse_config_text(BASE_CONFIG + f"output = {tmp_path}/sw\n"
                                 "seeds = [0]\n")
@@ -580,9 +625,27 @@ class TestCli:
         assert main(["sweep", cfg, "--grid", "model.m=10,50"]) == EXIT_OK
         assert capsys.readouterr().out.strip().endswith("sweep.csv")
 
+    def test_sweep_subcommand_over_an_array(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path, BASE_CONFIG + f"output = {tmp_path}/sw\n"
+                            "seeds = [0]\n")
+        assert main(["sweep", cfg, "--grid",
+                     "optimizer.x0=[1,1,1],[2,2,2];optimizer.kind=mirror_sgd,"
+                     "fosp_continuous"]) == EXIT_OK
+        with open(capsys.readouterr().out.strip(), newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert [row[:4] for row in rows[1:]] == [
+            ["mirror_sgd", "[1, 1, 1]", "1", "0"], ["mirror_sgd", "[2, 2, 2]", "1", "0"],
+            ["fosp_continuous", "[1, 1, 1]", "1", "0"],
+            ["fosp_continuous", "[2, 2, 2]", "1", "0"]]
+
     def test_bad_grid_is_config_error(self, tmp_path, capsys):
         cfg = _write_config(tmp_path, BASE_CONFIG)
         assert main(["sweep", cfg, "--grid", "nonsense"]) == EXIT_CONFIG
+
+    def test_grid_clause_without_values_is_config_error(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path, BASE_CONFIG)
+        assert main(["sweep", cfg, "--grid", "model.m="]) == EXIT_CONFIG
+        assert "has no values" in capsys.readouterr().err
 
     def test_compare_subcommand(self, tmp_path, capsys):
         cfg = _write_config(tmp_path, BASE_CONFIG + f"output = {tmp_path}/cmp\n"

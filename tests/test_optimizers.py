@@ -193,6 +193,13 @@ class TestRunOptimizer:
         assert traj.steps == 0
         assert traj.x_path.shape == (1, 3)
 
+    def test_negative_steps_refused(self):
+        spec = self._martingale_spec()
+        with pytest.raises(ValueError, match="steps must be >= 0"):
+            run_ensemble(spec, None, -1, [0, 1])
+        with pytest.raises(ValueError, match="steps must be >= 0"):
+            run_optimizer(spec, None, -1, seed=0)
+
     def test_wrong_length_x0_refused_before_any_step(self):
         spec = self._martingale_spec(x0=np.ones(2))     # the model has d = 3
         with pytest.raises(ValueError, match=r"x0 has shape \(2,\).*d = 3"):

@@ -330,6 +330,16 @@ class TestVectorPath:
         with pytest.raises(ValueError):
             phi_vector(s, np.array([[-1.0]]), np.array([1.0]), 0.5)
 
+    # Raw input: A = 0 and a non-finite A are refused too (the Cholesky
+    # factor of a NaN or an infinite entry is NaN or inf, not an error).
+    @pytest.mark.parametrize("a", [1e-9 * np.diag([1.0, -1.0]), np.zeros((2, 2)),
+                                   np.diag([np.nan, 1.0]), np.diag([np.inf, 1.0])],
+                             ids=["tiny-indefinite", "zero", "nan", "inf"])
+    def test_rejects_a_without_positive_definite_symmetric_part(self, a):
+        s = constant_schedule(horizon_T=1.0)
+        with pytest.raises(ValueError, match="A must be positive definite"):
+            phi_vector_path(s, a, np.ones(2), [0.5])
+
 
 def _without_weight_slope(s):
     """The same schedule functions in a plain Schedule, whose paths take
@@ -435,6 +445,12 @@ class TestArrayContract:
     def test_math_function_is_refused(self):
         with pytest.raises(ValueError, match="schedule function gamma "):
             self._custom(gamma=lambda t: math.log(t))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["delta_T", "horizon_T"])
+    def test_non_finite_terminal_values_are_refused(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            linear_schedule(**{field: value})
 
     def test_non_finite_values_are_refused(self):
         with pytest.raises(ValueError, match="schedule function beta "):
