@@ -1,7 +1,9 @@
 """Command-line interface.
 
 Subcommands: run, sweep, compare, selftest.  Exit codes: 0 success,
-2 configuration/validation error, 3 numerical failure.
+2 configuration/validation error, 3 numerical failure.  A sweep exits 0
+when any cell ran; when none did, 2 if every cell failed with a
+configuration error, else 3.
 """
 
 from __future__ import annotations

@@ -12,8 +12,10 @@ families ship:
 
 Mini-batch gradients sample m indices without replacement per batch,
 independently across steps, and evaluate the gradient on those m rows
-only, so a step costs O(m d) whatever N is.  Each sample's gradient
-depends only on its own row, so the batch mean equals the mean of the
+only, so a step costs O(m d) whatever N is.  `minibatch_gradients`
+evaluates the batches of S seeds as one stacked gradient, and
+`minibatch_gradient` is its one-row case.  Each sample's gradient
+depends only on its own row, so every batch mean equals the mean of the
 matching rows of `per_sample_gradients` bit for bit.
 
 `loss` and `loss_gap` take one point or a (k, d) stack of points; the
@@ -41,7 +43,9 @@ _NEWTON_MAX_ITER = 100
 # Doubles (1 MB) per buffer of the stacked logistic loss: blocks of
 # _LOSS_BLOCK // n rows (6 at n = 20000), so that both buffers stay in a
 # 2 MB per-core L2 cache and each block's product amortizes the packing
-# of the features.  Stacking adds no memory beyond the two buffers.
+# of the features.  Stacking adds no memory beyond the two buffers.  The
+# stacked mini-batch gradients gather this many doubles at a time, or one
+# batch if it is larger.
 _LOSS_BLOCK = 1 << 17
 
 
@@ -127,16 +131,20 @@ class ProblemInstance:
         return self._gradients(x, slice(None))
 
     def _gradients(self, x, rows) -> np.ndarray:
-        """Per-sample gradients at x of the samples selected by rows.
-        The margins use einsum, whose per-row sums do not depend on how
-        many rows are selected (BLAS matrix-vector kernels round the
-        rows of a remainder block differently)."""
+        """Per-sample gradients (..., m, d): at the point x (d,) of the
+        samples selected by rows, or at each point of a stack x (S, d) of
+        the samples in its row of an (S, m) index block.  The margins use
+        einsum, whose per-row sums do not depend on how many rows or
+        points are selected (BLAS matrix-vector kernels round the rows of
+        a remainder block differently)."""
         x = np.asarray(x, dtype=float)
         if self.kind == "quadratic":
-            return x[None, :] - self.z[rows]
+            return x[..., None, :] - self.z[rows]
         feats, labels = self.features[rows], self.labels[rows]
-        w = -labels * _sigmoid_neg(labels * np.einsum("ij,j->i", feats, x))
-        return w[:, None] * feats + self.ridge * x[None, :]
+        w = -labels * _sigmoid_neg(labels * np.einsum("...ij,...j->...i", feats, x))
+        grads = w[..., None] * feats
+        grads += self.ridge * x[..., None, :]
+        return grads
 
     def full_gradient(self, x) -> np.ndarray:
         # Same arithmetic order as the stored average so the m = n
@@ -144,12 +152,33 @@ class ProblemInstance:
         return self.per_sample_gradients(x).mean(axis=0)
 
     def minibatch_gradient(self, x, m: int, rng: np.random.Generator) -> np.ndarray:
+        """The mini-batch gradient at x of m rows drawn by rng: the one-row
+        case of minibatch_gradients."""
+        return self.minibatch_gradients(np.asarray(x, dtype=float)[None], m, [rng])[0]
+
+    def minibatch_gradients(self, xs, m: int, rngs) -> np.ndarray:
+        """(S, d) mini-batch gradients, row i at xs[i] on m rows drawn by
+        rngs[i] with one rng.choice, in order.  The batches are gathered
+        and evaluated as one stack, in chunks of seeds within the
+        _LOSS_BLOCK budget; the sum and the division by m are those of
+        mean.  m = n draws nothing: row i is full_gradient(xs[i])."""
         if not (1 <= m <= self.n):
             raise ValueError(f"batch size must satisfy 1 <= m <= {self.n}")
         if m == self.n:
-            return self.full_gradient(x)
-        idx = rng.choice(self.n, size=m, replace=False)
-        return self._gradients(x, idx).mean(axis=0)
+            out = np.empty((len(rngs), self.d))
+            for row, x in zip(out, xs):
+                row[:] = self.full_gradient(x)
+            return out
+        rows = max(1, _LOSS_BLOCK // (m * self.d))
+        if len(rngs) > rows:
+            return np.concatenate([self.minibatch_gradients(xs[i:i + rows], m, rngs[i:i + rows])
+                                   for i in range(0, len(rngs), rows)])
+        idx = np.empty((len(rngs), m), dtype=np.intp)
+        for i, rng in enumerate(rngs):
+            idx[i] = rng.choice(self.n, size=m, replace=False)
+        out = np.add.reduce(self._gradients(xs, idx), axis=-2)
+        out /= m
+        return out
 
 
 def generate_problem(kind: str, d: int, n: int, rng: np.random.Generator,

@@ -17,8 +17,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .. import diagnostics as diag
-from ..optimizers import run_ensemble
-from .config import ExperimentConfig, build_experiment, check_keys
+from ..bregman import NumericalError
+from ..optimizers import _NUMERICAL_FAILURES, run_ensemble
+from .config import ConfigError, ExperimentConfig, build_experiment, check_keys
 
 __all__ = ["RunArtifacts", "run_experiment", "sweep", "compare"]
 
@@ -189,8 +190,13 @@ def sweep(raw_cfg: dict, grid: dict, output: Optional[str] = None) -> str:
     grid maps dotted config keys to value lists; a key that
     build_experiment does not read, or whose first value it cannot take
     in that place, is a ConfigError before any cell runs.  Writes one
-    summary CSV with a row per grid cell and returns its path; per-cell
-    failures are recorded in the row instead of aborting the sweep.
+    summary CSV with a row per grid cell and returns its path.  A cell
+    that fails with a configuration error or a numerical failure is
+    recorded in its row as "error:{Type}: {message}" (newlines folded)
+    instead of aborting the sweep; any other exception propagates.  When
+    no cell ran, the CSV is written and the sweep raises ConfigError if
+    every cell failed with one, else NumericalError, naming the CSV and
+    the first failure (a numerical one, if any).
     """
     keys = sorted(grid.keys())
     for key in keys:
@@ -202,6 +208,7 @@ def sweep(raw_cfg: dict, grid: dict, output: Optional[str] = None) -> str:
     base_output = output or str(raw_cfg.get("output", "varopt_out"))
     os.makedirs(base_output, exist_ok=True)
     rows = [keys + ["n_seeds", "n_failed", "mean_final_gap"]]
+    failures = []
     for combo in itertools.product(*values):
         cfg = copy.deepcopy(raw_cfg)
         for key, value in zip(keys, combo):
@@ -212,12 +219,19 @@ def sweep(raw_cfg: dict, grid: dict, output: Optional[str] = None) -> str:
             artifacts = run_experiment(experiment, write=False)
             row += [str(len(experiment.seeds)), str(len(artifacts.errors)),
                     _fmt(artifacts.mean_final_gap)]
-        except Exception as exc:
-            row += ["0", "all", f"error:{type(exc).__name__}"]
+        except _NUMERICAL_FAILURES as exc:     # a ConfigError is a ValueError
+            failure = f"{type(exc).__name__}: {' '.join(str(exc).splitlines())}"
+            row += ["0", "all", f"error:{failure}"]
+            failures.append((exc, failure))
         rows.append(row)
     path = os.path.join(base_output, "sweep.csv")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh, lineterminator="\n").writerows(rows)
+    if len(failures) == len(rows) - 1:
+        numerical = [failure for exc, failure in failures if not isinstance(exc, ConfigError)]
+        first = numerical[0] if numerical else failures[0][1]
+        text = f"every sweep cell failed ({path}); first: {first}"
+        raise NumericalError(text) if numerical else ConfigError(text)
     return path
 
 

@@ -16,11 +16,14 @@ Each update is one private array kernel on stacks of points; the public
 ensemble runs one step loop for all S seeds: iterates (S, d), filter
 means (S, d, dtilde) and the observed stream (S, K, d) advance together,
 with one domain check per step on the whole stack, and every row equals
-its seed's one-seed run bit for bit.  Failures stay per seed: anything
-that raises in step k ends the stacked run there, and the ensemble is then
-rerun one seed at a time, so that a failing seed records its error and
-ends its paths at its own X_k while the others complete.  A gain sequence
-cut short is the same for every seed and ends all rows at its step.
+its seed's one-seed run bit for bit; in empirical mode a step takes all
+seeds' mini-batch gradients in one stacked call.  Failures stay per seed:
+a numerical failure in step k ends the stacked run there, and the
+ensemble is then rerun one seed at a time, so that a failing seed records
+its error and ends its paths at its own X_k while the others complete.
+Any other exception, such as a TypeError in a custom map, propagates.  A
+gain sequence cut short is the same for every seed and ends all rows at
+its step.
 """
 
 from __future__ import annotations
@@ -73,6 +76,10 @@ OPTIMIZER_KINDS = (
 )
 # Kinds whose dual-space step comes from a state-space filter.
 _FILTERED_KINDS = ("kalman_gd", "generalized_momentum", "polyak_momentum")
+# The numerical failures that fail a seed: DomainError and LinAlgError are
+# ValueErrors, FilterDivergenceError and NumericalError RuntimeErrors, and
+# numpy's warnings may be raised as errors.
+_NUMERICAL_FAILURES = (ArithmeticError, ValueError, RuntimeError, RuntimeWarning)
 
 
 def _mirror_update(mirror: MirrorMap, x: np.ndarray, step: np.ndarray) -> np.ndarray:
@@ -362,18 +369,19 @@ def _run_steps(seeds, spec, problem, x0, alphas, dts, phi, coeff, filt):
     together as stacks: iterates (S, d), filter means (S, d, dtilde) and
     the observed stream (S, K, d).  The streams of all seeds are simulated
     first, from their "stream" generators (synthetic mode); step k then
-    observes g for every seed (its row of the stream, or a fresh
-    mini-batch gradient from its "batch" generator), filters it with the
-    gains in filt (filtered kinds), applies the kind's update rule to the
-    stack and checks the domain of the new stack once (fosp_continuous:
-    once per Euler substep).
+    observes g for every seed (its row of the stream, or the seeds'
+    mini-batch gradients in one stacked call, each batch drawn from its
+    seed's "batch" generator), filters it with the gains in filt
+    (filtered kinds), applies the kind's update rule to the stack and
+    checks the domain of the new stack once (fosp_continuous: once per
+    Euler substep).
 
-    Anything that raises, the simulation counting as step 0, ends every
-    row at step k with "{Type} at step {k}: {message}"; so does a gain
-    sequence cut short, after the observation of its step.  The rows keep
-    X_0 .. X_k and are frozen after it, iterate, filter mean and
-    observation repeated to the end, so the stacked paths add nothing past
-    the prefix.
+    A numerical failure (_NUMERICAL_FAILURES), the simulation counting as
+    step 0, ends every row at step k with "{Type} at step {k}: {message}";
+    so does a gain sequence cut short, after the observation of its step.
+    Any other exception propagates.  The rows keep X_0 .. X_k and are
+    frozen after it, iterate, filter mean and observation repeated to the
+    end, so the stacked paths add nothing past the prefix.
 
     Returns (x_paths (S, K+1, d), g_stream (S, K, d), y_paths
     (S, K+1, d, dtilde) or None for the unfiltered kinds, steps completed,
@@ -404,8 +412,7 @@ def _run_steps(seeds, spec, problem, x0, alphas, dts, phi, coeff, filt):
             rngs = [component_rng(seed, "batch") for seed in seeds]
         while k < k_steps:
             if spec.mode == "empirical":
-                for i, rng in enumerate(rngs):
-                    g_stream[i, k] = problem.minibatch_gradient(x[i], spec.batch_m, rng)
+                g_stream[:, k] = problem.minibatch_gradients(x, spec.batch_m, rngs)
             g = g_stream[:, k]
             if k == n_gains:
                 raise gain_error
@@ -427,7 +434,7 @@ def _run_steps(seeds, spec, problem, x0, alphas, dts, phi, coeff, filt):
             if y is not None:
                 y_paths[:, k + 1] = y
             k += 1
-    except Exception as exc:
+    except _NUMERICAL_FAILURES as exc:
         error = f"{type(exc).__name__} at step {k}: {exc}"
         # The gains do not depend on the seed: their cut ends every row alike.
         raised = exc is not gain_error

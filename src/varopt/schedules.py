@@ -20,8 +20,9 @@ reject unsorted or out-of-horizon times with ValueError.  M is propagated
 backward from T over the grid, one local integral per interval
 (_phi_path): for the linear family, whose weight is exp(c0 + c1 t), every
 interval's propagator and integral come from one stacked Van Loan block
-exponential; for any other schedule the local integrals come from one
-adaptive Gauss-Legendre pass (integrate_intervals) over all intervals.
+exponential, one matrix per distinct interval width; for any other
+schedule the local integrals come from one adaptive Gauss-Legendre pass
+(integrate_intervals) over all intervals.
 """
 
 from __future__ import annotations
@@ -332,6 +333,22 @@ def matrix_exp(m: np.ndarray) -> np.ndarray:
     return result
 
 
+def _interval_exps(widths: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """expm(Delta_i m) for every interval width Delta_i, with one
+    exponential per distinct width (a mesh has few); matrix_exp treats
+    each matrix of a stack on its own, so the bits are those of one
+    exponential per interval.  A dict, not np.unique: a process's first
+    sort maps numpy's sorting kernels, 0.5 MB of resident memory."""
+    first = {}
+    inverse = [first.setdefault(width, len(first)) for width in widths.tolist()]
+    try:
+        return matrix_exp(np.array(list(first))[:, None, None] * m)[inverse]
+    except NumericalError:
+        # Raises again, naming the first interval of the failing width.
+        matrix_exp(widths[:, None, None] * m)
+        raise
+
+
 def _local_propagators(schedule: Schedule, a_mat: np.ndarray, edges: np.ndarray):
     """(expm(A Delta_i), J_i) for every interval [e_i, e_{i+1}] of edges,
     J_i = int_{e_i}^{e_{i+1}} w(u) expm(A (u - e_i)) du, as (n, dtilde, dtilde)
@@ -347,7 +364,7 @@ def _local_propagators(schedule: Schedule, a_mat: np.ndarray, edges: np.ndarray)
         block = np.zeros((2 * n, 2 * n))
         block[:n, :n], block[:n, n:], block[n:, n:] = a_mat, np.eye(n), -c1 * np.eye(n)
         with np.errstate(over="raise"):  # exp(-c1 Delta) past the float range
-            blocks = matrix_exp(widths[:, None, None] * block)
+            blocks = _interval_exps(widths, block)
         return blocks[:, :n, :n], blocks[:, :n, n:] * _weight(schedule, edges[1:])[:, None, None]
 
     def integrand(u):
@@ -358,7 +375,7 @@ def _local_propagators(schedule: Schedule, a_mat: np.ndarray, edges: np.ndarray)
         exps *= _weight(schedule, u)[:, None, None]
         return exps
 
-    return matrix_exp(widths[:, None, None] * a_mat), integrate_intervals(integrand, edges)
+    return _interval_exps(widths, a_mat), integrate_intervals(integrand, edges)
 
 
 def _phi_path(schedule: Schedule, a_mat: np.ndarray, b_vec: np.ndarray,

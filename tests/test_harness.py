@@ -260,6 +260,59 @@ class TestProblems:
             np.testing.assert_array_equal(got, full[idx].mean(axis=0))
 
     @pytest.mark.parametrize("kind", ["quadratic", "logistic"])
+    @pytest.mark.parametrize("n_seeds", [1, 2, 7])
+    @pytest.mark.parametrize("scale", [1e-2, 1.0, 1e2])
+    def test_stacked_minibatch_rows_are_the_one_row_calls(self, kind, n_seeds, scale):
+        # Each row is drawn by its own generator and equals the one-row
+        # call, and the mean of its batch's rows of the per-sample array,
+        # bit for bit; m = n draws nothing and is the full gradient.
+        n, d = 64, 5
+        problem = generate_problem(kind, d=d, n=n, rng=component_rng(17, "problem"))
+        xs = scale * component_rng(18, "problem").standard_normal((n_seeds, d))
+        for m in (1, 2, 3, 5, 17, 64):
+            got = problem.minibatch_gradients(
+                xs, m, [component_rng(seed, "batch") for seed in range(n_seeds)])
+            one_row = np.stack([problem.minibatch_gradient(x, m, component_rng(seed, "batch"))
+                                for seed, x in enumerate(xs)])
+            np.testing.assert_array_equal(got, one_row, strict=True)
+            if m < n:
+                batch_rows = np.stack([
+                    problem.per_sample_gradients(x)[
+                        component_rng(seed, "batch").choice(n, size=m, replace=False)
+                    ].mean(axis=0) for seed, x in enumerate(xs)])
+                np.testing.assert_array_equal(got, batch_rows, strict=True)
+        np.testing.assert_array_equal(
+            got, np.stack([problem.full_gradient(x) for x in xs]), strict=True)
+
+    @pytest.mark.parametrize("kind", ["quadratic", "logistic"])
+    def test_chunked_gather_is_the_whole_gather(self, kind, monkeypatch):
+        # A budget of 2 or 3 batches takes 7 seeds in chunks with a tail.
+        n, d, m = 200, 4, 30
+        problem = generate_problem(kind, d=d, n=n, rng=component_rng(19, "problem"))
+        xs = component_rng(20, "problem").standard_normal((7, d))
+        whole = problem.minibatch_gradients(xs, m, [component_rng(s, "batch") for s in range(7)])
+        for batches in (1, 2, 3):
+            monkeypatch.setattr(problems_module, "_LOSS_BLOCK", batches * m * d)
+            chunked = problem.minibatch_gradients(
+                xs, m, [component_rng(s, "batch") for s in range(7)])
+            np.testing.assert_array_equal(chunked, whole, strict=True)
+
+    def test_stacked_minibatch_memory_does_not_grow_with_seeds(self):
+        # One batch of 5000 x 16 doubles (640 kB) fills the budget, so 16
+        # seeds are gathered one at a time; all at once would take 10 MB.
+        n, d, m = 20000, 16, 5000
+        problem = generate_problem("logistic", d=d, n=n, rng=component_rng(21, "problem"))
+        xs = component_rng(22, "problem").standard_normal((16, d))
+        rngs = [component_rng(s, "batch") for s in range(16)]
+        tracemalloc.start()
+        try:
+            problem.minibatch_gradients(xs, m, rngs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * m * d * 8
+
+    @pytest.mark.parametrize("kind", ["quadratic", "logistic"])
     def test_stacked_loss_matches_pointwise(self, kind):
         # n = 14000 makes logistic loss blocks of 9 rows, so 11 rows span
         # two blocks and end in a partial one.
@@ -297,15 +350,15 @@ class TestProblems:
 
     def test_failed_run_keeps_one_gap_per_iterate(self):
         problem = generate_problem("logistic", d=3, n=80, rng=component_rng(11, "problem"))
-        draw = problem.minibatch_gradient
+        draw = problem.minibatch_gradients
         steps = iter(range(20))
 
-        def fails_at_step_4(x, m, rng):
+        def fails_at_step_4(xs, m, rngs):
             if next(steps) == 4:
                 raise FloatingPointError("overflow")
-            return draw(x, m, rng)
+            return draw(xs, m, rngs)
 
-        problem.minibatch_gradient = fails_at_step_4
+        problem.minibatch_gradients = fails_at_step_4
         spec = OptimizerSpec(kind="mirror_sgd", mirror=quadratic_map(),
                              schedule=_scaling_linear(), mode="empirical", batch_m=8)
         traj = run_optimizer(spec, problem, 20, seed=0)
@@ -637,6 +690,41 @@ class TestCli:
             ["mirror_sgd", "[1, 1, 1]", "1", "0"], ["mirror_sgd", "[2, 2, 2]", "1", "0"],
             ["fosp_continuous", "[1, 1, 1]", "1", "0"],
             ["fosp_continuous", "[2, 2, 2]", "1", "0"]]
+
+    def test_sweep_with_one_cell_run_exits_0(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path, BASE_CONFIG + f"output = {tmp_path}/sw\n"
+                            "seeds = [0]\n")
+        assert main(["sweep", cfg, "--grid", "mesh.steps=10,10000"]) == EXIT_OK
+        with open(capsys.readouterr().out.strip(), newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[1][:3] == ["10", "1", "0"]
+        assert rows[2][:3] == ["10000", "0", "all"]
+        assert rows[2][3].startswith("error:ConfigError: mesh.steps = 10000: mesh reaches t = ")
+
+    def test_sweep_with_every_cell_a_config_error_exits_2(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path, BASE_CONFIG + f"output = {tmp_path}/sw\n"
+                            "seeds = [0]\n")
+        assert main(["sweep", cfg, "--grid", "mesh.steps=10000,20000"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"every sweep cell failed ({tmp_path}/sw/sweep.csv)" in err
+        assert "first: ConfigError: mesh.steps = 10000: mesh reaches t = " in err
+        with open(tmp_path / "sw" / "sweep.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert [row[:3] for row in rows[1:]] == [["10000", "0", "all"], ["20000", "0", "all"]]
+        assert all(row[3].startswith(f"error:ConfigError: mesh.steps = {row[0]}: ")
+                   and "past the schedule horizon" in row[3] for row in rows[1:])
+
+    @pytest.mark.parametrize("grid", ["schedule.delta_T=1.0,2.0", "mesh.steps=2,10000"],
+                             ids=["numerical", "numerical_and_config"])
+    def test_sweep_with_every_cell_failed_numerically_exits_3(self, grid, tmp_path, capsys):
+        # gamma1 = 400 overflows the weight: every cell with a valid mesh
+        # fails numerically.
+        cfg = _write_config(tmp_path, BASE_CONFIG + f"output = {tmp_path}/sw\n"
+                            'schedule.params = {"gamma1": 400.0}\n'
+                            "schedule.delta_T = 1.0\nschedule.T = 2.0\nmesh.steps = 2\n")
+        assert main(["sweep", cfg, "--grid", grid]) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert "every sweep cell failed" in err and "first: FloatingPointError: overflow" in err
 
     def test_bad_grid_is_config_error(self, tmp_path, capsys):
         cfg = _write_config(tmp_path, BASE_CONFIG)

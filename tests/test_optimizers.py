@@ -503,16 +503,17 @@ def _assert_same_trajectories(ensemble, runs):
 def _gradient_raising_at_step_4(problem, seed):
     """The problem's mini-batch gradients times 1000, raising on step 4 of
     the batch generator of `seed`."""
-    draw, calls = problem.minibatch_gradient, {}
+    draw, calls = problem.minibatch_gradients, {}
 
-    def gradient(x, m, rng):
-        entry = calls.setdefault(id(rng), [rng, 0])     # holds rng: ids stay unique
-        entry[1] += 1
-        if entry[1] == 5 and rng.bit_generator.seed_seq.entropy == seed:
-            raise FloatingPointError("mini-batch gradient raised")
-        return 1000.0 * draw(x, m, rng)
+    def gradients(xs, m, rngs):
+        for rng in rngs:
+            entry = calls.setdefault(id(rng), [rng, 0])     # holds rng: ids stay unique
+            entry[1] += 1
+            if entry[1] == 5 and rng.bit_generator.seed_seq.entropy == seed:
+                raise FloatingPointError("mini-batch gradient raised")
+        return 1000.0 * draw(xs, m, rngs)
 
-    problem.minibatch_gradient = gradient
+    problem.minibatch_gradients = gradients
     return problem
 
 
@@ -593,6 +594,29 @@ def test_seed_whose_stream_raises_fails_alone(monkeypatch):
     _assert_same_trajectories(ensemble, [run_optimizer(spec, None, 20, s) for s in seeds])
     assert [t.error for t in ensemble] == [None, None, "FloatingPointError at step 0: stream raised",
                                            None]
+
+
+def _raise(exc):
+    raise exc
+
+
+@pytest.mark.parametrize("mode", ["synthetic", "empirical"])
+@pytest.mark.parametrize("grad_h_dual, error", [
+    (lambda z: np.add(z, "1"), TypeError),       # numpy's UFuncTypeError
+    (lambda z: _raise(TypeError("bad operand")), TypeError),
+    (lambda z: _raise(AttributeError("no attribute")), AttributeError),
+    (lambda z: _raise(KeyError("key")), KeyError),
+    (lambda z: _raise(IndexError("index")), IndexError),
+], ids=["UFuncTypeError", "TypeError", "AttributeError", "KeyError", "IndexError"])
+def test_programming_error_in_a_map_propagates(mode, grad_h_dual, error):
+    # A bug in a custom map is not a numerical failure of the seeds.
+    spec = dataclasses.replace(_ensemble_spec("mirror_sgd", mode),
+                               mirror=dataclasses.replace(quadratic_map(),
+                                                          grad_h_dual=grad_h_dual))
+    problem = (generate_problem("quadratic", d=3, n=40, rng=component_rng(0, "problem"))
+               if mode == "empirical" else None)
+    with pytest.raises(error):
+        run_ensemble(spec, problem, 20, [0, 1, 2])
 
 
 def test_64_seed_kalman_gd_rows_are_the_single_seed_runs():

@@ -395,6 +395,8 @@ class TestPropagator:
 
     @pytest.mark.parametrize("family", ["constant", "linear"])
     def test_linear_family_path_is_one_matrix_exp(self, family, monkeypatch):
+        # One stacked exponential per path, of one matrix per distinct
+        # interval width: rounding leaves 20 equal steps 6 distinct widths.
         calls = []
         original = schedules_module.matrix_exp
 
@@ -409,7 +411,26 @@ class TestPropagator:
             warnings.simplefilter("ignore", RuntimeWarning)  # delta_T = 0: Phi < 0
             phi_vector_path(s, _A_NONSYM, np.array([1.0, 0.6, 0.3]), times)
             phi_scalar_path(s, times)
-        assert calls == [(20, 6, 6), (20, 2, 2)]
+        widths = len(np.unique(np.diff(np.append(times, s.horizon_T))))
+        assert widths < 20
+        assert calls == [(widths, 6, 6), (widths, 2, 2)]
+
+    def test_interval_exponentials_are_the_per_interval_ones(self):
+        # The kalman_synthetic mesh: 500 intervals of only 7 distinct widths.
+        s = constant_schedule(alpha0=math.log(25.0), horizon_T=20.0)
+        widths = np.diff(build_mesh(s, 500).times)
+        assert len(np.unique(widths)) < 500
+        for m in (_A_NONSYM, np.array([[0.0, 1.0], [0.0, -1.3]])):    # A; a scalar Van Loan block
+            np.testing.assert_array_equal(schedules_module._interval_exps(widths, m),
+                                          matrix_exp(widths[:, None, None] * m), strict=True)
+
+    def test_interval_overflow_names_the_first_interval_of_its_width(self):
+        # Distinct widths 0.1 and 10: exp(800) overflows at distinct index 1,
+        # first reached by interval 3.
+        widths = np.array([0.1, 0.1, 0.1, 10.0, 0.1, 10.0])
+        with pytest.warns(RuntimeWarning, match="overflow"), \
+                pytest.raises(NumericalError, match=r"overflows .* at stack index \(3,\)"):
+            schedules_module._interval_exps(widths, np.array([[80.0]]))
 
 
 _FAMILIES = {
