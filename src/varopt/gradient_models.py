@@ -18,7 +18,9 @@ Two priors on the gradient stream are supported:
   noise L dW has covariance L L' in every filter, as in simulate.
 
 Each model draws its seeded stream on a mesh in one block (simulate); the
-state-space model's discretization is written once, in discretize.  An
+state-space model's discretization is written once, in discretize, and
+the discrete recursion's covariance pass once, in _covariance_pass, which
+kalman_discrete_step runs for one step and _kalman_gains for a mesh.  An
 ensemble draws the streams of all its seeds with one call, each seed from
 its own generator, and the latent recursion advances the states of all
 seeds together; each row is bit for bit that seed's simulate.  The
@@ -62,7 +64,7 @@ STEADY_GAIN_RESIDUAL = 1e-9
 # Doubling k covers 2^k steps of the recursion; 64 doublings cover more
 # steps than any float64 mesh holds.
 _MAX_DOUBLINGS = 64
-# Lowest eigenvalue accepted in a posterior covariance of the discrete filter.
+# Lowest eigenvalue accepted in a posterior or steady covariance.
 _POSTERIOR_PSD_FLOOR = -1e-10
 
 
@@ -212,6 +214,17 @@ class StateSpaceGradientModel:
             grad_true[:, k] = y @ self.b_vec
         return grad_true, grad_true + sigmas[:, None] * draws[..., n_w:]
 
+    def _kalman_gains(self, dts, p0):
+        """(A_til (K, dtilde, dtilde), gains, error) of the _covariance_pass
+        on the K mesh steps dts from the prior covariance p0 (None: the
+        stationary covariance)."""
+        a_tils, l_tils, sigmas = self.discretize(dts)
+        p0 = np.atleast_2d(np.asarray(self.stationary_covariance() if p0 is None else p0,
+                                      dtype=float))
+        _, gains, _, _, error = _covariance_pass(
+            p0, a_tils, l_tils @ l_tils.transpose(0, 2, 1), self.b_vec, sigmas)
+        return a_tils, gains, error
+
 
 @dataclass(frozen=True)
 class KalmanState:
@@ -241,28 +254,17 @@ def martingale_filter(model: MartingaleGradientModel, g: np.ndarray) -> np.ndarr
     return model.filter_coefficient * np.asarray(g, dtype=float)
 
 
-def _psd_error(min_eigenvalue: float, what: str) -> FilterDivergenceError:
-    return FilterDivergenceError(
-        f"{what} lost positive semi-definiteness (min eigenvalue {min_eigenvalue:.3e})"
-    )
-
-
-def _check_psd(p: np.ndarray, floor: float, what: str) -> None:
-    eigs = np.linalg.eigvalsh(p)
-    if eigs.min() < floor:
-        raise _psd_error(eigs.min(), what)
-
-
-def _posterior_psd_prefix(p_posts: np.ndarray):
-    """(k, error) for a (K, dtilde, dtilde) stack of posterior covariances,
-    checked with one eigvalsh: the first k pass the check of
-    kalman_discrete_step, and error is that step's error for the next
-    one (None when all K pass)."""
-    min_eigs = np.linalg.eigvalsh(p_posts).min(axis=-1)
-    bad = np.flatnonzero(min_eigs < _POSTERIOR_PSD_FLOOR)
-    if not bad.size:
-        return len(p_posts), None
-    return int(bad[0]), _psd_error(min_eigs[bad[0]], "posterior covariance")
+def _psd_prefix(stack: np.ndarray, floor: float, what: str):
+    """(k, error) for a (K, dtilde, dtilde) stack of symmetric matrices,
+    checked with one eigvalsh: the first k have no eigenvalue below floor,
+    and error names the lowest eigenvalue of the next one (None when all
+    K pass)."""
+    min_eigs = np.linalg.eigvalsh(stack).min(axis=-1).tolist()
+    for k, min_eig in enumerate(min_eigs):
+        if min_eig < floor:
+            return k, FilterDivergenceError(
+                f"{what} lost positive semi-definiteness (min eigenvalue {min_eig:.3e})")
+    return len(min_eigs), None
 
 
 def kalman_mean_update(y_hat: np.ndarray, g_k: np.ndarray, a_tilde: np.ndarray,
@@ -309,22 +311,48 @@ def _kalman_update(p_pred, b_vec, sigma_disc):
     return gain, s, 0.5 * (p_post + p_post.T)
 
 
+def _covariance_pass(p_post, a_tils, qs, b_vec, sigmas):
+    """The covariance part of the discrete Kalman recursion from the
+    posterior covariance p_post over K steps (a_tils, qs, sigmas):
+    (p_preds, gains, s_innovs, p_posts) of the first k steps, stacked, and
+    the error of step k (None when k = K).  A PSD failure of a posterior,
+    found by one stacked eigvalsh, wins over a later non-positive
+    innovation variance."""
+    k_steps, n = len(sigmas), len(b_vec)
+    p_preds, p_posts = np.empty((k_steps, n, n)), np.empty((k_steps, n, n))
+    gains, s_innovs = np.empty((k_steps, n)), np.empty(k_steps)
+    n_steps, error = k_steps, None
+    for k in range(k_steps):
+        try:
+            p_preds[k], gains[k], s_innovs[k], p_post = _kalman_cov_step(
+                p_post, a_tils[k], qs[k], b_vec, sigmas[k])
+        except FilterDivergenceError as exc:
+            n_steps, error = k, exc
+            break
+        p_posts[k] = p_post
+    k, psd_error = _psd_prefix(p_posts[:n_steps], _POSTERIOR_PSD_FLOOR, "posterior covariance")
+    return (p_preds[:k], gains[:k], s_innovs[:k], p_posts[:k],
+            error if psd_error is None else psd_error)
+
+
 def kalman_discrete_step(state: KalmanState, g_k: np.ndarray, a_tilde: np.ndarray,
                          l_tilde: np.ndarray, b_vec: np.ndarray,
                          sigma_disc: float) -> KalmanState:
-    """One step of the discrete Kalman recursion, applied with the same
-    covariance and gain to every coordinate row of the mean (none for a
-    zero-row state).  The process noise L_til w has covariance L_til L_til'."""
+    """One step of the discrete Kalman recursion (the one-step _covariance_pass),
+    applied with the same covariance and gain to every coordinate row of the
+    mean (none for a zero-row state).  The process noise L_til w has
+    covariance L_til L_til'."""
     a_tilde = np.atleast_2d(np.asarray(a_tilde, dtype=float))
     l_tilde = np.atleast_2d(np.asarray(l_tilde, dtype=float))
     b_vec = np.atleast_1d(np.asarray(b_vec, dtype=float))
 
-    p_pred, gain, s, p_post = _kalman_cov_step(state.p_post, a_tilde,
-                                               l_tilde @ l_tilde.T, b_vec, sigma_disc)
-    _check_psd(p_post, _POSTERIOR_PSD_FLOOR, "posterior covariance")
-    y_hat = kalman_mean_update(state.y_hat, g_k, a_tilde, b_vec, gain)
-    return KalmanState(y_hat=y_hat, p_post=p_post, gain=gain, s_innov=s,
-                       p_pred=p_pred)
+    p_preds, gains, s_innovs, p_posts, error = _covariance_pass(
+        state.p_post, [a_tilde], [l_tilde @ l_tilde.T], b_vec, [sigma_disc])
+    if error is not None:
+        raise error
+    y_hat = kalman_mean_update(state.y_hat, g_k, a_tilde, b_vec, gains[0])
+    return KalmanState(y_hat=y_hat, p_post=p_posts[0], gain=gains[0],
+                       s_innov=float(s_innovs[0]), p_pred=p_preds[0])
 
 
 def kalman_bucy_step(state: KalmanState, g_t: np.ndarray, dt: float,
@@ -332,7 +360,7 @@ def kalman_bucy_step(state: KalmanState, g_t: np.ndarray, dt: float,
     """Explicit Euler step of the Kalman-Bucy mean/Riccati system.
 
     dy_hat = -A y_hat dt + sigma^{-2} P b (g - b'y_hat) dt,
-    dP     = (-A P - P'A - sigma^{-2} P b b' P' + L L') dt.
+    dP     = (-A P - P A' - sigma^{-2} P b b' P + L L') dt.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -344,13 +372,16 @@ def kalman_bucy_step(state: KalmanState, g_t: np.ndarray, dt: float,
     g_t = np.atleast_1d(np.asarray(g_t, dtype=float))
 
     innovation = g_t - state.y_hat.dot(b)                     # d
-    gain = p.dot(b) / sig2                                    # dtilde
+    p_b = p.dot(b)
+    gain = p_b / sig2                                         # dtilde
     y_hat = state.y_hat + dt * ((-state.y_hat).dot(a.T) + np.outer(innovation, gain))
-    p_dot = (-a).dot(p) - p.T.dot(a) - p.dot(np.outer(b, b)).dot(p.T) / sig2
-    p_dot += l.dot(l.T)
+    a_p = a.dot(p)                                            # P A' = (A P)'
+    p_dot = l.dot(l.T) - a_p - a_p.T - np.outer(p_b, gain)
     p_new = p + dt * p_dot
     p_new = 0.5 * (p_new + p_new.T)
-    _check_psd(p_new, -1e-8, "Riccati covariance")
+    _, error = _psd_prefix(p_new[None], -1e-8, "Riccati covariance")
+    if error is not None:
+        raise error
     return KalmanState(y_hat=y_hat, p_post=p_new, gain=gain,
                        s_innov=sig2, p_pred=p_new)
 
@@ -402,13 +433,17 @@ def kalman_steady_gain(a_tilde: np.ndarray, l_tilde: np.ndarray, b_vec: np.ndarr
                        sigma_disc: float) -> np.ndarray:
     """Steady-state gain of the time-invariant discrete filter: the gain of
     one _kalman_cov_step from the doubling solution P (_steady_covariance),
-    whose predicted covariance must reproduce P to STEADY_GAIN_RESIDUAL
-    relative to max |P|; FilterDivergenceError otherwise."""
+    which must be PSD and which that step's predicted covariance must
+    reproduce to STEADY_GAIN_RESIDUAL relative to max |P|; else
+    FilterDivergenceError."""
     a_tilde = np.atleast_2d(np.asarray(a_tilde, dtype=float))
     l_tilde = np.atleast_2d(np.asarray(l_tilde, dtype=float))
     b_vec = np.atleast_1d(np.asarray(b_vec, dtype=float))
     q = l_tilde @ l_tilde.T
     p_steady = _steady_covariance(a_tilde, q, b_vec, sigma_disc)
+    _, error = _psd_prefix(p_steady[None], _POSTERIOR_PSD_FLOOR, "steady covariance")
+    if error is not None:
+        raise error
     _, _, p_post = _kalman_update(p_steady, b_vec, sigma_disc)
     p_pred, gain, _, _ = _kalman_cov_step(p_post, a_tilde, q, b_vec, sigma_disc)
     resid, scale = float(np.abs(p_pred - p_steady).max()), float(np.abs(p_steady).max())

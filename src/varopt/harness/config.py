@@ -298,6 +298,13 @@ def build_experiment(cfg: dict) -> ExperimentConfig:
             mirror.check_domain(spec.x0)
         except DomainError as exc:
             raise ConfigError(f"optimizer.x0 = {spec.x0.tolist()}: {exc}") from exc
+    if problem is not None and mode == "empirical":
+        # The energy diagnostic measures the distance to x* in the map's geometry.
+        try:
+            mirror.check_domain(problem.x_star)
+        except DomainError as exc:
+            raise ConfigError(f"map.name = {mirror.name} does not hold the minimizer of "
+                              f"problem.kind = {problem.kind}: {exc}") from exc
 
     if "VAROPT_SEED" in os.environ:
         seeds = _value(os.environ, "VAROPT_SEED", None, lambda v: [int(v)])

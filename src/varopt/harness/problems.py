@@ -104,13 +104,16 @@ class ProblemInstance:
     def _logistic_losses(self, xs: np.ndarray) -> np.ndarray:
         """Losses of the rows of xs, block by block in two reused
         buffers; each row's mean is taken over its own contiguous row."""
-        rows = max(1, min(len(xs), _LOSS_BLOCK // self.n))
+        rows = max(2, min(len(xs), _LOSS_BLOCK // self.n))
         margins, terms = np.empty((rows, self.n)), np.empty((rows, self.n))
         out = np.empty(len(xs))
         for i in range(0, len(xs), rows):
             block = xs[i:i + rows]
             m, s = margins[:len(block)], terms[:len(block)]
-            np.matmul(block, self.features.T, out=m)
+            # BLAS takes a one-row product by a matrix-vector kernel, which
+            # rounds differently: a one-row block is multiplied as two rows.
+            lhs = block[[0, 0]] if len(block) == 1 else block
+            np.matmul(lhs, self.features.T, out=margins[:len(lhs)])
             m *= self.labels
             out[i:i + len(block)] = (np.mean(_softplus_neg(m, s), axis=1)
                                      + 0.5 * self.ridge * np.sum(block * block, axis=1))

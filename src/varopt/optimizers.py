@@ -40,8 +40,6 @@ from .gradient_models import (
     FilterDivergenceError,
     MartingaleGradientModel,
     StateSpaceGradientModel,
-    _kalman_cov_step,
-    _posterior_psd_prefix,
     kalman_mean_update,
     kalman_steady_gain,
 )
@@ -331,37 +329,19 @@ def _filter_coefficient(spec: OptimizerSpec, problem) -> float:
 def _filter_gains(spec: OptimizerSpec, dts: np.ndarray):
     """Seed-independent filter inputs: A_til = I - dt A per step, the gain
     of each step and the error that cut the gains short (else None).
-    kalman_gd runs the covariance recursion once and checks its K
-    posteriors with one stacked eigvalsh; the gains stop at the first
-    failing step, and a PSD failure before a non-positive innovation
-    variance wins.  The momentum kinds use the steady gain on every step."""
+    kalman_gd runs the model's discrete Kalman recursion once; the
+    momentum kinds use the steady gain on every step."""
     model = spec.model
+    if spec.kind == "kalman_gd":
+        return model._kalman_gains(dts, spec.p0)
+    # Momentum kinds need a constant-alpha schedule, so dt is constant
+    # and one steady gain serves every step.
     a_tils, l_tils, sigmas = model.discretize(dts)
-    if spec.kind != "kalman_gd":
-        # Momentum kinds need a constant-alpha schedule, so dt is
-        # constant and one steady gain serves every step.
-        try:
-            gain = kalman_steady_gain(a_tils[0], l_tils[0], model.b_vec, float(sigmas[0]))
-        except FilterDivergenceError as exc:
-            return a_tils, [], exc
-        return a_tils, [gain] * len(dts), None
-
-    p_post = np.atleast_2d(np.asarray(
-        spec.p0 if spec.p0 is not None else model.stationary_covariance(), dtype=float))
-    qs = l_tils @ l_tils.transpose(0, 2, 1)
-    gains = np.empty((len(dts), model.dtilde))
-    p_posts = np.empty((len(dts), model.dtilde, model.dtilde))
-    n_gains, error = len(dts), None
-    for k in range(len(dts)):
-        try:
-            _, gains[k], _, p_post = _kalman_cov_step(p_post, a_tils[k], qs[k],
-                                                      model.b_vec, sigmas[k])
-        except FilterDivergenceError as exc:
-            n_gains, error = k, exc
-            break
-        p_posts[k] = p_post
-    k, psd_error = _posterior_psd_prefix(p_posts[:n_gains])
-    return a_tils, gains[:k], psd_error if psd_error is not None else error
+    try:
+        gain = kalman_steady_gain(a_tils[0], l_tils[0], model.b_vec, float(sigmas[0]))
+    except FilterDivergenceError as exc:
+        return a_tils, [], exc
+    return a_tils, [gain] * len(dts), None
 
 
 def _run_steps(seeds, spec, problem, x0, alphas, dts, phi, coeff, filt):

@@ -1,5 +1,6 @@
 """Gradient-stream models and filters against independent oracles."""
 
+import functools
 import math
 import time
 import warnings
@@ -16,11 +17,13 @@ from varopt import (
     kalman_steady_gain,
     martingale_filter,
 )
+from varopt import gradient_models
 from varopt.gradient_models import (
+    _POSTERIOR_PSD_FLOOR,
     STEADY_GAIN_RESIDUAL,
     _kalman_cov_step,
     _kalman_update,
-    _posterior_psd_prefix,
+    _psd_prefix,
     _steady_covariance,
     initial_kalman_state,
 )
@@ -363,6 +366,14 @@ class TestSteadyGain:
             with pytest.raises(FilterDivergenceError, match="positive and finite"):
                 kalman_steady_gain(*_two_mode_model(0.1)[:3], sigma_d)
 
+    def test_indefinite_fixed_point_is_refused(self, monkeypatch):
+        # P = (1 - sqrt 5) / 2 also solves P^2 = 1 + P, the Riccati equation
+        # of test_scalar_golden_ratio, and passes the residual check.
+        monkeypatch.setattr(gradient_models, "_steady_covariance",
+                            lambda *args: np.array([[(1.0 - math.sqrt(5.0)) / 2.0]]))
+        with pytest.raises(FilterDivergenceError, match="steady covariance lost positive"):
+            kalman_steady_gain(np.array([[1.0]]), np.array([[1.0]]), np.array([1.0]), 1.0)
+
     def test_scalar_half(self):
         gain = kalman_steady_gain(np.array([[0.0]]), np.array([[1.0]]),
                                   np.array([1.0]), 1.0)
@@ -390,13 +401,15 @@ class TestSteadyGain:
 
 
 def test_posterior_psd_prefix_names_the_first_failure():
+    posterior_psd_prefix = functools.partial(_psd_prefix, floor=_POSTERIOR_PSD_FLOOR,
+                                             what="posterior covariance")
     stack = np.array([np.eye(2), np.eye(2), np.diag([1.0, -0.5]), -np.eye(2)])
-    k, error = _posterior_psd_prefix(stack)
+    k, error = posterior_psd_prefix(stack)
     assert k == 2
     assert str(error) == ("posterior covariance lost positive semi-definiteness "
                           "(min eigenvalue -5.000e-01)")
-    assert _posterior_psd_prefix(stack[:2]) == (2, None)
-    assert _posterior_psd_prefix(stack[:0]) == (0, None)
+    assert posterior_psd_prefix(stack[:2]) == (2, None)
+    assert posterior_psd_prefix(stack[:0]) == (0, None)
 
 
 class TestKalmanBucy:
@@ -425,6 +438,29 @@ class TestKalmanBucy:
         p = state.p_post[0, 0]
         expected = p * c / (1.0 + p)
         assert state.y_hat[0, 0] == pytest.approx(expected, abs=1e-6)
+
+    def test_non_normal_drift_settles_at_the_stationary_covariance(self):
+        # With sigma = 1e4 the observation term is below 1e-8, so the
+        # equilibrium of dP = (-A P - P A' + L L') dt is the stationary
+        # covariance; P'A in place of P A' misses it by 1e-2 here.
+        model = StateSpaceGradientModel(a_mat=np.array([[1.0, 0.8], [-0.3, 0.6]]),
+                                        l_mat=np.array([[0.7, 0.0], [0.2, 0.5]]),
+                                        b_vec=np.array([1.0, 0.5]), sigma=1e4)
+        state = initial_kalman_state(1, 2)
+        for _ in range(3000):
+            state = kalman_bucy_step(state, np.zeros(1), 1e-2, model)
+        np.testing.assert_allclose(state.p_post, model.stationary_covariance(), rtol=0,
+                                   atol=1e-8)
+
+    def test_indefinite_riccati_covariance_is_refused(self):
+        # dP = (-2P - P^2 + 1) dt = -2 at P = 1, so dt = 1.5 gives P = -2.
+        model = StateSpaceGradientModel(a_mat=np.array([[1.0]]), l_mat=np.array([[1.0]]),
+                                        b_vec=np.array([1.0]), sigma=1.0)
+        state = initial_kalman_state(1, 1, p0=np.array([[1.0]]))
+        with pytest.raises(FilterDivergenceError) as info:
+            kalman_bucy_step(state, np.zeros(1), 1.5, model)
+        assert str(info.value) == ("Riccati covariance lost positive semi-definiteness "
+                                   "(min eigenvalue -2.000e+00)")
 
     def test_rejects_bad_dt_and_sigma(self):
         model = StateSpaceGradientModel(a_mat=np.array([[1.0]]),

@@ -368,7 +368,8 @@ class TestProblems:
         assert np.all(np.isfinite(traj.loss_gap))
 
     def test_logistic_loss_does_not_depend_on_the_block(self, monkeypatch):
-        # Blocks of 2, 3, 5 and 12 rows; 62 rows leave tails of 0 or 2.
+        # Blocks of 2, 3, 5 and 12 rows; 62 rows leave tails of 0 or 2,
+        # and 49 rows a tail of one row in blocks of 2, 3 and 12.
         n = 500
         problem = generate_problem("logistic", d=5, n=n, rng=component_rng(13, "problem"))
         xs = component_rng(14, "problem").standard_normal((62, 5))
@@ -376,6 +377,8 @@ class TestProblems:
         for rows in (2, 3, 5, 12):
             monkeypatch.setattr(problems_module, "_LOSS_BLOCK", rows * n)
             np.testing.assert_array_equal(problem.loss(xs), whole, strict=True)
+            np.testing.assert_array_equal(problem.loss(xs[:49]), whole[:49], strict=True)
+        np.testing.assert_array_equal([problem.loss(x) for x in xs], whole)
 
     def test_softplus_tail_is_the_max_form_bit_for_bit(self):
         margins = np.array([0.0, -0.0, 1e-300, -1e-300, 37.0, -37.0, 800.0, -800.0, np.nan,
@@ -644,6 +647,25 @@ class TestCli:
         cfg = _write_config(tmp_path, KALMAN_CONFIG + f"output = {tmp_path}/out\n{override}\n")
         assert main(["run", cfg]) == EXIT_CONFIG
         assert key in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_entropy_map_with_minimizer_outside_the_orthant_is_config_error(
+            self, tmp_path, monkeypatch, capsys):
+        # x* = (-0.201, 0.087, -0.069): the energy diagnostic cannot measure
+        # the distance to it in the entropy geometry.
+        monkeypatch.delenv("VAROPT_SEED", raising=False)
+        cfg = _write_config(tmp_path, "problem.kind = quadratic\nproblem.d = 3\n"
+                            "problem.N = 50\nproblem.seed = 50\nmap.name = entropy\n"
+                            "schedule.family = linear\n"
+                            'schedule.params = {"alpha0": 2.3, "beta0": -0.7, '
+                            '"beta1": 0.5, "gamma1": 1.0}\n'
+                            "schedule.delta_T = 1.3\nschedule.T = 2\nmesh.steps = 1\n"
+                            "model.kind = martingale\nmodel.n = 50\nmodel.m = 1\n"
+                            "optimizer.kind = mirror_sgd\noptimizer.mode = empirical\n"
+                            f"optimizer.batch_m = 1\nseeds = [0]\noutput = {tmp_path}/out\n")
+        assert main(["run", cfg]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "map.name = entropy" in err and "problem.kind = quadratic" in err
         assert not (tmp_path / "out").exists()
 
     def test_b_length_is_checked_against_dtilde(self, tmp_path, capsys):
