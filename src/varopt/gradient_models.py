@@ -256,15 +256,20 @@ def martingale_filter(model: MartingaleGradientModel, g: np.ndarray) -> np.ndarr
 
 def _psd_prefix(stack: np.ndarray, floor: float, what: str):
     """(k, error) for a (K, dtilde, dtilde) stack of symmetric matrices,
-    checked with one eigvalsh: the first k have no eigenvalue below floor,
-    and error names the lowest eigenvalue of the next one (None when all
-    K pass)."""
-    min_eigs = np.linalg.eigvalsh(stack).min(axis=-1).tolist()
+    checked with one eigvalsh: the first k are finite with no eigenvalue
+    below floor, and error names the lowest eigenvalue of the next one, or
+    says that it is not finite (None when all K pass).  eigvalsh of a
+    matrix with a NaN entry need not be NaN, so finiteness is its own test."""
+    n_finite = len(stack)
+    if not np.isfinite(stack).all():
+        n_finite = int(np.isfinite(stack).all(axis=(-2, -1)).argmin())
+    min_eigs = np.linalg.eigvalsh(stack[:n_finite]).min(axis=-1).tolist()
     for k, min_eig in enumerate(min_eigs):
         if min_eig < floor:
             return k, FilterDivergenceError(
                 f"{what} lost positive semi-definiteness (min eigenvalue {min_eig:.3e})")
-    return len(min_eigs), None
+    return n_finite, (None if n_finite == len(stack)
+                      else FilterDivergenceError(f"{what} is not finite"))
 
 
 def kalman_mean_update(y_hat: np.ndarray, g_k: np.ndarray, a_tilde: np.ndarray,

@@ -1,9 +1,10 @@
 """Command-line interface.
 
-Subcommands: run, sweep, compare, selftest.  Exit codes: 0 success,
-2 configuration/validation error, 3 numerical failure.  A sweep exits 0
-when any cell ran; when none did, 2 if every cell failed with a
-configuration error, else 3.
+Subcommands: run, sweep, compare, selftest.  Exit codes of run, sweep and
+compare: 0 when every seed of the run succeeded or any cell ran, 2 for a
+configuration error (every cell's, when no cell ran), 3 for a failed seed
+and every ArithmeticError, ValueError, RuntimeError or RuntimeWarning the
+library raises.  sweep and compare record a failed cell as a CSV row.
 """
 
 from __future__ import annotations
@@ -12,9 +13,7 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
-from ..gradient_models import FilterDivergenceError
+from ..optimizers import _NUMERICAL_FAILURES
 from .config import ConfigError, _json_or_string, build_experiment, load_config
 from .runner import compare, run_experiment, sweep
 
@@ -52,11 +51,9 @@ def _cmd_run(args) -> int:
     artifacts = run_experiment(config)
     for path in artifacts.files:
         print(path)
-    if artifacts.errors:
-        for seed, err in sorted(artifacts.errors.items()):
-            print(f"seed {seed} failed: {err}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    return EXIT_OK
+    for seed, err in sorted(artifacts.errors.items()):
+        print(f"seed {seed} failed: {err}", file=sys.stderr)
+    return EXIT_NUMERICAL if artifacts.errors else EXIT_OK
 
 
 def _cmd_sweep(args) -> int:
@@ -112,8 +109,7 @@ def main(argv=None) -> int:
     except (ConfigError, FileNotFoundError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (FilterDivergenceError, np.linalg.LinAlgError, ArithmeticError,
-            RuntimeError) as exc:
+    except _NUMERICAL_FAILURES as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -176,12 +176,51 @@ def _summary_text(artifacts: RunArtifacts) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _set_dotted(cfg: dict, dotted: str, value) -> None:
-    node = cfg
-    parts = dotted.split(".")
-    for part in parts[:-1]:
-        node = node.setdefault(part, {})
-    node[parts[-1]] = value
+def _set_dotted(cfg: dict, settings: dict) -> dict:
+    """cfg, with each dotted key of settings set to its value in place."""
+    for dotted, value in settings.items():
+        node = cfg
+        *parents, leaf = dotted.split(".")
+        for part in parents:
+            node = node.setdefault(part, {})
+        node[leaf] = value
+    return cfg
+
+
+def _run_cells(raw_cfg: dict, header: list, cells: list, base_output: str,
+               command: str, write: bool) -> str:
+    """Run one experiment per (labels, settings) cell, settings mapping
+    dotted config keys to values, and write {command}.csv in base_output,
+    one row per cell; returns its path.  A cell failing with a configuration
+    error or a numerical failure gets the row "error:{Type}: {message}"
+    (newlines folded); any other exception propagates.  When no cell ran,
+    the CSV is written and ConfigError is raised if every cell failed with
+    one, else NumericalError, naming the CSV and the first failure (a
+    numerical one, if any)."""
+    os.makedirs(base_output, exist_ok=True)
+    rows = [header + ["n_seeds", "n_failed", "mean_final_gap"]]
+    failures = []
+    for labels, settings in cells:
+        row = list(labels)
+        try:
+            experiment = build_experiment(_set_dotted(copy.deepcopy(raw_cfg), settings))
+            artifacts = run_experiment(experiment, write=write)
+            row += [str(len(experiment.seeds)), str(len(artifacts.errors)),
+                    _fmt(artifacts.mean_final_gap)]
+        except _NUMERICAL_FAILURES as exc:     # a ConfigError is a ValueError
+            failure = f"{type(exc).__name__}: {' '.join(str(exc).splitlines())}"
+            row += ["0", "all", f"error:{failure}"]
+            failures.append((exc, failure))
+        rows.append(row)
+    path = os.path.join(base_output, f"{command}.csv")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+    if failures and len(failures) == len(cells):
+        numerical = [failure for exc, failure in failures if not isinstance(exc, ConfigError)]
+        first = numerical[0] if numerical else failures[0][1]
+        text = f"every {command} cell failed ({path}); first: {first}"
+        raise NumericalError(text) if numerical else ConfigError(text)
+    return path
 
 
 def sweep(raw_cfg: dict, grid: dict, output: Optional[str] = None) -> str:
@@ -190,66 +229,25 @@ def sweep(raw_cfg: dict, grid: dict, output: Optional[str] = None) -> str:
     grid maps dotted config keys to value lists; a key that
     build_experiment does not read, or whose first value it cannot take
     in that place, is a ConfigError before any cell runs.  Writes one
-    summary CSV with a row per grid cell and returns its path.  A cell
-    that fails with a configuration error or a numerical failure is
-    recorded in its row as "error:{Type}: {message}" (newlines folded)
-    instead of aborting the sweep; any other exception propagates.  When
-    no cell ran, the CSV is written and the sweep raises ConfigError if
-    every cell failed with one, else NumericalError, naming the CSV and
-    the first failure (a numerical one, if any).
+    summary CSV with a row per grid cell, a failed cell included (see
+    _run_cells), and returns its path.
     """
     keys = sorted(grid.keys())
     for key in keys:
         for value in grid[key][:1]:
-            probe: dict = {}
-            _set_dotted(probe, key, value)
-            check_keys(probe)
-    values = [grid[k] for k in keys]
+            check_keys(_set_dotted({}, {key: value}))
+    cells = [([str(v) for v in combo], dict(zip(keys, combo)))
+             for combo in itertools.product(*(grid[k] for k in keys))]
     base_output = output or str(raw_cfg.get("output", "varopt_out"))
-    os.makedirs(base_output, exist_ok=True)
-    rows = [keys + ["n_seeds", "n_failed", "mean_final_gap"]]
-    failures = []
-    for combo in itertools.product(*values):
-        cfg = copy.deepcopy(raw_cfg)
-        for key, value in zip(keys, combo):
-            _set_dotted(cfg, key, value)
-        row = [str(v) for v in combo]
-        try:
-            experiment = build_experiment(cfg)
-            artifacts = run_experiment(experiment, write=False)
-            row += [str(len(experiment.seeds)), str(len(artifacts.errors)),
-                    _fmt(artifacts.mean_final_gap)]
-        except _NUMERICAL_FAILURES as exc:     # a ConfigError is a ValueError
-            failure = f"{type(exc).__name__}: {' '.join(str(exc).splitlines())}"
-            row += ["0", "all", f"error:{failure}"]
-            failures.append((exc, failure))
-        rows.append(row)
-    path = os.path.join(base_output, "sweep.csv")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        csv.writer(fh, lineterminator="\n").writerows(rows)
-    if len(failures) == len(rows) - 1:
-        numerical = [failure for exc, failure in failures if not isinstance(exc, ConfigError)]
-        first = numerical[0] if numerical else failures[0][1]
-        text = f"every sweep cell failed ({path}); first: {first}"
-        raise NumericalError(text) if numerical else ConfigError(text)
-    return path
+    return _run_cells(raw_cfg, keys, cells, base_output, "sweep", write=False)
 
 
 def compare(raw_cfg: dict, kinds: Sequence[str]) -> str:
     """Run the same config under several optimizer kinds on identical
-    seeds; returns the path of the comparison summary CSV."""
+    seeds, each in compare_{kind}; returns the path of the comparison
+    summary CSV, a failed kind included (see _run_cells)."""
     base_output = str(raw_cfg.get("output", "varopt_out"))
-    os.makedirs(base_output, exist_ok=True)
-    lines = ["optimizer,n_seeds,n_failed,mean_final_gap"]
-    for kind in kinds:
-        cfg = copy.deepcopy(raw_cfg)
-        _set_dotted(cfg, "optimizer.kind", kind)
-        cfg["output"] = os.path.join(base_output, f"compare_{kind}")
-        experiment = build_experiment(cfg)
-        artifacts = run_experiment(experiment, write=True)
-        lines.append(",".join([kind, str(len(experiment.seeds)),
-                               str(len(artifacts.errors)), _fmt(artifacts.mean_final_gap)]))
-    path = os.path.join(base_output, "compare.csv")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-    return path
+    cells = [([kind], {"optimizer.kind": kind,
+                       "output": os.path.join(base_output, f"compare_{kind}")})
+             for kind in kinds]
+    return _run_cells(raw_cfg, ["optimizer"], cells, base_output, "compare", write=True)

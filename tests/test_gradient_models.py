@@ -410,6 +410,10 @@ def test_posterior_psd_prefix_names_the_first_failure():
                           "(min eigenvalue -5.000e-01)")
     assert posterior_psd_prefix(stack[:2]) == (2, None)
     assert posterior_psd_prefix(stack[:0]) == (0, None)
+    # eigvalsh need not return NaN for a NaN matrix, so it is refused alone.
+    k, error = posterior_psd_prefix(np.array([np.eye(2), np.eye(2), np.full((2, 2), np.nan)]))
+    assert k == 2
+    assert str(error) == "posterior covariance is not finite"
 
 
 class TestKalmanBucy:
@@ -461,6 +465,17 @@ class TestKalmanBucy:
             kalman_bucy_step(state, np.zeros(1), 1.5, model)
         assert str(info.value) == ("Riccati covariance lost positive semi-definiteness "
                                    "(min eigenvalue -2.000e+00)")
+
+    def test_overflowing_riccati_covariance_is_refused(self):
+        # L L' = 1e400 overflows, so the first step gives P = inf (and the
+        # next P = NaN) unless the infinite covariance is refused.
+        model = StateSpaceGradientModel(a_mat=np.array([[1.0]]), l_mat=np.array([[1e200]]),
+                                        b_vec=np.array([1.0]), sigma=1.0)
+        state = initial_kalman_state(1, 1, p0=np.array([[1.0]]))
+        with warnings.catch_warnings(), np.errstate(all="ignore"):
+            warnings.simplefilter("ignore")
+            with pytest.raises(FilterDivergenceError, match="Riccati covariance is not finite"):
+                kalman_bucy_step(state, np.zeros(1), 0.1, model)
 
     def test_rejects_bad_dt_and_sigma(self):
         model = StateSpaceGradientModel(a_mat=np.array([[1.0]]),

@@ -1,15 +1,19 @@
 """Problems, configs, the experiment runner and the CLI."""
 
 import csv
+import json
 import math
 import os
 import re
+import tempfile
 import textwrap
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from varopt import OptimizerSpec, linear_schedule, quadratic_map, run_optimizer
 from varopt.harness import (
@@ -27,6 +31,7 @@ from varopt.harness import problems as problems_module
 from varopt.harness import runner
 from varopt.harness.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 from varopt.harness.runner import compare
+from varopt.optimizers import _FILTERED_KINDS, _NUMERICAL_FAILURES, OPTIMIZER_KINDS
 
 BASE_CONFIG = """
 # quadratic mini-batch SGD on a scaling schedule
@@ -65,6 +70,24 @@ optimizer.kind = kalman_gd
 optimizer.mode = synthetic
 seeds = [0, 1]
 """
+
+
+# Every seed runs, and then the energy diagnostic's displaced point
+# X + exp(-alpha) nu rounds to -2.2e-16, outside the entropy map's orthant.
+_ENTROPY_EDGE = {
+    "problem.kind": "quadratic", "problem.d": 1, "problem.N": 40, "problem.seed": 29,
+    "map.name": "entropy", "schedule.family": "polynomial",
+    "schedule.params": {"p": 1.0, "c": 0.1, "t_min": 0.05},
+    "schedule.delta_T": 2.05225468807837, "schedule.T": 2.0, "mesh.steps": 1,
+    "model.kind": "state_space", "model.d": 1, "model.dtilde": 1, "model.A": [[0.5]],
+    "model.L": [[5.0]], "model.b": [0.5], "model.sigma": 2.0,
+    "optimizer.kind": "mirror_sgd", "optimizer.mode": "empirical", "seeds": [0, 1],
+}
+
+
+def _dotted_text(cfg: dict) -> str:
+    """Config text of a dotted key -> value dict."""
+    return "".join(f"{key} = {json.dumps(value)}\n" for key, value in cfg.items())
 
 
 def _write_config(tmp_path, text, name="exp.cfg"):
@@ -763,6 +786,100 @@ class TestCli:
         assert main(["compare", cfg, "--optimizers",
                      "mirror_sgd,fosp_continuous"]) == EXIT_OK
 
+    def test_compare_records_a_failed_kind(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path, BASE_CONFIG + f"output = {tmp_path}/cmp\n")
+        assert main(["compare", cfg, "--optimizers", "mirror_sgd,kalman_gd"]) == EXIT_OK
+        lines = (tmp_path / "cmp" / "compare.csv").read_text().splitlines()
+        assert lines[1].startswith("mirror_sgd,3,0,")
+        assert lines[2] == ("kalman_gd,0,all,error:ConfigError: invalid optimizer spec: "
+                            "kalman_gd requires a StateSpaceGradientModel")
+        assert (tmp_path / "cmp" / "compare_mirror_sgd" / "summary.txt").exists()
+        assert not (tmp_path / "cmp" / "compare_kalman_gd").exists()
+
+    def test_compare_with_every_kind_a_config_error_exits_2(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path, BASE_CONFIG + f"output = {tmp_path}/cmp\n")
+        assert main(["compare", cfg, "--optimizers",
+                     "kalman_gd,generalized_momentum"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"every compare cell failed ({tmp_path}/cmp/compare.csv)" in err
+        assert "first: ConfigError: invalid optimizer spec: kalman_gd requires" in err
+        lines = (tmp_path / "cmp" / "compare.csv").read_text().splitlines()
+        assert [line.split(",")[:3] for line in lines[1:]] == [
+            ["kalman_gd", "0", "all"], ["generalized_momentum", "0", "all"]]
+
+    # Outside this suite's warning filters the log of the point outside the
+    # orthant warns, and the domain check of the divergence raises.
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in log:RuntimeWarning")
+    def test_energy_point_outside_the_orthant_is_numerical_error(self, tmp_path, monkeypatch,
+                                                                capsys):
+        monkeypatch.delenv("VAROPT_SEED", raising=False)
+        cfg = _write_config(tmp_path, _dotted_text(_ENTROPY_EDGE) + f"output = {tmp_path}/out\n")
+        assert main(["run", cfg]) == EXIT_NUMERICAL
+        assert "mirror map 'entropy'" in capsys.readouterr().err
+
     def test_selftest_passes(self, capsys):
         assert main(["selftest"]) == EXIT_OK
         assert "PASS" in capsys.readouterr().out
+
+
+@st.composite
+def _configs(draw):
+    """A config over the space of kinds, stream modes, maps, schedule
+    families, horizons, delta_T, sigma and dimensions, with at most 10
+    steps and 50 data points, as dotted key -> value."""
+    d, mode = draw(st.integers(1, 3)), draw(st.sampled_from(["empirical", "synthetic"]))
+    kind = draw(st.sampled_from(OPTIMIZER_KINDS))
+    family = draw(st.sampled_from(["constant", "linear", "polynomial"]))
+    if family == "polynomial":
+        params = {"p": draw(st.floats(0.5, 3.0)), "c": draw(st.floats(0.05, 2.0)),
+                  "t_min": draw(st.floats(0.01, 0.5))}
+    else:
+        params = {"alpha0": draw(st.floats(0.5, 5.0)), "beta0": draw(st.floats(-3.0, 2.0))}
+        if family == "linear":
+            params.update(beta1=draw(st.floats(-1.0, 2.0)), gamma1=draw(st.floats(0.0, 3.0)))
+    cfg = {"map.name": draw(st.sampled_from(["quadratic", "entropy"])),
+           "schedule.family": family, "schedule.params": params,
+           "schedule.delta_T": draw(st.floats(-3.0, 15.0)),
+           "schedule.T": draw(st.floats(0.5, 5.0)), "mesh.steps": draw(st.integers(1, 10)),
+           "optimizer.kind": kind, "optimizer.mode": mode, "seeds": [0, 1]}
+    n, sigma = draw(st.integers(2, 50)), draw(st.floats(0.0, 3.0))
+    if mode == "empirical":
+        cfg.update({"problem.kind": draw(st.sampled_from(["quadratic", "logistic"])),
+                    "problem.d": d, "problem.N": n, "problem.seed": draw(st.integers(0, 99))})
+    if kind not in _FILTERED_KINDS and draw(st.booleans()):
+        cfg.update({"model.kind": "martingale", "model.sigma": sigma, "model.n": n,
+                    "model.m": draw(st.integers(1, n))})
+    else:
+        dtilde = draw(st.integers(1, 3))
+        diagonal = lambda lo, hi: np.diag(draw(st.lists(st.floats(lo, hi), min_size=dtilde,
+                                                        max_size=dtilde))).tolist()
+        cfg.update({"model.kind": "state_space", "model.d": d, "model.dtilde": dtilde,
+                    "model.A": diagonal(0.05, 2.0), "model.L": diagonal(0.1, 5.0),
+                    "model.b": draw(st.lists(st.floats(0.05, 1.0), min_size=dtilde,
+                                             max_size=dtilde)),
+                    "model.sigma": sigma})
+    return cfg
+
+
+@given(cfg=_configs())
+@example(cfg=_ENTROPY_EDGE)
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_every_config_exits_0_2_or_3(cfg):
+    """run, sweep and compare end in exit 0, 2 or 3; the iterates of every
+    trajectory are finite, a failed seed's prefix included, and so are its
+    quadratic variation and loss gaps unless it carries an error."""
+    with tempfile.TemporaryDirectory() as tmp:
+        text = _dotted_text(cfg)
+        path = _write_config(Path(tmp), text + f"output = {tmp}/out\n")
+        for argv in (["run", path], ["sweep", path, "--grid", f"mesh.steps=1,{cfg['mesh.steps']}"],
+                     ["compare", path, "--optimizers", f"mirror_sgd,{cfg['optimizer.kind']}"]):
+            assert main(argv) in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL), argv
+    try:
+        artifacts = run_experiment(build_experiment(parse_config_text(text)), write=False)
+    except _NUMERICAL_FAILURES:
+        return
+    for traj in artifacts.trajectories:
+        assert np.isfinite(traj.x_path).all()       # a failed seed keeps its prefix
+        assert traj.error is not None or (
+            np.isfinite(traj.qv_path).all()
+            and (cfg["optimizer.mode"] == "synthetic" or np.isfinite(traj.loss_gap).all()))
