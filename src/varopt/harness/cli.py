@@ -3,8 +3,9 @@
 Subcommands: run, sweep, compare, selftest.  Exit codes of run, sweep and
 compare: 0 when every seed of the run succeeded or any cell ran, 2 for a
 configuration error (every cell's, when no cell ran), 3 for a failed seed
-and every ArithmeticError, ValueError, RuntimeError or RuntimeWarning the
-library raises.  sweep and compare record a failed cell as a CSV row.
+or diagnostic and every ArithmeticError, ValueError, RuntimeError or
+RuntimeWarning the library raises.  sweep and compare record a failed
+cell as a CSV row.
 """
 
 from __future__ import annotations
@@ -53,7 +54,9 @@ def _cmd_run(args) -> int:
         print(path)
     for seed, err in sorted(artifacts.errors.items()):
         print(f"seed {seed} failed: {err}", file=sys.stderr)
-    return EXIT_NUMERICAL if artifacts.errors else EXIT_OK
+    if artifacts.diagnostics_error is not None:
+        print(f"diagnostics failed: {artifacts.diagnostics_error}", file=sys.stderr)
+    return EXIT_NUMERICAL if artifacts.errors or artifacts.diagnostics_error else EXIT_OK
 
 
 def _cmd_sweep(args) -> int:

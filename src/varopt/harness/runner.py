@@ -26,11 +26,16 @@ __all__ = ["RunArtifacts", "run_experiment", "sweep", "compare"]
 _FMT = "%.17g"
 # Rows converted to Python floats at a time when writing a CSV: the whole
 # block at once would raise the peak memory of a run by its size.
-_CSV_ROWS = 64
+_CSV_ROWS = 32
 
 
 def _fmt(value: float) -> str:
     return _FMT % value
+
+
+def _failure(exc: BaseException) -> str:
+    """The "{Type}: {message}" line of an exception, newlines folded."""
+    return f"{type(exc).__name__}: {' '.join(str(exc).splitlines())}"
 
 
 @dataclass
@@ -44,6 +49,7 @@ class RunArtifacts:
     rate_bound: Optional[diag.RateBoundReport]
     files: list = field(default_factory=list)
     errors: dict = field(default_factory=dict)
+    diagnostics_error: Optional[str] = None
 
     @property
     def final_gaps(self) -> np.ndarray:
@@ -65,8 +71,8 @@ def _write_csv(path: str, header: list, block: np.ndarray, fmt=_FMT) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for start in range(0, len(block), _CSV_ROWS):
-            fh.writelines(line % tuple(row)
-                          for row in block[start:start + _CSV_ROWS].tolist())
+            chunk = block[start:start + _CSV_ROWS]
+            fh.write((line * len(chunk)) % tuple(chunk.ravel().tolist()))
 
 
 def _padded(values, rows: int, cols: int) -> np.ndarray:
@@ -102,36 +108,44 @@ def run_experiment(config: ExperimentConfig, write: bool = True) -> RunArtifacts
     """One trajectory per seed plus aggregated diagnostics.
 
     Per-seed failures are recorded in the artifact's error map without
-    aborting the remaining seeds.
+    aborting the remaining seeds; a numerical failure of the diagnostics
+    over the seeds without one is recorded as diagnostics_error, with no
+    report, supermartingale or rate-bound result.
     """
     spec = config.optimizer_spec
     trajectories = run_ensemble(spec, config.problem, config.steps, config.seeds)
     errors = {t.seed: t.error for t in trajectories if t.error is not None}
 
-    report = None
-    supermartingale = None
-    rate = None
-    complete = [t for t in trajectories if t.error is None and t.steps == config.steps]
-    empirical = spec.mode == "empirical" and config.problem is not None
-    if complete and empirical and config.steps > 0:
-        gap_paths = np.stack([t.loss_gap for t in complete])
-        energy_paths = diag._energy_paths(
-            config.mirror, config.schedule, complete[0].times,
-            np.stack([t.x_path for t in complete]), np.stack([t.nu_path for t in complete]),
-            gap_paths, config.problem.x_star)
-        qv_paths = np.stack([t.qv_path[:-1] for t in complete])
-        report = diag.ensemble_report(complete[0].times[:-1], energy_paths,
-                                      gap_paths[:, :-1], qv_paths)
-        supermartingale = diag.supermartingale_check(energy_paths)
-        rate = diag.rate_bound_check(report, config.schedule,
-                                     bound_constant=config.bound_constant)
+    report = supermartingale = rate = diagnostics_error = None
+    complete = [t for t in trajectories if t.error is None]
+    if complete and spec.mode == "empirical" and config.steps > 0:
+        try:
+            report, supermartingale, rate = _diagnostics(config, complete)
+        except _NUMERICAL_FAILURES as exc:
+            diagnostics_error = _failure(exc)
 
     artifacts = RunArtifacts(config=config, trajectories=trajectories,
                              report=report, supermartingale=supermartingale,
-                             rate_bound=rate, errors=errors)
+                             rate_bound=rate, errors=errors,
+                             diagnostics_error=diagnostics_error)
     if write:
         _write_artifacts(artifacts)
     return artifacts
+
+
+def _diagnostics(config: ExperimentConfig, complete: list):
+    """The ensemble report, supermartingale check and rate-bound check of
+    the energy paths of the complete trajectories of an empirical run."""
+    gap_paths = np.stack([t.loss_gap for t in complete])
+    energy_paths = diag._energy_paths(
+        config.mirror, config.schedule, complete[0].times,
+        np.stack([t.x_path for t in complete]), np.stack([t.nu_path for t in complete]),
+        gap_paths, config.problem.x_star)
+    qv_paths = np.stack([t.qv_path[:-1] for t in complete])
+    report = diag.ensemble_report(complete[0].times[:-1], energy_paths,
+                                  gap_paths[:, :-1], qv_paths)
+    return (report, diag.supermartingale_check(energy_paths),
+            diag.rate_bound_check(report, config.schedule, bound_constant=config.bound_constant))
 
 
 def _write_artifacts(artifacts: RunArtifacts) -> None:
@@ -165,6 +179,8 @@ def _summary_text(artifacts: RunArtifacts) -> str:
     for seed, traj in zip(config.seeds, artifacts.trajectories):
         status = traj.error if traj.error else "ok"
         lines.append(f"seed {seed}: final_gap = {_fmt(float(traj.loss_gap[-1]))} [{status}]")
+    if artifacts.diagnostics_error is not None:
+        lines.append(f"diagnostics failed: {artifacts.diagnostics_error}")
     if artifacts.supermartingale is not None:
         sm = artifacts.supermartingale
         lines.append(f"supermartingale_pass = {sm.passed} "
@@ -208,7 +224,7 @@ def _run_cells(raw_cfg: dict, header: list, cells: list, base_output: str,
             row += [str(len(experiment.seeds)), str(len(artifacts.errors)),
                     _fmt(artifacts.mean_final_gap)]
         except _NUMERICAL_FAILURES as exc:     # a ConfigError is a ValueError
-            failure = f"{type(exc).__name__}: {' '.join(str(exc).splitlines())}"
+            failure = _failure(exc)
             row += ["0", "all", f"error:{failure}"]
             failures.append((exc, failure))
         rows.append(row)

@@ -20,10 +20,10 @@ its seed's one-seed run bit for bit; in empirical mode a step takes all
 seeds' mini-batch gradients in one stacked call.  Failures stay per seed:
 a numerical failure in step k ends the stacked run there, and the
 ensemble is then rerun one seed at a time, so that a failing seed records
-its error and ends its paths at its own X_k while the others complete.
-Any other exception, such as a TypeError in a custom map, propagates.  A
-gain sequence cut short is the same for every seed and ends all rows at
-its step.
+its error and ends its paths at its own X_k while the others complete; a
+QV proxy or loss gap first not finite at X_k fails its seed alike.  Any
+other exception, such as a TypeError in a custom map, propagates.  A gain
+sequence cut short ends all rows at its step.
 """
 
 from __future__ import annotations
@@ -252,10 +252,10 @@ def run_ensemble(spec: OptimizerSpec, problem, steps: int, seeds) -> list[Trajec
     """One seeded trajectory per seed.  The mesh, Phi, the factors of the
     quadratic-variation proxy and the filter gains do not depend on the
     seed and are computed once; one step loop then advances all seeds
-    together, each on its own harness RNG streams, and the displacement,
-    quadratic-variation and filter-norm paths of all seeds are formed in
-    one stacked pass.  When the stacked loop raised, each seed is rerun
-    alone and the one-seed runs are stacked.  problem may be None in
+    together, each on its own harness RNG streams; the displacement, QV,
+    loss-gap and filter-norm paths of all seeds are formed in one stacked
+    pass, and a non-finite QV or gap fails its row.  A stacked loop that
+    raised is rerun one seed at a time.  problem may be None in
     synthetic mode (the latent gradient model is not tied to a loss
     landscape; loss gaps are then NaN)."""
     spec.validate()
@@ -271,10 +271,11 @@ def run_ensemble(spec: OptimizerSpec, problem, steps: int, seeds) -> list[Trajec
         return []
 
     if steps == 0:
-        x_path = x0[None, :]
-        return [Trajectory(times=times, x_path=x_path, nu_path=np.zeros((0, d)),
-                           loss_gap=_loss_gaps(spec, problem, x_path),
-                           qv_path=np.zeros(1), seed=seed) for seed in seeds]
+        lengths, errors = [0] * len(seeds), [None] * len(seeds)
+        gap_paths = _loss_gaps(spec, problem, np.tile(x0, (len(seeds), 1, 1)), lengths, errors)
+        return [Trajectory(times=times, x_path=x0[None, :], nu_path=np.zeros((0, d)),
+                           loss_gap=gaps, qv_path=np.zeros(1), seed=seed, error=error)
+                for seed, gaps, error in zip(seeds, gap_paths, errors)]
 
     step_times, dts = times[:-1], np.diff(times)
     filtered = spec.kind in _FILTERED_KINDS
@@ -287,34 +288,37 @@ def run_ensemble(spec: OptimizerSpec, problem, steps: int, seeds) -> list[Trajec
     alphas = schedule.alpha(step_times)
 
     args = (spec, problem, x0, alphas, dts, phi, coeff, filt)
-    x_paths, g_stream, y_paths, length, error, raised = _run_steps(seeds, *args)
-    lengths, errors = [length] * len(seeds), [error] * len(seeds)
+    x_paths, g_stream, y_paths, lengths, errors, raised = _run_steps(seeds, *args)
     if raised and len(seeds) > 1:
         # Each seed alone: every row is then its one-seed run.
         x_paths, g_stream, y_paths, lengths, errors, _ = zip(
             *(_run_steps([seed], *args) for seed in seeds))
         x_paths, g_stream = np.concatenate(x_paths), np.concatenate(g_stream)
         y_paths = None if y_paths[0] is None else np.concatenate(y_paths)
-        lengths, errors = list(lengths), list(errors)
+        lengths, errors = sum(lengths, []), sum(errors, [])
     nu_paths = np.diff(x_paths, axis=1) / dts[:, None]
     qv_paths = _qv_path(coeff, qv_factors, g_stream)
-    _fail_nonfinite_qv(qv_paths, lengths, errors)
+    _fail_nonfinite("quadratic-variation proxy", qv_paths, lengths, errors, frozen=True)
+    gap_paths = _loss_gaps(spec, problem, x_paths, lengths, errors)
     norms = (None if y_paths is None
              else np.linalg.norm(y_paths.reshape(*y_paths.shape[:2], -1), axis=-1))
     return [Trajectory(
         times=times[: k + 1], x_path=x_paths[i, : k + 1], nu_path=nu_paths[i, :k],
-        loss_gap=_loss_gaps(spec, problem, x_paths[i, : k + 1]),
-        qv_path=qv_paths[i, : k + 1], g_path=g_stream[i, :k],
+        loss_gap=gap_paths[i, : k + 1], qv_path=qv_paths[i, : k + 1], g_path=g_stream[i, :k],
         filter_mean_norm=None if norms is None else norms[i, : k + 1],
         phi_path=phi[:k], seed=seed, error=error)
         for i, (seed, k, error) in enumerate(zip(seeds, lengths, errors))]
 
 
-def _loss_gaps(spec: OptimizerSpec, problem, x_path: np.ndarray) -> np.ndarray:
-    """f(X_k) - f(x*) for every kept iterate, in one stacked pass."""
-    if spec.mode == "empirical" and problem is not None:
-        return problem.loss_gap(x_path)
-    return np.full(len(x_path), np.nan)
+def _loss_gaps(spec: OptimizerSpec, problem, x_paths: np.ndarray, lengths, errors) -> np.ndarray:
+    """f(X_k) - f(x*) on the (S, K+1, d) paths in one silent pass, each row
+    failed at its first non-finite kept gap; NaN in synthetic mode."""
+    if spec.mode != "empirical":
+        return np.full(x_paths.shape[:-1], np.nan)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gaps = problem.loss_gap(x_paths.reshape(-1, x_paths.shape[-1])).reshape(len(x_paths), -1)
+    _fail_nonfinite("loss gap", gaps, lengths, errors)
+    return gaps
 
 
 def _filter_coefficient(spec: OptimizerSpec, problem) -> float:
@@ -364,9 +368,9 @@ def _run_steps(seeds, spec, problem, x0, alphas, dts, phi, coeff, filt):
     end, so the stacked paths add nothing past the prefix.
 
     Returns (x_paths (S, K+1, d), g_stream (S, K, d), y_paths
-    (S, K+1, d, dtilde) or None for the unfiltered kinds, steps completed,
-    error or None, and whether the stack raised: its rows may then fail
-    alone at other steps, and only a one-seed run tells)."""
+    (S, K+1, d, dtilde) or None for the unfiltered kinds, each row's steps
+    completed and error or None, and whether the stack raised: its rows
+    may then fail alone at other steps, and only a one-seed run tells)."""
     from .harness.rng import component_rng
 
     mirror, model, kind = spec.mirror, spec.model, spec.kind
@@ -424,7 +428,7 @@ def _run_steps(seeds, spec, problem, x0, alphas, dts, phi, coeff, filt):
         g_stream[:, k:] = g_stream[:, k - 1, None] if k else 0.0
         if y_paths is not None:
             y_paths[:, k + 1:] = y_paths[:, k, None]
-    return x_paths, g_stream, y_paths, k, error, raised
+    return x_paths, g_stream, y_paths, [k] * n_seeds, [error] * n_seeds, raised
 
 
 def _qv_path(coeff, qv_factors, g_stream):
@@ -438,7 +442,7 @@ def _qv_path(coeff, qv_factors, g_stream):
     n = max(k - 1, 0)
     qv = np.zeros(g_stream.shape[:-2] + (k + 1,))
     # A stream near the float range gives inf or NaN here, silently under
-    # any warning filter; _fail_nonfinite_qv fails those rows.
+    # any warning filter; _fail_nonfinite fails those rows.
     with np.errstate(over="ignore", invalid="ignore"):
         scaled = decays[:n, None] * (-coeff * weights[:n, None] * np.diff(g_stream, axis=-2))
         qv[..., 1:k] = np.cumsum(np.vecdot(scaled, scaled), axis=-1)
@@ -446,14 +450,15 @@ def _qv_path(coeff, qv_factors, g_stream):
     return qv
 
 
-def _fail_nonfinite_qv(qv_paths, lengths, errors) -> None:
-    """Fail each row of the (S, K+1) QV paths whose kept prefix
-    qv_0 .. qv_{length} is not finite at step j of its first non-finite
-    entry, as if its observation at step j had raised: the row keeps
-    X_0 .. X_j, its QV frozen at the finite qv_{j-1}."""
-    for i in np.flatnonzero(~np.isfinite(qv_paths).all(axis=-1)):
-        j = int(np.argmin(np.isfinite(qv_paths[i])))
+def _fail_nonfinite(name, paths, lengths, errors, frozen=False) -> None:
+    """Fail each row of the (S, K+1) paths whose kept prefix 0 .. length is
+    first not finite at index j, as if its step j had raised: it keeps
+    X_0 .. X_j and the error "FloatingPointError at step {j}: {name} is not
+    finite", and a frozen path repeats its finite entry j - 1 from j on."""
+    for i in np.flatnonzero(~np.isfinite(paths).all(axis=-1)):
+        j = int(np.argmin(np.isfinite(paths[i])))
         if j <= lengths[i]:
-            qv_paths[i, j:] = qv_paths[i, j - 1]
+            if frozen:
+                paths[i, j:] = paths[i, j - 1]
             lengths[i] = j
-            errors[i] = f"FloatingPointError at step {j}: quadratic-variation proxy is not finite"
+            errors[i] = f"FloatingPointError at step {j}: {name} is not finite"

@@ -8,6 +8,7 @@ import re
 import tempfile
 import textwrap
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from varopt import OptimizerSpec, linear_schedule, quadratic_map, run_optimizer
+from varopt import OptimizerSpec, linear_schedule, quadratic_map, run_ensemble, run_optimizer
 from varopt.harness import (
     ConfigError,
     build_experiment,
@@ -83,6 +84,20 @@ _ENTROPY_EDGE = {
     "model.L": [[5.0]], "model.b": [0.5], "model.sigma": 2.0,
     "optimizer.kind": "mirror_sgd", "optimizer.mode": "empirical", "seeds": [0, 1],
 }
+
+
+# fosp_continuous from X_0 = 1 on the entropy map: seed 0 leaves the float
+# range at step 0, and seed 1 ends at x = (1.1e137, 1.6e172), finite, whose
+# logistic loss overflows.
+_HUGE_ITERATE = {
+    "problem.kind": "logistic", "problem.d": 2, "problem.N": 24, "problem.seed": 57,
+    "map.name": "entropy", "schedule.family": "constant",
+    "schedule.params": {"alpha0": 1.8688, "beta0": 1.7220},
+    "schedule.delta_T": 9.5107, "schedule.T": 1.582, "mesh.steps": 1,
+    "model.kind": "martingale", "model.sigma": 0.0, "model.n": 24, "model.m": 2,
+    "optimizer.kind": "fosp_continuous", "optimizer.mode": "empirical", "seeds": [0, 1],
+}
+_FILES_WITHOUT_DIAGNOSTICS = ["summary.txt", "trajectory_seed0.csv", "trajectory_seed1.csv"]
 
 
 def _dotted_text(cfg: dict) -> str:
@@ -389,6 +404,18 @@ class TestProblems:
         assert traj.steps == 4
         np.testing.assert_array_equal(traj.loss_gap, problem.loss_gap(traj.x_path))
         assert np.all(np.isfinite(traj.loss_gap))
+
+    # x0 = (1e200, 1) is finite and in the domain, but its logistic loss
+    # overflows: with or without steps, every seed fails at X_0.
+    @pytest.mark.parametrize("steps", [0, 3])
+    def test_infinite_initial_gap_fails_every_seed_at_step_0(self, steps):
+        problem = generate_problem("logistic", d=2, n=30, rng=component_rng(3, "problem"))
+        spec = OptimizerSpec(kind="mirror_sgd", mirror=quadratic_map(),
+                             schedule=_scaling_linear(), mode="empirical", batch_m=5,
+                             x0=np.array([1e200, 1.0]))
+        for traj in run_ensemble(spec, problem, steps, [0, 1]):
+            assert traj.error == "FloatingPointError at step 0: loss gap is not finite"
+            assert traj.steps == 0 and traj.loss_gap.tolist() == [np.inf]
 
     def test_logistic_loss_does_not_depend_on_the_block(self, monkeypatch):
         # Blocks of 2, 3, 5 and 12 rows; 62 rows leave tails of 0 or 2,
@@ -817,6 +844,36 @@ class TestCli:
         assert main(["run", cfg]) == EXIT_NUMERICAL
         assert "mirror map 'entropy'" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in log:RuntimeWarning")
+    def test_failed_diagnostic_keeps_the_trajectories(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.delenv("VAROPT_SEED", raising=False)
+        cfg = _write_config(tmp_path, _dotted_text(_ENTROPY_EDGE) + f"output = {tmp_path}/out\n")
+        assert main(["run", cfg]) == EXIT_NUMERICAL
+        failure = "DomainError: point outside the domain of mirror map 'entropy'"
+        assert f"diagnostics failed: {failure}" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path / "out")) == _FILES_WITHOUT_DIAGNOSTICS
+        lines = (tmp_path / "out" / "summary.txt").read_text().splitlines()
+        assert [line.endswith("[ok]") for line in lines if line.startswith("seed ")] == [True] * 2
+        assert lines[-1].startswith(f"diagnostics failed: {failure}")
+
+    # The overflowing loss gives inf when RuntimeWarnings are ignored, as under
+    # the CLI's default filters, and raises when they are errors; either way
+    # seed 1 fails at the step of its infinite gap and the run writes its files.
+    @pytest.mark.parametrize("action", ["ignore", "error"])
+    def test_infinite_loss_gap_fails_its_seed(self, action, tmp_path, monkeypatch):
+        monkeypatch.delenv("VAROPT_SEED", raising=False)
+        cfg = _write_config(tmp_path, _dotted_text(_HUGE_ITERATE) + f"output = {tmp_path}/out\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter(action, RuntimeWarning)
+            assert main(["run", cfg]) == EXIT_NUMERICAL
+        assert sorted(os.listdir(tmp_path / "out")) == _FILES_WITHOUT_DIAGNOSTICS
+        lines = (tmp_path / "out" / "summary.txt").read_text().splitlines()
+        seed_1 = [line for line in lines if line.startswith("seed 1: ")]
+        assert len(seed_1) == 1
+        assert seed_1[0].endswith("[FloatingPointError at step 1: loss gap is not finite]")
+        assert not any(line.startswith(("supermartingale_pass", "rate_bound_pass"))
+                       for line in lines)
+
     def test_selftest_passes(self, capsys):
         assert main(["selftest"]) == EXIT_OK
         assert "PASS" in capsys.readouterr().out
@@ -861,23 +918,29 @@ def _configs(draw):
     return cfg
 
 
+# "ignore" stands for the CLI's default warning filters, under which a numpy
+# overflow at most prints a warning and the run goes on with inf; "error"
+# raises it where it happens.
+@pytest.mark.parametrize("action", ["error", "ignore"])
 @given(cfg=_configs())
 @example(cfg=_ENTROPY_EDGE)
+@example(cfg=_HUGE_ITERATE)
 @settings(max_examples=100, deadline=None, derandomize=True)
-def test_every_config_exits_0_2_or_3(cfg):
+def test_every_config_exits_0_2_or_3(action, cfg):
     """run, sweep and compare end in exit 0, 2 or 3; the iterates of every
     trajectory are finite, a failed seed's prefix included, and so are its
     quadratic variation and loss gaps unless it carries an error."""
-    with tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter(action, RuntimeWarning)
         text = _dotted_text(cfg)
         path = _write_config(Path(tmp), text + f"output = {tmp}/out\n")
         for argv in (["run", path], ["sweep", path, "--grid", f"mesh.steps=1,{cfg['mesh.steps']}"],
                      ["compare", path, "--optimizers", f"mirror_sgd,{cfg['optimizer.kind']}"]):
             assert main(argv) in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL), argv
-    try:
-        artifacts = run_experiment(build_experiment(parse_config_text(text)), write=False)
-    except _NUMERICAL_FAILURES:
-        return
+        try:
+            artifacts = run_experiment(build_experiment(parse_config_text(text)), write=False)
+        except _NUMERICAL_FAILURES:
+            return
     for traj in artifacts.trajectories:
         assert np.isfinite(traj.x_path).all()       # a failed seed keeps its prefix
         assert traj.error is not None or (

@@ -722,7 +722,7 @@ def test_qv_overflow_fails_its_seed_not_the_ensemble(monkeypatch, action):
     with warnings.catch_warnings():
         warnings.simplefilter(action, RuntimeWarning)
         ensemble = run_ensemble(spec, None, 20, seeds)
-    monkeypatch.setattr(optimizers, "_fail_nonfinite_qv", lambda *args: None)
+    monkeypatch.setattr(optimizers, "_fail_nonfinite", lambda *args, **kwargs: None)
     with np.errstate(invalid="ignore"):     # the inf - inf of Trajectory's QV check
         unchecked = run_ensemble(spec, None, 20, seeds)
     failed = [t for t in ensemble if t.error is not None]
