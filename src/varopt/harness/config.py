@@ -263,6 +263,9 @@ def build_experiment(cfg: dict) -> ExperimentConfig:
     prob_section = cfg.get("problem", {})
     opt_section = cfg.get("optimizer", {})
     mode = opt_section.get("mode", "empirical" if prob_section else "synthetic")
+    if mode == "empirical" and not prob_section:
+        raise ConfigError("optimizer.mode = empirical needs a problem: "
+                          "set problem.kind, problem.d and problem.N")
 
     problem = None
     d = _dimension(cfg, "problem.d" if "d" in prob_section else "model.d", 2)
@@ -283,7 +286,7 @@ def build_experiment(cfg: dict) -> ExperimentConfig:
 
     batch_m = _value(cfg, "optimizer.batch_m", None, int)
     if batch_m is None and mode == "empirical":
-        batch_m = _value(cfg, "model.m", problem.n if problem else None, int)
+        batch_m = _value(cfg, "model.m", problem.n, int)
     spec = OptimizerSpec(
         kind=opt_section.get("kind", "mirror_sgd"), mirror=mirror, schedule=schedule,
         model=model, mode=mode, x0=_vector(cfg, "optimizer.x0", d), batch_m=batch_m,
@@ -298,7 +301,7 @@ def build_experiment(cfg: dict) -> ExperimentConfig:
             mirror.check_domain(spec.x0)
         except DomainError as exc:
             raise ConfigError(f"optimizer.x0 = {spec.x0.tolist()}: {exc}") from exc
-    if problem is not None and mode == "empirical":
+    if mode == "empirical":
         # The energy diagnostic measures the distance to x* in the map's geometry.
         try:
             mirror.check_domain(problem.x_star)

@@ -18,10 +18,13 @@ evaluates the batches of S seeds as one stacked gradient, and
 depends only on its own row, so every batch mean equals the mean of the
 matching rows of `per_sample_gradients` bit for bit.
 
-`loss` and `loss_gap` take one point or a (k, d) stack of points; the
-logistic loss of a stack runs block by block of rows in two (rows, n)
-buffers allocated once per call: the margins X @ features' are written
-into one and the softplus terms into the other, all in place.  The
+`loss` and `loss_gap` take one point or a (k, d) stack of points.  The
+logistic loss of a stack tiles the data, not the points: each chunk of
+_LOSS_CHUNK data rows meets each block of points in one product, whose
+margins X @ features' are written into one of two (rows, chunk) buffers
+allocated once per call and whose softplus terms go into the other, all
+in place; each row's sum goes into a (points, chunks) array of partial
+sums, and a point's loss is its row's total over n.  The
 logistic terms use exp(-|margin|) only, so they cannot overflow: the
 loss is the stable softplus log1p(exp(-|m|)) - min(m, 0)
 = logaddexp(0, -m).  The quadratic gap f(x) - f(x*) is the closed form
@@ -41,12 +44,21 @@ __all__ = ["ProblemInstance", "generate_problem"]
 _REFERENCE_TOL = 1e-10
 _NEWTON_MAX_ITER = 100
 # Doubles (1 MB) per buffer of the stacked logistic loss: blocks of
-# _LOSS_BLOCK // n rows (6 at n = 20000), so that both buffers stay in a
-# 2 MB per-core L2 cache and each block's product amortizes the packing
-# of the features.  Stacking adds no memory beyond the two buffers.  The
+# _LOSS_BLOCK // _LOSS_CHUNK points (128) against one chunk of the data, so
+# that both buffers stay in a 2 MB per-core L2 cache and each chunk of
+# features is packed once per block, not once per few points.  Stacking
+# adds one partial sum per point and chunk beyond the two buffers.  The
 # stacked mini-batch gradients gather this many doubles at a time, or one
 # batch if it is larger.
 _LOSS_BLOCK = 1 << 17
+# Data rows per chunk of the logistic loss.  Every product has this width
+# whatever the stack, so that a point's loss does not depend on its block.
+# It is a multiple of 8, since OpenBLAS's SkylakeX dgemm rounds the last
+# (width mod 8) columns by the row count, and above 600, since with
+# d >= 32 it takes a product of at most 1200 entries to a small-matrix
+# kernel that rounds differently (512 did, at d = 40 and 64).  512 was as
+# fast.
+_LOSS_CHUNK = 1024
 
 
 def _sigmoid_neg(margins: np.ndarray) -> np.ndarray:
@@ -102,22 +114,27 @@ class ProblemInstance:
         return float(out[0]) if x.ndim == 1 else out
 
     def _logistic_losses(self, xs: np.ndarray) -> np.ndarray:
-        """Losses of the rows of xs, block by block in two reused
-        buffers; each row's mean is taken over its own contiguous row."""
-        rows = max(2, min(len(xs), _LOSS_BLOCK // self.n))
-        margins, terms = np.empty((rows, self.n)), np.empty((rows, self.n))
-        out = np.empty(len(xs))
-        for i in range(0, len(xs), rows):
-            block = xs[i:i + rows]
-            m, s = margins[:len(block)], terms[:len(block)]
-            # BLAS takes a one-row product by a matrix-vector kernel, which
-            # rounds differently: a one-row block is multiplied as two rows.
-            lhs = block[[0, 0]] if len(block) == 1 else block
-            np.matmul(lhs, self.features.T, out=margins[:len(lhs)])
-            m *= self.labels
-            out[i:i + len(block)] = (np.mean(_softplus_neg(m, s), axis=1)
-                                     + 0.5 * self.ridge * np.sum(block * block, axis=1))
-        return out
+        """Losses of the rows of xs: each block of rows meets each chunk of
+        `width` data rows in one product; the last chunk ends at n and sums
+        only its new columns, so no product's width depends on the stack."""
+        width = min(_LOSS_CHUNK, self.n)
+        rows = max(2, min(len(xs), _LOSS_BLOCK // width))
+        margins, terms = np.empty((rows, width)), np.empty((rows, width))
+        starts = range(0, self.n, width)
+        partials = np.empty((len(xs), len(starts)))
+        for c, k in enumerate(starts):
+            j = min(k, self.n - width)
+            feats, labels = self.features[j:j + width].T, self.labels[j:j + width]
+            for i in range(0, len(xs), rows):
+                block = xs[i:i + rows]
+                # BLAS takes a one-row product by a matrix-vector kernel, which
+                # rounds differently: a one-row block is multiplied as two rows.
+                lhs = block[[0, 0]] if len(block) == 1 else block
+                np.matmul(lhs, feats, out=margins[:len(lhs)])
+                m, s = margins[:len(block)], terms[:len(block)]
+                m *= labels
+                np.sum(_softplus_neg(m, s)[:, k - j:], axis=1, out=partials[i:i + len(block), c])
+        return partials.sum(axis=1) / self.n + 0.5 * self.ridge * np.sum(xs * xs, axis=1)
 
     def loss_gap(self, x):
         """f(x) - f(x*) at one point or at each row of a (k, d) stack."""

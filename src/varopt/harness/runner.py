@@ -57,10 +57,10 @@ class RunArtifacts:
 
     @property
     def mean_final_gap(self) -> float:
-        """Mean of the finite final gaps; NaN when none is finite."""
-        gaps = self.final_gaps
-        finite = gaps[np.isfinite(gaps)]
-        return float(finite.mean()) if len(finite) else float("nan")
+        """Mean of the final gaps of the seeds that did not fail; NaN when
+        every seed failed."""
+        gaps = np.array([t.loss_gap[-1] for t in self.trajectories if t.error is None])
+        return float(gaps.mean()) if len(gaps) else float("nan")
 
 
 def _write_csv(path: str, header: list, block: np.ndarray, fmt=_FMT) -> None:

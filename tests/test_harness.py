@@ -5,6 +5,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 import tempfile
 import textwrap
 import tracemalloc
@@ -98,6 +100,23 @@ _HUGE_ITERATE = {
     "optimizer.kind": "fosp_continuous", "optimizer.mode": "empirical", "seeds": [0, 1],
 }
 _FILES_WITHOUT_DIAGNOSTICS = ["summary.txt", "trajectory_seed0.csv", "trajectory_seed1.csv"]
+
+
+# The logistic losses of a fixed stack, written as the hex of their bytes.
+_LOSS_STACK_SCRIPT = """
+import sys
+from varopt.harness import component_rng, generate_problem
+problem = generate_problem("logistic", d=16, n=3001, rng=component_rng(25, "problem"))
+xs = component_rng(26, "problem").standard_normal((9, 16))
+sys.stdout.write(problem.loss(xs).tobytes().hex())
+"""
+
+
+def _dynamic_arch_openblas() -> bool:
+    """Whether numpy's BLAS is an OpenBLAS that picks its kernel at run time."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return ("openblas" in str(blas.get("name", ""))
+            and "DYNAMIC_ARCH" in str(blas.get("openblas configuration", "")))
 
 
 def _dotted_text(cfg: dict) -> str:
@@ -419,16 +438,42 @@ class TestProblems:
 
     def test_logistic_loss_does_not_depend_on_the_block(self, monkeypatch):
         # Blocks of 2, 3, 5 and 12 rows; 62 rows leave tails of 0 or 2,
-        # and 49 rows a tail of one row in blocks of 2, 3 and 12.
+        # and 49 rows a tail of one row in blocks of 2, 3 and 12.  Chunks
+        # of 64 and 128 data rows end in a chunk that overlaps its
+        # neighbour; the default chunk takes all n at once.
         n = 500
         problem = generate_problem("logistic", d=5, n=n, rng=component_rng(13, "problem"))
         xs = component_rng(14, "problem").standard_normal((62, 5))
+        for chunk in (64, 128, problems_module._LOSS_CHUNK):
+            monkeypatch.setattr(problems_module, "_LOSS_CHUNK", chunk)
+            monkeypatch.setattr(problems_module, "_LOSS_BLOCK", 1 << 17)
+            whole = problem.loss(xs)
+            for rows in (2, 3, 5, 12):
+                monkeypatch.setattr(problems_module, "_LOSS_BLOCK", rows * min(chunk, n))
+                np.testing.assert_array_equal(problem.loss(xs), whole, strict=True)
+                np.testing.assert_array_equal(problem.loss(xs[:49]), whole[:49], strict=True)
+            np.testing.assert_array_equal([problem.loss(x) for x in xs], whole)
+
+    def test_wide_logistic_loss_does_not_depend_on_the_block(self):
+        # d = 40 >= 32: a product of 2 rows by fewer than 601 columns would
+        # go to OpenBLAS's small-matrix kernel on SkylakeX and round
+        # differently from a larger block.  n = 3001 ends in an overlapped chunk.
+        problem = generate_problem("logistic", d=40, n=3001, rng=component_rng(13, "problem"))
+        xs = 0.1 * component_rng(14, "problem").standard_normal((62, 40))
         whole = problem.loss(xs)
-        for rows in (2, 3, 5, 12):
-            monkeypatch.setattr(problems_module, "_LOSS_BLOCK", rows * n)
-            np.testing.assert_array_equal(problem.loss(xs), whole, strict=True)
-            np.testing.assert_array_equal(problem.loss(xs[:49]), whole[:49], strict=True)
+        np.testing.assert_array_equal(
+            np.concatenate([problem.loss(xs[i:i + 2]) for i in range(0, 62, 2)]), whole)
         np.testing.assert_array_equal([problem.loss(x) for x in xs], whole)
+
+    # n a multiple of the chunk width, not a multiple, and below one chunk.
+    @pytest.mark.parametrize("n", [4 * problems_module._LOSS_CHUNK, 20000, 3001, 500])
+    def test_logistic_loss_is_the_exact_sum_to_rounding(self, n):
+        problem = generate_problem("logistic", d=5, n=n, rng=component_rng(23, "problem"))
+        xs = component_rng(24, "problem").standard_normal((7, 5))
+        for x, got in zip(xs, problem.loss(xs)):
+            terms = np.logaddexp(0.0, -problem.labels * (problem.features @ x))
+            exact = math.fsum(terms) / n + 0.5 * problem.ridge * x @ x
+            assert abs(got - exact) <= 1e-15 * abs(exact)
 
     def test_softplus_tail_is_the_max_form_bit_for_bit(self):
         margins = np.array([0.0, -0.0, 1e-300, -1e-300, 37.0, -37.0, 800.0, -800.0, np.nan,
@@ -451,6 +496,24 @@ class TestProblems:
         finally:
             tracemalloc.stop()
         assert peak < 3 * problems_module._LOSS_BLOCK * 8 + xs.shape[0] * 8
+
+    @pytest.mark.skipif(not _dynamic_arch_openblas(), reason="needs a DYNAMIC_ARCH OpenBLAS")
+    def test_logistic_loss_agrees_across_blas_kernels(self):
+        # Only the child processes get OPENBLAS_CORETYPE.
+        src = str(Path(problems_module.__file__).resolve().parents[2])
+        env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_CORETYPE"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+
+        def losses(**extra):
+            done = subprocess.run([sys.executable, "-c", _LOSS_STACK_SCRIPT], env={**env, **extra},
+                                  capture_output=True, text=True, check=True, timeout=120)
+            return np.frombuffer(bytes.fromhex(done.stdout))
+
+        default = losses()
+        assert default.shape == (9,)
+        for coretype in ("Sandybridge", "Prescott"):
+            np.testing.assert_allclose(losses(OPENBLAS_CORETYPE=coretype), default,
+                                       rtol=1e-15, atol=0)
 
     def test_logistic_extreme_margins_do_not_overflow(self):
         # |margins| reach beyond 709, where exp(margin) overflows.
@@ -533,6 +596,33 @@ class TestRunExperiment:
         art = run_experiment(build_experiment(raw))
         assert set(art.errors) == {0, 1, 2}
         assert art.report is None
+
+    # A seed whose first gradient raises fails at step 0 with the gap of
+    # X_0 as its only gap; the mean final gap is over the other seeds.
+    @pytest.mark.parametrize("failing", [{1}, {0, 1, 2}], ids=["one", "every"])
+    def test_mean_final_gap_leaves_out_failed_seeds(self, failing, tmp_path, monkeypatch):
+        draw = problems_module.ProblemInstance.minibatch_gradients
+
+        def raising(self, xs, m, rngs):
+            if any(rng.bit_generator.seed_seq.entropy in failing for rng in rngs):
+                raise FloatingPointError("gradient raised")
+            return draw(self, xs, m, rngs)
+
+        monkeypatch.setattr(problems_module.ProblemInstance, "minibatch_gradients", raising)
+        raw = parse_config_text(BASE_CONFIG + f"output = {tmp_path}/out\n")
+        art = run_experiment(build_experiment(raw))
+        assert set(art.errors) == failing
+        for seed in failing:
+            assert art.errors[seed] == "FloatingPointError at step 0: gradient raised"
+            assert len(art.trajectories[seed].loss_gap) == 1
+        summary = (tmp_path / "out" / "summary.txt").read_text().splitlines()
+        ok = [t.loss_gap[-1] for t in art.trajectories if t.seed not in failing]
+        if ok:
+            assert art.mean_final_gap == np.mean(ok)
+            assert f"mean_final_gap = {runner._fmt(np.mean(ok))}" in summary
+        else:
+            assert math.isnan(art.mean_final_gap)
+            assert not any(line.startswith("mean_final_gap") for line in summary)
 
 
 class TestSweepAndCompare:
@@ -651,6 +741,15 @@ class TestCli:
         cfg = _write_config(tmp_path, BASE_CONFIG + override + "\n")
         assert main(["run", cfg]) == EXIT_CONFIG
         assert f"{key} = " in capsys.readouterr().err
+
+    def test_empirical_run_without_problem_is_config_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.delenv("VAROPT_SEED", raising=False)
+        text = "".join(line + "\n" for line in BASE_CONFIG.splitlines()
+                       if not line.startswith("problem."))
+        cfg = _write_config(tmp_path, text + f"output = {tmp_path}/out\n")
+        assert main(["run", cfg]) == EXIT_CONFIG
+        assert "optimizer.mode = empirical needs a problem" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_overflowing_schedule_is_numerical_error(self, tmp_path, capsys):
         cfg = _write_config(tmp_path, BASE_CONFIG + f"output = {tmp_path}/out\n"
