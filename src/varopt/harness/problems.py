@@ -8,7 +8,8 @@ families ship:
   sample variance, both exact.
 * logistic: ridge-regularized binary logistic regression; the minimizer
   is found once at generation time by a full-batch Newton solve to a
-  1e-10 gradient norm, one pass over the data per iteration.
+  1e-10 gradient norm, one pass over the data per iteration, whose
+  Hessian sums chunks of _LOSS_CHUNK rows and builds no (N, d) temporary.
 
 Mini-batch gradients sample m indices without replacement per batch,
 independently across steps, and evaluate the gradient on those m rows
@@ -20,7 +21,8 @@ matching rows of `per_sample_gradients` bit for bit.
 
 `loss` and `loss_gap` take one point or a (k, d) stack of points.  The
 logistic loss of a stack tiles the data, not the points: each chunk of
-_LOSS_CHUNK data rows meets each block of points in one product, whose
+_LOSS_CHUNK data rows (fewer rows are padded with zero rows to one
+chunk) meets each block of points in one product, whose
 margins X @ features' are written into one of two (rows, chunk) buffers
 allocated once per call and whose softplus terms go into the other, all
 in place; each row's sum goes into a (points, chunks) array of partial
@@ -51,13 +53,15 @@ _NEWTON_MAX_ITER = 100
 # stacked mini-batch gradients gather this many doubles at a time, or one
 # batch if it is larger.
 _LOSS_BLOCK = 1 << 17
-# Data rows per chunk of the logistic loss.  Every product has this width
-# whatever the stack, so that a point's loss does not depend on its block.
-# It is a multiple of 8, since OpenBLAS's SkylakeX dgemm rounds the last
-# (width mod 8) columns by the row count, and above 600, since with
-# d >= 32 it takes a product of at most 1200 entries to a small-matrix
-# kernel that rounds differently (512 did, at d = 40 and 64).  512 was as
-# fast.
+# Data rows per chunk of the logistic loss and of the Newton Hessian.
+# Every loss product has this width whatever the stack and whatever n
+# (fewer data rows are padded with zero rows), so that a point's loss does
+# not depend on its block.  It is a multiple of 8, since OpenBLAS's SkylakeX
+# dgemm rounds the last (width mod 8) columns by the row count, and above
+# 600, since with d >= 32 it takes a product of at most 1200 entries to a
+# small-matrix kernel that rounds differently (512 did, at d = 40 and 64).
+# 512 was as fast.  A chunk's (d, chunk) Hessian temporary stays in a 2 MB
+# L2 cache, where one (d, n) temporary would not.
 _LOSS_CHUNK = 1024
 
 
@@ -115,16 +119,21 @@ class ProblemInstance:
 
     def _logistic_losses(self, xs: np.ndarray) -> np.ndarray:
         """Losses of the rows of xs: each block of rows meets each chunk of
-        `width` data rows in one product; the last chunk ends at n and sums
-        only its new columns, so no product's width depends on the stack."""
-        width = min(_LOSS_CHUNK, self.n)
+        `width` data rows in one product.  The last chunk ends at n and sums
+        only its new columns; data of fewer than `width` rows is padded with
+        zero rows and sums only its first n columns.  So no product's width
+        depends on the stack or on n."""
+        width, data, signs = _LOSS_CHUNK, self.features, self.labels
+        if self.n < width:
+            data = np.concatenate([data, np.zeros((width - self.n, self.d))])
+            signs = np.concatenate([signs, np.zeros(width - self.n)])
         rows = max(2, min(len(xs), _LOSS_BLOCK // width))
         margins, terms = np.empty((rows, width)), np.empty((rows, width))
         starts = range(0, self.n, width)
         partials = np.empty((len(xs), len(starts)))
         for c, k in enumerate(starts):
-            j = min(k, self.n - width)
-            feats, labels = self.features[j:j + width].T, self.labels[j:j + width]
+            j = min(k, len(data) - width)
+            feats, labels = data[j:j + width].T, signs[j:j + width]
             for i in range(0, len(xs), rows):
                 block = xs[i:i + rows]
                 # BLAS takes a one-row product by a matrix-vector kernel, which
@@ -133,7 +142,8 @@ class ProblemInstance:
                 np.matmul(lhs, feats, out=margins[:len(lhs)])
                 m, s = margins[:len(block)], terms[:len(block)]
                 m *= labels
-                np.sum(_softplus_neg(m, s)[:, k - j:], axis=1, out=partials[i:i + len(block), c])
+                np.sum(_softplus_neg(m, s)[:, k - j:self.n - j], axis=1,
+                       out=partials[i:i + len(block), c])
         return partials.sum(axis=1) / self.n + 0.5 * self.ridge * np.sum(xs * xs, axis=1)
 
     def loss_gap(self, x):
@@ -241,7 +251,11 @@ def _newton_solve(problem: ProblemInstance) -> np.ndarray:
             return x
         if it == _NEWTON_MAX_ITER:
             break
-        hess = (feats.T * (p * (1.0 - p))) @ feats / n + ridge * np.eye(problem.d)
+        w, hess = p * (1.0 - p), np.zeros((problem.d, problem.d))
+        for j in range(0, n, _LOSS_CHUNK):
+            chunk = feats[j:j + _LOSS_CHUNK]
+            hess += (chunk.T * w[j:j + _LOSS_CHUNK]) @ chunk
+        hess = hess / n + ridge * np.eye(problem.d)
         x = x - np.linalg.solve(hess, grad)
     raise RuntimeError(
         f"reference Newton solve did not converge (gradient norm {grad_norm:.3e})"

@@ -111,6 +111,29 @@ xs = component_rng(26, "problem").standard_normal((9, 16))
 sys.stdout.write(problem.loss(xs).tobytes().hex())
 """
 
+# x* and f* of three logistic problems, one line of hex bytes each: the
+# benchmark's size, one below a chunk and one wide problem ending in an
+# overlapped chunk.
+_NEWTON_SCRIPT = """
+import sys
+import numpy as np
+from varopt.harness import component_rng, generate_problem
+for d, n in ((16, 20000), (5, 501), (40, 3001)):
+    problem = generate_problem("logistic", d=d, n=n, rng=component_rng(27, "problem"))
+    sys.stdout.write(np.append(problem.x_star, problem.f_star).tobytes().hex() + "\\n")
+"""
+
+
+def _child_stdout(script: str, **extra_env) -> str:
+    """Stdout of script run by a child Python on this checkout's sources;
+    only the child gets extra_env, and no inherited OPENBLAS_CORETYPE."""
+    src = str(Path(problems_module.__file__).resolve().parents[2])
+    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_CORETYPE"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", script], env={**env, **extra_env},
+                          capture_output=True, text=True, check=True, timeout=120)
+    return done.stdout
+
 
 def _dynamic_arch_openblas() -> bool:
     """Whether numpy's BLAS is an OpenBLAS that picks its kernel at run time."""
@@ -454,6 +477,30 @@ class TestProblems:
                 np.testing.assert_array_equal(problem.loss(xs[:49]), whole[:49], strict=True)
             np.testing.assert_array_equal([problem.loss(x) for x in xs], whole)
 
+    def test_small_logistic_loss_does_not_depend_on_the_block(self):
+        # n = 501 < one chunk and 501 mod 8 = 5: a 501-column product would
+        # round its last 5 margins by the block's row count on SkylakeX.
+        problem = generate_problem("logistic", d=16, n=501, rng=component_rng(102, "problem"))
+        xs = component_rng(202, "problem").standard_normal((62, 16))
+        whole = problem.loss(xs)
+        np.testing.assert_array_equal(
+            np.concatenate([problem.loss(xs[i:i + 2]) for i in range(0, 62, 2)]), whole)
+        np.testing.assert_array_equal([problem.loss(x) for x in xs], whole)
+
+    def test_logistic_set_up_builds_no_data_sized_temporary(self):
+        # The data is one (n, d) array; a Hessian product over all n rows
+        # at once would add an (n, d) temporary beside it.  A first call
+        # allocates numpy's one-time state, so one small problem goes first.
+        generate_problem("logistic", d=2, n=10, rng=component_rng(0, "problem"))
+        tracemalloc.start()
+        try:
+            problem = generate_problem("logistic", d=16, n=20000,
+                                       rng=component_rng(17, "problem"))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.6 * problem.features.nbytes
+
     def test_wide_logistic_loss_does_not_depend_on_the_block(self):
         # d = 40 >= 32: a product of 2 rows by fewer than 601 columns would
         # go to OpenBLAS's small-matrix kernel on SkylakeX and round
@@ -499,21 +546,28 @@ class TestProblems:
 
     @pytest.mark.skipif(not _dynamic_arch_openblas(), reason="needs a DYNAMIC_ARCH OpenBLAS")
     def test_logistic_loss_agrees_across_blas_kernels(self):
-        # Only the child processes get OPENBLAS_CORETYPE.
-        src = str(Path(problems_module.__file__).resolve().parents[2])
-        env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_CORETYPE"}
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-
         def losses(**extra):
-            done = subprocess.run([sys.executable, "-c", _LOSS_STACK_SCRIPT], env={**env, **extra},
-                                  capture_output=True, text=True, check=True, timeout=120)
-            return np.frombuffer(bytes.fromhex(done.stdout))
+            return np.frombuffer(bytes.fromhex(_child_stdout(_LOSS_STACK_SCRIPT, **extra)))
 
         default = losses()
         assert default.shape == (9,)
         for coretype in ("Sandybridge", "Prescott"):
             np.testing.assert_allclose(losses(OPENBLAS_CORETYPE=coretype), default,
                                        rtol=1e-15, atol=0)
+
+    @pytest.mark.skipif(not _dynamic_arch_openblas(), reason="needs a DYNAMIC_ARCH OpenBLAS")
+    def test_newton_solution_agrees_across_blas_kernels(self):
+        def solutions(**extra):
+            return [np.frombuffer(bytes.fromhex(line))
+                    for line in _child_stdout(_NEWTON_SCRIPT, **extra).split()]
+
+        default = solutions()
+        assert [len(row) for row in default] == [17, 6, 41]
+        for coretype in ("Sandybridge", "Prescott"):
+            for got, want in zip(solutions(OPENBLAS_CORETYPE=coretype), default, strict=True):
+                x_err = np.max(np.abs(got[:-1] - want[:-1])) / np.max(np.abs(want[:-1]))
+                assert x_err <= 1e-13, (coretype, len(want) - 1, x_err)
+                assert abs(got[-1] - want[-1]) <= 1e-13 * abs(want[-1]), (coretype, got[-1])
 
     def test_logistic_extreme_margins_do_not_overflow(self):
         # |margins| reach beyond 709, where exp(margin) overflows.
