@@ -7,9 +7,14 @@ families ship:
   normal; the minimizer is the sample mean and f(x*) is the within-
   sample variance, both exact.
 * logistic: ridge-regularized binary logistic regression; the minimizer
-  is found once at generation time by a full-batch Newton solve to a
-  1e-10 gradient norm, one pass over the data per iteration, whose
-  Hessian sums chunks of _LOSS_CHUNK rows and builds no (N, d) temporary.
+  is found once at generation time by Newton's method, certified by a
+  full-data gradient norm of at most 1e-10, one pass over the data per
+  iteration, whose Hessian sums chunks of _LOSS_CHUNK rows and builds no
+  (N, d) temporary.  When N // 8 rows make at least one chunk, the solve
+  starts from the solution on the first N // 8 rows.  Once the gradient
+  meets 1e-10, one more step on the last Hessian, with no pass over the
+  data, takes x* to within a few 1e-15 (at most 4e-14 measured) of the
+  exact minimizer, normwise relative.
 
 Mini-batch gradients sample m indices without replacement per batch,
 independently across steps, and evaluate the gradient on those m rows
@@ -237,26 +242,42 @@ def generate_problem(kind: str, d: int, n: int, rng: np.random.Generator,
 
 
 def _newton_solve(problem: ProblemInstance) -> np.ndarray:
-    """Full-batch Newton reference solve of the ridge-logistic problem.
-    One margin pass per iteration gives both the gradient
-    features' (-labels p) / n + ridge x and the Hessian weights p (1 - p),
-    with p = 1 / (1 + exp(margins))."""
-    x = np.zeros(problem.d)
-    feats, labels, ridge, n = problem.features, problem.labels, problem.ridge, problem.n
+    """Newton reference solve of the ridge-logistic problem, certified by a
+    full-data gradient norm of at most _REFERENCE_TOL.  When n // 8 rows
+    make at least one chunk, it starts from the solution on the first
+    n // 8 rows (a contiguous sample, since the rows are i.i.d.), which
+    saves about three passes over all n rows."""
+    feats, labels, x = problem.features, problem.labels, np.zeros(problem.d)
+    sub = problem.n // 8
+    if sub >= _LOSS_CHUNK:
+        x = _newton(feats[:sub], labels[:sub], problem.ridge, x)
+    return _newton(feats, labels, problem.ridge, x)
+
+
+def _newton(feats: np.ndarray, labels: np.ndarray, ridge: float,
+            x: np.ndarray) -> np.ndarray:
+    """Newton's method from x on the rows of feats.  One margin pass per
+    iteration gives both the gradient features' (-labels p) / n + ridge x
+    and the Hessian weights p (1 - p), with p = 1 / (1 + exp(margins));
+    the Hessian sums chunks of _LOSS_CHUNK rows.  Once the gradient norm
+    is at most _REFERENCE_TOL, one more step on the last Hessian, a d x d
+    solve with no pass over the data, takes the gradient to rounding, so
+    the result does not depend on the path that reached the tolerance."""
+    n, d = feats.shape
+    hess = None
     for it in range(_NEWTON_MAX_ITER + 1):
         p = _sigmoid_neg(labels * (feats @ x))
         grad = feats.T @ (-labels * p) / n + ridge * x
         grad_norm = float(np.linalg.norm(grad))
         if grad_norm <= _REFERENCE_TOL:
-            return x
+            return x if hess is None else x - np.linalg.solve(hess, grad)
         if it == _NEWTON_MAX_ITER:
             break
-        w, hess = p * (1.0 - p), np.zeros((problem.d, problem.d))
+        w, hess = p * (1.0 - p), np.zeros((d, d))
         for j in range(0, n, _LOSS_CHUNK):
             chunk = feats[j:j + _LOSS_CHUNK]
             hess += (chunk.T * w[j:j + _LOSS_CHUNK]) @ chunk
-        hess = hess / n + ridge * np.eye(problem.d)
+        hess = hess / n + ridge * np.eye(d)
         x = x - np.linalg.solve(hess, grad)
-    raise RuntimeError(
-        f"reference Newton solve did not converge (gradient norm {grad_norm:.3e})"
-    )
+    raise RuntimeError(f"reference Newton solve on {n} rows did not converge "
+                       f"(gradient norm {grad_norm:.3e})")

@@ -20,6 +20,7 @@ from ..gradient_models import (
 )
 from ..optimizers import mirror_descent_step
 from ..schedules import build_mesh, constant_schedule, linear_schedule, matrix_exp, phi_scalar
+from .problems import generate_problem
 
 
 def _checks():
@@ -81,6 +82,12 @@ def _checks():
         prod = matrix_exp(m) @ matrix_exp(-m)
         return np.max(np.abs(prod - np.eye(4))) < 1e-9
 
+    def logistic_reference_solve():
+        # n // 8 = 1024 rows, one chunk: the solve starts from the solution
+        # on those rows and ends with a step that takes x* to rounding.
+        problem = generate_problem("logistic", d=4, n=8192, rng=rng)
+        return np.linalg.norm(problem.full_gradient(problem.x_star)) <= 1e-14
+
     return [
         ("mirror round trip", mirror_round_trip),
         ("divergence closed form", divergence_identity),
@@ -92,6 +99,7 @@ def _checks():
         ("mesh recursion", mesh_recursion),
         ("phi terminal condition", phi_terminal),
         ("matrix exponential inverse", matrix_exp_inverse),
+        ("logistic reference solve", logistic_reference_solve),
     ]
 
 

@@ -472,7 +472,7 @@ class TestProblems:
             monkeypatch.setattr(problems_module, "_LOSS_BLOCK", 1 << 17)
             whole = problem.loss(xs)
             for rows in (2, 3, 5, 12):
-                monkeypatch.setattr(problems_module, "_LOSS_BLOCK", rows * min(chunk, n))
+                monkeypatch.setattr(problems_module, "_LOSS_BLOCK", rows * chunk)
                 np.testing.assert_array_equal(problem.loss(xs), whole, strict=True)
                 np.testing.assert_array_equal(problem.loss(xs[:49]), whole[:49], strict=True)
             np.testing.assert_array_equal([problem.loss(x) for x in xs], whole)
@@ -568,6 +568,30 @@ class TestProblems:
                 x_err = np.max(np.abs(got[:-1] - want[:-1])) / np.max(np.abs(want[:-1]))
                 assert x_err <= 1e-13, (coretype, len(want) - 1, x_err)
                 assert abs(got[-1] - want[-1]) <= 1e-13 * abs(want[-1]), (coretype, got[-1])
+
+    # The benchmark's size and one at n // 8 = 1125 rows start from the
+    # solution on n // 8 rows; below 8 chunks the solve starts from zero.
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps == np.finfo(float).eps,
+                        reason="np.longdouble is float64")
+    @pytest.mark.parametrize("d, n", [(16, 20000), (16, 9000), (5, 501), (40, 3001)])
+    def test_newton_solution_is_exact_to_rounding(self, d, n):
+        problem = generate_problem("logistic", d=d, n=n, rng=component_rng(29, "problem"))
+        x_star = problem.x_star
+        assert np.linalg.norm(problem.full_gradient(x_star)) <= problems_module._REFERENCE_TOL
+        feats, labels = problem.features.astype(np.longdouble), problem.labels.astype(np.longdouble)
+        x = x_star.astype(np.longdouble)
+        for _ in range(3):
+            p = 1 / (1 + np.exp(labels * (feats @ x)))
+            grad = feats.T @ (-labels * p) / n + problem.ridge * x
+            hess = (problem.features.T * (p * (1 - p)).astype(float)) @ problem.features
+            x -= np.linalg.solve(hess / n + problem.ridge * np.eye(d), grad.astype(float))
+        exact = x.astype(float)
+        assert np.linalg.norm(x_star - exact) <= 1e-13 * np.linalg.norm(exact)
+
+    def test_newton_sub_solve_failure_names_its_rows(self, monkeypatch):
+        monkeypatch.setattr(problems_module, "_NEWTON_MAX_ITER", 2)
+        with pytest.raises(RuntimeError, match="on 1024 rows did not converge"):
+            generate_problem("logistic", d=4, n=8192, rng=component_rng(29, "problem"))
 
     def test_logistic_extreme_margins_do_not_overflow(self):
         # |margins| reach beyond 709, where exp(margin) overflows.
