@@ -199,40 +199,33 @@ def _energy_paths(mirror: MirrorMap, schedule: Schedule, times: np.ndarray,
 def ensemble_report(times: np.ndarray, energy_paths: np.ndarray,
                     gap_paths: np.ndarray, qv_paths: np.ndarray) -> EnsembleReport:
     """Aggregate per-seed paths (rows) into per-time means and standard
-    errors."""
+    errors; one path has a standard error of exactly 0."""
     energy_paths = np.atleast_2d(energy_paths)
     gap_paths = np.atleast_2d(gap_paths)
     qv_paths = np.atleast_2d(qv_paths)
     n = energy_paths.shape[0]
-    scale = math.sqrt(n) if n > 1 else 1.0
+    ddof, scale = min(n - 1, 1), math.sqrt(n)
     return EnsembleReport(
         times=np.asarray(times, dtype=float),
         mean_energy=energy_paths.mean(axis=0),
-        se_energy=energy_paths.std(axis=0, ddof=1) / scale if n > 1 else np.zeros(energy_paths.shape[1]),
+        se_energy=energy_paths.std(axis=0, ddof=ddof) / scale,
         mean_gap=gap_paths.mean(axis=0),
-        se_gap=gap_paths.std(axis=0, ddof=1) / scale if n > 1 else np.zeros(gap_paths.shape[1]),
+        se_gap=gap_paths.std(axis=0, ddof=ddof) / scale,
         mean_qv=qv_paths.mean(axis=0),
         n_seeds=n,
     )
 
 
 def supermartingale_check(energy_paths: np.ndarray) -> SupermartingaleReport:
-    """Check that mean energy is non-increasing in time.
-
-    A single path (noiseless run) must be monotone to _NOISELESS_TOL
-    absolute; an ensemble must be non-increasing within two standard
-    errors of each increment.
+    """Check that mean energy is non-increasing in time: within two
+    standard errors of each increment, up to _NOISELESS_TOL absolute.  A
+    single path (noiseless run) has a standard error of 0, so it must be
+    monotone to _NOISELESS_TOL.
     """
     energy_paths = np.atleast_2d(np.asarray(energy_paths, dtype=float))
     n = energy_paths.shape[0]
-    mean = energy_paths.mean(axis=0)
-    inc = np.diff(mean)
-    if n == 1:
-        max_inc = float(np.max(inc, initial=0.0))
-        return SupermartingaleReport(max_increase=max_inc,
-                                     passed=max_inc <= _NOISELESS_TOL, n_seeds=1)
-    diffs = np.diff(energy_paths, axis=1)
-    se = diffs.std(axis=0, ddof=1) / math.sqrt(n)
+    inc = np.diff(energy_paths.mean(axis=0))
+    se = np.diff(energy_paths, axis=1).std(axis=0, ddof=min(n - 1, 1)) / math.sqrt(n)
     excess = inc - 2.0 * se
     max_excess = float(np.max(excess, initial=0.0))
     return SupermartingaleReport(max_increase=max_excess,

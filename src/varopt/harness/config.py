@@ -23,7 +23,9 @@ Example::
 
 Values are JSON where they parse as JSON, bare strings otherwise, and a
 null numeric value reads as the setting's default.  Every setting has one
-spelling, and a key that build_experiment does not read is refused.  The
+spelling, and a key that build_experiment does not read is refused, as is
+a model.d that disagrees with problem.d or, in empirical mode, a model.n
+that disagrees with problem.N.  The
 environment variable VAROPT_SEED, when set, overrides the seed list.
 """
 
@@ -282,6 +284,15 @@ def build_experiment(cfg: dict) -> ExperimentConfig:
 
     mirror = _build_mirror(cfg, d)
     schedule = _build_schedule(cfg)
+    # The run takes d from problem.d, and an empirical run its data size
+    # from problem.N: the model's copies of them must agree.
+    sources = [("model.d", "problem.d", d)] if "d" in prob_section else []
+    if mode == "empirical":
+        sources.append(("model.n", "problem.N", problem.n))
+    for key, source, value in sources:
+        given = _value(cfg, key, None, int)
+        if given is not None and given != value:
+            raise ConfigError(f"{key} = {given} disagrees with {source} = {value}")
     model = _build_model(cfg, d)
 
     batch_m = _value(cfg, "optimizer.batch_m", None, int)

@@ -182,8 +182,8 @@ class ProblemInstance:
         return grads
 
     def full_gradient(self, x) -> np.ndarray:
-        # Same arithmetic order as the stored average so the m = n
-        # mini-batch call reproduces it exactly.
+        # The sum runs over the rows in order, as the m = n mini-batch
+        # reduction does, so that call reproduces it exactly.
         return self.per_sample_gradients(x).mean(axis=0)
 
     def minibatch_gradient(self, x, m: int, rng: np.random.Generator) -> np.ndarray:
@@ -193,24 +193,20 @@ class ProblemInstance:
 
     def minibatch_gradients(self, xs, m: int, rngs) -> np.ndarray:
         """(S, d) mini-batch gradients, row i at xs[i] on m rows drawn by
-        rngs[i] with one rng.choice, in order.  The batches are gathered
-        and evaluated as one stack, in chunks of seeds within the
-        _LOSS_BLOCK budget; the sum and the division by m are those of
-        mean.  m = n draws nothing: row i is full_gradient(xs[i])."""
+        rngs[i] with one rng.choice, in order; m = n draws nothing and
+        takes every row in order, so row i is full_gradient(xs[i]).  The
+        batches are gathered and evaluated as one stack, in chunks of
+        seeds within the _LOSS_BLOCK budget; the sum and the division by m
+        are those of mean."""
         if not (1 <= m <= self.n):
             raise ValueError(f"batch size must satisfy 1 <= m <= {self.n}")
-        if m == self.n:
-            out = np.empty((len(rngs), self.d))
-            for row, x in zip(out, xs):
-                row[:] = self.full_gradient(x)
-            return out
         rows = max(1, _LOSS_BLOCK // (m * self.d))
         if len(rngs) > rows:
             return np.concatenate([self.minibatch_gradients(xs[i:i + rows], m, rngs[i:i + rows])
                                    for i in range(0, len(rngs), rows)])
         idx = np.empty((len(rngs), m), dtype=np.intp)
         for i, rng in enumerate(rngs):
-            idx[i] = rng.choice(self.n, size=m, replace=False)
+            idx[i] = np.arange(m) if m == self.n else rng.choice(self.n, size=m, replace=False)
         out = np.add.reduce(self._gradients(xs, idx), axis=-2)
         out /= m
         return out

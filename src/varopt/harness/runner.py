@@ -87,7 +87,7 @@ def _padded(values, rows: int, cols: int) -> np.ndarray:
 def _write_trajectory_csv(path: str, traj) -> None:
     rows, d = traj.x_path.shape
     phi = traj.phi_path
-    phi_cols = 0 if phi is None else 1 if np.ndim(phi) == 1 else np.shape(phi)[1]
+    phi_cols = 1 if phi.ndim == 1 else phi.shape[1]
     header = (["k", "t"] + [f"x{i}" for i in range(d)] + ["loss_gap", "qv"]
               + [f"phi{j}" for j in range(phi_cols)] + ["filter_norm"])
     block = np.column_stack([np.arange(rows), traj.times, traj.x_path, traj.loss_gap,

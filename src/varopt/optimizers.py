@@ -44,6 +44,7 @@ from .gradient_models import (
     kalman_steady_gain,
 )
 from .schedules import (
+    _HORIZON_SLACK,
     Schedule,
     _exp,
     _weight,
@@ -231,11 +232,12 @@ class OptimizerSpec:
 
 
 def _mesh_times(schedule: Schedule, steps: int) -> np.ndarray:
-    """Times t_0 .. t_K of a K-step mesh; ValueError for K < 0 or past the horizon."""
+    """Times t_0 .. t_K of a K-step mesh; ValueError for K < 0 or a t_K
+    more than _HORIZON_SLACK past the horizon."""
     if steps < 0:
         raise ValueError("steps must be >= 0")
     times = build_mesh(schedule, max(steps, 1)).times[: steps + 1]
-    if times[-1] > schedule.horizon_T + 1e-9:
+    if times[-1] > schedule.horizon_T + _HORIZON_SLACK:
         raise ValueError(
             f"mesh reaches t = {times[-1]:.6g}, past the schedule horizon "
             f"T = {schedule.horizon_T:.6g}; reduce steps or extend the horizon"
@@ -255,7 +257,9 @@ def run_ensemble(spec: OptimizerSpec, problem, steps: int, seeds) -> list[Trajec
     together, each on its own harness RNG streams; the displacement, QV,
     loss-gap and filter-norm paths of all seeds are formed in one stacked
     pass, and a non-finite QV or gap fails its row.  A stacked loop that
-    raised is rerun one seed at a time.  problem may be None in
+    raised is rerun one seed at a time.  steps = 0 takes the same path on
+    the one-point mesh: each trajectory is X_0 with its loss gap, and its
+    Phi, displacement and stream paths are empty.  problem may be None in
     synthetic mode (the latent gradient model is not tied to a loss
     landscape; loss gaps are then NaN)."""
     spec.validate()
@@ -269,13 +273,6 @@ def run_ensemble(spec: OptimizerSpec, problem, steps: int, seeds) -> list[Trajec
     spec.mirror.check_domain(x0)
     if not seeds:
         return []
-
-    if steps == 0:
-        lengths, errors = [0] * len(seeds), [None] * len(seeds)
-        gap_paths = _loss_gaps(spec, problem, np.tile(x0, (len(seeds), 1, 1)), lengths, errors)
-        return [Trajectory(times=times, x_path=x0[None, :], nu_path=np.zeros((0, d)),
-                           loss_gap=gaps, qv_path=np.zeros(1), seed=seed, error=error)
-                for seed, gaps, error in zip(seeds, gap_paths, errors)]
 
     step_times, dts = times[:-1], np.diff(times)
     filtered = spec.kind in _FILTERED_KINDS
@@ -322,11 +319,13 @@ def _loss_gaps(spec: OptimizerSpec, problem, x_paths: np.ndarray, lengths, error
 
 
 def _filter_coefficient(spec: OptimizerSpec, problem) -> float:
-    """Rescaling applied to raw observations before the mirror update."""
-    if isinstance(spec.model, MartingaleGradientModel):
-        return spec.model.filter_coefficient
+    """Rescaling applied to raw observations before the mirror update:
+    the batch's share batch_m / n of the data in empirical mode, whatever
+    the model; the martingale model's m / n in synthetic mode; else 1."""
     if spec.mode == "empirical":
         return spec.batch_m / problem.n
+    if isinstance(spec.model, MartingaleGradientModel):
+        return spec.model.filter_coefficient
     return 1.0
 
 
@@ -341,6 +340,8 @@ def _filter_gains(spec: OptimizerSpec, dts: np.ndarray):
     # Momentum kinds need a constant-alpha schedule, so dt is constant
     # and one steady gain serves every step.
     a_tils, l_tils, sigmas = model.discretize(dts)
+    if not len(dts):
+        return a_tils, [], None
     try:
         gain = kalman_steady_gain(a_tils[0], l_tils[0], model.b_vec, float(sigmas[0]))
     except FilterDivergenceError as exc:

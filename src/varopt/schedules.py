@@ -16,7 +16,8 @@ terminal condition M(T) = exp(delta_T) I,
 with weight w(u) = exp(alpha_u + beta_u + gamma_u); the scalar path is
 the vector one with A = 0 and b = 1.  All four phi_* functions evaluate it
 on a sorted grid in [t_min, T] (a single time is a grid of length one) and
-reject unsorted or out-of-horizon times with ValueError.  M is propagated
+reject with ValueError unsorted times and times before t_min or more than
+_HORIZON_SLACK past T, the slack the mesh has too.  M is propagated
 backward from T over the grid, one local integral per interval
 (_phi_path): for the linear family, whose weight is exp(c0 + c1 t), every
 interval's propagator and integral come from one stacked Van Loan block
@@ -60,6 +61,9 @@ QUAD_TOL = 1e-11
 _QUAD_MAX_DEPTH = 20  # bisection levels
 _QUAD_REL = 1e-12  # relative floor; intervals stop near rounding noise
 _GRID_POINTS = 1000  # horizon grid of the finiteness and scaling checks
+# How far past T a mesh time may fall and still count as T: the mesh's
+# last time and Phi's last step time pass T by a sum's rounding.
+_HORIZON_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -345,8 +349,7 @@ def _interval_exps(widths: np.ndarray, m: np.ndarray) -> np.ndarray:
         return matrix_exp(np.array(list(first))[:, None, None] * m)[inverse]
     except NumericalError:
         # Raises again, naming the first interval of the failing width.
-        matrix_exp(widths[:, None, None] * m)
-        raise
+        return matrix_exp(widths[:, None, None] * m)
 
 
 def _local_propagators(schedule: Schedule, a_mat: np.ndarray, edges: np.ndarray):
@@ -389,10 +392,10 @@ def _phi_path(schedule: Schedule, a_mat: np.ndarray, b_vec: np.ndarray,
     t0, T = schedule.t_min, schedule.horizon_T
     if times.ndim != 1 or not np.all(np.diff(times) >= 0):
         raise ValueError("times must be a sorted 1-d grid")
-    if len(times) and not (t0 <= times[0] and times[-1] <= T + 1e-12):
+    if len(times) and not (t0 <= times[0] and times[-1] <= T + _HORIZON_SLACK):
         raise ValueError("times must lie in the schedule horizon")
 
-    edges = np.append(np.minimum(times, T), T)  # a time within 1e-12 past T is T
+    edges = np.append(np.minimum(times, T), T)  # a time within the slack past T is T
     steps, jumps = _local_propagators(schedule, a_mat, edges)
     row = math.exp(schedule.delta_T) * b_vec
     rows = [row]                                   # b' M at T, t_K, ..., t_1

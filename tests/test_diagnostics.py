@@ -255,6 +255,17 @@ class TestSupermartingaleCheck:
         assert not supermartingale_check(paths).passed
 
 
+class TestEnsembleReport:
+    def test_one_path_has_a_standard_error_of_zero(self):
+        energy_paths = np.array([[3.0, 2.0, 2.5, 1.0]])
+        report = ensemble_report(np.arange(4.0), energy_paths,
+                                 np.array([[1.0, 0.5, 0.7, 0.1]]), np.zeros((1, 4)))
+        assert report.n_seeds == 1
+        np.testing.assert_array_equal(report.se_energy, np.zeros(4), strict=True)
+        np.testing.assert_array_equal(report.se_gap, np.zeros(4), strict=True)
+        np.testing.assert_array_equal(report.mean_energy, energy_paths[0])
+
+
 class TestRateBoundCheck:
     def _report(self, times, gap):
         zeros = np.zeros((1, len(times)))

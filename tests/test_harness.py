@@ -668,6 +668,23 @@ class TestRunExperiment:
             np.savetxt(fh, block, fmt=fmt, delimiter=",", header=",".join(header), comments="")
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
+    # K = 0 runs the general path: its trajectory CSV has the columns of a
+    # K = 1 run, phi and filter_norm included.
+    @pytest.mark.parametrize("base", [BASE_CONFIG, KALMAN_CONFIG],
+                             ids=["empirical-mirror_sgd", "synthetic-kalman_gd"])
+    def test_zero_step_trajectory_has_the_columns_of_every_run(self, base, tmp_path,
+                                                               monkeypatch):
+        monkeypatch.delenv("VAROPT_SEED", raising=False)
+        csvs = {}
+        for steps in (0, 1):
+            raw = parse_config_text(base + f"output = {tmp_path}/k{steps}\nmesh.steps = {steps}\n")
+            art = run_experiment(build_experiment(raw))
+            assert not art.errors
+            csvs[steps] = (tmp_path / f"k{steps}" / "trajectory_seed0.csv").read_text().splitlines()
+        assert len(csvs[0]) == 2 and len(csvs[1]) == 3
+        assert csvs[0][0] == csvs[1][0]
+        assert csvs[0][1].count(",") == csvs[0][0].count(",")
+
     def test_per_seed_failure_recorded(self, tmp_path):
         raw = parse_config_text(BASE_CONFIG + f"output = {tmp_path}/out\n"
                                 "optimizer.batch_m = 500\n")
@@ -902,6 +919,50 @@ class TestCli:
         err = capsys.readouterr().err
         assert "model.b = [1.0, 2.0] does not have the length model.dtilde = 1" in err
         assert "A must be" not in err
+
+    # problem.d sets the dimension and problem.N the step's batch share, so
+    # a model that states other values is refused, naming its key.
+    @pytest.mark.parametrize("override, message", [
+        ("model.d = 7", "model.d = 7 disagrees with problem.d = 3"),
+        ("model.n = 400", "model.n = 400 disagrees with problem.N = 50"),
+    ], ids=["model.d", "model.n"])
+    def test_model_disagreeing_with_the_problem_is_config_error(self, override, message,
+                                                                tmp_path, monkeypatch, capsys):
+        monkeypatch.delenv("VAROPT_SEED", raising=False)
+        cfg = _write_config(tmp_path, BASE_CONFIG + f"output = {tmp_path}/out\n{override}\n")
+        assert main(["run", cfg]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_synthetic_run_without_a_model_is_config_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.delenv("VAROPT_SEED", raising=False)
+        text = "".join(line + "\n" for line in BASE_CONFIG.splitlines()
+                       if not line.startswith("model."))
+        cfg = _write_config(tmp_path, text + f"optimizer.mode = synthetic\noutput = {tmp_path}/out\n")
+        assert main(["run", cfg]) == EXIT_CONFIG
+        assert "synthetic mirror_sgd requires a gradient model" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_unknown_stream_mode_is_config_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.delenv("VAROPT_SEED", raising=False)
+        cfg = _write_config(tmp_path, BASE_CONFIG + f"output = {tmp_path}/out\n"
+                            "optimizer.mode = streaming\n")
+        assert main(["run", cfg]) == EXIT_CONFIG
+        assert "unknown stream mode 'streaming'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_mesh_within_the_horizon_slack_runs(self, tmp_path, monkeypatch, capsys):
+        # Steps of 1e-10 put t_101 1.5e-10 and the last step time t_100
+        # 5e-11 past T: the mesh and Phi take the same slack past T.
+        monkeypatch.delenv("VAROPT_SEED", raising=False)
+        cfg = _write_config(tmp_path, "schedule.family = constant\n"
+                            'schedule.params = {"alpha0": 23.025850929940457}\n'
+                            "schedule.delta_T = 5.0\nschedule.T = 9.95e-9\nmesh.steps = 101\n"
+                            "model.kind = martingale\nmodel.n = 10\nmodel.m = 2\n"
+                            f"seeds = [0, 1]\noutput = {tmp_path}/out\n")
+        assert main(["run", cfg]) == EXIT_OK
+        rows = (tmp_path / "out" / "trajectory_seed0.csv").read_text().splitlines()
+        assert len(rows) == 1 + 102
 
     # sigma^2 overflows a float: the kalman_gd gain pass and the steady
     # gain of the momentum kinds both refuse the infinite innovation variance.

@@ -229,6 +229,20 @@ class TestRunOptimizer:
             x = x - float(traj.phi_path[k]) * coeff * traj.g_path[k]
             np.testing.assert_allclose(traj.x_path[k + 1], x, atol=1e-12)
 
+    def test_empirical_step_is_scaled_by_the_batch_share_of_the_data(self):
+        # A martingale model of its own n and m does not set the step of an
+        # empirical run: batches of 10 rows of 40 scale it by 1/4, not 20/400.
+        problem = generate_problem("quadratic", d=3, n=40,
+                                   rng=component_rng(0, "problem"))
+        spec = OptimizerSpec(kind="mirror_sgd", mirror=quadratic_map(),
+                             schedule=_scaling_linear(), mode="empirical", batch_m=10,
+                             model=MartingaleGradientModel(sigma=0.5, n=400, m=20, d=3))
+        traj = run_optimizer(spec, problem, 20, seed=3)
+        assert traj.error is None
+        np.testing.assert_allclose(np.diff(traj.x_path, axis=0),
+                                   -0.25 * traj.phi_path[:, None] * traj.g_path,
+                                   rtol=1e-12, atol=1e-15)
+
     def test_kalman_gd_synthetic_runs(self):
         model = StateSpaceGradientModel(a_mat=np.array([[1.0]]),
                                         l_mat=np.array([[1.0]]),

@@ -432,6 +432,15 @@ class TestPropagator:
                 pytest.raises(NumericalError, match=r"overflows .* at stack index \(3,\)"):
             schedules_module._interval_exps(widths, np.array([[80.0]]))
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning")
+    def test_quadrature_path_overflow_names_the_first_interval_of_its_width(self):
+        # A polynomial schedule takes its propagators from _interval_exps
+        # on the exact widths 1, 1, 1001: e^1001 overflows at distinct
+        # width 1, first reached by interval 2.
+        s = polynomial_schedule(p=2.0, c=1.0, t_min=0.5, horizon_T=1003.5, delta_T=25.0)
+        with pytest.raises(NumericalError, match=r"overflows .* at stack index \(2,\)"):
+            phi_vector_path(s, np.eye(1), np.ones(1), [0.5, 1.5, 2.5])
+
 
 _FAMILIES = {
     "constant": lambda: constant_schedule(alpha0=0.3, beta0=-0.7, gamma0=1.1, horizon_T=3.0),
