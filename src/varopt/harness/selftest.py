@@ -19,7 +19,7 @@ from ..gradient_models import (
     martingale_filter,
 )
 from ..optimizers import mirror_descent_step
-from ..schedules import build_mesh, constant_schedule, linear_schedule, matrix_exp, phi_scalar
+from ..schedules import build_mesh, linear_schedule, matrix_exp, phi_scalar
 from .problems import generate_problem
 
 
@@ -69,8 +69,14 @@ def _checks():
                 and abs(k2[0] - (math.sqrt(5.0) - 1.0) / 2.0) < 1e-9)
 
     def mesh_recursion():
-        mesh = build_mesh(constant_schedule(alpha0=math.log(2.0), horizon_T=2.0), 2)
-        return np.max(np.abs(mesh.times - [0.0, 0.5, 1.0])) <= 1e-12
+        # The README schedule: alpha is constant, so build_mesh takes one
+        # cumulative sum, which must be the recursion's times bit for bit.
+        sched = linear_schedule(alpha0=math.log(10.0), beta0=-math.log(2.0), gamma1=10.0,
+                                horizon_T=2.0)
+        times = [0.0]
+        for _ in range(20):
+            times.append(times[-1] + math.exp(-sched.alpha(times[-1])))
+        return np.array_equal(build_mesh(sched, 20).times, times)
 
     def phi_terminal():
         sched = linear_schedule(beta1=1.0, delta_T=1.0, horizon_T=1.0)

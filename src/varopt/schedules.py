@@ -117,15 +117,19 @@ class Schedule:
 
 @dataclass(frozen=True)
 class Mesh:
-    """Strictly increasing times t_0 < t_1 < ... with
-    t_{k+1} - t_k = exp(-alpha(t_k))."""
+    """Finite, strictly increasing times t_0 < t_1 < ... with
+    t_{k+1} - t_k = exp(-alpha(t_k)); build_mesh makes them from a
+    schedule."""
 
     times: np.ndarray
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
-        if t.ndim != 1 or len(t) < 1 or np.any(np.diff(t) <= 0):
-            raise ValueError("mesh times must be strictly increasing")
+        # When each time exceeds the one before (no NaN does), the times
+        # lie between the ends, so finite ends make every time finite.
+        if (t.ndim != 1 or len(t) < 1 or not (t[1:] > t[:-1]).all()
+                or not (math.isfinite(t[0]) and math.isfinite(t[-1]))):
+            raise ValueError("mesh times must be finite and strictly increasing")
         object.__setattr__(self, "times", t)
 
     def __len__(self):
@@ -208,11 +212,38 @@ def check_scaling(schedule: Schedule) -> ScalingReport:
                          passed=(max_gamma <= SCALING_TOL) and (max_beta <= SCALING_TOL))
 
 
+def _uniform_times(schedule: Schedule, steps: int) -> Optional[np.ndarray]:
+    """The times t_min + h + ... + h, summed in order with the step
+    h = exp(-alpha(t_min)), when they are finite and alpha equals
+    alpha(t_min) at each of them but the last; else None."""
+    t = schedule.t_min
+    try:
+        alpha0 = schedule.alpha(t)
+        times = np.full(steps + 1, math.exp(-alpha0))
+        times[0] = t
+        with np.errstate(all="ignore"):
+            times = np.add.accumulate(times)
+            # h >= 0 or NaN, so the last time is finite only if all are.
+            if math.isfinite(times[-1]) and np.equal(schedule.alpha(times[:-1]), alpha0).all():
+                return times
+    except (TypeError, ValueError, ArithmeticError):
+        pass
+    return None
+
+
 def build_mesh(schedule: Schedule, steps: int) -> Mesh:
     """Mesh recursion t_{k+1} = t_k + exp(-alpha(t_k)), K steps from the
-    schedule's t_min (0 unless the family sets it)."""
+    schedule's t_min (0 unless the family sets it).
+
+    When alpha is constant along the mesh, the times are one cumulative
+    sum of the step; np.add.accumulate adds in order, so each is the
+    recursion's t + h bit for bit.  Otherwise the recursion runs.
+    """
     if steps < 1:
         raise ValueError("steps must be >= 1")
+    times = _uniform_times(schedule, steps)
+    if times is not None:
+        return Mesh(times=times)
     t = schedule.t_min
     times = [t]
     for _ in range(steps):

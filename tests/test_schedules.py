@@ -96,6 +96,68 @@ class TestMesh:
         with pytest.raises(ValueError):
             build_mesh(constant_schedule(), 0)
 
+    @pytest.mark.parametrize("times", [[0.0, math.nan, 1.0], [0.0, math.inf],
+                                       [-math.inf, 0.0], [math.nan]])
+    def test_non_finite_mesh_rejected(self, times):
+        with pytest.raises(ValueError, match="finite and strictly increasing"):
+            Mesh(times=times)
+
+    @staticmethod
+    def _scalar_mesh(s, steps):
+        """The recursion, one float step at a time; None once a time is
+        not finite."""
+        t = s.t_min
+        times = [t]
+        for _ in range(steps):
+            try:
+                t += math.exp(-s.alpha(t))
+            except OverflowError:
+                t = math.inf
+            if not math.isfinite(t):
+                return None
+            times.append(t)
+        return np.array(times)
+
+    _T = 20.0
+    _BIT_SCHEDULES = {
+        # The three benchmark workloads' schedules.
+        "kalman": constant_schedule(alpha0=math.log(25.0), beta0=math.log(0.0004),
+                                    horizon_T=_T),
+        "logistic": constant_schedule(alpha0=math.log(100.0), horizon_T=0.5),
+        "ensemble": linear_schedule(alpha0=math.log(10.0), beta0=-math.log(2.0),
+                                    gamma1=10.0, horizon_T=2.0),
+        "linear_alpha1": linear_schedule(alpha0=0.2, alpha1=0.3, horizon_T=_T),
+        # t_{k+1} = 1.5 t_k: the longest mesh overflows on both routes.
+        "polynomial": polynomial_schedule(t_min=0.1, horizon_T=_T),
+        "custom_constant": Schedule(alpha=lambda t: 1.7 + 0.0 * t, beta=lambda t: 0.0 * t,
+                                    gamma=lambda t: 0.0 * t, delta_T=0.0, horizon_T=_T),
+        # Constant on the horizon [0, 1] only; 500 steps of exp(-3) pass it.
+        "constant_to_T": Schedule(alpha=lambda t: np.where(t <= 1.0, 3.0, 4.0),
+                                  beta=lambda t: 0.0 * t, gamma=lambda t: 0.0 * t,
+                                  delta_T=0.0, horizon_T=1.0),
+    }
+
+    @pytest.mark.parametrize("steps", [1, 20, 500, 100000])
+    @pytest.mark.parametrize("name", list(_BIT_SCHEDULES))
+    def test_mesh_is_the_scalar_recursion_bit_for_bit(self, name, steps):
+        s = self._BIT_SCHEDULES[name]
+        expected = self._scalar_mesh(s, steps)
+        if expected is None:
+            with pytest.raises(ValueError, match="non-finite time"):
+                build_mesh(s, steps)
+        else:
+            np.testing.assert_array_equal(build_mesh(s, steps).times, expected)
+
+    @pytest.mark.parametrize("alpha1", [0.0, 1e-3])
+    def test_both_routes_refuse_a_step_that_overflows_or_vanishes(self, alpha1):
+        # alpha1 = 0 takes the cumulative sum, alpha1 != 0 the recursion.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match="non-finite time"):
+                build_mesh(linear_schedule(alpha0=-800.0, alpha1=alpha1), 5)
+            with pytest.raises(ValueError, match="strictly increasing"):
+                build_mesh(linear_schedule(alpha0=800.0, alpha1=alpha1), 5)
+
 
 class TestQuadrature:
     def test_polynomial_exact(self):
