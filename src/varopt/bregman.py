@@ -2,7 +2,10 @@
 
 Every optimizer in this library measures distance through a Bregman
 divergence D_h(y, x) = h(y) - h(x) - <grad h(x), y - x> induced by a
-strictly convex reference function h.  Two reference maps ship built in:
+strictly convex reference function h.  The convergence analysis further
+assumes h strongly convex with a Lipschitz gradient on the region the
+iterates visit; no computation reads the two moduli, so no map stores
+them.  Two reference maps ship built in:
 
 * quadratic: h(x) = 1/2 x' M x for a symmetric positive-definite M
   (default M = I), which reduces every mirror update to plain SGD-style
@@ -51,27 +54,16 @@ _NEWTON_TOL = 1e-10
 
 @dataclass(frozen=True)
 class MirrorMap:
-    """A strictly convex C^2 reference function with its derivatives.
-
-    mu and lip are the declared strong-convexity and gradient-Lipschitz
-    constants; they are inputs (spot-checked in the tests), never
-    estimated from data.
-    """
+    """A strictly convex C^2 reference function with its derivatives,
+    assumed strongly convex with a Lipschitz gradient where the iterates
+    go (see the module docstring)."""
 
     name: str
     h: Callable[[np.ndarray], np.ndarray]
     grad_h: Callable[[np.ndarray], np.ndarray]
     hess_h: Callable[[np.ndarray], np.ndarray]
-    mu: float
-    lip: float
     grad_h_dual: Optional[Callable[[np.ndarray], np.ndarray]] = None
     in_domain: Callable[[np.ndarray], bool] = field(default=lambda x: True)
-
-    def __post_init__(self):
-        if not (self.mu > 0):
-            raise ValueError("strong-convexity constant mu must be > 0")
-        if self.lip < self.mu:
-            raise ValueError("Lipschitz constant must satisfy lip >= mu")
 
     def check_domain(self, x: np.ndarray) -> None:
         """DomainError unless every point of x (..., d) is finite and in the
@@ -99,8 +91,7 @@ def quadratic_map(m_diag=None, m_full=None) -> MirrorMap:
     if m_full is not None:
         m = np.asarray(m_full, dtype=float)
         m = 0.5 * (m + m.T)
-        eigs = np.linalg.eigvalsh(m)
-        if eigs.min() <= 0:
+        if np.linalg.eigvalsh(m).min() <= 0:
             raise ValueError("M must be positive definite")
         m_inv = np.linalg.inv(m)
         # A stacked X @ M need not equal its rows' x @ M bit for bit; this does.
@@ -111,8 +102,6 @@ def quadratic_map(m_diag=None, m_full=None) -> MirrorMap:
             grad_h=grad_h,
             grad_h_dual=lambda z: np.vecdot(m_inv, np.asarray(z, dtype=float)[..., None, :]),
             hess_h=lambda x: m,
-            mu=float(eigs.min()),
-            lip=float(eigs.max()),
         )
     diag = np.asarray(1.0 if m_diag is None else m_diag, dtype=float)
     if np.any(diag <= 0):
@@ -123,40 +112,35 @@ def quadratic_map(m_diag=None, m_full=None) -> MirrorMap:
         grad_h=lambda x: diag * x,
         grad_h_dual=lambda z: z / diag,
         hess_h=lambda x: np.diag(np.broadcast_to(diag, np.shape(x))),
-        mu=float(diag.min()),
-        lip=float(diag.max()),
     )
 
 
-def entropy_map(lower: float = 0.05, upper: float = 20.0) -> MirrorMap:
+def entropy_map() -> MirrorMap:
     """Negative entropy h(x) = sum_i x_i log x_i on the positive orthant.
 
-    grad h(x) = 1 + log x and grad h*(z) = exp(z - 1) componentwise.  The
-    curvature constants only hold on a compact box [lower, upper]^d of
-    the open orthant (hess h(x) = diag(1/x)); the box is declared at
-    construction and the constants are mu = 1/upper, lip = 1/lower.
-    Points outside the orthant are rejected, never clamped.
+    grad h(x) = 1 + log x and grad h*(z) = exp(z - 1) componentwise.  Since
+    hess h(x) = diag(1/x), h is strongly convex with a Lipschitz gradient
+    only on a compact box [a, b]^d of the open orthant, with moduli 1/b
+    and 1/a.  Points outside the orthant are rejected, never clamped.
     """
-    if not (0 < lower < upper):
-        raise ValueError("need 0 < lower < upper")
     return MirrorMap(
         name="entropy",
         h=lambda x: np.sum(x * np.log(x), axis=-1),
         grad_h=lambda x: 1.0 + np.log(x),
         grad_h_dual=lambda z: np.exp(z - 1.0),
         hess_h=lambda x: np.diag(1.0 / x),
-        mu=1.0 / upper,
-        lip=1.0 / lower,
         in_domain=lambda x: bool((x > 0).all()),
     )
 
 
-def custom_map(name, h, grad_h, hess_h, mu, lip, grad_h_dual=None,
+def custom_map(name, h, grad_h, hess_h, grad_h_dual=None,
                in_domain=lambda x: True) -> MirrorMap:
     """Wrap user-supplied callables, which must act on the last axis like
-    the built-in maps (hess_h on one point).  Omitting grad_h_dual requests
-    damped-Newton inversion of grad_h inside grad_dual."""
-    return MirrorMap(name, h, grad_h, hess_h, mu, lip, grad_h_dual, in_domain)
+    the built-in maps (hess_h on one point), for an h that is strongly
+    convex with a Lipschitz gradient where the iterates go.  Omitting
+    grad_h_dual requests damped-Newton inversion of grad_h inside
+    grad_dual."""
+    return MirrorMap(name, h, grad_h, hess_h, grad_h_dual, in_domain)
 
 
 def _h(mirror: MirrorMap, x: np.ndarray) -> np.ndarray:

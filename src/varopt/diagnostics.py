@@ -12,12 +12,12 @@ an array of times (K,) with points (K, d) and values (K,).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .bregman import MirrorMap, divergence, grad_dual, _dual_divergence
+from .bregman import MirrorMap, divergence, _dual_divergence
 from .schedules import Schedule, _exp
 
 __all__ = [

@@ -22,18 +22,20 @@ Example::
     output = out/
 
 Values are JSON where they parse as JSON, bare strings otherwise, and a
-null numeric value reads as the setting's default.  Every setting has one
-spelling, and a key that build_experiment does not read is refused, as is
-a model.d that disagrees with problem.d or, in empirical mode, a model.n
-that disagrees with problem.N.  The
-environment variable VAROPT_SEED, when set, overrides the seed list.
+null numeric value reads as the setting's default.  A later line for a key
+overrides an earlier one, so appending ``seeds = [17]`` runs other seeds;
+the config alone fixes a run.  Every setting has one spelling, and a key
+that build_experiment does not read is refused, as is a model.d that
+disagrees with problem.d or, in empirical mode, a model.n that disagrees
+with problem.N.  In empirical mode mirror_sgd and fosp_continuous read
+the gradient model only for the model.m batch default and those two
+checks, so model.sigma changes nothing there.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass
 from typing import Optional
 
@@ -64,7 +66,7 @@ class ConfigError(ValueError):
 # it does not take.
 _KEYS = {
     "problem": {"kind", "d", "N", "seed", "ridge"},
-    "map": {"name", "m_diag", "lower", "upper"},
+    "map": {"name", "m_diag"},
     "schedule": {"family", "params", "delta_T", "T"},
     "mesh": {"steps"},
     "model": {"kind", "sigma", "n", "m", "d", "dtilde", "A", "L", "b"},
@@ -210,8 +212,7 @@ def _build_mirror(cfg: dict, d: int) -> MirrorMap:
         if name == "quadratic":
             return quadratic_map(m_diag=_vector(cfg, "map.m_diag", d))
         if name == "entropy":
-            return entropy_map(lower=_value(cfg, "map.lower", 0.05),
-                               upper=_value(cfg, "map.upper", 20.0))
+            return entropy_map()
     except ValueError as exc:
         raise ConfigError(f"invalid map: {exc}") from exc
     if name == "custom":
@@ -320,13 +321,10 @@ def build_experiment(cfg: dict) -> ExperimentConfig:
             raise ConfigError(f"map.name = {mirror.name} does not hold the minimizer of "
                               f"problem.kind = {problem.kind}: {exc}") from exc
 
-    if "VAROPT_SEED" in os.environ:
-        seeds = _value(os.environ, "VAROPT_SEED", None, lambda v: [int(v)])
-    else:
-        seeds = _value(cfg, "seeds", [0],
-                       lambda v: [int(s) for s in (v if isinstance(v, list) else [v])])
-        if not seeds or len(set(seeds)) < len(seeds):
-            raise ConfigError(f"seeds = {seeds} must be a non-empty list of distinct seeds")
+    seeds = _value(cfg, "seeds", [0],
+                   lambda v: [int(s) for s in (v if isinstance(v, list) else [v])])
+    if not seeds or len(set(seeds)) < len(seeds):
+        raise ConfigError(f"seeds = {seeds} must be a non-empty list of distinct seeds")
 
     steps = _value(cfg, "mesh.steps", 100, int)
     try:

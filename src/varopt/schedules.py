@@ -85,7 +85,8 @@ class Schedule:
     # central differences are used for the scaling check.
     beta_dot: Optional[Callable[[np.ndarray], np.ndarray]] = None
     gamma_dot: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    # Earliest admissible time (nonzero for the polynomial family).
+    # Earliest admissible time, in [0, horizon_T) (nonzero for the
+    # polynomial family).
     t_min: float = 0.0
     # c1 when log w = alpha + beta + gamma is affine, c0 + c1 t, as in the
     # linear family; the learning-rate paths then integrate w in closed form.
@@ -97,6 +98,8 @@ class Schedule:
                 raise ValueError(f"{label} must be finite, got {getattr(self, label)}")
         if not (self.horizon_T > 0):
             raise ValueError("horizon_T must be positive")
+        if not (0 <= self.t_min < self.horizon_T):
+            raise ValueError(f"t_min must lie in [0, horizon_T), got {self.t_min}")
         self.validate_finite()
 
     def validate_finite(self) -> None:

@@ -11,16 +11,13 @@ import numpy as np
 import pytest
 
 from varopt import (
-    MartingaleGradientModel,
     OptimizerSpec,
-    StateSpaceGradientModel,
     constant_schedule,
     energy_path,
     entropy_map,
     generalized_momentum_step,
     grad_dual,
     hamiltonian,
-    kalman_bucy_step,
     kalman_discrete_step,
     kalman_steady_gain,
     lagrangian,
@@ -192,14 +189,8 @@ def test_criterion_04_steady_gain():
              "convergence 1e-6)", ok)
 
 
-def test_criterion_05_riccati_equilibrium():
-    model = StateSpaceGradientModel(a_mat=np.array([[1.0]]),
-                                    l_mat=np.array([[1.0]]),
-                                    b_vec=np.array([1.0]), sigma=1.0)
-    state = initial_kalman_state(1, 1, p0=np.array([[1.0]]))
-    for _ in range(100_000):
-        state = kalman_bucy_step(state, np.zeros(1), 1e-4, model)
-    err = abs(state.p_post[0, 0] - (math.sqrt(2.0) - 1.0))
+def test_criterion_05_riccati_equilibrium(riccati_equilibrium_state):
+    err = abs(riccati_equilibrium_state.p_post[0, 0] - (math.sqrt(2.0) - 1.0))
     _verdict(f"criterion 5: Kalman-Bucy Riccati equilibrium sqrt(2)-1 "
              f"(|err| = {err:.2e} <= 1e-4)", err <= 1e-4)
 

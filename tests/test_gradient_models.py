@@ -417,17 +417,11 @@ def test_posterior_psd_prefix_names_the_first_failure():
 
 
 class TestKalmanBucy:
-    def test_riccati_equilibrium(self):
+    def test_riccati_equilibrium(self, riccati_equilibrium_state):
         # Scalar A = L = b = sigma = 1: the stationary covariance solves
         # -2P - P^2 + 1 = 0, i.e. P = sqrt(2) - 1.
-        model = StateSpaceGradientModel(a_mat=np.array([[1.0]]),
-                                        l_mat=np.array([[1.0]]),
-                                        b_vec=np.array([1.0]), sigma=1.0)
-        state = initial_kalman_state(1, 1, p0=np.array([[1.0]]))
-        dt = 1e-4
-        for _ in range(100_000):
-            state = kalman_bucy_step(state, np.zeros(1), dt, model)
-        assert state.p_post[0, 0] == pytest.approx(math.sqrt(2.0) - 1.0, abs=1e-4)
+        p = riccati_equilibrium_state.p_post[0, 0]
+        assert p == pytest.approx(math.sqrt(2.0) - 1.0, abs=1e-4)
 
     def test_tracks_constant_observation(self):
         # With g held at a constant c the filter mean settles near the

@@ -227,6 +227,7 @@ class TestBuildExperiment:
         ("optimizer.steps = 20", "'optimizer.steps'; the setting is mesh.steps"),
         ("schedule.params.horizon_T = 2.0",
          "'schedule.params.horizon_T'; the setting is schedule.T"),
+        ("map.lower = 0.1", "'map.lower'"),
     ])
     def test_unknown_key_is_named(self, override, key):
         raw = parse_config_text(BASE_CONFIG + override + "\n")
@@ -256,7 +257,6 @@ class TestBuildExperiment:
                 return _original(m, *args, **kwargs)
 
             monkeypatch.setattr(np.linalg, name, counted)
-        monkeypatch.delenv("VAROPT_SEED", raising=False)
         artifacts = run_experiment(build_experiment(parse_config_text(KALMAN_CONFIG)),
                                    write=False)
         assert not artifacts.errors
@@ -277,13 +277,11 @@ class TestBuildExperiment:
         with pytest.raises(ConfigError):
             build_experiment(raw)
 
-    def test_env_seed_override(self, monkeypatch):
+    def test_environment_does_not_change_the_seeds(self, monkeypatch):
+        # The config alone fixes a run; a later line overrides the seeds.
         monkeypatch.setenv("VAROPT_SEED", "17")
-        exp = build_experiment(parse_config_text(BASE_CONFIG))
-        assert exp.seeds == [17]
-        monkeypatch.setenv("VAROPT_SEED", "not-a-number")
-        with pytest.raises(ConfigError):
-            build_experiment(parse_config_text(BASE_CONFIG))
+        assert build_experiment(parse_config_text(BASE_CONFIG)).seeds == [0, 1, 2]
+        assert build_experiment(parse_config_text(BASE_CONFIG + "seeds = [17]\n")).seeds == [17]
 
 
 class TestProblems:
@@ -672,9 +670,7 @@ class TestRunExperiment:
     # K = 1 run, phi and filter_norm included.
     @pytest.mark.parametrize("base", [BASE_CONFIG, KALMAN_CONFIG],
                              ids=["empirical-mirror_sgd", "synthetic-kalman_gd"])
-    def test_zero_step_trajectory_has_the_columns_of_every_run(self, base, tmp_path,
-                                                               monkeypatch):
-        monkeypatch.delenv("VAROPT_SEED", raising=False)
+    def test_zero_step_trajectory_has_the_columns_of_every_run(self, base, tmp_path):
         csvs = {}
         for steps in (0, 1):
             raw = parse_config_text(base + f"output = {tmp_path}/k{steps}\nmesh.steps = {steps}\n")
@@ -789,7 +785,6 @@ class TestCli:
                              ids=["readme", "config-docstring"])
     def test_documented_example_runs(self, example, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
-        monkeypatch.delenv("VAROPT_SEED", raising=False)
         assert main(["run", _write_config(tmp_path, example())]) == EXIT_OK
         assert (tmp_path / "out" / "summary.txt").exists()
 
@@ -819,8 +814,6 @@ class TestCli:
         ("optimizer.batch_m = abc", "optimizer.batch_m"),
         ("optimizer.x0 = abc", "optimizer.x0"),
         ("diagnostics.bound_constant = abc", "diagnostics.bound_constant"),
-        ("map.name = entropy\nmap.lower = abc", "map.lower"),
-        ("map.name = entropy\nmap.upper = abc", "map.upper"),
         ('schedule.params = {"beta0": "abc"}', "schedule.params.beta0"),
         ('schedule.family = polynomial\nschedule.params = {"p": "abc"}', "schedule.params.p"),
         ("model.sigma = NaN", "model.sigma"),
@@ -830,15 +823,12 @@ class TestCli:
         ("optimizer.x0 = [NaN, 1, 1]", "optimizer.x0"),
         ("map.name = entropy\noptimizer.x0 = [-1, 1, 1]", "optimizer.x0"),
     ])
-    def test_unreadable_value_is_config_error(self, override, key, tmp_path,
-                                              monkeypatch, capsys):
-        monkeypatch.delenv("VAROPT_SEED", raising=False)
+    def test_unreadable_value_is_config_error(self, override, key, tmp_path, capsys):
         cfg = _write_config(tmp_path, BASE_CONFIG + override + "\n")
         assert main(["run", cfg]) == EXIT_CONFIG
         assert f"{key} = " in capsys.readouterr().err
 
-    def test_empirical_run_without_problem_is_config_error(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.delenv("VAROPT_SEED", raising=False)
+    def test_empirical_run_without_problem_is_config_error(self, tmp_path, capsys):
         text = "".join(line + "\n" for line in BASE_CONFIG.splitlines()
                        if not line.startswith("problem."))
         cfg = _write_config(tmp_path, text + f"output = {tmp_path}/out\n")
@@ -869,9 +859,7 @@ class TestCli:
         (KALMAN_CONFIG, "model.dtilde = 0", "model.dtilde = 0"),
         (BASE_CONFIG, "problem.d = 0", "problem.d = 0"),
     ], ids=["model.d=0", "model.d=-1", "model.dtilde=0", "problem.d=0"])
-    def test_dimension_below_one_is_config_error(self, base, override, key, tmp_path,
-                                                 monkeypatch, capsys):
-        monkeypatch.delenv("VAROPT_SEED", raising=False)
+    def test_dimension_below_one_is_config_error(self, base, override, key, tmp_path, capsys):
         cfg = _write_config(tmp_path, base + f"output = {tmp_path}/out\n{override}\n")
         assert main(["run", cfg]) == EXIT_CONFIG
         assert f"{key} must be >= 1" in capsys.readouterr().err
@@ -885,19 +873,16 @@ class TestCli:
         ("seeds = []", "seeds = []"),
         ("seeds = [1, 1]", "seeds = [1, 1]"),
     ], ids=["A=0-kalman_gd", "A=0-generalized_momentum", "seeds=[]", "seeds=[1,1]"])
-    def test_unrunnable_value_is_config_error(self, override, key, tmp_path,
-                                              monkeypatch, capsys):
-        monkeypatch.delenv("VAROPT_SEED", raising=False)
+    def test_unrunnable_value_is_config_error(self, override, key, tmp_path, capsys):
         cfg = _write_config(tmp_path, KALMAN_CONFIG + f"output = {tmp_path}/out\n{override}\n")
         assert main(["run", cfg]) == EXIT_CONFIG
         assert key in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_entropy_map_with_minimizer_outside_the_orthant_is_config_error(
-            self, tmp_path, monkeypatch, capsys):
+            self, tmp_path, capsys):
         # x* = (-0.201, 0.087, -0.069): the energy diagnostic cannot measure
         # the distance to it in the entropy geometry.
-        monkeypatch.delenv("VAROPT_SEED", raising=False)
         cfg = _write_config(tmp_path, "problem.kind = quadratic\nproblem.d = 3\n"
                             "problem.N = 50\nproblem.seed = 50\nmap.name = entropy\n"
                             "schedule.family = linear\n"
@@ -927,15 +912,13 @@ class TestCli:
         ("model.n = 400", "model.n = 400 disagrees with problem.N = 50"),
     ], ids=["model.d", "model.n"])
     def test_model_disagreeing_with_the_problem_is_config_error(self, override, message,
-                                                                tmp_path, monkeypatch, capsys):
-        monkeypatch.delenv("VAROPT_SEED", raising=False)
+                                                                tmp_path, capsys):
         cfg = _write_config(tmp_path, BASE_CONFIG + f"output = {tmp_path}/out\n{override}\n")
         assert main(["run", cfg]) == EXIT_CONFIG
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    def test_synthetic_run_without_a_model_is_config_error(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.delenv("VAROPT_SEED", raising=False)
+    def test_synthetic_run_without_a_model_is_config_error(self, tmp_path, capsys):
         text = "".join(line + "\n" for line in BASE_CONFIG.splitlines()
                        if not line.startswith("model."))
         cfg = _write_config(tmp_path, text + f"optimizer.mode = synthetic\noutput = {tmp_path}/out\n")
@@ -943,18 +926,16 @@ class TestCli:
         assert "synthetic mirror_sgd requires a gradient model" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    def test_unknown_stream_mode_is_config_error(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.delenv("VAROPT_SEED", raising=False)
+    def test_unknown_stream_mode_is_config_error(self, tmp_path, capsys):
         cfg = _write_config(tmp_path, BASE_CONFIG + f"output = {tmp_path}/out\n"
                             "optimizer.mode = streaming\n")
         assert main(["run", cfg]) == EXIT_CONFIG
         assert "unknown stream mode 'streaming'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    def test_mesh_within_the_horizon_slack_runs(self, tmp_path, monkeypatch, capsys):
+    def test_mesh_within_the_horizon_slack_runs(self, tmp_path, capsys):
         # Steps of 1e-10 put t_101 1.5e-10 and the last step time t_100
         # 5e-11 past T: the mesh and Phi take the same slack past T.
-        monkeypatch.delenv("VAROPT_SEED", raising=False)
         cfg = _write_config(tmp_path, "schedule.family = constant\n"
                             'schedule.params = {"alpha0": 23.025850929940457}\n'
                             "schedule.delta_T = 5.0\nschedule.T = 9.95e-9\nmesh.steps = 101\n"
@@ -967,8 +948,7 @@ class TestCli:
     # sigma^2 overflows a float: the kalman_gd gain pass and the steady
     # gain of the momentum kinds both refuse the infinite innovation variance.
     @pytest.mark.parametrize("kind", ["kalman_gd", "generalized_momentum"])
-    def test_sigma_overflow_fails_every_seed(self, kind, tmp_path, monkeypatch, capsys):
-        monkeypatch.delenv("VAROPT_SEED", raising=False)
+    def test_sigma_overflow_fails_every_seed(self, kind, tmp_path, capsys):
         cfg = _write_config(tmp_path, KALMAN_CONFIG + f"output = {tmp_path}/out\n"
                             f"model.sigma = 1e308\noptimizer.kind = {kind}\n")
         assert main(["run", cfg]) == EXIT_NUMERICAL
@@ -1075,16 +1055,13 @@ class TestCli:
     # Outside this suite's warning filters the log of the point outside the
     # orthant warns, and the domain check of the divergence raises.
     @pytest.mark.filterwarnings("ignore:invalid value encountered in log:RuntimeWarning")
-    def test_energy_point_outside_the_orthant_is_numerical_error(self, tmp_path, monkeypatch,
-                                                                capsys):
-        monkeypatch.delenv("VAROPT_SEED", raising=False)
+    def test_energy_point_outside_the_orthant_is_numerical_error(self, tmp_path, capsys):
         cfg = _write_config(tmp_path, _dotted_text(_ENTROPY_EDGE) + f"output = {tmp_path}/out\n")
         assert main(["run", cfg]) == EXIT_NUMERICAL
         assert "mirror map 'entropy'" in capsys.readouterr().err
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered in log:RuntimeWarning")
-    def test_failed_diagnostic_keeps_the_trajectories(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.delenv("VAROPT_SEED", raising=False)
+    def test_failed_diagnostic_keeps_the_trajectories(self, tmp_path, capsys):
         cfg = _write_config(tmp_path, _dotted_text(_ENTROPY_EDGE) + f"output = {tmp_path}/out\n")
         assert main(["run", cfg]) == EXIT_NUMERICAL
         failure = "DomainError: point outside the domain of mirror map 'entropy'"
@@ -1098,8 +1075,7 @@ class TestCli:
     # the CLI's default filters, and raises when they are errors; either way
     # seed 1 fails at the step of its infinite gap and the run writes its files.
     @pytest.mark.parametrize("action", ["ignore", "error"])
-    def test_infinite_loss_gap_fails_its_seed(self, action, tmp_path, monkeypatch):
-        monkeypatch.delenv("VAROPT_SEED", raising=False)
+    def test_infinite_loss_gap_fails_its_seed(self, action, tmp_path):
         cfg = _write_config(tmp_path, _dotted_text(_HUGE_ITERATE) + f"output = {tmp_path}/out\n")
         with warnings.catch_warnings():
             warnings.simplefilter(action, RuntimeWarning)

@@ -457,6 +457,17 @@ def test_kalman_gd_runs_with_a_cholesky_noise_factor():
     assert np.all(np.isfinite(traj.x_path))
 
 
+@pytest.mark.parametrize("kind", ["generalized_momentum", "polyak_momentum"])
+def test_momentum_kinds_run_zero_steps(kind):
+    # K = 0: no step, so no steady gain; the run is X_0 with filter mean 0.
+    spec = dataclasses.replace(_ensemble_spec(kind, "synthetic"), x0=np.array([1.0, -2.0, 0.5]))
+    for traj in run_ensemble(spec, None, 0, [0, 1]):
+        assert traj.error is None and traj.steps == 0
+        np.testing.assert_array_equal(traj.x_path, [[1.0, -2.0, 0.5]])
+        np.testing.assert_array_equal(traj.filter_mean_norm, [0.0])
+        assert traj.phi_path.size == 0
+
+
 def _covariance_failure_spec(steps):
     """kalman_gd whose covariance recursion fails on step 1: with dt = 1,
     A_til = I - A is nilpotent, and L = 0, sigma = 0 and b = e_1 leave

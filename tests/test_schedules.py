@@ -544,6 +544,14 @@ class TestArrayContract:
         with pytest.raises(ValueError, match=f"^{field} must be finite"):
             linear_schedule(**{field: value})
 
+    # A mesh would start past the horizon or before time 0.
+    @pytest.mark.parametrize("t_min", [5.0, -1.0, math.inf, math.nan])
+    def test_t_min_outside_the_horizon_is_refused(self, t_min):
+        base = linear_schedule(horizon_T=1.0)
+        with pytest.raises(ValueError, match=r"^t_min must lie in \[0, horizon_T\)"):
+            Schedule(alpha=base.alpha, beta=base.beta, gamma=base.gamma, delta_T=0.0,
+                     horizon_T=1.0, t_min=t_min)
+
     def test_non_finite_values_are_refused(self):
         with pytest.raises(ValueError, match="schedule function beta "):
             self._custom(beta=lambda t: np.where(t > 1.0, np.inf, 0.0))
