@@ -2,10 +2,11 @@
 
 Subcommands: run, sweep, compare, selftest.  Exit codes of run, sweep and
 compare: 0 when every seed of the run succeeded or any cell ran, 2 for a
-configuration error (every cell's, when no cell ran), 3 for a failed seed
-or diagnostic and every ArithmeticError, ValueError, RuntimeError or
-RuntimeWarning the library raises.  sweep and compare record a failed
-cell as a CSV row.
+configuration error (every cell's, when no cell ran), among them a mesh
+too large to allocate, which names mesh.steps, 3 for a failed seed or
+diagnostic, every ArithmeticError, ValueError, RuntimeError or
+RuntimeWarning the library raises and any other MemoryError.  sweep and
+compare record a failed cell as a CSV row.
 """
 
 from __future__ import annotations
@@ -114,6 +115,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except _NUMERICAL_FAILURES as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except MemoryError as exc:
+        print(f"out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
         return EXIT_NUMERICAL
 
 

@@ -31,8 +31,10 @@ setting has one key: a key that build_experiment does not read is
 refused, as is a model.d that disagrees with problem.d or, in empirical
 mode, a model.n that disagrees with problem.N.  There the batch size is
 model.m, else problem.N, for every model kind, refused outside
-[1, problem.N].  fosp_continuous takes 4 Euler substeps per mesh step,
-and the rate-bound constant is 10.
+[1, problem.N], and a martingale model's (n, m) is (problem.N, the batch
+size).  A mesh too large to allocate is refused naming mesh.steps.
+fosp_continuous takes 4 Euler substeps per mesh step, and the rate-bound
+constant is 10.
 """
 
 from __future__ import annotations
@@ -244,7 +246,9 @@ def _build_schedule(cfg: dict) -> Schedule:
         raise ConfigError(f"invalid schedule: {exc}") from exc
 
 
-def _build_model(cfg: dict, d: int):
+def _build_model(cfg: dict, d: int, batch: Optional[tuple]):
+    """The gradient model; an empirical run passes batch = (problem.N, the
+    batch size), which a martingale model takes as its (n, m)."""
     section = cfg.get("model")
     if not section:
         return None
@@ -252,8 +256,8 @@ def _build_model(cfg: dict, d: int):
     try:
         sigma = _value(cfg, "model.sigma", 1.0)
         if kind == "martingale":
-            return MartingaleGradientModel(sigma=sigma, n=_integer(cfg, "model.n", 1),
-                                           m=_integer(cfg, "model.m", 1), d=d)
+            n, m = batch or (_integer(cfg, "model.n", 1), _integer(cfg, "model.m", 1))
+            return MartingaleGradientModel(sigma=sigma, n=n, m=m, d=d)
         if kind == "state_space":
             dtilde = _integer(cfg, "model.dtilde", 1, minimum=1)
             b = _value(cfg, "model.b", np.ones(dtilde), _floats)
@@ -306,7 +310,7 @@ def build_experiment(cfg: dict) -> ExperimentConfig:
     if batch_m is not None and not 1 <= batch_m <= problem.n:
         raise ConfigError(f"model.m = {batch_m} is not a batch size in "
                           f"[1, problem.N = {problem.n}]")
-    model = _build_model(cfg, d)
+    model = _build_model(cfg, d, (problem.n, batch_m) if mode == "empirical" else None)
 
     spec = OptimizerSpec(
         kind=opt_section.get("kind", "mirror_sgd"), mirror=mirror, schedule=schedule,
@@ -339,6 +343,8 @@ def build_experiment(cfg: dict) -> ExperimentConfig:
         _mesh_times(schedule, steps)
     except ValueError as exc:
         raise ConfigError(f"mesh.steps = {steps}: {exc}") from exc
+    except MemoryError as exc:
+        raise ConfigError(f"mesh.steps = {steps}: the mesh does not fit in memory: {exc}") from exc
 
     return ExperimentConfig(
         problem=problem, mirror=mirror, schedule=schedule, optimizer_spec=spec,

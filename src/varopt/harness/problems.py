@@ -5,8 +5,11 @@ families ship:
 
 * quadratic: l(x; z) = 1/2 ||x - z||^2 with data z_i drawn standard
   normal; the minimizer is the sample mean and f(x*) is the within-
-  sample variance, both exact.
-* logistic: ridge-regularized binary logistic regression; the minimizer
+  sample variance, both exact.  A problem is built from its draws and x*
+  alone: no run reads f(x*), since the gap is a closed form, so
+  `f_star` is computed on its first read, as loss(x*).
+* logistic: ridge-regularized binary logistic regression, whose f(x*)
+  every loss gap reads, so it is computed at generation; the minimizer
   is found once at generation time by Newton's method, certified by a
   full-data gradient norm of at most 1e-10, one pass over the data per
   iteration, whose Hessian sums chunks of _LOSS_CHUNK rows and builds no
@@ -42,6 +45,7 @@ cancellation of subtracting two O(d) losses.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -104,11 +108,15 @@ class ProblemInstance:
     d: int
     n: int
     x_star: np.ndarray
-    f_star: float
     z: np.ndarray                  # quadratic: (n, d) data points
     features: Optional[np.ndarray] = None   # logistic: (n, d)
     labels: Optional[np.ndarray] = None     # logistic: (n,) in {-1, +1}
     ridge: float = 0.0
+
+    @cached_property
+    def f_star(self) -> float:
+        """f(x*), computed on the first read; an assignment overrides it."""
+        return self.loss(self.x_star)
 
     def loss(self, x):
         """f(x) at one point (a float) or at each row of a (k, d) stack
@@ -220,19 +228,16 @@ def generate_problem(kind: str, d: int, n: int, rng: np.random.Generator,
     if kind == "quadratic":
         z = rng.standard_normal((n, d))
         x_star = z.mean(axis=0)
-        problem = ProblemInstance(kind="quadratic", d=d, n=n, x_star=x_star,
-                                  f_star=0.0, z=z)
-        problem.f_star = problem.loss(x_star)
-        return problem
+        return ProblemInstance(kind="quadratic", d=d, n=n, x_star=x_star, z=z)
     if kind == "logistic":
         features = rng.standard_normal((n, d))
         truth = rng.standard_normal(d)
         labels = np.where(features @ truth + 0.5 * rng.standard_normal(n) > 0, 1.0, -1.0)
         problem = ProblemInstance(kind="logistic", d=d, n=n,
-                                  x_star=np.zeros(d), f_star=0.0, z=features,
+                                  x_star=np.zeros(d), z=features,
                                   features=features, labels=labels, ridge=ridge)
         problem.x_star = _newton_solve(problem)
-        problem.f_star = problem.loss(problem.x_star)
+        problem.f_star = problem.loss(problem.x_star)  # every loss gap reads it
         return problem
     raise ValueError(f"unknown problem kind {kind!r}")
 

@@ -337,6 +337,18 @@ def matrix_exp(m: np.ndarray) -> np.ndarray:
     its own power of two.  Intended for small dense matrices (n <= 16).
     NumericalError, naming the first stack index, when an exponential
     overflows the float range."""
+    result = _expm(m)
+    overflowed = ~np.isfinite(result).all(axis=(-2, -1))
+    if overflowed.any():
+        index = tuple(int(i) for i in np.argwhere(overflowed)[0])
+        where = f" at stack index {index}" if index else ""
+        raise NumericalError(f"matrix exponential overflows the float range{where}")
+    return result
+
+
+def _expm(m: np.ndarray) -> np.ndarray:
+    """matrix_exp with no overflow check: an exponential past the float
+    range holds an inf or a NaN."""
     m = np.atleast_2d(np.asarray(m, dtype=float))
     if m.shape[-1] != m.shape[-2]:
         raise ValueError("matrix_exp needs a square matrix")
@@ -363,11 +375,6 @@ def matrix_exp(m: np.ndarray) -> np.ndarray:
     for level in range(int(s.max(initial=0.0))):
         np.matmul(result, result, out=buf)
         np.copyto(result, buf, where=(s > level)[..., None, None])
-    overflowed = ~np.isfinite(result).all(axis=(-2, -1))
-    if overflowed.any():
-        index = tuple(int(i) for i in np.argwhere(overflowed)[0])
-        where = f" at stack index {index}" if index else ""
-        raise NumericalError(f"matrix exponential overflows the float range{where}")
     return result
 
 
@@ -376,14 +383,18 @@ def _interval_exps(widths: np.ndarray, m: np.ndarray) -> np.ndarray:
     exponential per distinct width (a mesh has few); matrix_exp treats
     each matrix of a stack on its own, so the bits are those of one
     exponential per interval.  A dict, not np.unique: a process's first
-    sort maps numpy's sorting kernels, 0.5 MB of resident memory."""
+    sort maps numpy's sorting kernels, 0.5 MB of resident memory.
+    NumericalError, naming the first interval whose exponential overflows
+    and its width, as a Phi failure."""
     first = {}
     inverse = [first.setdefault(width, len(first)) for width in widths.tolist()]
     try:
         return matrix_exp(np.array(list(first))[:, None, None] * m)[inverse]
     except NumericalError:
-        # Raises again, naming the first interval of the failing width.
-        return matrix_exp(widths[:, None, None] * m)
+        i = int(np.argmin(np.isfinite(_expm(widths[:, None, None] * m)).all(axis=(-2, -1))))
+        raise NumericalError(
+            f"learning-rate path Phi: the exponential of interval {i}, of width "
+            f"{widths[i]:.6g}, overflows the float range at stack index ({i},)") from None
 
 
 def _local_propagators(schedule: Schedule, a_mat: np.ndarray, edges: np.ndarray):
@@ -400,7 +411,9 @@ def _local_propagators(schedule: Schedule, a_mat: np.ndarray, edges: np.ndarray)
         c1 = schedule.weight_slope
         block = np.zeros((2 * n, 2 * n))
         block[:n, :n], block[:n, n:], block[n:, n:] = a_mat, np.eye(n), -c1 * np.eye(n)
-        with np.errstate(over="raise"):  # exp(-c1 Delta) past the float range
+        # An exponential past the float range, exp(-c1 Delta) included, is
+        # refused by _interval_exps, naming its interval.
+        with np.errstate(over="ignore", invalid="ignore"):
             blocks = _interval_exps(widths, block)
         return blocks[:, :n, :n], blocks[:, :n, n:] * _weight(schedule, edges[1:])[:, None, None]
 
@@ -412,7 +425,9 @@ def _local_propagators(schedule: Schedule, a_mat: np.ndarray, edges: np.ndarray)
         exps *= _weight(schedule, u)[:, None, None]
         return exps
 
-    return _interval_exps(widths, a_mat), integrate_intervals(integrand, edges)
+    with np.errstate(over="ignore", invalid="ignore"):
+        steps = _interval_exps(widths, a_mat)
+    return steps, integrate_intervals(integrand, edges)
 
 
 def _phi_path(schedule: Schedule, a_mat: np.ndarray, b_vec: np.ndarray,

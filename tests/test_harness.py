@@ -126,15 +126,31 @@ for d, n in ((16, 20000), (5, 501), (40, 3001)):
     sys.stdout.write(np.append(problem.x_star, problem.f_star).tobytes().hex() + "\\n")
 """
 
+# `varopt run` on the config file argv[1] in a process whose address space
+# is capped at 3 GiB, so that an allocation past it fails at once instead of
+# paging the host.
+_CAPPED_RUN_SCRIPT = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (3 << 30, resource.getrlimit(resource.RLIMIT_AS)[1]))
+from varopt.harness.cli import main
+sys.exit(main(["run", sys.argv[1]]))
+"""
 
-def _child_stdout(script: str, **extra_env) -> str:
-    """Stdout of script run by a child Python on this checkout's sources;
+
+def _child_run(script: str, *args: str, **extra_env) -> subprocess.CompletedProcess:
+    """script run with args by a child Python on this checkout's sources;
     only the child gets extra_env, and no inherited OPENBLAS_CORETYPE."""
     src = str(Path(problems_module.__file__).resolve().parents[2])
     env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_CORETYPE"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", script], env={**env, **extra_env},
-                          capture_output=True, text=True, check=True, timeout=120)
+    return subprocess.run([sys.executable, "-c", script, *args], env={**env, **extra_env},
+                          capture_output=True, text=True, timeout=120)
+
+
+def _child_stdout(script: str, **extra_env) -> str:
+    """Stdout of _child_run(script), which must exit 0."""
+    done = _child_run(script, **extra_env)
+    done.check_returncode()
     return done.stdout
 
 
@@ -436,6 +452,31 @@ class TestProblems:
         assert traj.steps == 0
         assert traj.loss_gap.shape == (1,)
         assert traj.loss_gap[0] == pytest.approx(0.5 * d * 1e-14, rel=1e-12, abs=0)
+
+    def test_quadratic_generation_computes_no_loss(self, monkeypatch):
+        calls = []
+        loss = problems_module.ProblemInstance.loss
+
+        def counting(problem, x):
+            calls.append(x)
+            return loss(problem, x)
+
+        monkeypatch.setattr(problems_module.ProblemInstance, "loss", counting)
+        problem = generate_problem("quadratic", d=3, n=40, rng=component_rng(11, "problem"))
+        assert calls == []
+        # The first read of f(x*) is loss(x*) bit for bit; the second reads it back.
+        expected = loss(problem, problem.x_star)
+        assert problem.f_star.hex() == expected.hex()
+        assert len(calls) == 1
+        assert problem.f_star.hex() == expected.hex()
+        assert len(calls) == 1
+
+    def test_logistic_generation_fills_f_star(self, monkeypatch):
+        problem = generate_problem("logistic", d=3, n=40, rng=component_rng(11, "problem"))
+        assert "f_star" in vars(problem)
+        monkeypatch.setattr(problems_module.ProblemInstance, "loss",
+                            lambda problem, x: pytest.fail("f(x*) was not filled at generation"))
+        assert problem.f_star == vars(problem)["f_star"]
 
     def test_failed_run_keeps_one_gap_per_iterate(self):
         problem = generate_problem("logistic", d=3, n=80, rng=component_rng(11, "problem"))
@@ -868,6 +909,47 @@ class TestCli:
         assert main(["run", cfg]) == EXIT_CONFIG
         assert "mesh.steps = 40: mesh recursion produced a non-finite time" in (
             capsys.readouterr().err)
+
+    def test_overflowing_propagator_names_the_phi_interval(self, tmp_path, capsys):
+        # The last interval, [t_9, T], is 1e6 wide: expm(A Delta) overflows
+        # in matrix_exp's squaring, which the tier-1 filters make an error
+        # unless the Phi stage runs it with overflow ignored.
+        cfg = _write_config(tmp_path, KALMAN_CONFIG + f"output = {tmp_path}/out\n"
+                            "schedule.T = 1e6\n")
+        assert main(["run", cfg]) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert ("learning-rate path Phi: the exponential of interval 9, of width 1e+06, "
+                "overflows the float range") in err
+        assert "overflow encountered" not in err
+
+    def test_mesh_too_large_to_allocate_is_config_error(self, tmp_path):
+        # 1e13 unit steps need a 72.8 TiB mesh, past the child's 3 GiB cap.
+        cfg = _write_config(tmp_path, "schedule.family = constant\nschedule.T = 1e15\n"
+                            "mesh.steps = 10000000000000\nmodel.kind = martingale\n"
+                            f"optimizer.mode = synthetic\noutput = {tmp_path}/out\n")
+        done = _child_run(_CAPPED_RUN_SCRIPT, cfg, OPENBLAS_NUM_THREADS="1")
+        assert done.returncode == EXIT_CONFIG, done.stderr
+        assert done.stderr.startswith("configuration error: mesh.steps = 10000000000000: "
+                                      "the mesh does not fit in memory")
+        assert "Traceback" not in done.stderr
+
+    def test_other_memory_error_is_numerical_failure(self, tmp_path, monkeypatch, capsys):
+        def exhausted(config):
+            raise MemoryError
+
+        monkeypatch.setattr("varopt.harness.cli.run_experiment", exhausted)
+        assert main(["run", _write_config(tmp_path, BASE_CONFIG)]) == EXIT_NUMERICAL
+        assert capsys.readouterr().err == "out of memory: an allocation failed\n"
+
+    def test_empirical_martingale_model_takes_n_from_the_problem(self, tmp_path):
+        files = {}
+        for name, text in (("base", BASE_CONFIG),
+                           ("no_n", BASE_CONFIG.replace("model.n = 50\n", ""))):
+            art = run_experiment(build_experiment(parse_config_text(
+                text + f"output = {tmp_path}/{name}\n")))
+            files[name] = {os.path.basename(p): Path(p).read_bytes() for p in art.files}
+        assert "model.n" not in BASE_CONFIG.replace("model.n = 50\n", "")
+        assert files["no_n"] == files["base"]
 
     @pytest.mark.parametrize("base, override, key", [
         (KALMAN_CONFIG, "model.d = 0", "model.d = 0"),
