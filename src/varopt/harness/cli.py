@@ -96,7 +96,7 @@ def main(argv=None) -> int:
     p_sweep = sub.add_parser("sweep", help="cross-product parameter sweep")
     p_sweep.add_argument("config")
     p_sweep.add_argument("--grid", required=True,
-                         help="e.g. 'model.sigma=0,0.1,1;model.m=10,100'")
+                         help="e.g. 'model.m=10,50;mesh.steps=10,20'")
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_cmp = sub.add_parser("compare", help="same seeds, several optimizers")

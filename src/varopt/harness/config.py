@@ -3,38 +3,21 @@ section names, assembled into validated component objects.
 
 Example::
 
-    problem.kind = quadratic
-    problem.d = 4
-    problem.N = 200
-    map.name = quadratic
-    schedule.family = linear
-    schedule.params = {"beta0": -0.7, "gamma1": 1.0}
-    schedule.delta_T = 3.3
+    schedule.family = constant
+    schedule.params = {"beta0": -3.0}
     schedule.T = 4.0
     mesh.steps = 4
     model.kind = martingale
-    model.sigma = 0.5
-    model.n = 200
-    model.m = 20
-    optimizer.kind = mirror_sgd
-    optimizer.mode = empirical
     seeds = [0, 1, 2]
     output = out/
 
-Values are JSON where they parse as JSON, bare strings otherwise, and a
-null numeric value reads as the setting's default.  An integer key
-(problem.d/N/seed, mesh.steps, model.n/m/d/dtilde, each seed) takes an
-int or an integral float such as 2e4, not a bool or a fraction; seeds and
-problem.seed are >= 0, problem.N and the dimensions >= 1.  A later line
-for a key overrides an earlier one; the config alone fixes a run.  Every
-setting has one key: a key that build_experiment does not read is
-refused, as is a model.d that disagrees with problem.d or, in empirical
-mode, a model.n that disagrees with problem.N.  There the batch size is
-model.m, else problem.N, for every model kind, refused outside
-[1, problem.N], and a martingale model's (n, m) is (problem.N, the batch
-size).  A mesh too large to allocate is refused naming mesh.steps.
-fosp_continuous takes 4 Euler substeps per mesh step, and the rate-bound
-constant is 10.
+Values are JSON where they parse as JSON, else bare strings; a null number
+reads as its default, an integer key also takes an integral float such as
+2e4, and a later line for a key overrides an earlier one.  Each setting has
+one key, and a run reads the keys of its cell (_READS): any other key is
+refused naming it and the cell, but model.sigma in an empirical unfiltered
+run, which the benchmark's workload configs set.  A sweep or a comparison
+refuses a key only when none of its runs reads it.  README.md has the rest.
 """
 
 from __future__ import annotations
@@ -48,13 +31,8 @@ import numpy as np
 
 from ..bregman import DomainError, MirrorMap, entropy_map, quadratic_map
 from ..gradient_models import MartingaleGradientModel, StateSpaceGradientModel
-from ..optimizers import OptimizerSpec, _mesh_times
-from ..schedules import (
-    Schedule,
-    constant_schedule,
-    linear_schedule,
-    polynomial_schedule,
-)
+from ..optimizers import _FILTERED_KINDS, OPTIMIZER_KINDS, OptimizerSpec, _mesh_times
+from ..schedules import Schedule, constant_schedule, linear_schedule, polynomial_schedule
 from .problems import ProblemInstance, generate_problem
 from .rng import component_rng
 
@@ -66,51 +44,73 @@ class ConfigError(ValueError):
     """The configuration failed validation."""
 
 
-# The keys build_experiment reads, per section (None: a top-level value).
-# schedule.params is passed to the family's builder, which refuses names
-# it does not take.
-_KEYS = {
-    "problem": {"kind", "d", "N", "seed", "ridge"},
-    "map": {"name", "m_diag"},
-    "schedule": {"family", "params", "delta_T", "T"},
-    "mesh": {"steps"},
-    "model": {"kind", "sigma", "n", "m", "d", "dtilde", "A", "L", "b"},
-    "optimizer": {"kind", "mode", "x0"},
-    "seeds": None,
-    "output": None,
-}
+# The keys that a cell reads (see _cell); the family's builder checks schedule.params.
+_READS = {row: keys.split() for row, keys in {
+    (): "seeds output mesh.steps optimizer.kind optimizer.mode optimizer.x0 map.name "
+        "schedule.family schedule.params schedule.delta_T schedule.T problem.d",
+    ("map=quadratic",): "map.m_diag",
+    ("mode=empirical",): "problem.kind problem.N problem.seed",
+    ("problem=logistic",): "problem.ridge",
+    ("model=martingale",): "model.kind model.d model.sigma model.n model.m",
+    ("model=state_space",): "model.kind model.d model.sigma",
+    ("mode=empirical", "model=state_space"): "model.n model.m",
+    ("mode=synthetic", "model=state_space"): "model.dtilde model.A model.L model.b",
+    ("kind=filtered", "model=state_space"): "model.dtilde model.A model.L model.b",
+}.items()}
+_KNOWN = {key for keys in _READS.values() for key in keys}
+_SECTIONS = {key.partition(".")[0] for key in _KNOWN}
 # Spellings that name a setting whose key is elsewhere.
 _ELSEWHERE = {"optimizer.steps": "mesh.steps",
               "schedule.params.delta_T": "schedule.delta_T",
               "schedule.params.horizon_T": "schedule.T"}
 
 
-def check_keys(cfg: dict) -> None:
-    """ConfigError naming the first key of cfg that build_experiment does
-    not read."""
+def _cell(cfg: dict) -> tuple:
+    """cfg's cell, its (mode, optimizer kind, model kind, map name, problem
+    kind) with defaults (None: no model, no problem in synthetic mode), and the
+    keys of the rows whose settings it has; all keys if the builder refuses it."""
+    opt, problem = cfg.get("optimizer", {}), cfg.get("problem", {})
+    mode = opt.get("mode", "empirical" if problem else "synthetic")
+    kind, model = opt.get("kind", "mirror_sgd"), cfg.get("model", {}).get("kind")
+    name = cfg.get("map", {}).get("name", "quadratic")
+    problem = problem.get("kind", "quadratic") if mode == "empirical" and problem else None
+    cell = mode, kind, model, name, problem
+    if not (kind in OPTIMIZER_KINDS and model in ("martingale", "state_space", None)
+            and name in ("quadratic", "entropy")
+            and (mode == "synthetic" and model is not None
+                 or mode == "empirical" and problem in ("quadratic", "logistic"))):
+        return cell, _KNOWN
+    has = {f"mode={mode}", f"kind={'' if kind in _FILTERED_KINDS else 'un'}filtered",
+           f"model={model}", f"map={name}", f"problem={problem}"}
+    return cell, {key for row, keys in _READS.items() if has.issuperset(row) for key in keys}
+
+
+def check_keys(*cfgs: dict) -> list:
+    """ConfigError naming the first key of the cfgs that no run reads, or
+    that none of their cells reads; returns the cells.  A sweep or a
+    comparison passes the config of each of its runs: a key that one of
+    them reads is taken by all, and the others do not read it."""
     def refuse(key):
         hint = f"; the setting is {_ELSEWHERE[key]}" if key in _ELSEWHERE else ""
         raise ConfigError(f"unknown config key {key!r}{hint}")
 
-    for section, value in cfg.items():
-        if section not in _KEYS:
-            refuse(section)
-        keys = _KEYS[section]
-        if keys is None:
-            if isinstance(value, dict):
-                raise ConfigError(f"{section} takes a value, not dotted keys")
-            continue
-        if not isinstance(value, dict):
-            raise ConfigError(f"{section} takes dotted keys, not the value {value!r}")
-        for key in value:
-            if key not in keys:
-                refuse(f"{section}.{key}")
-    params = cfg.get("schedule", {}).get("params", {})
-    if not isinstance(params, dict):
-        raise ConfigError(f"schedule.params must be a JSON object, got {params!r}")
-    for key in ("delta_T", "horizon_T"):
-        if key in params:
+    given = [[section if name is None else f"{section}.{name}" for section, value in cfg.items()
+              for name in (value if isinstance(value, dict) else [None])] for cfg in cfgs]
+    for key in (key for keys in given for key in keys if key not in _KNOWN):
+        refuse(key if key.partition(".")[0] in _SECTIONS else key.partition(".")[0])
+    for cfg in cfgs:
+        params = cfg.get("schedule", {}).get("params", {})
+        if not isinstance(params, dict):
+            raise ConfigError(f"schedule.params must be a JSON object, got {params!r}")
+        for key in sorted(params.keys() & {"delta_T", "horizon_T"}):
             refuse(f"schedule.params.{key}")
+    cells = [_cell(cfg) for cfg in cfgs]
+    reads = set().union(*(keys for _, keys in cells))
+    for key in (key for keys in given for key in keys if key not in reads):
+        raise ConfigError(f"{key} is not read by " + " or ".join(dict.fromkeys(
+            f"{mode} {kind} runs with {model or 'no'} models, the {name} map and "
+            f"{problem or 'no'} problems" for (mode, kind, model, name, problem), _ in cells)))
+    return [cell for cell, _ in cells]
 
 
 def parse_config_text(text: str) -> dict:
@@ -216,8 +216,7 @@ def _vector(cfg, key: str, d: int):
     return value
 
 
-def _build_mirror(cfg: dict, d: int) -> MirrorMap:
-    name = cfg.get("map", {}).get("name", "quadratic")
+def _build_mirror(cfg: dict, d: int, name) -> MirrorMap:
     try:
         if name == "quadratic":
             return quadratic_map(m_diag=_vector(cfg, "map.m_diag", d))
@@ -243,7 +242,7 @@ def _build_schedule(cfg: dict) -> Schedule:
     try:
         return builder(**params)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid schedule: {exc}") from exc
+        raise ConfigError(f"invalid schedule for schedule.family = {family}: {exc}") from exc
 
 
 def _build_model(cfg: dict, d: int, batch: Optional[tuple]):
@@ -274,28 +273,30 @@ def _build_model(cfg: dict, d: int, batch: Optional[tuple]):
 
 def build_experiment(cfg: dict) -> ExperimentConfig:
     """Assemble and validate an experiment from a parsed config dict."""
-    check_keys(cfg)
+    return _experiment(cfg, *check_keys(cfg))
+
+
+def _experiment(cfg: dict, cell: tuple) -> ExperimentConfig:
+    """build_experiment of cfg, whose keys check_keys has checked."""
+    mode, kind, _, map_name, problem_kind = cell
     prob_section = cfg.get("problem", {})
-    opt_section = cfg.get("optimizer", {})
-    mode = opt_section.get("mode", "empirical" if prob_section else "synthetic")
     if mode == "empirical" and not prob_section:
         raise ConfigError("optimizer.mode = empirical needs a problem: "
                           "set problem.kind, problem.d and problem.N")
 
     problem = None
     d = _integer(cfg, "problem.d" if "d" in prob_section else "model.d", 2, minimum=1)
-    if prob_section:
-        kind = prob_section.get("kind", "quadratic")
+    if mode == "empirical":
         try:
             problem = generate_problem(
-                kind, d=d, n=_integer(cfg, "problem.N", 100, minimum=1),
+                problem_kind, d=d, n=_integer(cfg, "problem.N", 100, minimum=1),
                 rng=component_rng(_integer(cfg, "problem.seed", 0, minimum=0), "problem"),
                 ridge=_value(cfg, "problem.ridge", 1e-2),
             )
         except (ValueError, RuntimeError) as exc:
             raise ConfigError(f"invalid problem: {exc}") from exc
 
-    mirror = _build_mirror(cfg, d)
+    mirror = _build_mirror(cfg, d, map_name)
     schedule = _build_schedule(cfg)
     # The run takes d from problem.d, and an empirical run its data size
     # from problem.N: the model's copies of them must agree.
@@ -312,10 +313,8 @@ def build_experiment(cfg: dict) -> ExperimentConfig:
                           f"[1, problem.N = {problem.n}]")
     model = _build_model(cfg, d, (problem.n, batch_m) if mode == "empirical" else None)
 
-    spec = OptimizerSpec(
-        kind=opt_section.get("kind", "mirror_sgd"), mirror=mirror, schedule=schedule,
-        model=model, mode=mode, x0=_vector(cfg, "optimizer.x0", d), batch_m=batch_m,
-    )
+    spec = OptimizerSpec(kind=kind, mirror=mirror, schedule=schedule, model=model, mode=mode,
+                         x0=_vector(cfg, "optimizer.x0", d), batch_m=batch_m)
     try:
         spec.validate()
     except ValueError as exc:

@@ -19,7 +19,7 @@ import numpy as np
 from .. import diagnostics as diag
 from ..bregman import NumericalError
 from ..optimizers import _NUMERICAL_FAILURES, run_ensemble
-from .config import ConfigError, ExperimentConfig, build_experiment, check_keys
+from .config import ConfigError, ExperimentConfig, _experiment, check_keys
 
 __all__ = ["RunArtifacts", "run_experiment", "sweep", "compare"]
 
@@ -63,11 +63,11 @@ class RunArtifacts:
         return float(gaps.mean()) if len(gaps) else float("nan")
 
 
-def _write_csv(path: str, header: list, block: np.ndarray, fmt=_FMT) -> None:
+def _write_csv(path: str, header: list, block: np.ndarray) -> None:
     """The header line, then one line per row of the float block, each
-    value formatted by fmt (one format or one per column)."""
-    fmts = [fmt] * block.shape[1] if isinstance(fmt, str) else fmt
-    line = ",".join(fmts) + "\n"
+    value formatted by _FMT, which writes an integral value below 1e17,
+    such as a step index, as the integer."""
+    line = ",".join([_FMT] * block.shape[1]) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for start in range(0, len(block), _CSV_ROWS):
@@ -93,7 +93,7 @@ def _write_trajectory_csv(path: str, traj) -> None:
     block = np.column_stack([np.arange(rows), traj.times, traj.x_path, traj.loss_gap,
                              traj.qv_path, _padded(phi, rows, phi_cols),
                              _padded(traj.filter_mean_norm, rows, 1)])
-    _write_csv(path, header, block, ["%d"] + [_FMT] * (block.shape[1] - 1))
+    _write_csv(path, header, block)
 
 
 def _write_diagnostics_csv(path: str, report: diag.EnsembleReport,
@@ -207,19 +207,24 @@ def _run_cells(raw_cfg: dict, header: list, cells: list, base_output: str,
                command: str, write: bool) -> str:
     """Run one experiment per (labels, settings) cell, settings mapping
     dotted config keys to values, and write {command}.csv in base_output,
-    one row per cell; returns its path.  A cell failing with a configuration
-    error or a numerical failure gets the row "error:{Type}: {message}"
-    (newlines folded); any other exception propagates.  When no cell ran,
-    the CSV is written and ConfigError is raised if every cell failed with
-    one, else NumericalError, naming the CSV and the first failure (a
-    numerical one, if any)."""
+    one row per cell; returns its path.  check_keys takes every cell's
+    config before base_output is made: it refuses a key only when no cell
+    reads it, and each cell leaves unread the keys that only others read.
+    A cell failing with a configuration error or a numerical failure gets
+    the row "error:{Type}: {message}" (newlines folded); any other
+    exception propagates.  When no cell ran, the CSV is written and
+    ConfigError is raised if every cell failed with one, else
+    NumericalError, naming the CSV and the first failure (a numerical one,
+    if any)."""
+    cfgs = [_set_dotted(copy.deepcopy(raw_cfg), settings) for _, settings in cells]
+    keyed = check_keys(*cfgs)
     os.makedirs(base_output, exist_ok=True)
     rows = [header + ["n_seeds", "n_failed", "mean_final_gap"]]
     failures = []
-    for labels, settings in cells:
+    for (labels, _), cfg, cell in zip(cells, cfgs, keyed):
         row = list(labels)
         try:
-            experiment = build_experiment(_set_dotted(copy.deepcopy(raw_cfg), settings))
+            experiment = _experiment(cfg, cell)
             artifacts = run_experiment(experiment, write=write)
             row += [str(len(experiment.seeds)), str(len(artifacts.errors)),
                     _fmt(artifacts.mean_final_gap)]
@@ -242,16 +247,12 @@ def _run_cells(raw_cfg: dict, header: list, cells: list, base_output: str,
 def sweep(raw_cfg: dict, grid: dict, output: Optional[str] = None) -> str:
     """Cross-product sweep over config values.
 
-    grid maps dotted config keys to value lists; a key that
-    build_experiment does not read, or whose first value it cannot take
-    in that place, is a ConfigError before any cell runs.  Writes one
-    summary CSV with a row per grid cell, a failed cell included (see
-    _run_cells), and returns its path.
+    grid maps dotted config keys to value lists; a key that no grid cell
+    reads, or a value that check_keys refuses, is a ConfigError before any
+    cell runs.  Writes one summary CSV with a row per grid cell, a failed
+    cell included (see _run_cells), and returns its path.
     """
     keys = sorted(grid.keys())
-    for key in keys:
-        for value in grid[key][:1]:
-            check_keys(_set_dotted({}, {key: value}))
     cells = [([str(v) for v in combo], dict(zip(keys, combo)))
              for combo in itertools.product(*(grid[k] for k in keys))]
     base_output = output or str(raw_cfg.get("output", "varopt_out"))

@@ -210,7 +210,7 @@ class OptimizerSpec:
         if self.kind in _FILTERED_KINDS and not self.model.a_mat.any():
             raise ValueError(f"{self.kind} requires a positive definite model.A, not A = 0")
         if self.kind == "polyak_momentum" and self.model.dtilde != 1:
-            raise ValueError("polyak_momentum is the dtilde = 1 special case")
+            raise ValueError("polyak_momentum is the model.dtilde = 1 special case")
         if self.mode == "synthetic" and self.kind in ("mirror_sgd", "fosp_continuous"):
             if not isinstance(self.model, (MartingaleGradientModel, StateSpaceGradientModel)):
                 raise ValueError(f"synthetic {self.kind} requires a gradient model")

@@ -327,8 +327,15 @@ def _exp(x):
 
 
 def _weight(schedule: Schedule, u):
-    """The weight w = exp(alpha + beta + gamma) at the times u."""
-    return _exp(schedule.alpha(u) + schedule.beta(u) + schedule.gamma(u))
+    """The weight w = exp(alpha + beta + gamma) at the times u;
+    FloatingPointError naming the first time at which it overflows."""
+    with np.errstate(over="ignore"):
+        w = np.exp(schedule.alpha(u) + schedule.beta(u) + schedule.gamma(u))
+    if np.isinf(w).any():
+        t = np.ravel(u)[np.argmax(np.isinf(np.ravel(w)))]
+        raise FloatingPointError("overflow: the schedule weight exp(alpha + beta + gamma) "
+                                 f"passes the float range first at t = {t:.6g}")
+    return w
 
 
 def matrix_exp(m: np.ndarray) -> np.ndarray:

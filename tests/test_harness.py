@@ -82,8 +82,7 @@ _ENTROPY_EDGE = {
     "map.name": "entropy", "schedule.family": "polynomial",
     "schedule.params": {"p": 1.0, "c": 0.1, "t_min": 0.05},
     "schedule.delta_T": 2.05225468807837, "schedule.T": 2.0, "mesh.steps": 1,
-    "model.kind": "state_space", "model.d": 1, "model.dtilde": 1, "model.A": [[0.5]],
-    "model.L": [[5.0]], "model.b": [0.5], "model.sigma": 2.0,
+    "model.kind": "state_space", "model.d": 1, "model.sigma": 2.0,
     "optimizer.kind": "mirror_sgd", "optimizer.mode": "empirical", "seeds": [0, 1],
 }
 
@@ -266,6 +265,23 @@ class TestBuildExperiment:
     def test_library_checks_are_wrapped(self, override, message):
         raw = parse_config_text(BASE_CONFIG + override + "\n")
         with pytest.raises(ConfigError, match=f"^{message}$"):
+            build_experiment(raw)
+
+    # A misspelled setting of the cell is named by the builder, not taken
+    # for a cell that does not read the keys given with it.
+    @pytest.mark.parametrize("override, message", [
+        ("model.kind = state_space\nmodel.A = [[0.5]]\noptimizer.kind = kalman_GD",
+         "invalid optimizer spec: unknown optimizer kind 'kalman_GD'"),
+        ("map.name = custom\nmap.m_diag = [1.0, 1.0, 1.0]",
+         "custom maps are library-embedding only, not configurable"),
+        ("problem.kind = logistc\nproblem.ridge = 0.1", "invalid problem: unknown problem kind "
+         "'logistc'"),
+        ("optimizer.mode = synth\nproblem.ridge = 0.1",
+         "invalid optimizer spec: unknown stream mode 'synth'"),
+    ], ids=["optimizer.kind", "map.name", "problem.kind", "optimizer.mode"])
+    def test_misspelled_cell_is_named_by_the_builder(self, override, message):
+        raw = parse_config_text(BASE_CONFIG + override + "\n")
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             build_experiment(raw)
 
     def test_a_is_factored_once_per_entry_point(self, monkeypatch):
@@ -707,13 +723,16 @@ class TestRunExperiment:
                              for p in art.files})
         assert contents[0] == contents[1]
 
+    # The writer's one format gives the bytes of savetxt's, and on the
+    # integral k column, here up to 139**6 = 7.2e12, those of %d.
     @pytest.mark.parametrize("fmt", ["%.17g", ["%d"] + ["%.17g"] * 5], ids=["one", "per_column"])
     def test_csv_bytes_are_savetxt_bytes(self, tmp_path, fmt):
         # 140 rows span three of the writer's row chunks.
         block = np.tile([[0.0, np.nan, np.inf, -np.inf, -0.0, 0.1],
                          [12.0, 5e-324, -1e308, 1.0 / 3.0, 2.0 ** 60, -1.5]], (70, 1))
+        block[:, 0] = np.arange(len(block)) ** 6.0
         header = ["k", "a", "b", "c", "d", "e"]
-        runner._write_csv(tmp_path / "new.csv", header, block, fmt)
+        runner._write_csv(tmp_path / "new.csv", header, block)
         with open(tmp_path / "ref.csv", "w", encoding="utf-8", newline="\n") as fh:
             np.savetxt(fh, block, fmt=fmt, delimiter=",", header=",".join(header), comments="")
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
@@ -785,8 +804,8 @@ class TestSweepAndCompare:
         assert "error:" in lines[2]
 
     def test_sweep_over_vectors_and_objects(self, tmp_path):
-        # Each key is checked with its first value, and a value with commas
-        # is one quoted CSV field.
+        # Every cell's keys are checked before any cell runs, and a value
+        # with commas is one quoted CSV field.
         raw = parse_config_text(BASE_CONFIG + f"output = {tmp_path}/sw\n"
                                 "seeds = [0]\n")
         path = sweep(raw, {"optimizer.x0": [[1, 1, 1], [2, 2, 2]],
@@ -805,6 +824,55 @@ class TestSweepAndCompare:
         with pytest.raises(ConfigError, match="'model.sigma2'"):
             sweep(raw, {"model.sigma2": [0.1, 1.0]})
         assert not (tmp_path / "sw").exists()
+
+    # Every cell's keys are checked before any cell runs: a grid key that
+    # no cell reads is refused naming the key and the cells.
+    @pytest.mark.parametrize("base, key, values, cell", [
+        (BASE_CONFIG, "problem.ridge", [0.1, 1.0], "empirical mirror_sgd runs with "
+         "martingale models, the quadratic map and quadratic problems"),
+        (KALMAN_CONFIG, "model.m", [10, 50], "synthetic kalman_gd runs with "
+         "state_space models, the quadratic map and no problems"),
+    ], ids=["problem.ridge-quadratic", "model.m-synthetic-state_space"])
+    def test_sweep_refuses_a_grid_key_the_cell_does_not_read(self, base, key, values, cell,
+                                                             tmp_path):
+        raw = parse_config_text(base + f"output = {tmp_path}/sw\n")
+        with pytest.raises(ConfigError, match=f"^{re.escape(f'{key} is not read by {cell}')}$"):
+            sweep(raw, {key: values})
+        assert not (tmp_path / "sw").exists()
+
+    # A key that one cell reads is taken by the whole grid, in either order
+    # of its values, and the cells that do not read it run without it.
+    @pytest.mark.parametrize("extra, grid", [
+        ("", {"optimizer.mode": ["synthetic", "empirical"]}),
+        ("problem.ridge = 0.05\n", {"problem.kind": ["quadratic", "logistic"]}),
+        ("problem.ridge = 0.05\n", {"problem.kind": ["logistic", "quadratic"]}),
+    ], ids=["mode", "problem.kind", "problem.kind-reversed"])
+    def test_sweep_takes_a_key_that_one_cell_reads(self, extra, grid, tmp_path):
+        raw = parse_config_text(BASE_CONFIG + extra + f"output = {tmp_path}/sw\nseeds = [0]\n")
+        with open(sweep(raw, grid), newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        (values,) = grid.values()
+        assert [row[:3] for row in rows] == [[value, "1", "0"] for value in values]
+
+    def test_compare_runs_each_kind_with_the_keys_it_reads(self, tmp_path):
+        # kalman_gd reads the state-space prior and mirror_sgd does not, so
+        # mirror_sgd's row is the row of the config without model.A.
+        rows = []
+        for extra in ("model.A = [[0.5]]\n", ""):
+            raw = parse_config_text(BASE_CONFIG + "model.kind = state_space\n" + extra
+                                    + f"output = {tmp_path}/cmp\nseeds = [0]\n")
+            with open(compare(raw, ["mirror_sgd", "kalman_gd"]), newline="") as fh:
+                rows.append(list(csv.reader(fh))[1:])
+        assert [row[:3] for row in rows[0]] == [["mirror_sgd", "1", "0"], ["kalman_gd", "1", "0"]]
+        assert rows[0][0] == rows[1][0] and rows[0][1] != rows[1][1]
+
+    def test_compare_refuses_a_key_that_no_kind_reads(self, tmp_path):
+        raw = parse_config_text(BASE_CONFIG + "model.kind = state_space\nmodel.A = [[0.5]]\n"
+                                f"output = {tmp_path}/cmp\n")
+        with pytest.raises(ConfigError, match="^model.A is not read by empirical mirror_sgd "
+                           "runs .* or empirical fosp_continuous runs"):
+            compare(raw, ["mirror_sgd", "fosp_continuous"])
+        assert not (tmp_path / "cmp").exists()
 
     def test_compare_runs_kinds(self, tmp_path):
         raw = parse_config_text(BASE_CONFIG + f"output = {tmp_path}/cmp\n"
@@ -899,6 +967,17 @@ class TestCli:
                             "schedule.delta_T = 1.0\nschedule.T = 2.0\nmesh.steps = 2\n")
         assert main(["run", cfg]) == EXIT_NUMERICAL
         assert "overflow" in capsys.readouterr().err
+
+    def test_overflowing_weight_names_the_weight_and_its_time(self, tmp_path, capsys):
+        # exp(alpha + beta + gamma) = exp(400 t) passes the float range
+        # between the grid times 1 and 2 of the learning-rate path.
+        cfg = _write_config(tmp_path, BASE_CONFIG + f"output = {tmp_path}/out\n"
+                            'schedule.params = {"gamma1": 400.0}\n'
+                            "schedule.T = 2.0\nmesh.steps = 2\n")
+        assert main(["run", cfg]) == EXIT_NUMERICAL
+        assert capsys.readouterr().err == (
+            "numerical failure: overflow: the schedule weight exp(alpha + beta + gamma) "
+            "passes the float range first at t = 2\n")
 
     def test_mesh_overflow_is_config_error(self, tmp_path, capsys):
         # alpha turns negative, so exp(-alpha) overflows before the mesh
@@ -1234,14 +1313,16 @@ def _configs(draw):
         cfg.update({"model.kind": "martingale", "model.sigma": sigma, "model.n": n,
                     "model.m": draw(st.integers(1, n))})
     else:
+        cfg.update({"model.kind": "state_space", "model.d": d, "model.sigma": sigma})
+    # An empirical unfiltered run does not read the state-space prior.
+    if cfg["model.kind"] == "state_space" and (mode == "synthetic" or kind in _FILTERED_KINDS):
         dtilde = draw(st.integers(1, 3))
         diagonal = lambda lo, hi: np.diag(draw(st.lists(st.floats(lo, hi), min_size=dtilde,
                                                         max_size=dtilde))).tolist()
-        cfg.update({"model.kind": "state_space", "model.d": d, "model.dtilde": dtilde,
-                    "model.A": diagonal(0.05, 2.0), "model.L": diagonal(0.1, 5.0),
+        cfg.update({"model.dtilde": dtilde, "model.A": diagonal(0.05, 2.0),
+                    "model.L": diagonal(0.1, 5.0),
                     "model.b": draw(st.lists(st.floats(0.05, 1.0), min_size=dtilde,
-                                             max_size=dtilde)),
-                    "model.sigma": sigma})
+                                             max_size=dtilde))})
     return cfg
 
 
