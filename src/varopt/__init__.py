@@ -1,9 +1,9 @@
 """varopt: stochastic optimizers derived from a variational principle.
 
 Mirror descent and SGD with deterministic learning-rate paths, Kalman
-gradient descent, generalized/Polyak momentum, the gradient-stream
-models and Bayesian filters behind them, and the energy/rate diagnostics
-that certify convergence behavior empirically.
+gradient descent, generalized momentum (at dtilde = 1, Polyak's heavy
+ball), the gradient-stream models and Bayesian filters behind them, and
+the energy/rate diagnostics that certify convergence behavior empirically.
 """
 
 from .bregman import (

@@ -8,8 +8,9 @@ and differ only in how the dual-space step is assembled from the noisy
 gradient stream: a rescaled raw observation (mirror descent / SGD), a
 Kalman-filtered latent state contracted with a vector learning rate
 (Kalman gradient descent), or a steady-state filter recursion
-(generalized / Polyak momentum).  No rule ever sees the true gradient;
-optimizers consume only the observation stream g.
+(generalized momentum, whose dtilde = 1 case is Polyak's heavy ball).
+No rule ever sees the true gradient; optimizers consume only the
+observation stream g.
 
 Each update is one private array kernel on stacks of points; the public
 *_step functions convert and check their inputs, then call it.  An
@@ -67,15 +68,9 @@ __all__ = [
     "OPTIMIZER_KINDS",
 ]
 
-OPTIMIZER_KINDS = (
-    "mirror_sgd",
-    "kalman_gd",
-    "generalized_momentum",
-    "polyak_momentum",
-    "fosp_continuous",
-)
+OPTIMIZER_KINDS = ("mirror_sgd", "kalman_gd", "generalized_momentum", "fosp_continuous")
 # Kinds whose dual-space step comes from a state-space filter.
-_FILTERED_KINDS = ("kalman_gd", "generalized_momentum", "polyak_momentum")
+_FILTERED_KINDS = ("kalman_gd", "generalized_momentum")
 # The numerical failures that fail a seed: DomainError and LinAlgError are
 # ValueErrors, FilterDivergenceError and NumericalError RuntimeErrors, and
 # numpy's warnings may be raised as errors.
@@ -200,7 +195,8 @@ class OptimizerSpec:
 
     def validate(self) -> None:
         if self.kind not in OPTIMIZER_KINDS:
-            raise ValueError(f"unknown optimizer kind {self.kind!r}")
+            raise ValueError(f"unknown optimizer kind {self.kind!r}; Polyak momentum is "
+                             "generalized_momentum with model.dtilde = 1")
         if self.mode not in ("synthetic", "empirical"):
             raise ValueError(f"unknown stream mode {self.mode!r}")
         if (self.kind in _FILTERED_KINDS
@@ -209,18 +205,16 @@ class OptimizerSpec:
         # The model refuses every other A that is not positive definite.
         if self.kind in _FILTERED_KINDS and not self.model.a_mat.any():
             raise ValueError(f"{self.kind} requires a positive definite model.A, not A = 0")
-        if self.kind == "polyak_momentum" and self.model.dtilde != 1:
-            raise ValueError("polyak_momentum is the model.dtilde = 1 special case")
         if self.mode == "synthetic" and self.kind in ("mirror_sgd", "fosp_continuous"):
             if not isinstance(self.model, (MartingaleGradientModel, StateSpaceGradientModel)):
                 raise ValueError(f"synthetic {self.kind} requires a gradient model")
         if self.mode == "empirical" and self.batch_m is None:
             raise ValueError("empirical mode requires batch_m")
-        if self.kind in ("generalized_momentum", "polyak_momentum"):
+        if self.kind == "generalized_momentum":
             s = self.schedule
             alpha = s.alpha(np.linspace(s.t_min, s.horizon_T, 32))
             if np.any(np.abs(alpha - alpha[0]) > 1e-12):
-                raise ValueError("momentum kinds need a constant-alpha schedule")
+                raise ValueError("generalized_momentum needs a constant-alpha schedule")
 
     def default_x0(self, d: int) -> np.ndarray:
         if self.x0 is not None:
@@ -332,7 +326,7 @@ def _filter_gains(spec: OptimizerSpec, dts: np.ndarray):
     """Seed-independent filter inputs: A_til = I - dt A per step, the gain
     of each step and the error that cut the gains short (else None).
     kalman_gd runs the covariance pass once from spec.p0 (None: the
-    stationary covariance); the momentum kinds use the steady gain."""
+    stationary covariance); generalized_momentum uses the steady gain."""
     model = spec.model
     a_tils, l_tils, sigmas = model.discretize(dts)
     if spec.kind == "kalman_gd":
@@ -341,7 +335,7 @@ def _filter_gains(spec: OptimizerSpec, dts: np.ndarray):
             np.atleast_2d(np.asarray(p0, dtype=float)), a_tils,
             l_tils @ l_tils.transpose(0, 2, 1), model.b_vec, sigmas)
         return a_tils, gains, error
-    # Momentum kinds need a constant-alpha schedule, so dt is constant
+    # generalized_momentum needs a constant-alpha schedule, so dt is constant
     # and one steady gain serves every step.
     if not len(dts):
         return a_tils, [], None

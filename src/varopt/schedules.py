@@ -427,10 +427,15 @@ def _local_propagators(schedule: Schedule, a_mat: np.ndarray, edges: np.ndarray)
     def integrand(u):
         # Quadrature nodes arrive from all intervals at once; each finds its
         # interval's left edge.
-        left = lo[np.maximum(np.searchsorted(lo, u, side="right") - 1, 0)]
-        exps = matrix_exp(a_mat * (u - left)[:, None, None])
-        exps *= _weight(schedule, u)[:, None, None]
-        return exps
+        i = np.maximum(np.searchsorted(lo, u, side="right") - 1, 0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = _expm(a_mat * (u - lo[i])[:, None, None])
+            values *= _weight(schedule, u)[:, None, None]
+        bad = ~np.isfinite(values).all(axis=(-2, -1))
+        if bad.any():
+            raise NumericalError(f"learning-rate path Phi: the integrand of interval {i[bad][0]} "
+                                 f"overflows the float range at the node u = {u[bad][0]:.6g}")
+        return values
 
     with np.errstate(over="ignore", invalid="ignore"):
         steps = _interval_exps(widths, a_mat)

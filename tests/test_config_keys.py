@@ -76,7 +76,7 @@ _CELLS = [
     ("synthetic", "fosp_continuous", "state_space", "quadratic", None),
     ("synthetic", "kalman_gd", "state_space", "quadratic", None),
     ("synthetic", "generalized_momentum", "state_space", "entropy", None),
-    ("synthetic", "polyak_momentum", "state_space", "quadratic", None),
+    ("synthetic", "generalized_momentum", "state_space", "quadratic", None),
     ("synthetic", "mirror_sgd", "martingale", "entropy", "d"),
     ("synthetic", "kalman_gd", "state_space", "quadratic", "d"),
     ("empirical", "mirror_sgd", "martingale", "quadratic", ("quadratic", 0)),
@@ -87,7 +87,7 @@ _CELLS = [
     ("empirical", "fosp_continuous", None, "quadratic", ("logistic", 0)),
     ("empirical", "kalman_gd", "state_space", "quadratic", ("logistic", 0)),
     ("empirical", "generalized_momentum", "state_space", "quadratic", ("quadratic", 0)),
-    ("empirical", "polyak_momentum", "state_space", "quadratic", ("logistic", 0)),
+    ("empirical", "generalized_momentum", "state_space", "quadratic", ("logistic", 0)),
 ]
 
 

@@ -259,7 +259,8 @@ class TestBuildExperiment:
     # The harness wraps the library's own checks of the kind and the step
     # count instead of repeating them.
     @pytest.mark.parametrize("override, message", [
-        ("optimizer.kind = adam", "invalid optimizer spec: unknown optimizer kind 'adam'"),
+        ("optimizer.kind = adam", "invalid optimizer spec: unknown optimizer kind 'adam'; "
+         "Polyak momentum is generalized_momentum with model.dtilde = 1"),
         ("mesh.steps = -3", "mesh.steps = -3: steps must be >= 0"),
     ])
     def test_library_checks_are_wrapped(self, override, message):
@@ -271,7 +272,8 @@ class TestBuildExperiment:
     # for a cell that does not read the keys given with it.
     @pytest.mark.parametrize("override, message", [
         ("model.kind = state_space\nmodel.A = [[0.5]]\noptimizer.kind = kalman_GD",
-         "invalid optimizer spec: unknown optimizer kind 'kalman_GD'"),
+         "invalid optimizer spec: unknown optimizer kind 'kalman_GD'; "
+         "Polyak momentum is generalized_momentum with model.dtilde = 1"),
         ("map.name = custom\nmap.m_diag = [1.0, 1.0, 1.0]",
          "custom maps are library-embedding only, not configurable"),
         ("problem.kind = logistc\nproblem.ridge = 0.1", "invalid problem: unknown problem kind "
@@ -1001,6 +1003,48 @@ class TestCli:
                 "overflows the float range") in err
         assert "overflow encountered" not in err
 
+    # A polynomial schedule takes Phi's local integrals from the quadrature.
+    # Here the interval exponentials are finite, but the integrand
+    # w(u) expm(A (u - e_i)) overflows on interval 2: under either warning
+    # filter the run exits 3 with one line, and no warning fires.
+    @pytest.mark.parametrize("action", ["default", "error"])
+    def test_overflowing_integrand_names_the_phi_interval(self, action, tmp_path, capsys):
+        cfg = _write_config(tmp_path, textwrap.dedent("""\
+            schedule.family = polynomial
+            schedule.params = {"p": 2.0, "c": 1e300, "t_min": 0.5}
+            schedule.T = 2.0
+            mesh.steps = 3
+            model.kind = state_space
+            model.d = 2
+            model.dtilde = 1
+            model.A = [[160.0]]
+            model.b = [1.0]
+            optimizer.kind = kalman_gd
+            optimizer.mode = synthetic
+            """) + f"output = {tmp_path}/out\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter(action)
+            assert main(["run", cfg]) == EXIT_NUMERICAL
+        assert caught == []
+        assert capsys.readouterr().err == (
+            "numerical failure: learning-rate path Phi: the integrand of interval 2 "
+            "overflows the float range at the node u = 1.33258\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_polyak_momentum_is_generalized_momentum_at_dtilde_1(self, tmp_path, capsys):
+        # The heavy ball is generalized_momentum at model.dtilde = 1, not a kind.
+        scalar = KALMAN_CONFIG + "model.dtilde = 1\nmodel.A = [[0.1]]\nmodel.b = [1.0]\n"
+        cfg = _write_config(tmp_path, scalar + f"output = {tmp_path}/out\n"
+                            "optimizer.kind = polyak_momentum\n")
+        assert main(["run", cfg]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "unknown optimizer kind 'polyak_momentum'" in err
+        assert "Polyak momentum is generalized_momentum with model.dtilde = 1" in err
+        assert not (tmp_path / "out").exists()
+        cfg = _write_config(tmp_path, scalar + f"output = {tmp_path}/out\n"
+                            "optimizer.kind = generalized_momentum\n")
+        assert main(["run", cfg]) == EXIT_OK
+
     def test_mesh_too_large_to_allocate_is_config_error(self, tmp_path):
         # 1e13 unit steps need a 72.8 TiB mesh, past the child's 3 GiB cap.
         cfg = _write_config(tmp_path, "schedule.family = constant\nschedule.T = 1e15\n"
@@ -1127,7 +1171,7 @@ class TestCli:
         assert len(rows) == 1 + 102
 
     # sigma^2 overflows a float: the kalman_gd gain pass and the steady
-    # gain of the momentum kinds both refuse the infinite innovation variance.
+    # gain of generalized_momentum both refuse the infinite innovation variance.
     @pytest.mark.parametrize("kind", ["kalman_gd", "generalized_momentum"])
     def test_sigma_overflow_fails_every_seed(self, kind, tmp_path, capsys):
         cfg = _write_config(tmp_path, KALMAN_CONFIG + f"output = {tmp_path}/out\n"

@@ -429,11 +429,8 @@ def _ensemble_spec(kind, mode):
     if kind in ("mirror_sgd", "fosp_continuous"):
         model = MartingaleGradientModel(sigma=0.5, n=40, m=10, d=3)
     else:
-        dtilde = 1 if kind == "polyak_momentum" else 2
-        model = StateSpaceGradientModel(a_mat=0.5 * np.eye(dtilde),
-                                        l_mat=0.5 * np.eye(dtilde),
-                                        b_vec=np.linspace(1.0, 0.5, dtilde),
-                                        sigma=0.5, d=3)
+        model = StateSpaceGradientModel(a_mat=0.5 * np.eye(2), l_mat=0.5 * np.eye(2),
+                                        b_vec=np.array([1.0, 0.5]), sigma=0.5, d=3)
     # 20 steps of dt = 0.1 with w = exp(alpha + beta) = 0.05 and A T = 1
     # keep Phi of order one: 0.9 to 1 on the scalar path.
     schedule = constant_schedule(alpha0=math.log(10.0), beta0=math.log(0.005),
@@ -451,7 +448,7 @@ def test_kalman_gd_runs_with_a_cholesky_noise_factor():
     assert np.all(np.isfinite(traj.x_path))
 
 
-@pytest.mark.parametrize("kind", ["generalized_momentum", "polyak_momentum"])
+@pytest.mark.parametrize("kind", ["generalized_momentum"])
 def test_momentum_kinds_run_zero_steps(kind):
     # K = 0: no step, so no steady gain; the run is X_0 with filter mean 0.
     spec = dataclasses.replace(_ensemble_spec(kind, "synthetic"), x0=np.array([1.0, -2.0, 0.5]))
