@@ -76,7 +76,9 @@ _CELLS = [
     ("synthetic", "fosp_continuous", "state_space", "quadratic", None),
     ("synthetic", "kalman_gd", "state_space", "quadratic", None),
     ("synthetic", "generalized_momentum", "state_space", "entropy", None),
-    ("synthetic", "generalized_momentum", "state_space", "quadratic", None),
+    # Polyak's heavy ball: generalized momentum at the default dtilde = 1.
+    pytest.param(("synthetic", "generalized_momentum", "state_space", "quadratic", None),
+                 id="synthetic-polyak_momentum-state_space-quadratic-None"),
     ("synthetic", "mirror_sgd", "martingale", "entropy", "d"),
     ("synthetic", "kalman_gd", "state_space", "quadratic", "d"),
     ("empirical", "mirror_sgd", "martingale", "quadratic", ("quadratic", 0)),
@@ -87,7 +89,9 @@ _CELLS = [
     ("empirical", "fosp_continuous", None, "quadratic", ("logistic", 0)),
     ("empirical", "kalman_gd", "state_space", "quadratic", ("logistic", 0)),
     ("empirical", "generalized_momentum", "state_space", "quadratic", ("quadratic", 0)),
-    ("empirical", "generalized_momentum", "state_space", "quadratic", ("logistic", 0)),
+    pytest.param(("empirical", "generalized_momentum", "state_space", "quadratic",
+                  ("logistic", 0)),
+                 id="empirical-polyak_momentum-state_space-quadratic-logistic"),
 ]
 
 
