@@ -48,6 +48,16 @@ class NumericalError(RuntimeError):
     """An iterative numerical procedure failed to converge."""
 
 
+def _positive_definite(a_mat: np.ndarray) -> bool:
+    """Whether the symmetric part of the square matrix a_mat is positive
+    definite: it has a Cholesky factor, and a finite one (the factor of a
+    NaN or an infinite entry is NaN or inf, not an error)."""
+    try:
+        return bool(np.isfinite(np.linalg.cholesky(0.5 * (a_mat + a_mat.T))).all())
+    except np.linalg.LinAlgError:
+        return False
+
+
 _NEWTON_MAX_ITER = 100
 _NEWTON_TOL = 1e-10
 
@@ -91,7 +101,7 @@ def quadratic_map(m_diag=None, m_full=None) -> MirrorMap:
     if m_full is not None:
         m = np.asarray(m_full, dtype=float)
         m = 0.5 * (m + m.T)
-        if np.linalg.eigvalsh(m).min() <= 0:
+        if not _positive_definite(m):
             raise ValueError("M must be positive definite")
         m_inv = np.linalg.inv(m)
         # A stacked X @ M need not equal its rows' x @ M bit for bit; this does.
@@ -104,8 +114,8 @@ def quadratic_map(m_diag=None, m_full=None) -> MirrorMap:
             hess_h=lambda x: m,
         )
     diag = np.asarray(1.0 if m_diag is None else m_diag, dtype=float)
-    if np.any(diag <= 0):
-        raise ValueError("diagonal of M must be positive")
+    if not np.all((diag > 0) & (diag < np.inf)):
+        raise ValueError("diagonal of M must be positive and finite")
     return MirrorMap(
         name="quadratic",
         h=lambda x: 0.5 * np.vecdot(x, diag * x),

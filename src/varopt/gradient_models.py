@@ -38,6 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bregman import _positive_definite
+
 __all__ = [
     "MartingaleGradientModel",
     "StateSpaceGradientModel",
@@ -70,16 +72,6 @@ _POSTERIOR_PSD_FLOOR = -1e-10
 
 class FilterDivergenceError(RuntimeError):
     """Covariance or innovation variance left its admissible region."""
-
-
-def _positive_definite(a_mat: np.ndarray) -> bool:
-    """Whether the symmetric part of the square matrix a_mat is positive
-    definite: it has a Cholesky factor, and a finite one (the factor of a
-    NaN or an infinite entry is NaN or inf, not an error)."""
-    try:
-        return bool(np.isfinite(np.linalg.cholesky(0.5 * (a_mat + a_mat.T))).all())
-    except np.linalg.LinAlgError:
-        return False
 
 
 def _mesh_steps(dts) -> np.ndarray:

@@ -16,8 +16,10 @@ reads as its default, an integer key also takes an integral float such as
 2e4, and a later line for a key overrides an earlier one.  Each setting has
 one key, and a run reads the keys of its cell (_READS): any other key is
 refused naming it and the cell, but model.sigma in an empirical unfiltered
-run, which the benchmark's workload configs set.  A sweep or a comparison
-refuses a key only when none of its runs reads it.  README.md has the rest.
+run, which the benchmark's workload configs set.  So the dimension is
+problem.d in an empirical run and model.d in a synthetic one, which has no
+problem section.  A sweep or a comparison refuses a key only when none of
+its runs reads it.  README.md has the rest.
 """
 
 from __future__ import annotations
@@ -47,12 +49,13 @@ class ConfigError(ValueError):
 # The keys that a cell reads (see _cell); the family's builder checks schedule.params.
 _READS = {row: keys.split() for row, keys in {
     (): "seeds output mesh.steps optimizer.kind optimizer.mode optimizer.x0 map.name "
-        "schedule.family schedule.params schedule.delta_T schedule.T problem.d",
+        "schedule.family schedule.params schedule.delta_T schedule.T",
     ("map=quadratic",): "map.m_diag",
-    ("mode=empirical",): "problem.kind problem.N problem.seed",
+    ("mode=empirical",): "problem.kind problem.d problem.N problem.seed",
+    ("mode=synthetic",): "model.d",
     ("problem=logistic",): "problem.ridge",
-    ("model=martingale",): "model.kind model.d model.sigma model.n model.m",
-    ("model=state_space",): "model.kind model.d model.sigma",
+    ("model=martingale",): "model.kind model.sigma model.n model.m",
+    ("model=state_space",): "model.kind model.sigma",
     ("mode=empirical", "model=state_space"): "model.n model.m",
     ("mode=synthetic", "model=state_space"): "model.dtilde model.A model.L model.b",
     ("kind=filtered", "model=state_space"): "model.dtilde model.A model.L model.b",
@@ -279,13 +282,12 @@ def build_experiment(cfg: dict) -> ExperimentConfig:
 def _experiment(cfg: dict, cell: tuple) -> ExperimentConfig:
     """build_experiment of cfg, whose keys check_keys has checked."""
     mode, kind, _, map_name, problem_kind = cell
-    prob_section = cfg.get("problem", {})
-    if mode == "empirical" and not prob_section:
+    if mode == "empirical" and not cfg.get("problem"):
         raise ConfigError("optimizer.mode = empirical needs a problem: "
                           "set problem.kind, problem.d and problem.N")
 
     problem = None
-    d = _integer(cfg, "problem.d" if "d" in prob_section else "model.d", 2, minimum=1)
+    d = _integer(cfg, "problem.d" if mode == "empirical" else "model.d", 2, minimum=1)
     if mode == "empirical":
         try:
             problem = generate_problem(
@@ -298,15 +300,10 @@ def _experiment(cfg: dict, cell: tuple) -> ExperimentConfig:
 
     mirror = _build_mirror(cfg, d, map_name)
     schedule = _build_schedule(cfg)
-    # The run takes d from problem.d, and an empirical run its data size
-    # from problem.N: the model's copies of them must agree.
-    sources = [("model.d", "problem.d", d)] if "d" in prob_section else []
-    if mode == "empirical":
-        sources.append(("model.n", "problem.N", problem.n))
-    for key, source, value in sources:
-        given = _value(cfg, key, None, _int)
-        if given is not None and given != value:
-            raise ConfigError(f"{key} = {given} disagrees with {source} = {value}")
+    # An empirical run takes its data size from problem.N: the model's copy must agree.
+    given = _value(cfg, "model.n", None, _int) if mode == "empirical" else None
+    if given is not None and given != problem.n:
+        raise ConfigError(f"model.n = {given} disagrees with problem.N = {problem.n}")
     batch_m = _integer(cfg, "model.m", problem.n) if mode == "empirical" else None
     if batch_m is not None and not 1 <= batch_m <= problem.n:
         raise ConfigError(f"model.m = {batch_m} is not a batch size in "

@@ -35,8 +35,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .bregman import NumericalError
-from .gradient_models import _positive_definite
+from .bregman import NumericalError, _positive_definite
 
 __all__ = [
     "Schedule",
@@ -419,10 +418,12 @@ def _local_propagators(schedule: Schedule, a_mat: np.ndarray, edges: np.ndarray)
         block = np.zeros((2 * n, 2 * n))
         block[:n, :n], block[:n, n:], block[n:, n:] = a_mat, np.eye(n), -c1 * np.eye(n)
         # An exponential past the float range, exp(-c1 Delta) included, is
-        # refused by _interval_exps, naming its interval.
+        # refused by _interval_exps, naming its interval; a J_i that
+        # overflows from finite pieces is refused by _phi_path.
         with np.errstate(over="ignore", invalid="ignore"):
             blocks = _interval_exps(widths, block)
-        return blocks[:, :n, :n], blocks[:, :n, n:] * _weight(schedule, edges[1:])[:, None, None]
+            return (blocks[:, :n, :n],
+                    blocks[:, :n, n:] * _weight(schedule, edges[1:])[:, None, None])
 
     def integrand(u):
         # Quadrature nodes arrive from all intervals at once; each finds its
@@ -460,11 +461,18 @@ def _phi_path(schedule: Schedule, a_mat: np.ndarray, b_vec: np.ndarray,
     steps, jumps = _local_propagators(schedule, a_mat, edges)
     row = math.exp(schedule.delta_T) * b_vec
     rows = [row]                                   # b' M at T, t_K, ..., t_1
-    for step, b_jump in zip(steps[::-1], b_vec @ jumps[::-1]):
-        row = row @ step - b_jump
-        rows.append(row)
-    out = (_exp(-schedule.gamma(times))[:, None]
-           * np.reshape(rows[:0:-1], (len(times), len(b_vec))))
+    decay = _exp(-schedule.gamma(times))[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step, b_jump in zip(steps[::-1], b_vec @ jumps[::-1]):
+            row = row @ step - b_jump
+            rows.append(row)
+        out = decay * np.reshape(rows[:0:-1], (len(times), len(b_vec)))
+    # An overflowing J_i or b' M leaves Phi non-finite from its mesh time
+    # back, since the recursion runs backward from T.
+    bad = ~np.isfinite(out).all(axis=1)
+    if bad.any():
+        raise NumericalError("learning-rate path Phi: exp(-gamma) b' M passes the float "
+                             f"range at the mesh time t = {times[bad][-1]:.6g}")
     # A component of opposite sign to b turns descent into ascent; a
     # negative b_j makes Phi_j negative by construction.
     if np.any(out * b_vec < 0):

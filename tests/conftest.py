@@ -1,7 +1,14 @@
-"""Fixtures shared by the test modules."""
+"""Fixtures shared by the test modules, and the import path of the
+benchmark's closed forms of Phi (perfbench/oracles.py), which the tests
+check against too."""
+
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 from varopt import StateSpaceGradientModel, kalman_bucy_step
 from varopt.gradient_models import initial_kalman_state

@@ -1,6 +1,21 @@
-"""Independent oracles that more than one test module checks against."""
+"""Independent oracles, and the schedule, that more than one test module uses."""
+
+import math
 
 import numpy as np
+
+from varopt import linear_schedule
+
+
+def scaling_linear(steps=20, beta0=-0.7, dt=1.0):
+    """Linear schedule satisfying the scaling conditions with constant
+    alpha and beta whose mesh covers the horizon in exactly `steps`
+    steps of size dt.  delta_T is chosen so the learning-rate path is
+    the constant exp(beta0)."""
+    c = 1.0 / dt
+    horizon_T = steps * dt
+    return linear_schedule(alpha0=math.log(c), beta0=beta0, gamma1=c,
+                           delta_T=beta0 + c * horizon_T, horizon_T=horizon_T)
 
 
 def fine_simpson(fn, a, b, panels=4096):

@@ -39,19 +39,13 @@ from varopt.harness import (
 )
 from varopt.schedules import integrate_intervals
 
-from shared_oracles import conditioning_oracle, fine_simpson
+import oracles
+from shared_oracles import conditioning_oracle, fine_simpson, scaling_linear
 
 
 def _verdict(label, passed):
     print(f"[{'PASS' if passed else 'FAIL'}] {label}")
     assert passed, label
-
-
-def _scaling_linear(steps=20, beta0=-0.7, dt=1.0):
-    c = 1.0 / dt
-    horizon_T = steps * dt
-    return linear_schedule(alpha0=math.log(c), beta0=beta0, gamma1=c,
-                           delta_T=beta0 + c * horizon_T, horizon_T=horizon_T)
 
 
 ENSEMBLE_CONFIG = """
@@ -208,14 +202,12 @@ def test_criterion_07_learning_rate_paths():
         target = math.exp(s.delta_T - s.gamma(s.horizon_T))
         ok &= bool(abs(phi_scalar(s, s.horizon_T) - target) <= 1e-9)
     # Constant-schedule closed form.
-    a0, b0, g0, dT, T = 0.3, -0.2, 0.1, 1.0, 2.5
-    s = constant_schedule(alpha0=a0, beta0=b0, gamma0=g0, delta_T=dT,
-                          horizon_T=T)
-    w0 = math.exp(a0 + b0 + g0)
+    params, dT, T = {"alpha0": 0.3, "beta0": -0.2, "gamma0": 0.1}, 1.0, 2.5
+    s = constant_schedule(**params, delta_T=dT, horizon_T=T)
+    ts = np.linspace(0.0, T, 6)
     # Phi(0) = exp(-g0) (e - 2.5 w0) is negative, which phi_scalar reports.
     with pytest.warns(RuntimeWarning, match="opposite sign"):
-        for t in np.linspace(0.0, T, 6):
-            expected = math.exp(-g0) * (math.exp(dT) - w0 * (T - t))
+        for t, expected in zip(ts, oracles.phi_constant_scalar(params, dT, T, ts)):
             ok &= bool(abs(phi_scalar(s, float(t)) - expected) <= 1e-9)
     # Vector path vs an independent fixed-grid quadrature oracle.
     s = linear_schedule(beta0=-0.3, beta1=0.2, gamma0=0.1, gamma1=0.7,
@@ -241,7 +233,7 @@ def test_criterion_08_energy_supermartingale(noisy_ensemble):
     problem = generate_problem("quadratic", d=3, n=30,
                                rng=component_rng(0, "problem"))
     spec = OptimizerSpec(kind="mirror_sgd", mirror=quadratic_map(),
-                         schedule=_scaling_linear(steps=steps),
+                         schedule=scaling_linear(steps=steps),
                          mode="empirical", batch_m=30)
     traj = run_optimizer(spec, problem, steps, seed=0)
     e = energy_path(spec.mirror, spec.schedule, traj, problem.x_star)

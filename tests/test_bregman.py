@@ -118,6 +118,13 @@ class TestDomain:
             quadratic_map(m_diag=np.array([1.0, -2.0]))
         with pytest.raises(ValueError):
             quadratic_map(m_full=np.array([[1.0, 2.0], [2.0, 1.0]]))
+        # NaN and inf are refused in either form of M, not turned into grad_h.
+        with pytest.raises(ValueError):
+            quadratic_map(m_full=np.array([[np.inf, 0.0], [0.0, 1.0]]))
+        with pytest.raises(ValueError):
+            quadratic_map(m_diag=np.array([np.nan, 1.0]))
+        with pytest.raises(ValueError):
+            quadratic_map(m_diag=np.array([np.inf, 1.0]))
 
 
 class TestNewtonInversion:

@@ -56,9 +56,8 @@ def _unperturbed(mode, kind, model):
     picks the cell of an empirical run, and model.sigma in an empirical
     unfiltered run with a model.  There the model gives only the batch
     size, and model.sigma is accepted unread, since the benchmark's
-    workload configs set it.  (An agreement key, model.d or model.n, set
-    equal to its source changes nothing either; each value above
-    disagrees with its source.)"""
+    workload configs set it.  (The agreement key model.n set equal to
+    problem.N changes nothing either; the value above disagrees with it.)"""
     skipped = [] if mode == "synthetic" else ["problem.kind"]
     if mode == "empirical" and model and kind not in _FILTERED_KINDS:
         skipped.append("model.sigma")
@@ -66,9 +65,9 @@ def _unperturbed(mode, kind, model):
 
 
 # (mode, kind, model kind, map name, problem: kind and seed, "d" for a
-# synthetic run with a problem section, or None).  The entropy map runs
-# empirically on problem seeds whose minimizer, and the perturbed
-# problems' minimizers, lie in its orthant.
+# synthetic run that sets its dimension, model.d = 2, or None).  The
+# entropy map runs empirically on problem seeds whose minimizer, and the
+# perturbed problems' minimizers, lie in its orthant.
 _CELLS = [
     ("synthetic", "mirror_sgd", "martingale", "quadratic", None),
     ("synthetic", "mirror_sgd", "state_space", "entropy", None),
@@ -103,12 +102,12 @@ def _base(mode, kind, model, map_name, problem) -> dict:
                         "params": {"alpha0": math.log(10.0), "beta0": math.log(0.01)},
                         "T": 1.0},
            "mesh": {"steps": 3}, "optimizer": {"kind": kind, "mode": mode}, "seeds": [0, 1]}
-    if problem == "d":
-        cfg["problem"] = {"d": 2}
-    elif problem is not None:
+    if problem not in (None, "d"):
         cfg["problem"] = {"kind": problem[0], "d": 2, "N": 30, "seed": problem[1]}
     if model is not None:
         cfg["model"] = {"kind": model}
+        if problem == "d":
+            cfg["model"]["d"] = 2
         if model == "martingale" and mode == "synthetic":
             cfg["model"].update(n=4, m=2)
     return cfg

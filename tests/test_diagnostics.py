@@ -27,12 +27,7 @@ from varopt import (
 from varopt.diagnostics import _energy_paths, ensemble_report
 from varopt.harness import component_rng, generate_problem
 
-
-def _scaling_linear(steps=20, beta0=-0.7, dt=1.0):
-    c = 1.0 / dt
-    horizon_T = steps * dt
-    return linear_schedule(alpha0=math.log(c), beta0=beta0, gamma1=c,
-                           delta_T=beta0 + c * horizon_T, horizon_T=horizon_T)
+from shared_oracles import scaling_linear
 
 
 class TestLegendreIdentity:
@@ -58,7 +53,7 @@ class TestLegendreIdentity:
     def test_hamiltonian_dominates_potential(self):
         # The dual divergence term is non-negative.
         mirror = quadratic_map()
-        s = _scaling_linear()
+        s = scaling_linear()
         rng = np.random.default_rng(5)
         for _ in range(100):
             x = rng.standard_normal(2)
@@ -86,7 +81,7 @@ class TestQuadraticVariation:
         # expectation: sum_k exp(2(alpha+beta_k)) (m/n) sigma^2 d dt_k.
         sigma, n, m, d = 0.8, 60, 15, 4
         steps = 20
-        s = _scaling_linear(steps=steps, beta0=-0.5)
+        s = scaling_linear(steps=steps, beta0=-0.5)
         model = MartingaleGradientModel(sigma=sigma, n=n, m=m, d=d)
         spec = OptimizerSpec(kind="mirror_sgd", mirror=quadratic_map(),
                              schedule=s, model=model, mode="synthetic")
@@ -107,7 +102,7 @@ class TestEnergy:
         problem = generate_problem("quadratic", d=3, n=30,
                                    rng=component_rng(0, "problem"))
         spec = OptimizerSpec(kind="mirror_sgd", mirror=quadratic_map(),
-                             schedule=_scaling_linear(steps=steps),
+                             schedule=scaling_linear(steps=steps),
                              mode="empirical", batch_m=30)
         return problem, spec, run_optimizer(spec, problem, steps, seed=0)
 
@@ -128,7 +123,7 @@ class TestEnergy:
         problem = generate_problem("quadratic", d=3, n=30,
                                    rng=component_rng(0, "problem"))
         mirror = quadratic_map(m_diag=[1.0, 2.0, 3.0])
-        s = _scaling_linear(steps=15, beta0=-1.5)
+        s = scaling_linear(steps=15, beta0=-1.5)
         spec = OptimizerSpec(kind="mirror_sgd", mirror=mirror, schedule=s,
                              mode="empirical", batch_m=5)
         traj = run_optimizer(spec, problem, 15, seed=3)
@@ -153,7 +148,7 @@ class TestEnergy:
         problem = generate_problem("quadratic", d=3, n=30,
                                    rng=component_rng(0, "problem"))
         spec = OptimizerSpec(kind="mirror_sgd", mirror=mirror,
-                             schedule=_scaling_linear(steps=15, beta0=-1.5),
+                             schedule=scaling_linear(steps=15, beta0=-1.5),
                              mode="empirical", batch_m=5, x0=np.ones(3))
         trajs = run_ensemble(spec, problem, 15, range(4))
         assert all(t.error is None for t in trajs)
@@ -195,7 +190,7 @@ class TestAction:
     def test_minimizer_rest_trajectory_has_zero_action(self):
         problem = generate_problem("quadratic", d=2, n=20,
                                    rng=component_rng(1, "problem"))
-        s = _scaling_linear(steps=5)
+        s = scaling_linear(steps=5)
         k = 5
         times = np.arange(k + 1, dtype=float)
         x_path = np.tile(problem.x_star, (k + 1, 1))
@@ -211,7 +206,7 @@ class TestAction:
         problem = generate_problem("quadratic", d=2, n=20,
                                    rng=component_rng(2, "problem"))
         steps = 15
-        s = _scaling_linear(steps=steps)
+        s = scaling_linear(steps=steps)
         spec = OptimizerSpec(kind="mirror_sgd", mirror=quadratic_map(),
                              schedule=s, mode="empirical", batch_m=20,
                              x0=np.array([2.0, -1.0]))
@@ -272,7 +267,7 @@ class TestRateBoundCheck:
         return ensemble_report(times, zeros, gap[None, :], zeros)
 
     def test_gap_matching_rate_passes(self):
-        s = _scaling_linear(steps=10, beta0=0.0)
+        s = scaling_linear(steps=10, beta0=0.0)
         times = np.arange(10, dtype=float)
         beta = np.array([s.beta(t) for t in times])
         report = self._report(times, np.exp(-beta))
@@ -281,7 +276,7 @@ class TestRateBoundCheck:
         np.testing.assert_allclose(check.ratio, 1.0, atol=1e-12)
 
     def test_oversized_gap_fails(self):
-        s = _scaling_linear(steps=10, beta0=0.0)
+        s = scaling_linear(steps=10, beta0=0.0)
         times = np.arange(10, dtype=float)
         report = self._report(times, 1e4 * np.ones(10))
         assert not rate_bound_check(report, s, bound_constant=10.0).passed

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from varopt import OptimizerSpec, linear_schedule, quadratic_map, run_ensemble, run_optimizer
+from varopt import OptimizerSpec, quadratic_map, run_ensemble, run_optimizer
 from varopt.harness import (
     ConfigError,
     build_experiment,
@@ -35,6 +35,8 @@ from varopt.harness import runner
 from varopt.harness.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 from varopt.harness.runner import compare
 from varopt.optimizers import _FILTERED_KINDS, _NUMERICAL_FAILURES, OPTIMIZER_KINDS
+
+from shared_oracles import scaling_linear
 
 BASE_CONFIG = """
 # quadratic mini-batch SGD on a scaling schedule
@@ -82,7 +84,7 @@ _ENTROPY_EDGE = {
     "map.name": "entropy", "schedule.family": "polynomial",
     "schedule.params": {"p": 1.0, "c": 0.1, "t_min": 0.05},
     "schedule.delta_T": 2.05225468807837, "schedule.T": 2.0, "mesh.steps": 1,
-    "model.kind": "state_space", "model.d": 1, "model.sigma": 2.0,
+    "model.kind": "state_space", "model.sigma": 2.0,
     "optimizer.kind": "mirror_sgd", "optimizer.mode": "empirical", "seeds": [0, 1],
 }
 
@@ -169,13 +171,6 @@ def _write_config(tmp_path, text, name="exp.cfg"):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
-
-
-def _scaling_linear(steps=20):
-    """Linear schedule whose mesh has `steps` unit steps and whose
-    learning-rate path is the constant exp(-0.7)."""
-    return linear_schedule(beta0=-0.7, gamma1=1.0, delta_T=-0.7 + steps,
-                           horizon_T=float(steps))
 
 
 class TestConfigParsing:
@@ -464,7 +459,7 @@ class TestProblems:
         problem.x_star = problem.z.mean(axis=0)
         problem.f_star = problem.loss(problem.x_star)
         spec = OptimizerSpec(kind="mirror_sgd", mirror=quadratic_map(),
-                             schedule=_scaling_linear(), mode="empirical",
+                             schedule=scaling_linear(), mode="empirical",
                              batch_m=10, x0=problem.x_star + 1e-7)
         traj = run_optimizer(spec, problem, 0, seed=0)
         assert traj.steps == 0
@@ -508,7 +503,7 @@ class TestProblems:
 
         problem.minibatch_gradients = fails_at_step_4
         spec = OptimizerSpec(kind="mirror_sgd", mirror=quadratic_map(),
-                             schedule=_scaling_linear(), mode="empirical", batch_m=8)
+                             schedule=scaling_linear(), mode="empirical", batch_m=8)
         traj = run_optimizer(spec, problem, 20, seed=0)
         assert traj.error.startswith("FloatingPointError at step 4:")
         assert traj.steps == 4
@@ -521,7 +516,7 @@ class TestProblems:
     def test_infinite_initial_gap_fails_every_seed_at_step_0(self, steps):
         problem = generate_problem("logistic", d=2, n=30, rng=component_rng(3, "problem"))
         spec = OptimizerSpec(kind="mirror_sgd", mirror=quadratic_map(),
-                             schedule=_scaling_linear(), mode="empirical", batch_m=5,
+                             schedule=scaling_linear(), mode="empirical", batch_m=5,
                              x0=np.array([1e200, 1.0]))
         for traj in run_ensemble(spec, problem, steps, [0, 1]):
             assert traj.error == "FloatingPointError at step 0: loss gap is not finite"
@@ -1031,6 +1026,38 @@ class TestCli:
             "overflows the float range at the node u = 1.33258\n")
         assert not (tmp_path / "out").exists()
 
+    # The linear family takes J_i from the Van Loan exponential: here
+    # J_i / w(e_{i+1}) and the weight w(e_{i+1}) are finite, but their
+    # product overflows on interval 0.  On the constant family the backward
+    # recursion of b' M overflows from finite pieces at t_1 = 1.  Under
+    # either warning filter the run exits 3 with one line naming the mesh
+    # time, and no warning fires.
+    @pytest.mark.parametrize("action", ["default", "error"])
+    @pytest.mark.parametrize("schedule, time", [
+        ('schedule.family = linear\nschedule.params = {"beta0": 700.0, "beta1": -5.0}\n', 0),
+        ('schedule.params = {"beta0": 0.0}\nschedule.delta_T = 700.0\n', 1),
+    ], ids=["J", "bM"])
+    def test_overflow_from_finite_pieces_names_the_phi_stage(self, schedule, time, action,
+                                                             tmp_path, capsys):
+        cfg = _write_config(tmp_path, textwrap.dedent("""\
+            schedule.T = 2.0
+            mesh.steps = 2
+            model.kind = state_space
+            model.d = 2
+            model.dtilde = 1
+            model.A = [[20.0]]
+            optimizer.kind = kalman_gd
+            optimizer.mode = synthetic
+            """) + schedule + f"output = {tmp_path}/out\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter(action)
+            assert main(["run", cfg]) == EXIT_NUMERICAL
+        assert caught == []
+        assert capsys.readouterr().err == (
+            "numerical failure: learning-rate path Phi: exp(-gamma) b' M passes the float "
+            f"range at the mesh time t = {time}\n")
+        assert not (tmp_path / "out").exists()
+
     def test_polyak_momentum_is_generalized_momentum_at_dtilde_1(self, tmp_path, capsys):
         # The heavy ball is generalized_momentum at model.dtilde = 1, not a kind.
         scalar = KALMAN_CONFIG + "model.dtilde = 1\nmodel.A = [[0.1]]\nmodel.b = [1.0]\n"
@@ -1127,10 +1154,12 @@ class TestCli:
         assert "A must be" not in err
 
     # problem.d sets the dimension and problem.N the step's batch share, so
-    # a model that states other values, or a batch model.m outside
-    # [1, problem.N], is refused naming its key, whatever the model kind.
+    # a model that states the dimension, a model.n other than problem.N or a
+    # batch model.m outside [1, problem.N] is refused naming its key,
+    # whatever the model kind.
     @pytest.mark.parametrize("override, message", [
-        ("model.d = 7", "model.d = 7 disagrees with problem.d = 3"),
+        ("model.d = 3", "model.d is not read by empirical mirror_sgd runs with martingale "
+         "models, the quadratic map and quadratic problems"),
         ("model.n = 400", "model.n = 400 disagrees with problem.N = 50"),
         ("model.m = 0", "model.m = 0 is not a batch size in [1, problem.N = 50]"),
         ("model.kind = state_space\noptimizer.kind = kalman_gd\nmodel.m = 51",
@@ -1141,6 +1170,14 @@ class TestCli:
         cfg = _write_config(tmp_path, BASE_CONFIG + f"output = {tmp_path}/out\n{override}\n")
         assert main(["run", cfg]) == EXIT_CONFIG
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_problem_dimension_in_a_synthetic_run_is_config_error(self, tmp_path, capsys):
+        # A synthetic run generates no problem: its dimension is model.d.
+        cfg = _write_config(tmp_path, KALMAN_CONFIG + f"output = {tmp_path}/out\nproblem.d = 4\n")
+        assert main(["run", cfg]) == EXIT_CONFIG
+        assert ("problem.d is not read by synthetic kalman_gd runs with state_space models, "
+                "the quadratic map and no problems") in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_synthetic_run_without_a_model_is_config_error(self, tmp_path, capsys):
@@ -1357,7 +1394,9 @@ def _configs(draw):
         cfg.update({"model.kind": "martingale", "model.sigma": sigma, "model.n": n,
                     "model.m": draw(st.integers(1, n))})
     else:
-        cfg.update({"model.kind": "state_space", "model.d": d, "model.sigma": sigma})
+        cfg.update({"model.kind": "state_space", "model.sigma": sigma})
+    if mode == "synthetic":
+        cfg["model.d"] = d
     # An empirical unfiltered run does not read the state-space prior.
     if cfg["model.kind"] == "state_space" and (mode == "synthetic" or kind in _FILTERED_KINDS):
         dtilde = draw(st.integers(1, 3))

@@ -36,16 +36,7 @@ from varopt.gradient_models import initial_kalman_state
 from varopt.harness import component_rng, generate_problem
 from varopt.schedules import phi_scalar_path, phi_vector_path
 
-
-def _scaling_linear(steps=20, beta0=-0.7, dt=1.0):
-    """Linear schedule satisfying the scaling conditions with constant
-    alpha and beta whose mesh covers the horizon in exactly `steps`
-    steps of size dt.  delta_T is chosen so the learning-rate path is
-    the constant exp(beta0)."""
-    c = 1.0 / dt
-    horizon_T = steps * dt
-    return linear_schedule(alpha0=math.log(c), beta0=beta0, gamma1=c,
-                           delta_T=beta0 + c * horizon_T, horizon_T=horizon_T)
+from shared_oracles import scaling_linear
 
 
 class TestMirrorStep:
@@ -165,7 +156,7 @@ class TestRunOptimizer:
     def _martingale_spec(self, **kw):
         model = MartingaleGradientModel(sigma=0.5, n=100, m=25, d=3)
         defaults = dict(kind="mirror_sgd", mirror=quadratic_map(),
-                        schedule=_scaling_linear(), model=model,
+                        schedule=scaling_linear(), model=model,
                         mode="synthetic")
         defaults.update(kw)
         return OptimizerSpec(**defaults)
@@ -219,7 +210,7 @@ class TestRunOptimizer:
         problem = generate_problem("quadratic", d=2, n=40,
                                    rng=component_rng(0, "problem"))
         spec = OptimizerSpec(kind="mirror_sgd", mirror=quadratic_map(),
-                             schedule=_scaling_linear(), mode="empirical",
+                             schedule=scaling_linear(), mode="empirical",
                              batch_m=10)
         traj = run_optimizer(spec, problem, 20, seed=3)
         assert traj.error is None
@@ -235,7 +226,7 @@ class TestRunOptimizer:
         problem = generate_problem("quadratic", d=3, n=40,
                                    rng=component_rng(0, "problem"))
         spec = OptimizerSpec(kind="mirror_sgd", mirror=quadratic_map(),
-                             schedule=_scaling_linear(), mode="empirical", batch_m=10,
+                             schedule=scaling_linear(), mode="empirical", batch_m=10,
                              model=MartingaleGradientModel(sigma=0.5, n=400, m=20, d=3))
         traj = run_optimizer(spec, problem, 20, seed=3)
         assert traj.error is None
@@ -248,7 +239,7 @@ class TestRunOptimizer:
                                         l_mat=np.array([[1.0]]),
                                         b_vec=np.array([1.0]), sigma=0.5, d=2)
         spec = OptimizerSpec(kind="kalman_gd", mirror=quadratic_map(),
-                             schedule=_scaling_linear(beta0=-1.0), model=model,
+                             schedule=scaling_linear(beta0=-1.0), model=model,
                              mode="synthetic")
         traj = run_optimizer(spec, None, 20, seed=7)
         assert traj.error is None
@@ -259,7 +250,7 @@ class TestRunOptimizer:
         problem = generate_problem("quadratic", d=2, n=10,
                                    rng=component_rng(0, "problem"))
         spec = OptimizerSpec(kind="mirror_sgd", mirror=quadratic_map(),
-                             schedule=_scaling_linear(), mode="empirical",
+                             schedule=scaling_linear(), mode="empirical",
                              batch_m=50)   # bigger than the dataset
         traj = run_optimizer(spec, problem, 10, seed=0)
         assert traj.error is not None
@@ -270,10 +261,10 @@ class TestRunOptimizer:
                                         b_vec=np.array([1.0, 1.0]), sigma=1.0)
         with pytest.raises(ValueError):
             OptimizerSpec(kind="nope", mirror=quadratic_map(),
-                          schedule=_scaling_linear()).validate()
+                          schedule=scaling_linear()).validate()
         with pytest.raises(ValueError):
             OptimizerSpec(kind="polyak_momentum", mirror=quadratic_map(),
-                          schedule=_scaling_linear(), model=model,
+                          schedule=scaling_linear(), model=model,
                           mode="synthetic").validate()
         varying_alpha = linear_schedule(alpha0=0.0, alpha1=0.5, gamma1=1.0,
                                         horizon_T=2.0)
@@ -283,7 +274,7 @@ class TestRunOptimizer:
                           mode="synthetic").validate()
         with pytest.raises(ValueError):
             OptimizerSpec(kind="mirror_sgd", mirror=quadratic_map(),
-                          schedule=_scaling_linear(), mode="empirical",
+                          schedule=scaling_linear(), mode="empirical",
                           batch_m=None).validate()
 
     def test_degenerate_kalman_filter_is_an_error(self):
@@ -294,7 +285,7 @@ class TestRunOptimizer:
                                         l_mat=np.array([[0.0]]),
                                         b_vec=np.array([1.0]), sigma=0.0, d=2)
         spec = OptimizerSpec(kind="kalman_gd", mirror=quadratic_map(),
-                             schedule=_scaling_linear(steps=2, beta0=-1.0),
+                             schedule=scaling_linear(steps=2, beta0=-1.0),
                              model=model, mode="synthetic")
         traj = run_optimizer(spec, None, 2, seed=7)
         assert traj.error is not None
@@ -374,7 +365,7 @@ def _varying_mesh_kalman_spec():
 def _entropy_mirror_spec():
     model = MartingaleGradientModel(sigma=0.5, n=100, m=25, d=3)
     return OptimizerSpec(kind="mirror_sgd", mirror=entropy_map(),
-                         schedule=_scaling_linear(), model=model,
+                         schedule=scaling_linear(), model=model,
                          mode="synthetic")
 
 
@@ -383,7 +374,7 @@ def _momentum_spec():
                                     l_mat=0.5 * np.eye(2),
                                     b_vec=np.array([1.0, 0.5]), sigma=0.5, d=3)
     return OptimizerSpec(kind="generalized_momentum", mirror=quadratic_map(),
-                         schedule=_scaling_linear(beta0=-1.0), model=model,
+                         schedule=scaling_linear(beta0=-1.0), model=model,
                          mode="synthetic")
 
 

@@ -24,6 +24,7 @@ from varopt import (
 from varopt import schedules as schedules_module
 from varopt.schedules import integrate_intervals, phi_scalar_path, phi_vector_path
 
+import oracles
 from shared_oracles import fine_simpson
 
 
@@ -365,19 +366,14 @@ class TestVectorPath:
             phi_vector_path(s, np.array([[1.0]]), np.array([1.0]), times)
 
     def test_constant_schedule_closed_form_long_grid(self):
-        # Symmetric A = V diag(lam) V': on a constant schedule
-        # Phi(t) = exp(-gamma0) b' V diag(exp(delta_T + lam s)
-        #          - w (exp(lam s) - 1) / lam) V' with s = T - t.
+        # Symmetric A: the benchmark's closed form through eigh.
         a = np.array([[0.1, 0.05, 0.05], [0.05, 0.1, 0.05], [0.05, 0.05, 0.1]])
         b = np.array([1.0, 0.5, 0.25])
-        alpha0, T, w = math.log(25.0), 20.0, 0.01
-        s = constant_schedule(alpha0=alpha0, beta0=math.log(w) - alpha0,
-                              horizon_T=T)
+        alpha0, T = math.log(25.0), 20.0
+        params = {"alpha0": alpha0, "beta0": math.log(0.01) - alpha0}
+        s = constant_schedule(**params, horizon_T=T)
         ts = build_mesh(s, 500).times[:-1]
-        lam, vecs = np.linalg.eigh(a)
-        ls = np.outer(T - ts, lam)
-        coeff = np.exp(ls) - w * np.expm1(ls) / lam
-        expected = (coeff * (b @ vecs)) @ vecs.T
+        expected = oracles.phi_constant_vector(params, 0.0, T, a, b, ts)
         np.testing.assert_allclose(phi_vector_path(s, a, b, ts), expected, rtol=1e-12)
 
     def test_rejects_indefinite_a(self):
