@@ -25,7 +25,6 @@ from .diagnostics import (
     energy_path,
     hamiltonian,
     lagrangian,
-    qv_accumulate,
     rate_bound_check,
     supermartingale_check,
 )

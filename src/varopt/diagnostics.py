@@ -1,12 +1,15 @@
 """Variational quantities and empirical convergence checks.
 
 Evaluates the Lagrangian, expected action, Lyapunov energy and
-Hamiltonian along optimizer trajectories, accumulates discrete quadratic
-variation, and checks the two theoretical claims empirically: the energy
-is a supermartingale under scaling schedules, and the loss gap obeys the
-exp(-beta) rate bound with a quadratic-variation noise penalty.  The
-Lagrangian, energy and Hamiltonian take a float time with one point, or
-an array of times (K,) with points (K, d) and values (K,).
+Hamiltonian along optimizer trajectories, and checks the two theoretical
+claims empirically: the energy
+    energy_t = D_h(x*, Y_t) + exp(beta_t) gap_t - bracket_t,
+with bracket_t the realized covariation Sum <Delta grad h(Y), Delta Y>,
+is a supermartingale under scaling schedules, and then, as D_h >= 0, the
+mean loss gap obeys the rate bound
+    E[gap_t] <= exp(-beta_t) (E[energy_0] + E[bracket_t]).
+The Lagrangian, energy and Hamiltonian take a float time with one point,
+or an array of times (K,) with points (K, d) and values (K,).
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ __all__ = [
     "action_estimate",
     "energy",
     "energy_path",
-    "qv_accumulate",
     "hamiltonian",
     "supermartingale_check",
     "rate_bound_check",
@@ -37,7 +39,6 @@ __all__ = [
 ]
 
 _NOISELESS_TOL = 1e-9  # energy increase a single noiseless path may show
-_BURN_FRAC = 0.1       # share of the horizon the rate bound skips
 
 
 @dataclass
@@ -47,15 +48,13 @@ class Trajectory:
     nu_path holds per-step displacement divided by the step length
     (length K for K steps); loss_gap is f(X_k) - f(x*) on the whole mesh
     and is NaN in synthetic stream mode, where no loss landscape backs
-    the gradient stream.  qv_path accumulates the squared increments of
-    the exp(-gamma)-scaled filtered-gradient martingale proxy.
+    the gradient stream.
     """
 
     times: np.ndarray
     x_path: np.ndarray                 # (K+1, d)
     nu_path: np.ndarray                # (K, d)
     loss_gap: np.ndarray               # (K+1,)
-    qv_path: np.ndarray                # (K+1,), non-decreasing
     g_path: Optional[np.ndarray] = None          # (K, d) observed stream
     filter_mean_norm: Optional[np.ndarray] = None  # (K+1,) Kalman runs only
     phi_path: Optional[np.ndarray] = None        # (K,) or (K, dtilde)
@@ -64,12 +63,9 @@ class Trajectory:
 
     def __post_init__(self):
         k = len(self.times) - 1
-        if self.x_path.shape[0] != k + 1 or self.nu_path.shape[0] != k:
+        if (self.x_path.shape[0] != k + 1 or self.nu_path.shape[0] != k
+                or len(self.loss_gap) != k + 1):
             raise ValueError("trajectory arrays have inconsistent lengths")
-        if len(self.loss_gap) != k + 1 or len(self.qv_path) != k + 1:
-            raise ValueError("trajectory arrays have inconsistent lengths")
-        if np.any(np.diff(self.qv_path) < -1e-15):
-            raise ValueError("quadratic-variation accumulator must be non-decreasing")
 
     @property
     def steps(self) -> int:
@@ -85,7 +81,7 @@ class EnsembleReport:
     se_energy: np.ndarray
     mean_gap: np.ndarray
     se_gap: np.ndarray
-    mean_qv: np.ndarray
+    mean_bracket: np.ndarray
     n_seeds: int
 
     def __post_init__(self):
@@ -103,10 +99,9 @@ class SupermartingaleReport:
 @dataclass(frozen=True)
 class RateBoundReport:
     times: np.ndarray
-    ratio: np.ndarray          # gap / (exp(-beta) max(1, mean QV))
-    bound_value: np.ndarray
+    ratio: np.ndarray          # mean gap / bound_value
+    bound_value: np.ndarray    # exp(-beta) (mean energy_0 + mean bracket)
     max_ratio: float
-    bound_constant: float
     passed: bool
 
 
@@ -153,12 +148,6 @@ def energy(mirror: MirrorMap, f_gap, schedule: Schedule, t,
     return divergence(mirror, x_star, y) + _exp(schedule.beta(t)) * f_gap - qv_bracket
 
 
-def qv_accumulate(prev: float, delta_a: np.ndarray, delta_b: np.ndarray) -> float:
-    """Discrete bracket update: prev + <delta_a, delta_b>."""
-    return prev + float(np.dot(np.asarray(delta_a, dtype=float),
-                               np.asarray(delta_b, dtype=float)))
-
-
 def hamiltonian(mirror: MirrorMap, f_value, schedule: Schedule, t,
                 x: np.ndarray, p: np.ndarray):
     """exp(alpha+gamma) D_{h*}(grad h(X) + exp(-gamma) p, grad h(X))
@@ -179,77 +168,69 @@ def energy_path(mirror: MirrorMap, schedule: Schedule, traj: Trajectory,
     summed in step order.
     """
     return _energy_paths(mirror, schedule, traj.times, traj.x_path[None], traj.nu_path[None],
-                         traj.loss_gap[None], x_star)[0]
+                         traj.loss_gap[None], x_star)[0][0]
 
 
 def _energy_paths(mirror: MirrorMap, schedule: Schedule, times: np.ndarray,
                   x_paths: np.ndarray, nu_paths: np.ndarray, gap_paths: np.ndarray,
-                  x_star: np.ndarray) -> np.ndarray:
+                  x_star: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """energy_path of S trajectories on the same mesh times (K+1,), from
     their stacked iterates (S, K+1, d), displacements (S, K, d) and loss
-    gaps (S, K+1): one energy path per row, (S, K)."""
+    gaps (S, K+1): the energy paths and their brackets, each (S, K)."""
     times, x_paths, gaps = times[:-1], x_paths[:, :-1], gap_paths[:, :-1]
     ys = _displaced(schedule, times, x_paths, nu_paths)
     bracket = np.zeros(ys.shape[:2])
     bracket[:, 1:] = np.cumsum(np.vecdot(np.diff(mirror.grad_h(ys), axis=1),
                                          np.diff(ys, axis=1)), axis=1)
-    return energy(mirror, gaps, schedule, times, x_paths, nu_paths, bracket, x_star)
+    return energy(mirror, gaps, schedule, times, x_paths, nu_paths, bracket, x_star), bracket
 
 
 def ensemble_report(times: np.ndarray, energy_paths: np.ndarray,
-                    gap_paths: np.ndarray, qv_paths: np.ndarray) -> EnsembleReport:
+                    gap_paths: np.ndarray, bracket_paths: np.ndarray) -> EnsembleReport:
     """Aggregate per-seed paths (rows) into per-time means and standard
-    errors; one path has a standard error of exactly 0."""
+    errors; one path has a standard error of exactly 0.  A mean or an SE
+    past the float range is inf or NaN, with no warning."""
     energy_paths = np.atleast_2d(energy_paths)
     gap_paths = np.atleast_2d(gap_paths)
-    qv_paths = np.atleast_2d(qv_paths)
     n = energy_paths.shape[0]
     ddof, scale = min(n - 1, 1), math.sqrt(n)
-    return EnsembleReport(
-        times=np.asarray(times, dtype=float),
-        mean_energy=energy_paths.mean(axis=0),
-        se_energy=energy_paths.std(axis=0, ddof=ddof) / scale,
-        mean_gap=gap_paths.mean(axis=0),
-        se_gap=gap_paths.std(axis=0, ddof=ddof) / scale,
-        mean_qv=qv_paths.mean(axis=0),
-        n_seeds=n,
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        return EnsembleReport(
+            times=np.asarray(times, dtype=float),
+            mean_energy=energy_paths.mean(axis=0),
+            se_energy=energy_paths.std(axis=0, ddof=ddof) / scale,
+            mean_gap=gap_paths.mean(axis=0),
+            se_gap=gap_paths.std(axis=0, ddof=ddof) / scale,
+            mean_bracket=np.atleast_2d(bracket_paths).mean(axis=0),
+            n_seeds=n,
+        )
 
 
 def supermartingale_check(energy_paths: np.ndarray) -> SupermartingaleReport:
     """Check that mean energy is non-increasing in time: within two
     standard errors of each increment, up to _NOISELESS_TOL absolute.  A
     single path (noiseless run) has a standard error of 0, so it must be
-    monotone to _NOISELESS_TOL.
+    monotone to _NOISELESS_TOL.  An increment whose mean or SE passes the
+    float range is an infinite excess, and fails.
     """
     energy_paths = np.atleast_2d(np.asarray(energy_paths, dtype=float))
     n = energy_paths.shape[0]
-    inc = np.diff(energy_paths.mean(axis=0))
-    se = np.diff(energy_paths, axis=1).std(axis=0, ddof=min(n - 1, 1)) / math.sqrt(n)
-    excess = inc - 2.0 * se
+    with np.errstate(over="ignore", invalid="ignore"):
+        inc = np.diff(energy_paths.mean(axis=0))
+        se = np.diff(energy_paths, axis=1).std(axis=0, ddof=min(n - 1, 1)) / math.sqrt(n)
+        excess = np.where(np.isfinite(inc) & np.isfinite(se), inc - 2.0 * se, np.inf)
     max_excess = float(np.max(excess, initial=0.0))
     return SupermartingaleReport(max_increase=max_excess,
                                  passed=max_excess <= _NOISELESS_TOL, n_seeds=n)
 
 
-def rate_bound_check(report: EnsembleReport, schedule: Schedule,
-                     bound_constant: float = 10.0) -> RateBoundReport:
-    """Compare the mean loss gap against exp(-beta) max(1, mean QV).
-
-    Reports the largest ratio after the burn-in fraction of the horizon
-    and whether it stays below bound_constant.
+def rate_bound_check(report: EnsembleReport, schedule: Schedule) -> RateBoundReport:
+    """Compare the mean loss gap against the bound of a supermartingale
+    energy, B_t = exp(-beta_t) (mean energy_0 + mean bracket_t), at every
+    diagnostic time; passes when the largest ratio gap / B_t is at most 1.
     """
-    times = report.times
-    bound = _exp(-schedule.beta(times)) * np.maximum(1.0, report.mean_qv)
+    bound = _exp(-schedule.beta(report.times)) * (report.mean_energy[0] + report.mean_bracket)
     ratio = report.mean_gap / bound
-    t_burn = times[0] + _BURN_FRAC * (times[-1] - times[0])
-    mask = times >= t_burn
-    max_ratio = float(np.max(ratio[mask])) if np.any(mask) else 0.0
-    return RateBoundReport(
-        times=times,
-        ratio=ratio,
-        bound_value=bound,
-        max_ratio=max_ratio,
-        bound_constant=bound_constant,
-        passed=max_ratio <= bound_constant,
-    )
+    max_ratio = float(np.max(ratio))
+    return RateBoundReport(times=report.times, ratio=ratio, bound_value=bound,
+                           max_ratio=max_ratio, passed=max_ratio <= 1.0)

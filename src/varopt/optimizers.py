@@ -22,8 +22,8 @@ seeds' mini-batch gradients in one stacked call.  Failures stay per seed:
 a numerical failure in step k ends the stacked run there, and the
 ensemble is then rerun one seed at a time, so that a failing seed records
 its error and ends its paths at its own X_k while the others complete; a
-QV proxy or loss gap first not finite at X_k fails its seed alike.  Any
-other exception, such as a TypeError in a custom map, propagates.  A gain
+loss gap first not finite at X_k fails its seed alike.  Any other
+exception, such as a TypeError in a custom map, propagates.  A gain
 sequence cut short ends all rows at its step.
 """
 
@@ -48,8 +48,6 @@ from .gradient_models import (
 from .schedules import (
     _HORIZON_SLACK,
     Schedule,
-    _exp,
-    _weight,
     build_mesh,
     phi_scalar_path,
     phi_vector_path,
@@ -244,17 +242,16 @@ def run_optimizer(spec: OptimizerSpec, problem, steps: int, seed: int) -> Trajec
 
 
 def run_ensemble(spec: OptimizerSpec, problem, steps: int, seeds) -> list[Trajectory]:
-    """One seeded trajectory per seed.  The mesh, Phi, the factors of the
-    quadratic-variation proxy and the filter gains do not depend on the
-    seed and are computed once; one step loop then advances all seeds
-    together, each on its own harness RNG streams; the displacement, QV,
-    loss-gap and filter-norm paths of all seeds are formed in one stacked
-    pass, and a non-finite QV or gap fails its row.  A stacked loop that
-    raised is rerun one seed at a time.  steps = 0 takes the same path on
-    the one-point mesh: each trajectory is X_0 with its loss gap, and its
-    Phi, displacement and stream paths are empty.  problem may be None in
-    synthetic mode (the latent gradient model is not tied to a loss
-    landscape; loss gaps are then NaN)."""
+    """One seeded trajectory per seed.  The mesh, Phi and the filter gains
+    do not depend on the seed and are computed once; one step loop then
+    advances all seeds together, each on its own harness RNG streams; the
+    displacement, loss-gap and filter-norm paths of all seeds are formed
+    in one stacked pass, and a non-finite gap fails its row.  A stacked
+    loop that raised is rerun one seed at a time.  steps = 0 takes the
+    same path on the one-point mesh: each trajectory is X_0 with its loss
+    gap, and its Phi, displacement and stream paths are empty.  problem
+    may be None in synthetic mode (the latent gradient model is not tied
+    to a loss landscape; loss gaps are then NaN)."""
     spec.validate()
     seeds = list(seeds)
     schedule = spec.schedule
@@ -273,8 +270,6 @@ def run_ensemble(spec: OptimizerSpec, problem, steps: int, seeds) -> list[Trajec
            if filtered else phi_scalar_path(schedule, step_times))
     filt = _filter_gains(spec, dts) if filtered else None
     coeff = _filter_coefficient(spec, problem)
-    ts = step_times[:-1]                     # _qv_path reads steps 0 .. K-2
-    qv_factors = (_weight(schedule, ts), _exp(-schedule.gamma(ts)))
     alphas = schedule.alpha(step_times)
 
     args = (spec, problem, x0, alphas, dts, phi, coeff, filt)
@@ -287,27 +282,31 @@ def run_ensemble(spec: OptimizerSpec, problem, steps: int, seeds) -> list[Trajec
         y_paths = None if y_paths[0] is None else np.concatenate(y_paths)
         lengths, errors = sum(lengths, []), sum(errors, [])
     nu_paths = np.diff(x_paths, axis=1) / dts[:, None]
-    qv_paths = _qv_path(coeff, qv_factors, g_stream)
-    _fail_nonfinite("quadratic-variation proxy", qv_paths, lengths, errors, frozen=True)
     gap_paths = _loss_gaps(spec, problem, x_paths, lengths, errors)
     norms = (None if y_paths is None
              else np.linalg.norm(y_paths.reshape(*y_paths.shape[:2], -1), axis=-1))
     return [Trajectory(
         times=times[: k + 1], x_path=x_paths[i, : k + 1], nu_path=nu_paths[i, :k],
-        loss_gap=gap_paths[i, : k + 1], qv_path=qv_paths[i, : k + 1], g_path=g_stream[i, :k],
+        loss_gap=gap_paths[i, : k + 1], g_path=g_stream[i, :k],
         filter_mean_norm=None if norms is None else norms[i, : k + 1],
         phi_path=phi[:k], seed=seed, error=error)
         for i, (seed, k, error) in enumerate(zip(seeds, lengths, errors))]
 
 
 def _loss_gaps(spec: OptimizerSpec, problem, x_paths: np.ndarray, lengths, errors) -> np.ndarray:
-    """f(X_k) - f(x*) on the (S, K+1, d) paths in one silent pass, each row
-    failed at its first non-finite kept gap; NaN in synthetic mode."""
+    """f(X_k) - f(x*) on the (S, K+1, d) paths in one silent pass; NaN in
+    synthetic mode.  A row whose kept gaps 0 .. length are first not finite
+    at index j fails as if its step j had raised: it keeps X_0 .. X_j and
+    the error "FloatingPointError at step {j}: loss gap is not finite"."""
     if spec.mode != "empirical":
         return np.full(x_paths.shape[:-1], np.nan)
     with np.errstate(over="ignore", invalid="ignore"):
         gaps = problem.loss_gap(x_paths.reshape(-1, x_paths.shape[-1])).reshape(len(x_paths), -1)
-    _fail_nonfinite("loss gap", gaps, lengths, errors)
+    for i in np.flatnonzero(~np.isfinite(gaps).all(axis=-1)):
+        j = int(np.argmin(np.isfinite(gaps[i])))
+        if j <= lengths[i]:
+            lengths[i] = j
+            errors[i] = f"FloatingPointError at step {j}: loss gap is not finite"
     return gaps
 
 
@@ -362,8 +361,9 @@ def _run_steps(seeds, spec, problem, x0, alphas, dts, phi, coeff, filt):
     step 0, ends every row at step k with "{Type} at step {k}: {message}";
     so does a gain sequence cut short, after the observation of its step.
     Any other exception propagates.  The rows keep X_0 .. X_k and are
-    frozen after it, iterate, filter mean and observation repeated to the
-    end, so the stacked paths add nothing past the prefix.
+    frozen after it, iterate and filter mean repeated to the end, so the
+    stacked paths add nothing past the prefix; the stream past step k is
+    not read.
 
     Returns (x_paths (S, K+1, d), g_stream (S, K, d), y_paths
     (S, K+1, d, dtilde) or None for the unfiltered kinds, each row's steps
@@ -423,40 +423,7 @@ def _run_steps(seeds, spec, problem, x0, alphas, dts, phi, coeff, filt):
 
     if k < k_steps:
         x_paths[:, k + 1:] = x_paths[:, k, None]
-        g_stream[:, k:] = g_stream[:, k - 1, None] if k else 0.0
         if y_paths is not None:
             y_paths[:, k + 1:] = y_paths[:, k, None]
     return x_paths, g_stream, y_paths, [k] * n_seeds, [error] * n_seeds, raised
 
-
-def _qv_path(coeff, qv_factors, g_stream):
-    """Accumulated quadratic variation of the exp(-gamma)-scaled
-    martingale proxy built from increments of the observed stream
-    (..., K, d), one path (..., K+1) per stream; qv_factors holds
-    exp(alpha + beta + gamma) and exp(-gamma) per step.  The squared
-    increments are summed in step order."""
-    weights, decays = qv_factors
-    k = g_stream.shape[-2]
-    n = max(k - 1, 0)
-    qv = np.zeros(g_stream.shape[:-2] + (k + 1,))
-    # A stream near the float range gives inf or NaN here, silently under
-    # any warning filter; _fail_nonfinite fails those rows.
-    with np.errstate(over="ignore", invalid="ignore"):
-        scaled = decays[:n, None] * (-coeff * weights[:n, None] * np.diff(g_stream, axis=-2))
-        qv[..., 1:k] = np.cumsum(np.vecdot(scaled, scaled), axis=-1)
-    qv[..., k] = qv[..., n]
-    return qv
-
-
-def _fail_nonfinite(name, paths, lengths, errors, frozen=False) -> None:
-    """Fail each row of the (S, K+1) paths whose kept prefix 0 .. length is
-    first not finite at index j, as if its step j had raised: it keeps
-    X_0 .. X_j and the error "FloatingPointError at step {j}: {name} is not
-    finite", and a frozen path repeats its finite entry j - 1 from j on."""
-    for i in np.flatnonzero(~np.isfinite(paths).all(axis=-1)):
-        j = int(np.argmin(np.isfinite(paths[i])))
-        if j <= lengths[i]:
-            if frozen:
-                paths[i, j:] = paths[i, j - 1]
-            lengths[i] = j
-            errors[i] = f"FloatingPointError at step {j}: {name} is not finite"

@@ -459,16 +459,21 @@ def _phi_path(schedule: Schedule, a_mat: np.ndarray, b_vec: np.ndarray,
 
     edges = np.append(np.minimum(times, T), T)  # a time within the slack past T is T
     steps, jumps = _local_propagators(schedule, a_mat, edges)
-    row = math.exp(schedule.delta_T) * b_vec
+    try:
+        row = math.exp(schedule.delta_T) * b_vec
+    except OverflowError:
+        raise NumericalError("learning-rate path Phi: the terminal value exp(delta_T) passes "
+                             f"the float range at delta_T = {schedule.delta_T:.6g}") from None
     rows = [row]                                   # b' M at T, t_K, ..., t_1
-    decay = _exp(-schedule.gamma(times))[:, None]
     with np.errstate(over="ignore", invalid="ignore"):
         for step, b_jump in zip(steps[::-1], b_vec @ jumps[::-1]):
             row = row @ step - b_jump
             rows.append(row)
+        decay = np.exp(-schedule.gamma(times))[:, None]
         out = decay * np.reshape(rows[:0:-1], (len(times), len(b_vec)))
     # An overflowing J_i or b' M leaves Phi non-finite from its mesh time
-    # back, since the recursion runs backward from T.
+    # back, since the recursion runs backward from T; an overflowing
+    # exp(-gamma) leaves it non-finite at its own mesh times.
     bad = ~np.isfinite(out).all(axis=1)
     if bad.any():
         raise NumericalError("learning-rate path Phi: exp(-gamma) b' M passes the float "

@@ -121,7 +121,7 @@ def _outputs(cfg: dict, checked: bool = True) -> list:
     artifacts = run_experiment(experiment, write=False)
     return [(t.seed, t.error) + tuple(
         np.asarray([] if path is None else path, dtype=float).tobytes()
-        for path in (t.times, t.x_path, t.loss_gap, t.qv_path, t.phi_path, t.filter_mean_norm))
+        for path in (t.times, t.x_path, t.loss_gap, t.phi_path, t.filter_mean_norm))
         for t in artifacts.trajectories]
 
 

@@ -1,12 +1,12 @@
-"""Variational quantities: Legendre identity, energy, action, QV, checks."""
+"""Variational quantities: Legendre identity, energy, action, checks."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from varopt import (
-    MartingaleGradientModel,
     OptimizerSpec,
     Trajectory,
     action_estimate,
@@ -17,7 +17,6 @@ from varopt import (
     lagrangian,
     linear_schedule,
     nu_from_momentum,
-    qv_accumulate,
     quadratic_map,
     rate_bound_check,
     run_ensemble,
@@ -64,39 +63,6 @@ class TestLegendreIdentity:
             assert hamiltonian(mirror, f_val, s, t, x, p) >= floor - 1e-10
 
 
-class TestQuadraticVariation:
-    def test_accumulate_is_running_inner_product(self):
-        acc = 0.0
-        rng = np.random.default_rng(1)
-        total = 0.0
-        for _ in range(20):
-            a = rng.standard_normal(3)
-            b = rng.standard_normal(3)
-            acc = qv_accumulate(acc, a, b)
-            total += float(a @ b)
-        assert acc == pytest.approx(total)
-
-    def test_qv_matches_brownian_oracle(self):
-        # For the martingale stream the accumulated QV has a closed-form
-        # expectation: sum_k exp(2(alpha+beta_k)) (m/n) sigma^2 d dt_k.
-        sigma, n, m, d = 0.8, 60, 15, 4
-        steps = 20
-        s = scaling_linear(steps=steps, beta0=-0.5)
-        model = MartingaleGradientModel(sigma=sigma, n=n, m=m, d=d)
-        spec = OptimizerSpec(kind="mirror_sgd", mirror=quadratic_map(),
-                             schedule=s, model=model, mode="synthetic")
-        vals = [run_optimizer(spec, None, steps, seed=sd).qv_path[-1]
-                for sd in range(150)]
-        dt = 1.0
-        expected = sum(
-            math.exp(2.0 * (s.alpha(t) + s.beta(t))) * (m / n) * sigma ** 2 * d * dt
-            for t in np.arange(0, steps - 1, dt, dtype=float)
-        )
-        mean = float(np.mean(vals))
-        se = float(np.std(vals, ddof=1)) / math.sqrt(len(vals))
-        assert abs(mean - expected) <= 4.0 * se
-
-
 class TestEnergy:
     def _noiseless_trajectory(self, steps=15):
         problem = generate_problem("quadratic", d=3, n=30,
@@ -119,7 +85,8 @@ class TestEnergy:
 
     def test_energy_path_is_the_stepwise_energy(self):
         # Reference: the public one-point energy with the bracket summed
-        # step by step; a non-identity M makes the bracket differ from QV.
+        # step by step; a non-identity M makes <grad h(Y) increments, Y
+        # increments> differ from the squared Y increments.
         problem = generate_problem("quadratic", d=3, n=30,
                                    rng=component_rng(0, "problem"))
         mirror = quadratic_map(m_diag=[1.0, 2.0, 3.0])
@@ -131,8 +98,7 @@ class TestEnergy:
         for t, x, nu, gap in zip(traj.times, traj.x_path, traj.nu_path, traj.loss_gap):
             y = x + math.exp(-s.alpha(t)) * nu
             if prev is not None:
-                bracket = qv_accumulate(bracket, mirror.grad_h(y) - mirror.grad_h(prev),
-                                        y - prev)
+                bracket += float(np.dot(mirror.grad_h(y) - mirror.grad_h(prev), y - prev))
             prev = y
             expected.append(energy(mirror, gap, s, t, x, nu, bracket, problem.x_star))
         assert bracket > 0.0
@@ -153,10 +119,10 @@ class TestEnergy:
         trajs = run_ensemble(spec, problem, 15, range(4))
         assert all(t.error is None for t in trajs)
         x_ref = np.full(3, 0.5)          # x* of the problem is not in the orthant
-        stacked = _energy_paths(mirror, spec.schedule, trajs[0].times,
-                                np.stack([t.x_path for t in trajs]),
-                                np.stack([t.nu_path for t in trajs]),
-                                np.stack([t.loss_gap for t in trajs]), x_ref)
+        stacked, _ = _energy_paths(mirror, spec.schedule, trajs[0].times,
+                                   np.stack([t.x_path for t in trajs]),
+                                   np.stack([t.nu_path for t in trajs]),
+                                   np.stack([t.loss_gap for t in trajs]), x_ref)
         for row, traj in zip(stacked, trajs, strict=True):
             np.testing.assert_array_equal(
                 row, energy_path(mirror, spec.schedule, traj, x_ref), strict=True)
@@ -196,7 +162,7 @@ class TestAction:
         x_path = np.tile(problem.x_star, (k + 1, 1))
         traj = Trajectory(times=times, x_path=x_path,
                           nu_path=np.zeros((k, 2)),
-                          loss_gap=np.zeros(k + 1), qv_path=np.zeros(k + 1))
+                          loss_gap=np.zeros(k + 1))
         val = action_estimate(quadratic_map(), s, [traj], [0.0])
         assert abs(val) <= 1e-12
 
@@ -216,8 +182,7 @@ class TestAction:
             dts = np.diff(traj.times)
             nu = np.diff(x_path, axis=0) / dts[:, None]
             gap = np.array([problem.loss(x) - problem.f_star for x in x_path])
-            t = Trajectory(times=traj.times, x_path=x_path, nu_path=nu,
-                           loss_gap=gap, qv_path=np.zeros(len(x_path)))
+            t = Trajectory(times=traj.times, x_path=x_path, nu_path=nu, loss_gap=gap)
             return action_estimate(spec.mirror, s, [t], [gap[-1]])
 
         base = with_path(traj.x_path)
@@ -249,6 +214,16 @@ class TestSupermartingaleCheck:
         paths = base[None, :] + 0.01 * rng.standard_normal((100, 25))
         assert not supermartingale_check(paths).passed
 
+    def test_increment_past_the_float_range_fails_silently(self):
+        # The spread of the third increment overflows np.std: its SE is inf,
+        # which would read as an excess of -inf; it counts as +inf instead,
+        # under any warning filter.
+        paths = np.array([[3.0, 2.0, 1.0, 1e300], [3.0, 2.0, 1.0, -1e300]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = supermartingale_check(paths)
+        assert not report.passed and report.max_increase == np.inf
+
 
 class TestEnsembleReport:
     def test_one_path_has_a_standard_error_of_zero(self):
@@ -262,35 +237,35 @@ class TestEnsembleReport:
 
 
 class TestRateBoundCheck:
-    def _report(self, times, gap):
-        zeros = np.zeros((1, len(times)))
-        return ensemble_report(times, zeros, gap[None, :], zeros)
+    # B_t = exp(-beta_t) (energy_0 + bracket_t), with energy_0 = 2 and a
+    # growing bracket.
+    s = scaling_linear(steps=10, beta0=0.0)
+    times = np.arange(10, dtype=float)
+    bracket = np.linspace(0.0, 3.0, 10)
+    bound = np.exp(-s.beta(times)) * (2.0 + bracket)
+
+    def _check(self, gap):
+        report = ensemble_report(self.times, np.full((1, 10), 2.0), gap[None, :],
+                                 self.bracket[None, :])
+        return rate_bound_check(report, self.s)
 
     def test_gap_matching_rate_passes(self):
-        s = scaling_linear(steps=10, beta0=0.0)
-        times = np.arange(10, dtype=float)
-        beta = np.array([s.beta(t) for t in times])
-        report = self._report(times, np.exp(-beta))
-        check = rate_bound_check(report, s, bound_constant=10.0)
+        check = self._check(self.bound)
         assert check.passed
-        np.testing.assert_allclose(check.ratio, 1.0, atol=1e-12)
+        np.testing.assert_array_equal(check.bound_value, self.bound)
+        np.testing.assert_allclose(check.ratio, 1.0, rtol=1e-15)
+
+    def test_gap_above_the_bound_fails(self):
+        check = self._check(1.01 * self.bound)
+        assert not check.passed
+        assert check.max_ratio == pytest.approx(1.01)
 
     def test_oversized_gap_fails(self):
-        s = scaling_linear(steps=10, beta0=0.0)
-        times = np.arange(10, dtype=float)
-        report = self._report(times, 1e4 * np.ones(10))
-        assert not rate_bound_check(report, s, bound_constant=10.0).passed
+        assert not self._check(1e4 * np.ones(10)).passed
 
 
 class TestTrajectoryValidation:
     def test_inconsistent_lengths_rejected(self):
         with pytest.raises(ValueError):
             Trajectory(times=np.arange(3.0), x_path=np.zeros((2, 1)),
-                       nu_path=np.zeros((2, 1)), loss_gap=np.zeros(3),
-                       qv_path=np.zeros(3))
-
-    def test_decreasing_qv_rejected(self):
-        with pytest.raises(ValueError):
-            Trajectory(times=np.arange(3.0), x_path=np.zeros((3, 1)),
-                       nu_path=np.zeros((2, 1)), loss_gap=np.zeros(3),
-                       qv_path=np.array([0.0, 1.0, 0.5]))
+                       nu_path=np.zeros((2, 1)), loss_gap=np.zeros(3))

@@ -58,6 +58,10 @@ optimizer.mode = empirical
 seeds = [0, 1, 2]
 """
 
+# BASE_CONFIG with beta0 = 0.5: Phi turns negative and the run diverges.
+_BETA0_HALF = BASE_CONFIG + ('schedule.params = {"alpha0": 2.302585092994046, "beta0": 0.5, '
+                             '"gamma1": 10.0}\n')
+
 # kalman_gd on the simulated state-space stream of a 3-dimensional latent state.
 KALMAN_CONFIG = """
 map.name = quadratic
@@ -241,7 +245,7 @@ class TestBuildExperiment:
         ("schedule.params.horizon_T = 2.0",
          "'schedule.params.horizon_T'; the setting is schedule.T"),
         ("map.lower = 0.1", "'map.lower'"),
-        # Fixed by model.m, by _FOSP_SUBSTEPS and by rate_bound_check's default.
+        # Fixed by model.m and by _FOSP_SUBSTEPS; the rate bound has no constant.
         ("optimizer.batch_m = 10", "'optimizer.batch_m'"),
         ("optimizer.fosp_substeps = 4", "'optimizer.fosp_substeps'"),
         ("diagnostics.bound_constant = 10", "'diagnostics'"),
@@ -1029,15 +1033,22 @@ class TestCli:
     # The linear family takes J_i from the Van Loan exponential: here
     # J_i / w(e_{i+1}) and the weight w(e_{i+1}) are finite, but their
     # product overflows on interval 0.  On the constant family the backward
-    # recursion of b' M overflows from finite pieces at t_1 = 1.  Under
-    # either warning filter the run exits 3 with one line naming the mesh
-    # time, and no warning fires.
+    # recursion of b' M overflows from finite pieces at t_1 = 1, and so do
+    # the decay exp(-gamma) at gamma0 = -710 and the terminal value
+    # exp(delta_T) at delta_T = 710.  Under either warning filter the run
+    # exits 3 with one line naming the stage, and no warning fires.
     @pytest.mark.parametrize("action", ["default", "error"])
-    @pytest.mark.parametrize("schedule, time", [
-        ('schedule.family = linear\nschedule.params = {"beta0": 700.0, "beta1": -5.0}\n', 0),
-        ('schedule.params = {"beta0": 0.0}\nschedule.delta_T = 700.0\n', 1),
-    ], ids=["J", "bM"])
-    def test_overflow_from_finite_pieces_names_the_phi_stage(self, schedule, time, action,
+    @pytest.mark.parametrize("schedule, stage", [
+        ('schedule.family = linear\nschedule.params = {"beta0": 700.0, "beta1": -5.0}\n',
+         "exp(-gamma) b' M passes the float range at the mesh time t = 0"),
+        ('schedule.params = {"beta0": 0.0}\nschedule.delta_T = 700.0\n',
+         "exp(-gamma) b' M passes the float range at the mesh time t = 1"),
+        ('schedule.family = linear\nschedule.params = {"gamma0": -710.0}\n',
+         "exp(-gamma) b' M passes the float range at the mesh time t = 1"),
+        ("schedule.delta_T = 710.0\n",
+         "the terminal value exp(delta_T) passes the float range at delta_T = 710"),
+    ], ids=["J", "bM", "decay", "terminal"])
+    def test_overflow_from_finite_pieces_names_the_phi_stage(self, schedule, stage, action,
                                                              tmp_path, capsys):
         cfg = _write_config(tmp_path, textwrap.dedent("""\
             schedule.T = 2.0
@@ -1053,9 +1064,7 @@ class TestCli:
             warnings.simplefilter(action)
             assert main(["run", cfg]) == EXIT_NUMERICAL
         assert caught == []
-        assert capsys.readouterr().err == (
-            "numerical failure: learning-rate path Phi: exp(-gamma) b' M passes the float "
-            f"range at the mesh time t = {time}\n")
+        assert capsys.readouterr().err == f"numerical failure: learning-rate path Phi: {stage}\n"
         assert not (tmp_path / "out").exists()
 
     def test_polyak_momentum_is_generalized_momentum_at_dtilde_1(self, tmp_path, capsys):
@@ -1349,6 +1358,44 @@ class TestCli:
         assert not any(line.startswith(("supermartingale_pass", "rate_bound_pass"))
                        for line in lines)
 
+    # gamma1 = 3 and beta0 = 0.5 make BASE_CONFIG diverge until the spread
+    # of the energy increments overflows np.std.  Under either warning
+    # filter the run exits 0, its supermartingale check fails with an
+    # infinite excess and no numpy warning fires.
+    @pytest.mark.parametrize("action", ["default", "error"])
+    @pytest.mark.parametrize("text", [
+        BASE_CONFIG + 'schedule.params = {"alpha0": 2.302585092994046, "beta0": -0.7, '
+                      '"gamma1": 3.0}\n',
+        _BETA0_HALF,
+    ], ids=["gamma1=3", "beta0=0.5"])
+    def test_diverging_run_fails_the_supermartingale_check(self, text, action, tmp_path):
+        lines = self._summary(tmp_path, text, action)
+        assert "supermartingale_pass = False (max increase inf)" in lines
+
+    # The mean gap stays below exp(-beta) (mean energy_0 + mean bracket) on
+    # the README example and BASE_CONFIG; with beta0 = 0.5 it does not.
+    @pytest.mark.parametrize("text, passed", [
+        (_readme_example(), True),
+        (BASE_CONFIG, True),
+        (_BETA0_HALF, False),
+    ], ids=["readme", "base", "beta0=0.5"])
+    def test_rate_bound_verdict(self, text, passed, tmp_path):
+        lines = self._summary(tmp_path, text, "error")
+        assert [line.split(" (")[0] for line in lines if line.startswith("rate_bound_pass")] == [
+            f"rate_bound_pass = {passed}"]
+
+    def _summary(self, tmp_path, text, action):
+        """The summary.txt lines of a run of the config text that exits 0
+        under the warning filter action, the sign warning of Phi ignored,
+        with no other warning."""
+        cfg = _write_config(tmp_path, text + f"output = {tmp_path}/out\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter(action)
+            warnings.filterwarnings("ignore", "learning-rate path has the opposite sign")
+            assert main(["run", cfg]) == EXIT_OK
+        assert caught == []
+        return (tmp_path / "out" / "summary.txt").read_text().splitlines()
+
     def test_selftest_passes(self, capsys):
         assert main(["selftest"]) == EXIT_OK
         assert "PASS" in capsys.readouterr().out
@@ -1420,7 +1467,7 @@ def _configs(draw):
 def test_every_config_exits_0_2_or_3(action, cfg):
     """run, sweep and compare end in exit 0, 2 or 3; the iterates of every
     trajectory are finite, a failed seed's prefix included, and so are its
-    quadratic variation and loss gaps unless it carries an error."""
+    loss gaps unless it carries an error."""
     with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
         warnings.simplefilter(action, RuntimeWarning)
         text = _dotted_text(cfg)
@@ -1434,6 +1481,5 @@ def test_every_config_exits_0_2_or_3(action, cfg):
             return
     for traj in artifacts.trajectories:
         assert np.isfinite(traj.x_path).all()       # a failed seed keeps its prefix
-        assert traj.error is not None or (
-            np.isfinite(traj.qv_path).all()
-            and (cfg["optimizer.mode"] == "synthetic" or np.isfinite(traj.loss_gap).all()))
+        assert (traj.error is not None or cfg["optimizer.mode"] == "synthetic"
+                or np.isfinite(traj.loss_gap).all())

@@ -2,7 +2,6 @@
 
 import dataclasses
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -31,7 +30,7 @@ from varopt import (
     run_optimizer,
 )
 from varopt import gradient_models, optimizers
-from varopt.diagnostics import Trajectory, qv_accumulate
+from varopt.diagnostics import Trajectory
 from varopt.gradient_models import initial_kalman_state
 from varopt.harness import component_rng, generate_problem
 from varopt.schedules import phi_scalar_path, phi_vector_path
@@ -166,7 +165,7 @@ class TestRunOptimizer:
         t1 = run_optimizer(spec, None, 20, seed=5)
         t2 = run_optimizer(spec, None, 20, seed=5)
         np.testing.assert_array_equal(t1.x_path, t2.x_path)
-        np.testing.assert_array_equal(t1.qv_path, t2.qv_path)
+        np.testing.assert_array_equal(t1.g_path, t2.g_path)
         assert t1.error is None
 
     def test_different_seeds_differ(self):
@@ -393,7 +392,7 @@ def test_run_is_the_public_step_loop(make_spec, hand_loop):
 def test_failed_run_keeps_completed_steps():
     # sigma = 300 drives an entropy coordinate to an exact zero, outside
     # the map's domain, on step 10 of 20.  The run keeps X_0 .. X_10 and
-    # the matching stream, Phi and QV prefixes, and its error names step 10.
+    # the matching stream and Phi prefixes, and its error names step 10.
     spec = OptimizerSpec(kind="mirror_sgd", mirror=entropy_map(),
                          schedule=linear_schedule(beta0=-0.7, gamma1=1.0,
                                                   delta_T=19.3, horizon_T=20.0),
@@ -411,7 +410,6 @@ def test_failed_run_keeps_completed_steps():
     np.testing.assert_array_equal(traj.phi_path,
                                   phi_scalar_path(spec.schedule, times[:-1])[:10])
     np.testing.assert_array_equal(traj.g_path, short.g_path)
-    np.testing.assert_array_equal(traj.qv_path, short.qv_path)
 
 
 def _ensemble_spec(kind, mode):
@@ -713,51 +711,3 @@ def test_covariance_failure_stops_every_seed_at_its_step(monkeypatch):
         assert traj.error == f"FilterDivergenceError at step 1: {info.value}"
         np.testing.assert_array_equal(traj.x_path, [np.zeros(3), x1])
         assert traj.steps == 1 and traj.g_path.shape == (1, 3)
-
-
-@pytest.mark.parametrize("action", ["ignore", "error"])
-def test_qv_overflow_fails_its_seed_not_the_ensemble(monkeypatch, action):
-    # sigma = 7e153 makes the squared QV increments of 5 of 8 seeds
-    # overflow, on steps 12 to 18.  Under either warning filter each such
-    # row fails at the step of its first non-finite QV entry, keeping
-    # X_0 .. X_j and its finite QV prefix; the other rows complete.
-    spec = OptimizerSpec(kind="mirror_sgd", mirror=quadratic_map(),
-                         schedule=linear_schedule(beta0=-0.7, gamma1=1.0, delta_T=19.3,
-                                                  horizon_T=20.0),
-                         model=MartingaleGradientModel(sigma=7e153, n=100, m=25, d=3))
-    seeds = list(range(8))
-    with warnings.catch_warnings():
-        warnings.simplefilter(action, RuntimeWarning)
-        ensemble = run_ensemble(spec, None, 20, seeds)
-    monkeypatch.setattr(optimizers, "_fail_nonfinite", lambda *args, **kwargs: None)
-    with np.errstate(invalid="ignore"):     # the inf - inf of Trajectory's QV check
-        unchecked = run_ensemble(spec, None, 20, seeds)
-    failed = [t for t in ensemble if t.error is not None]
-    assert 0 < len(failed) < len(seeds)
-    for got, full in zip(ensemble, unchecked):
-        assert np.all(np.isfinite(got.qv_path))
-        if got.error is None:
-            _assert_same_trajectories([got], [full])
-            continue
-        j = got.steps
-        assert got.error == (f"FloatingPointError at step {j}: "
-                             "quadratic-variation proxy is not finite")
-        assert np.all(np.isfinite(full.qv_path[:j])) and not np.isfinite(full.qv_path[j])
-        np.testing.assert_array_equal(got.x_path, full.x_path[:j + 1])
-        np.testing.assert_array_equal(got.g_path, full.g_path[:j])
-        np.testing.assert_array_equal(got.qv_path, np.append(full.qv_path[:j], full.qv_path[j - 1]))
-
-
-@pytest.mark.parametrize("k", [0, 1, 2, 50])
-def test_qv_path_is_the_stepwise_accumulation(k):
-    rng = np.random.default_rng(k)
-    g_stream = rng.standard_normal((k, 3))
-    weights, decays = rng.uniform(0.5, 3.0, 60), rng.uniform(0.1, 1.0, 60)
-    coeff = 0.37
-    expected = np.zeros(k + 1)
-    for j in range(1, k):
-        scaled = decays[j - 1] * (-coeff * weights[j - 1] * (g_stream[j] - g_stream[j - 1]))
-        expected[j] = qv_accumulate(expected[j - 1], scaled, scaled)
-    expected[k] = expected[max(k - 1, 0)]
-    np.testing.assert_array_equal(optimizers._qv_path(coeff, (weights, decays), g_stream),
-                                  expected)
