@@ -27,7 +27,8 @@ EXIT_NUMERICAL = 3
 def _parse_grid(spec: str) -> dict:
     """Grid syntax: 'key=v1,v2;other.key=v3,v4'.  A clause's values are one
     JSON array when they parse as one ('optimizer.x0=[1,1],[2,2]'), else
-    they are split at every comma into JSON values or bare strings."""
+    they are split at every comma into JSON values or bare strings.  A key
+    may head one clause only."""
     grid = {}
     for clause in spec.split(";"):
         clause = clause.strip()
@@ -42,6 +43,8 @@ def _parse_grid(spec: str) -> dict:
             parsed = [_json_or_string(token.strip()) for token in values.split(",")]
         if not parsed:
             raise ConfigError(f"grid clause {clause!r} has no values")
+        if key.strip() in grid:
+            raise ConfigError(f"grid key {key.strip()} is given in two clauses")
         grid[key.strip()] = parsed
     if not grid:
         raise ConfigError("empty parameter grid")

@@ -282,6 +282,9 @@ def build_experiment(cfg: dict) -> ExperimentConfig:
 def _experiment(cfg: dict, cell: tuple) -> ExperimentConfig:
     """build_experiment of cfg, whose keys check_keys has checked."""
     mode, kind, _, map_name, problem_kind = cell
+    if kind == "fosp_continuous" and map_name == "quadratic":
+        raise ConfigError("optimizer.kind = fosp_continuous is mirror_sgd on the quadratic map, "
+                          "where its Euler substeps add up to one mirror_sgd step: use mirror_sgd")
     if mode == "empirical" and not cfg.get("problem"):
         raise ConfigError("optimizer.mode = empirical needs a problem: "
                           "set problem.kind, problem.d and problem.N")

@@ -261,7 +261,11 @@ def sweep(raw_cfg: dict, grid: dict, output: Optional[str] = None) -> str:
 def compare(raw_cfg: dict, kinds: Sequence[str]) -> str:
     """Run the same config under several optimizer kinds on identical
     seeds, each in compare_{kind}; returns the path of the comparison
-    summary CSV, a failed kind included (see _run_cells)."""
+    summary CSV, a failed kind included (see _run_cells).  A kind named
+    twice is a ConfigError before any directory is made."""
+    for kind in kinds:
+        if kinds.count(kind) > 1:
+            raise ConfigError(f"{kind} is named twice, and both runs would write compare_{kind}")
     base_output = str(raw_cfg.get("output", "varopt_out"))
     cells = [([kind], {"optimizer.kind": kind,
                        "output": os.path.join(base_output, f"compare_{kind}")})

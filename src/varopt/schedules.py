@@ -394,10 +394,12 @@ def _interval_exps(widths: np.ndarray, m: np.ndarray) -> np.ndarray:
     and its width, as a Phi failure."""
     first = {}
     inverse = [first.setdefault(width, len(first)) for width in widths.tolist()]
+    distinct = np.array(list(first))[:, None, None] * m
     try:
-        return matrix_exp(np.array(list(first))[:, None, None] * m)[inverse]
+        return matrix_exp(distinct)[inverse]
     except NumericalError:
-        i = int(np.argmin(np.isfinite(_expm(widths[:, None, None] * m)).all(axis=(-2, -1))))
+        # Widths are numbered by first appearance: the first that overflows names the interval.
+        i = inverse.index(int(np.argmin(np.isfinite(_expm(distinct)).all(axis=(-2, -1)))))
         raise NumericalError(
             f"learning-rate path Phi: the exponential of interval {i}, of width "
             f"{widths[i]:.6g}, overflows the float range at stack index ({i},)") from None

@@ -9,6 +9,7 @@ the builder or give the unperturbed outputs: a refused key is unread.
 """
 
 import copy
+import itertools
 import math
 
 import numpy as np
@@ -17,7 +18,7 @@ import pytest
 from varopt.harness import ConfigError, build_experiment, run_experiment
 from varopt.harness.config import _KNOWN, _cell, _experiment
 from varopt.harness.runner import _set_dotted
-from varopt.optimizers import _FILTERED_KINDS
+from varopt.optimizers import _FILTERED_KINDS, OPTIMIZER_KINDS
 
 # One perturbed value per key, for a d = 2 run whose state-space model
 # has the default dtilde = 1.  "polynomial" takes no alpha0, so its
@@ -67,12 +68,14 @@ def _unperturbed(mode, kind, model):
 # (mode, kind, model kind, map name, problem: kind and seed, "d" for a
 # synthetic run that sets its dimension, model.d = 2, or None).  The
 # entropy map runs empirically on problem seeds whose minimizer, and the
-# perturbed problems' minimizers, lie in its orthant.
+# perturbed problems' minimizers, lie in its orthant.  fosp_continuous runs
+# on the entropy map: the builder refuses it on the quadratic map, where it
+# is mirror_sgd.
 _CELLS = [
     ("synthetic", "mirror_sgd", "martingale", "quadratic", None),
     ("synthetic", "mirror_sgd", "state_space", "entropy", None),
     ("synthetic", "fosp_continuous", "martingale", "entropy", None),
-    ("synthetic", "fosp_continuous", "state_space", "quadratic", None),
+    ("synthetic", "fosp_continuous", "state_space", "entropy", None),
     ("synthetic", "kalman_gd", "state_space", "quadratic", None),
     ("synthetic", "generalized_momentum", "state_space", "entropy", None),
     # Polyak's heavy ball: generalized momentum at the default dtilde = 1.
@@ -83,9 +86,9 @@ _CELLS = [
     ("empirical", "mirror_sgd", "martingale", "quadratic", ("quadratic", 0)),
     ("empirical", "mirror_sgd", "state_space", "quadratic", ("logistic", 0)),
     ("empirical", "mirror_sgd", None, "entropy", ("quadratic", 11)),
-    ("empirical", "fosp_continuous", "martingale", "quadratic", ("logistic", 0)),
+    ("empirical", "fosp_continuous", "martingale", "entropy", ("quadratic", 24)),
     ("empirical", "fosp_continuous", "state_space", "entropy", ("quadratic", 24)),
-    ("empirical", "fosp_continuous", None, "quadratic", ("logistic", 0)),
+    ("empirical", "fosp_continuous", None, "entropy", ("quadratic", 11)),
     ("empirical", "kalman_gd", "state_space", "quadratic", ("logistic", 0)),
     ("empirical", "generalized_momentum", "state_space", "quadratic", ("quadratic", 0)),
     pytest.param(("empirical", "generalized_momentum", "state_space", "quadratic",
@@ -154,3 +157,38 @@ def test_every_key_changes_the_run_or_is_refused(cell):
             except ConfigError:
                 pass
     assert not failures
+
+
+# The distinct (mode, model kind, map name, problem) of _CELLS.
+_KIND_CELLS = list(dict.fromkeys(
+    (mode, model, map_name, problem) for mode, _, model, map_name, problem
+    in (getattr(cell, "values", (cell,))[0] for cell in _CELLS)))
+
+
+@pytest.mark.parametrize("cell", _KIND_CELLS, ids=lambda cell: "-".join(
+    str(part[0] if isinstance(part, tuple) else part) for part in cell))
+def test_no_two_kinds_give_one_result(cell):
+    # Every kind that the builder admits on the cell runs seed 0 for 5
+    # steps, and no two of them give the same iterates.  On the quadratic
+    # map fosp_continuous is mirror_sgd, and the builder refuses it, naming
+    # mirror_sgd.
+    mode, model, map_name, problem = cell
+    paths = {}
+    for kind in OPTIMIZER_KINDS:
+        cfg = _set_dotted(_base(mode, kind, model, map_name, problem),
+                          {"seeds": [0], "mesh.steps": 5})
+        try:
+            experiment = build_experiment(cfg)
+        except ConfigError as exc:
+            if kind == "fosp_continuous" and map_name == "quadratic":
+                assert "mirror_sgd" in str(exc)
+            continue
+        (trajectory,) = run_experiment(experiment, write=False).trajectories
+        assert trajectory.error is None
+        paths[kind] = trajectory.x_path
+    assert "mirror_sgd" in paths
+    assert map_name == "entropy" or "fosp_continuous" not in paths
+    for a, b in itertools.combinations(paths, 2):
+        x, y = paths[a], paths[b]
+        scale = 1.0 + max(np.abs(x).max(), np.abs(y).max())
+        assert np.abs(x - y).max() / scale > 1e-12, f"{a} and {b} give one result"

@@ -58,6 +58,11 @@ optimizer.mode = empirical
 seeds = [0, 1, 2]
 """
 
+# BASE_CONFIG on the entropy map, on a problem seed whose minimizer lies in
+# its orthant.  There fosp_continuous is not mirror_sgd, as it is on the
+# quadratic map, where the builder refuses it.
+_ENTROPY_CONFIG = BASE_CONFIG + "map.name = entropy\nproblem.seed = 9\n"
+
 # BASE_CONFIG with beta0 = 0.5: Phi turns negative and the run diverges.
 _BETA0_HALF = BASE_CONFIG + ('schedule.params = {"alpha0": 2.302585092994046, "beta0": 0.5, '
                              '"gamma1": 10.0}\n')
@@ -868,26 +873,29 @@ class TestSweepAndCompare:
         assert rows[0][0] == rows[1][0] and rows[0][1] != rows[1][1]
 
     def test_compare_refuses_a_key_that_no_kind_reads(self, tmp_path):
-        raw = parse_config_text(BASE_CONFIG + "model.kind = state_space\nmodel.A = [[0.5]]\n"
-                                f"output = {tmp_path}/cmp\n")
+        raw = parse_config_text(_ENTROPY_CONFIG + "model.kind = state_space\n"
+                                f"model.A = [[0.5]]\noutput = {tmp_path}/cmp\n")
         with pytest.raises(ConfigError, match="^model.A is not read by empirical mirror_sgd "
                            "runs .* or empirical fosp_continuous runs"):
             compare(raw, ["mirror_sgd", "fosp_continuous"])
         assert not (tmp_path / "cmp").exists()
 
     def test_compare_runs_kinds(self, tmp_path):
-        raw = parse_config_text(BASE_CONFIG + f"output = {tmp_path}/cmp\n"
+        raw = parse_config_text(_ENTROPY_CONFIG + f"output = {tmp_path}/cmp\n"
                                 "seeds = [0]\n")
         path = compare(raw, ["mirror_sgd", "fosp_continuous"])
         lines = open(path).read().strip().splitlines()
         assert lines[0] == "optimizer,n_seeds,n_failed,mean_final_gap"
         assert len(lines) == 3
-        assert lines[1].startswith("mirror_sgd,")
+        assert lines[1].startswith("mirror_sgd,1,0,")
+        assert lines[2].startswith("fosp_continuous,1,0,")
+        assert lines[1].split(",")[3] != lines[2].split(",")[3]
 
 
-def _readme_example():
+def _readme_example(index=0):
+    """The README's example config, or its state-space example at index 1."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    return re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+    return re.findall(r"```ini\n(.*?)```", readme, re.S)[index]
 
 
 def _config_docstring_example():
@@ -907,6 +915,21 @@ class TestCli:
         monkeypatch.chdir(tmp_path)
         assert main(["run", _write_config(tmp_path, example())]) == EXIT_OK
         assert (tmp_path / "out" / "summary.txt").exists()
+
+    def test_state_space_readme_example_compares_three_kinds(self, tmp_path, monkeypatch,
+                                                             capsys):
+        # The README CLI block's compare line: three results, no failed cell.
+        monkeypatch.chdir(tmp_path)
+        cfg = _write_config(tmp_path, _readme_example(1))
+        kinds = ["mirror_sgd", "kalman_gd", "generalized_momentum"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", cfg]) == EXIT_OK
+            assert main(["compare", cfg, "--optimizers", ",".join(kinds)]) == EXIT_OK
+        with open(tmp_path / "out" / "kalman" / "compare.csv", newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert [row[:3] for row in rows] == [[kind, "3", "0"] for kind in kinds]
+        assert len({row[3] for row in rows}) == 3
 
     def test_run_success(self, tmp_path, capsys):
         cfg = _write_config(tmp_path, BASE_CONFIG + f"output = {tmp_path}/out\n")
@@ -1029,6 +1052,26 @@ class TestCli:
             "numerical failure: learning-rate path Phi: the integrand of interval 2 "
             "overflows the float range at the node u = 1.33258\n")
         assert not (tmp_path / "out").exists()
+
+    def test_overflowing_propagator_is_named_without_every_interval(self, tmp_path, capsys):
+        # 100000 intervals of width 1e5, up to rounding: expm(A Delta)
+        # overflows, and naming the first such interval exponentiates the
+        # few distinct widths again, not a (K, 2 dtilde, 2 dtilde) stack of
+        # 28.8 MB.
+        steps = 100000
+        cfg = _write_config(tmp_path, KALMAN_CONFIG + f"output = {tmp_path}/out\n"
+                            f'schedule.params = {{"alpha0": {-math.log(1e5)!r}, "beta0": -7.8}}\n'
+                            f"schedule.T = 2e10\nmesh.steps = {steps}\n")
+        tracemalloc.start()
+        try:
+            assert main(["run", cfg]) == EXIT_NUMERICAL
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert capsys.readouterr().err == (
+            "numerical failure: learning-rate path Phi: the exponential of interval 0, of width "
+            "100000, overflows the float range at stack index (0,)\n")
+        assert peak < steps * 6 * 6 * 8
 
     # The linear family takes J_i from the Van Loan exponential: here
     # J_i / w(e_{i+1}) and the weight w(e_{i+1}) are finite, but their
@@ -1239,7 +1282,7 @@ class TestCli:
         assert capsys.readouterr().out.strip().endswith("sweep.csv")
 
     def test_sweep_subcommand_over_an_array(self, tmp_path, capsys):
-        cfg = _write_config(tmp_path, BASE_CONFIG + f"output = {tmp_path}/sw\n"
+        cfg = _write_config(tmp_path, _ENTROPY_CONFIG + f"output = {tmp_path}/sw\n"
                             "seeds = [0]\n")
         assert main(["sweep", cfg, "--grid",
                      "optimizer.x0=[1,1,1],[2,2,2];optimizer.kind=mirror_sgd,"
@@ -1296,10 +1339,56 @@ class TestCli:
         assert "has no values" in capsys.readouterr().err
 
     def test_compare_subcommand(self, tmp_path, capsys):
-        cfg = _write_config(tmp_path, BASE_CONFIG + f"output = {tmp_path}/cmp\n"
+        cfg = _write_config(tmp_path, _ENTROPY_CONFIG + f"output = {tmp_path}/cmp\n"
                             "seeds = [0]\n")
         assert main(["compare", cfg, "--optimizers",
                      "mirror_sgd,fosp_continuous"]) == EXIT_OK
+        assert "error:" not in (tmp_path / "cmp" / "compare.csv").read_text()
+
+    def test_compare_refuses_a_kind_named_twice(self, tmp_path, capsys):
+        # Both runs would write compare_mirror_sgd, the second over the first.
+        cfg = _write_config(tmp_path, BASE_CONFIG + f"output = {tmp_path}/cmp\n")
+        assert main(["compare", cfg, "--optimizers", "mirror_sgd,mirror_sgd"]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "configuration error: mirror_sgd is named twice, and both runs would write "
+            "compare_mirror_sgd\n")
+        assert not (tmp_path / "cmp").exists()
+
+    def test_grid_key_in_two_clauses_is_config_error(self, tmp_path, capsys):
+        # The second clause would replace the first, dropping model.m = 10.
+        cfg = _write_config(tmp_path, BASE_CONFIG + f"output = {tmp_path}/sw\n")
+        assert main(["sweep", cfg, "--grid", "model.m=10;model.m=50"]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "configuration error: grid key model.m is given in two clauses\n")
+        assert not (tmp_path / "sw").exists()
+
+    # On a quadratic map the Euler substeps of fosp_continuous add up to the
+    # mirror_sgd step, so the builder refuses the kind there, naming
+    # mirror_sgd, before any output is made and with no warning.
+    @pytest.mark.parametrize("action", ["default", "error"])
+    def test_fosp_continuous_on_the_quadratic_map_is_refused(self, action, tmp_path, capsys):
+        cfg = _write_config(tmp_path, _readme_example() + f"output = {tmp_path}/out\n"
+                            "optimizer.kind = fosp_continuous\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter(action)
+            assert main(["run", cfg]) == EXIT_CONFIG
+        assert caught == []
+        assert capsys.readouterr().err == (
+            "configuration error: optimizer.kind = fosp_continuous is mirror_sgd on the "
+            "quadratic map, where its Euler substeps add up to one mirror_sgd step: use "
+            "mirror_sgd\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_compare_records_fosp_continuous_on_the_quadratic_map(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path, BASE_CONFIG + f"output = {tmp_path}/cmp\nseeds = [0]\n")
+        assert main(["compare", cfg, "--optimizers", "mirror_sgd,fosp_continuous"]) == EXIT_OK
+        with open(tmp_path / "cmp" / "compare.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[1][:3] == ["mirror_sgd", "1", "0"]
+        assert rows[2][:3] == ["fosp_continuous", "0", "all"]
+        assert rows[2][3].startswith("error:ConfigError: optimizer.kind = fosp_continuous is "
+                                     "mirror_sgd on the quadratic map")
+        assert not (tmp_path / "cmp" / "compare_fosp_continuous").exists()
 
     def test_compare_records_a_failed_kind(self, tmp_path, capsys):
         cfg = _write_config(tmp_path, BASE_CONFIG + f"output = {tmp_path}/cmp\n")
