@@ -10,7 +10,6 @@ from .bregman import (
     DomainError,
     MirrorMap,
     NumericalError,
-    custom_map,
     divergence,
     dual_divergence_check,
     entropy_map,
@@ -47,7 +46,6 @@ from .optimizers import (
     momentum_from_nu,
     nu_from_momentum,
     run_ensemble,
-    run_optimizer,
 )
 from .schedules import (
     Mesh,
@@ -57,9 +55,7 @@ from .schedules import (
     constant_schedule,
     linear_schedule,
     matrix_exp,
-    phi_scalar,
     phi_scalar_path,
-    phi_vector,
     phi_vector_path,
     polynomial_schedule,
 )

@@ -33,7 +33,6 @@ __all__ = [
     "NumericalError",
     "quadratic_map",
     "entropy_map",
-    "custom_map",
     "divergence",
     "grad_dual",
     "dual_divergence_check",
@@ -66,7 +65,10 @@ _NEWTON_TOL = 1e-10
 class MirrorMap:
     """A strictly convex C^2 reference function with its derivatives,
     assumed strongly convex with a Lipschitz gradient where the iterates
-    go (see the module docstring)."""
+    go (see the module docstring).  A user-supplied map is built directly:
+    its callables must act on the last axis like the built-in maps'
+    (hess_h on one point), and omitting grad_h_dual requests damped-Newton
+    inversion of grad_h inside grad_dual."""
 
     name: str
     h: Callable[[np.ndarray], np.ndarray]
@@ -141,16 +143,6 @@ def entropy_map() -> MirrorMap:
         hess_h=lambda x: np.diag(1.0 / x),
         in_domain=lambda x: bool((x > 0).all()),
     )
-
-
-def custom_map(name, h, grad_h, hess_h, grad_h_dual=None,
-               in_domain=lambda x: True) -> MirrorMap:
-    """Wrap user-supplied callables, which must act on the last axis like
-    the built-in maps (hess_h on one point), for an h that is strongly
-    convex with a Lipschitz gradient where the iterates go.  Omitting
-    grad_h_dual requests damped-Newton inversion of grad_h inside
-    grad_dual."""
-    return MirrorMap(name, h, grad_h, hess_h, grad_h_dual, in_domain)
 
 
 def _h(mirror: MirrorMap, x: np.ndarray) -> np.ndarray:

@@ -228,9 +228,12 @@ def rate_bound_check(report: EnsembleReport, schedule: Schedule) -> RateBoundRep
     """Compare the mean loss gap against the bound of a supermartingale
     energy, B_t = exp(-beta_t) (mean energy_0 + mean bracket_t), at every
     diagnostic time; passes when the largest ratio gap / B_t is at most 1.
+    A mean gap of 0 meets any bound, B_t = 0 at the minimizer included:
+    its ratio is 0, not 0/0.
     """
     bound = _exp(-schedule.beta(report.times)) * (report.mean_energy[0] + report.mean_bracket)
-    ratio = report.mean_gap / bound
+    gap = report.mean_gap
+    ratio = np.divide(gap, bound, out=np.zeros_like(bound), where=gap != 0)
     max_ratio = float(np.max(ratio))
     return RateBoundReport(times=report.times, ratio=ratio, bound_value=bound,
                            max_ratio=max_ratio, passed=max_ratio <= 1.0)

@@ -12,14 +12,14 @@ Example::
     output = out/
 
 Values are JSON where they parse as JSON, else bare strings; a null number
-reads as its default, an integer key also takes an integral float such as
-2e4, and a later line for a key overrides an earlier one.  Each setting has
-one key, and a run reads the keys of its cell (_READS): any other key is
-refused naming it and the cell, but model.sigma in an empirical unfiltered
-run, which the benchmark's workload configs set.  So the dimension is
-problem.d in an empirical run and model.d in a synthetic one, which has no
-problem section.  A sweep or a comparison refuses a key only when none of
-its runs reads it.  README.md has the rest.
+reads as its default, a bool is refused as a number, an integer key also
+takes an integral float such as 2e4, and a later line for a key overrides
+an earlier one.  Each setting has one key, and a run reads the keys of its
+cell (_READS): any other key is refused naming it and the cell, but
+model.sigma in an empirical unfiltered run, which the benchmark's workload
+configs set.  So the dimension is problem.d in an empirical run and model.d
+in a synthetic one, which has no problem section.  A sweep or a comparison
+refuses a key only when none of its runs reads it.  README.md has the rest.
 """
 
 from __future__ import annotations
@@ -171,7 +171,14 @@ _SCHEDULE_FAMILIES = {
 }
 
 
-def _value(cfg, key: str, default, convert=float):
+def _float(value) -> float:
+    """value as a float; ValueError for a bool, which is not a number."""
+    if isinstance(value, bool):
+        raise ValueError("a bool is not a number")
+    return float(value)
+
+
+def _value(cfg, key: str, default, convert=_float):
     """The value at the dotted key of cfg passed through convert, or
     default when the key is absent or null; ConfigError naming the key
     when the conversion fails or gives NaN or an infinity."""
@@ -193,6 +200,9 @@ def _value(cfg, key: str, default, convert=float):
 
 
 def _floats(value) -> np.ndarray:
+    """value as a float array; ValueError when an entry is a bool."""
+    if any(isinstance(v, bool) for v in np.ravel(np.array(value, dtype=object))):
+        raise ValueError("a bool is not a number")
     return np.asarray(value, dtype=float)
 
 

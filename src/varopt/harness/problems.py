@@ -22,10 +22,9 @@ families ship:
 Mini-batch gradients sample m indices without replacement per batch,
 independently across steps, and evaluate the gradient on those m rows
 only, so a step costs O(m d) whatever N is.  `minibatch_gradients`
-evaluates the batches of S seeds as one stacked gradient, and
-`minibatch_gradient` is its one-row case.  Each sample's gradient
-depends only on its own row, so every batch mean equals the mean of the
-matching rows of `per_sample_gradients` bit for bit.
+evaluates the batches of S seeds as one stacked gradient.  Each sample's
+gradient depends only on its own row, so every batch mean equals the
+mean of the matching rows of `per_sample_gradients` bit for bit.
 
 `loss` and `loss_gap` take one point or a (k, d) stack of points.  The
 logistic loss of a stack tiles the data, not the points: each chunk of
@@ -193,11 +192,6 @@ class ProblemInstance:
         # The sum runs over the rows in order, as the m = n mini-batch
         # reduction does, so that call reproduces it exactly.
         return self.per_sample_gradients(x).mean(axis=0)
-
-    def minibatch_gradient(self, x, m: int, rng: np.random.Generator) -> np.ndarray:
-        """The mini-batch gradient at x of m rows drawn by rng: the one-row
-        case of minibatch_gradients."""
-        return self.minibatch_gradients(np.asarray(x, dtype=float)[None], m, [rng])[0]
 
     def minibatch_gradients(self, xs, m: int, rngs) -> np.ndarray:
         """(S, d) mini-batch gradients, row i at xs[i] on m rows drawn by

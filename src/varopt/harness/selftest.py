@@ -19,7 +19,7 @@ from ..gradient_models import (
     martingale_filter,
 )
 from ..optimizers import mirror_descent_step
-from ..schedules import build_mesh, linear_schedule, matrix_exp, phi_scalar
+from ..schedules import build_mesh, linear_schedule, matrix_exp, phi_scalar_path
 from .problems import generate_problem
 
 
@@ -80,7 +80,7 @@ def _checks():
 
     def phi_terminal():
         sched = linear_schedule(beta1=1.0, delta_T=1.0, horizon_T=1.0)
-        return abs(phi_scalar(sched, 1.0) - math.e) < 1e-9
+        return abs(phi_scalar_path(sched, [1.0])[0] - math.e) < 1e-9
 
     def matrix_exp_inverse():
         m = rng.standard_normal((4, 4))

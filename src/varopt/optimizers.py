@@ -61,7 +61,6 @@ __all__ = [
     "fosp_flow_step",
     "nu_from_momentum",
     "momentum_from_nu",
-    "run_optimizer",
     "run_ensemble",
     "OPTIMIZER_KINDS",
 ]
@@ -234,11 +233,6 @@ def _mesh_times(schedule: Schedule, steps: int) -> np.ndarray:
             f"T = {schedule.horizon_T:.6g}; reduce steps or extend the horizon"
         )
     return times
-
-
-def run_optimizer(spec: OptimizerSpec, problem, steps: int, seed: int) -> Trajectory:
-    """Run one seeded optimization: run_ensemble on the single seed."""
-    return run_ensemble(spec, problem, steps, [seed])[0]
 
 
 def run_ensemble(spec: OptimizerSpec, problem, steps: int, seeds) -> list[Trajectory]:

@@ -14,11 +14,11 @@ terminal condition M(T) = exp(delta_T) I,
     M(t) = exp(delta_T) expm(A (T - t)) - int_t^T w(u) expm(A (u - t)) du,
 
 with weight w(u) = exp(alpha_u + beta_u + gamma_u); the scalar path is
-the vector one with A = 0 and b = 1.  All four phi_* functions evaluate it
-on a sorted grid in [t_min, T] (a single time is a grid of length one) and
-reject with ValueError unsorted times and times before t_min or more than
-_HORIZON_SLACK past T, the slack the mesh has too.  M is propagated
-backward from T over the grid, one local integral per interval
+the vector one with A = 0 and b = 1.  Both phi_*_path functions evaluate
+it on a sorted grid in [t_min, T] (a single time is a grid of length
+one) and reject with ValueError unsorted times and times before t_min or
+more than _HORIZON_SLACK past T, the slack the mesh has too.  M is
+propagated backward from T over the grid, one local integral per interval
 (_phi_path): for the linear family, whose weight is exp(c0 + c1 t), every
 interval's propagator and integral come from one stacked Van Loan block
 exponential, one matrix per distinct interval width; for any other
@@ -46,8 +46,6 @@ __all__ = [
     "polynomial_schedule",
     "check_scaling",
     "build_mesh",
-    "phi_scalar",
-    "phi_vector",
     "phi_scalar_path",
     "phi_vector_path",
     "matrix_exp",
@@ -197,9 +195,17 @@ def polynomial_schedule(p=2.0, c=1.0, delta_T=0.0, horizon_T=1.0, t_min=0.1) -> 
 
 
 def _central_diff(fn, ts):
-    """Central differences of fn on the grid ts, one-sided at its ends."""
-    a, b = np.maximum(ts - _FD_STEP, ts[0]), np.minimum(ts + _FD_STEP, ts[-1])
-    return (fn(b) - fn(a)) / (b - a)
+    """Central differences of fn on the grid ts, within [ts[0], ts[-1]]:
+    one-sided where a step would leave it, and second-order one-sided at
+    the two ends, where a first-order one errs by h f''/2."""
+    t0, t1 = ts[0], ts[-1]
+    a, b = np.maximum(ts - _FD_STEP, t0), np.minimum(ts + _FD_STEP, t1)
+    out = (fn(b) - fn(a)) / (b - a)
+    h = min(_FD_STEP, (t1 - t0) / 2)
+    f = fn(np.array([t0, t0 + h, t0 + 2 * h, t1 - 2 * h, t1 - h, t1]))
+    out[0] = (4 * f[1] - 3 * f[0] - f[2]) / (2 * h)
+    out[-1] = (3 * f[5] - 4 * f[4] + f[3]) / (2 * h)
+    return out
 
 
 def check_scaling(schedule: Schedule) -> ScalingReport:
@@ -497,11 +503,6 @@ def phi_scalar_path(schedule: Schedule, times) -> np.ndarray:
     return _phi_path(schedule, np.zeros((1, 1)), np.ones(1), times)[:, 0]
 
 
-def phi_scalar(schedule: Schedule, t: float) -> float:
-    """phi_scalar_path at one time."""
-    return float(phi_scalar_path(schedule, [t])[0])
-
-
 def phi_vector_path(schedule: Schedule, a_mat, b_vec, times) -> np.ndarray:
     """Vector learning-rate path of the linear state-space gradient model
     on a sorted time grid; a_mat must be positive definite.  Returns an
@@ -510,9 +511,3 @@ def phi_vector_path(schedule: Schedule, a_mat, b_vec, times) -> np.ndarray:
     if not _positive_definite(a_mat):
         raise ValueError("A must be positive definite")
     return _phi_path(schedule, a_mat, np.atleast_1d(np.asarray(b_vec, dtype=float)), times)
-
-
-def phi_vector(schedule: Schedule, a_mat: np.ndarray, b_vec: np.ndarray,
-               t: float) -> np.ndarray:
-    """phi_vector_path at one time: the dtilde-vector Phi(t)."""
-    return phi_vector_path(schedule, a_mat, b_vec, [t])[0]

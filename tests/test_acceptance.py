@@ -24,10 +24,10 @@ from varopt import (
     linear_schedule,
     mirror_descent_step,
     nu_from_momentum,
-    phi_scalar,
-    phi_vector,
+    phi_scalar_path,
+    phi_vector_path,
     quadratic_map,
-    run_optimizer,
+    run_ensemble,
 )
 from varopt.gradient_models import initial_kalman_state
 from varopt.harness import (
@@ -200,15 +200,15 @@ def test_criterion_07_learning_rate_paths():
             delta_T=rng.uniform(-1, 2), horizon_T=rng.uniform(0.5, 4.0),
         )
         target = math.exp(s.delta_T - s.gamma(s.horizon_T))
-        ok &= bool(abs(phi_scalar(s, s.horizon_T) - target) <= 1e-9)
+        ok &= bool(abs(phi_scalar_path(s, [s.horizon_T])[0] - target) <= 1e-9)
     # Constant-schedule closed form.
     params, dT, T = {"alpha0": 0.3, "beta0": -0.2, "gamma0": 0.1}, 1.0, 2.5
     s = constant_schedule(**params, delta_T=dT, horizon_T=T)
     ts = np.linspace(0.0, T, 6)
-    # Phi(0) = exp(-g0) (e - 2.5 w0) is negative, which phi_scalar reports.
+    # Phi(0) = exp(-g0) (e - 2.5 w0) is negative, which phi_scalar_path reports.
     with pytest.warns(RuntimeWarning, match="opposite sign"):
         for t, expected in zip(ts, oracles.phi_constant_scalar(params, dT, T, ts)):
-            ok &= bool(abs(phi_scalar(s, float(t)) - expected) <= 1e-9)
+            ok &= bool(abs(phi_scalar_path(s, [float(t)])[0] - expected) <= 1e-9)
     # Vector path vs an independent fixed-grid quadrature oracle.
     s = linear_schedule(beta0=-0.3, beta1=0.2, gamma0=0.1, gamma1=0.7,
                         delta_T=1.2, horizon_T=2.0)
@@ -221,7 +221,7 @@ def test_criterion_07_learning_rate_paths():
             lambda u: w(u) * math.exp(-a_val * (t - u)), 0.0, t)) if t > 0 else 0.0
         expected = math.exp(-s.gamma(t)) * (
             b_val * math.exp(-a_val * t) * phi0 + b_val * tail)
-        got = phi_vector(s, np.array([[a_val]]), np.array([b_val]), t)
+        got = phi_vector_path(s, np.array([[a_val]]), np.array([b_val]), [t])[0]
         ok &= bool(abs(got[0] - expected) <= 1e-8)
     _verdict("criterion 7: learning-rate paths (terminal 1e-9, closed form "
              "1e-9, vector oracle 1e-8)", ok)
@@ -235,7 +235,7 @@ def test_criterion_08_energy_supermartingale(noisy_ensemble):
     spec = OptimizerSpec(kind="mirror_sgd", mirror=quadratic_map(),
                          schedule=scaling_linear(steps=steps),
                          mode="empirical", batch_m=30)
-    traj = run_optimizer(spec, problem, steps, seed=0)
+    traj = run_ensemble(spec, problem, steps, [0])[0]
     e = energy_path(spec.mirror, spec.schedule, traj, problem.x_star)
     noiseless_ok = bool(np.all(np.diff(e) <= 1e-9))
     # 200-seed ensemble: mean energy non-increasing within 2 SE.
@@ -259,7 +259,7 @@ def test_criterion_09_rate_bound(noisy_ensemble):
     spec = OptimizerSpec(kind="mirror_sgd", mirror=quadratic_map(),
                          schedule=s, mode="empirical", batch_m=50,
                          x0=np.array([2.0, -1.0, 1.5]))
-    traj = run_optimizer(spec, problem, 20, seed=0)
+    traj = run_ensemble(spec, problem, 20, [0])[0]
     beta = np.array([s.beta(t) for t in traj.times])
     ratio = traj.loss_gap * np.exp(beta)
     burn = traj.times >= 0.1 * T
@@ -301,14 +301,14 @@ def test_criterion_11_minibatch_statistics():
     m = 8
     ok = True
     for x in component_rng(6, "problem").standard_normal((5, 3)):
-        draws = np.stack([problem.minibatch_gradient(x, m, rng)
+        draws = np.stack([problem.minibatch_gradients(x[None], m, [rng])[0]
                           for _ in range(10_000)])
         mean = draws.mean(axis=0)
         se = draws.std(axis=0, ddof=1) / math.sqrt(len(draws))
         ok &= bool(np.all(np.abs(mean - problem.full_gradient(x)) <= 3.0 * se))
     # Finite-population covariance trace within 10%.
     x = np.array([0.5, -0.5, 1.0])
-    draws = np.stack([problem.minibatch_gradient(x, m, rng)
+    draws = np.stack([problem.minibatch_gradients(x[None], m, [rng])[0]
                       for _ in range(10_000)])
     trace = float(np.sum(draws.var(axis=0, ddof=1)))
     grads = problem.per_sample_gradients(x)

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from varopt import (
     DomainError,
+    MirrorMap,
     NumericalError,
-    custom_map,
     divergence,
     dual_divergence_check,
     entropy_map,
@@ -130,7 +130,7 @@ class TestDomain:
 class TestNewtonInversion:
     def test_custom_map_without_dual(self):
         # h(x) = sum cosh(x_i): grad h = sinh, whose inverse is asinh.
-        mirror = custom_map(
+        mirror = MirrorMap(
             name="cosh",
             h=lambda x: float(np.sum(np.cosh(x))),
             grad_h=np.sinh,
@@ -143,7 +143,7 @@ class TestNewtonInversion:
 
     def test_nonconvergence_raises(self):
         # A deliberately wrong Hessian stalls the damped Newton iteration.
-        mirror = custom_map(
+        mirror = MirrorMap(
             name="broken",
             h=lambda x: 0.5 * float(x @ x),
             grad_h=lambda x: np.array(x, dtype=float),
@@ -155,7 +155,7 @@ class TestNewtonInversion:
 
 def _cosh_map(with_dual):
     """h(x) = sum cosh(x_i) written per point: one float for any input."""
-    return custom_map(
+    return MirrorMap(
         name="cosh",
         h=lambda x: float(np.sum(np.cosh(x))),
         grad_h=np.sinh,

@@ -20,7 +20,6 @@ from varopt import (
     quadratic_map,
     rate_bound_check,
     run_ensemble,
-    run_optimizer,
     supermartingale_check,
 )
 from varopt.diagnostics import _energy_paths, ensemble_report
@@ -70,7 +69,7 @@ class TestEnergy:
         spec = OptimizerSpec(kind="mirror_sgd", mirror=quadratic_map(),
                              schedule=scaling_linear(steps=steps),
                              mode="empirical", batch_m=30)
-        return problem, spec, run_optimizer(spec, problem, steps, seed=0)
+        return problem, spec, run_ensemble(spec, problem, steps, [0])[0]
 
     def test_noiseless_energy_monotone(self):
         problem, spec, traj = self._noiseless_trajectory()
@@ -93,7 +92,7 @@ class TestEnergy:
         s = scaling_linear(steps=15, beta0=-1.5)
         spec = OptimizerSpec(kind="mirror_sgd", mirror=mirror, schedule=s,
                              mode="empirical", batch_m=5)
-        traj = run_optimizer(spec, problem, 15, seed=3)
+        traj = run_ensemble(spec, problem, 15, [3])[0]
         expected, bracket, prev = [], 0.0, None
         for t, x, nu, gap in zip(traj.times, traj.x_path, traj.nu_path, traj.loss_gap):
             y = x + math.exp(-s.alpha(t)) * nu
@@ -176,7 +175,7 @@ class TestAction:
         spec = OptimizerSpec(kind="mirror_sgd", mirror=quadratic_map(),
                              schedule=s, mode="empirical", batch_m=20,
                              x0=np.array([2.0, -1.0]))
-        traj = run_optimizer(spec, problem, steps, seed=0)
+        traj = run_ensemble(spec, problem, steps, [0])[0]
 
         def with_path(x_path):
             dts = np.diff(traj.times)
@@ -262,6 +261,16 @@ class TestRateBoundCheck:
 
     def test_oversized_gap_fails(self):
         assert not self._check(1e4 * np.ones(10)).passed
+
+    # At the minimizer the gap, energy_0 and bracket are all 0, so B_t = 0
+    # too: the ratio is 0, not 0/0, and the check passes without a warning.
+    @pytest.mark.filterwarnings("error")
+    def test_zero_gap_over_zero_bound_passes(self):
+        zeros = np.zeros((1, 10))
+        check = rate_bound_check(ensemble_report(self.times, zeros, zeros, zeros), self.s)
+        np.testing.assert_array_equal(check.bound_value, 0.0)
+        np.testing.assert_array_equal(check.ratio, 0.0)
+        assert check.passed and check.max_ratio == 0.0
 
 
 class TestTrajectoryValidation:

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from varopt import OptimizerSpec, quadratic_map, run_ensemble, run_optimizer
+from varopt import OptimizerSpec, quadratic_map, run_ensemble
 from varopt.harness import (
     ConfigError,
     build_experiment,
@@ -345,7 +345,7 @@ class TestProblems:
         x = np.array([0.3, -0.2, 0.5])
         rng = component_rng(1, "batch")
         np.testing.assert_array_equal(
-            problem.minibatch_gradient(x, 40, rng), problem.full_gradient(x))
+            problem.minibatch_gradients(x[None], 40, [rng])[0], problem.full_gradient(x))
 
     def test_minibatch_unbiased(self):
         problem = generate_problem("quadratic", d=3, n=30,
@@ -353,7 +353,7 @@ class TestProblems:
         rng = component_rng(2, "batch")
         points = component_rng(3, "problem").standard_normal((5, 3))
         for x in points:
-            draws = np.stack([problem.minibatch_gradient(x, 6, rng)
+            draws = np.stack([problem.minibatch_gradients(x[None], 6, [rng])[0]
                               for _ in range(10_000)])
             mean = draws.mean(axis=0)
             se = draws.std(axis=0, ddof=1) / math.sqrt(len(draws))
@@ -365,7 +365,7 @@ class TestProblems:
         x = np.array([0.7, -1.1])
         m = 8
         rng = component_rng(4, "batch")
-        draws = np.stack([problem.minibatch_gradient(x, m, rng)
+        draws = np.stack([problem.minibatch_gradients(x[None], m, [rng])[0]
                           for _ in range(10_000)])
         trace = float(np.sum(draws.var(axis=0, ddof=1)))
         grads = problem.per_sample_gradients(x)
@@ -382,7 +382,7 @@ class TestProblems:
         x = component_rng(7, "problem").standard_normal(d)
         full = problem.per_sample_gradients(x)
         for m in (1, 2, 3, 5, 17, n - 1):
-            got = problem.minibatch_gradient(x, m, component_rng(m, "batch"))
+            got = problem.minibatch_gradients(x[None], m, [component_rng(m, "batch")])[0]
             idx = component_rng(m, "batch").choice(n, size=m, replace=False)
             np.testing.assert_array_equal(got, full[idx].mean(axis=0))
 
@@ -399,8 +399,9 @@ class TestProblems:
         for m in (1, 2, 3, 5, 17, 64):
             got = problem.minibatch_gradients(
                 xs, m, [component_rng(seed, "batch") for seed in range(n_seeds)])
-            one_row = np.stack([problem.minibatch_gradient(x, m, component_rng(seed, "batch"))
-                                for seed, x in enumerate(xs)])
+            one_row = np.stack([
+                problem.minibatch_gradients(x[None], m, [component_rng(seed, "batch")])[0]
+                for seed, x in enumerate(xs)])
             np.testing.assert_array_equal(got, one_row, strict=True)
             if m < n:
                 batch_rows = np.stack([
@@ -470,7 +471,7 @@ class TestProblems:
         spec = OptimizerSpec(kind="mirror_sgd", mirror=quadratic_map(),
                              schedule=scaling_linear(), mode="empirical",
                              batch_m=10, x0=problem.x_star + 1e-7)
-        traj = run_optimizer(spec, problem, 0, seed=0)
+        traj = run_ensemble(spec, problem, 0, [0])[0]
         assert traj.steps == 0
         assert traj.loss_gap.shape == (1,)
         assert traj.loss_gap[0] == pytest.approx(0.5 * d * 1e-14, rel=1e-12, abs=0)
@@ -513,7 +514,7 @@ class TestProblems:
         problem.minibatch_gradients = fails_at_step_4
         spec = OptimizerSpec(kind="mirror_sgd", mirror=quadratic_map(),
                              schedule=scaling_linear(), mode="empirical", batch_m=8)
-        traj = run_optimizer(spec, problem, 20, seed=0)
+        traj = run_ensemble(spec, problem, 20, [0])[0]
         assert traj.error.startswith("FloatingPointError at step 4:")
         assert traj.steps == 4
         np.testing.assert_array_equal(traj.loss_gap, problem.loss_gap(traj.x_path))
@@ -677,7 +678,7 @@ class TestProblems:
         ref_loss = np.mean(np.logaddexp(0.0, -margins)) + 0.5 * problem.ridge * x @ x
         with np.errstate(over="raise", invalid="raise"):
             grads = problem.per_sample_gradients(x)
-            batch = problem.minibatch_gradient(x, 10, component_rng(12, "batch"))
+            batch = problem.minibatch_gradients(x[None], 10, [component_rng(12, "batch")])[0]
             loss = problem.loss(x)
         assert np.all(np.isfinite(grads)) and np.all(np.isfinite(batch))
         np.testing.assert_allclose(grads, ref_grads, rtol=1e-12, atol=0)
@@ -688,7 +689,7 @@ class TestProblems:
         problem = generate_problem("quadratic", d=2, n=10,
                                    rng=component_rng(0, "problem"))
         with pytest.raises(ValueError):
-            problem.minibatch_gradient(np.zeros(2), 0, component_rng(0, "batch"))
+            problem.minibatch_gradients(np.zeros((1, 2)), 0, [component_rng(0, "batch")])
         with pytest.raises(ValueError):
             generate_problem("svm", d=2, n=10, rng=component_rng(0, "problem"))
         with pytest.raises(ValueError):
@@ -898,6 +899,15 @@ def _readme_example(index=0):
     return re.findall(r"```ini\n(.*?)```", readme, re.S)[index]
 
 
+def _at_minimizer_example():
+    """The README example on a quadratic problem with d = 2 and N = 10, run
+    from its exact minimizer with the full batch: the iterates stay at x*,
+    so every mean gap and every rate bound B_t is 0."""
+    problem = generate_problem("quadratic", d=2, n=10, rng=component_rng(0, "problem"))
+    return _readme_example() + ("problem.d = 2\nproblem.N = 10\nmodel.n = 10\nmodel.m = 10\n"
+                                f"optimizer.x0 = {json.dumps(problem.x_star.tolist())}\n")
+
+
 def _config_docstring_example():
     """The indented block after 'Example::' in the config module docstring."""
     lines = []
@@ -971,6 +981,12 @@ class TestCli:
         ("seeds = [-1, 2]", "seeds"),
         ("problem.seed = -1", "problem.seed"),
         ("problem.N = 0", "problem.N"),
+        # A float or array key refuses a bool too.
+        ("schedule.delta_T = false", "schedule.delta_T"),
+        ("schedule.T = true", "schedule.T"),
+        ("model.sigma = true", "model.sigma"),
+        ("optimizer.x0 = [true, false, true]", "optimizer.x0"),
+        ('schedule.params = {"beta0": true}', "schedule.params.beta0"),
     ])
     def test_unreadable_value_is_config_error(self, override, key, tmp_path, capsys):
         cfg = _write_config(tmp_path, BASE_CONFIG + override + "\n")
@@ -1472,6 +1488,13 @@ class TestCli:
         lines = self._summary(tmp_path, text, "error")
         assert [line.split(" (")[0] for line in lines if line.startswith("rate_bound_pass")] == [
             f"rate_bound_pass = {passed}"]
+
+    # Gap 0 over B_t = 0 is a ratio of 0, not NaN, under either filter.
+    @pytest.mark.parametrize("action", ["default", "error"])
+    def test_run_at_the_minimizer_passes_the_rate_bound(self, action, tmp_path):
+        lines = self._summary(tmp_path, _at_minimizer_example(), action)
+        assert "rate_bound_pass = True (max ratio 0)" in lines
+        assert "mean_final_gap = 0" in lines
 
     def _summary(self, tmp_path, text, action):
         """The summary.txt lines of a run of the config text that exits 0

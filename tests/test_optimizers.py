@@ -27,7 +27,6 @@ from varopt import (
     nu_from_momentum,
     quadratic_map,
     run_ensemble,
-    run_optimizer,
 )
 from varopt import gradient_models, optimizers
 from varopt.diagnostics import Trajectory
@@ -162,24 +161,24 @@ class TestRunOptimizer:
 
     def test_synthetic_run_deterministic(self):
         spec = self._martingale_spec()
-        t1 = run_optimizer(spec, None, 20, seed=5)
-        t2 = run_optimizer(spec, None, 20, seed=5)
+        t1 = run_ensemble(spec, None, 20, [5])[0]
+        t2 = run_ensemble(spec, None, 20, [5])[0]
         np.testing.assert_array_equal(t1.x_path, t2.x_path)
         np.testing.assert_array_equal(t1.g_path, t2.g_path)
         assert t1.error is None
 
     def test_different_seeds_differ(self):
         spec = self._martingale_spec()
-        t1 = run_optimizer(spec, None, 20, seed=1)
-        t2 = run_optimizer(spec, None, 20, seed=2)
+        t1 = run_ensemble(spec, None, 20, [1])[0]
+        t2 = run_ensemble(spec, None, 20, [2])[0]
         assert np.max(np.abs(t1.x_path - t2.x_path)) > 0
 
     def test_synthetic_loss_gap_is_nan(self):
-        traj = run_optimizer(self._martingale_spec(), None, 10, seed=0)
+        traj = run_ensemble(self._martingale_spec(), None, 10, [0])[0]
         assert np.all(np.isnan(traj.loss_gap))
 
     def test_zero_steps(self):
-        traj = run_optimizer(self._martingale_spec(), None, 0, seed=0)
+        traj = run_ensemble(self._martingale_spec(), None, 0, [0])[0]
         assert traj.steps == 0
         assert traj.x_path.shape == (1, 3)
 
@@ -188,12 +187,12 @@ class TestRunOptimizer:
         with pytest.raises(ValueError, match="steps must be >= 0"):
             run_ensemble(spec, None, -1, [0, 1])
         with pytest.raises(ValueError, match="steps must be >= 0"):
-            run_optimizer(spec, None, -1, seed=0)
+            run_ensemble(spec, None, -1, [0])
 
     def test_wrong_length_x0_refused_before_any_step(self):
         spec = self._martingale_spec(x0=np.ones(2))     # the model has d = 3
         with pytest.raises(ValueError, match=r"x0 has shape \(2,\).*d = 3"):
-            run_optimizer(spec, None, 20, seed=0)
+            run_ensemble(spec, None, 20, [0])
 
     def test_kernel_matches_generic_loop(self):
         # A diagonal quadratic map and the full-matrix map with the same
@@ -201,8 +200,8 @@ class TestRunOptimizer:
         diag = np.array([1.0, 2.0, 0.5])
         spec_fast = self._martingale_spec(mirror=quadratic_map(m_diag=diag))
         spec_slow = self._martingale_spec(mirror=quadratic_map(m_full=np.diag(diag)))
-        t_fast = run_optimizer(spec_fast, None, 20, seed=9)
-        t_slow = run_optimizer(spec_slow, None, 20, seed=9)
+        t_fast = run_ensemble(spec_fast, None, 20, [9])[0]
+        t_slow = run_ensemble(spec_slow, None, 20, [9])[0]
         np.testing.assert_allclose(t_fast.x_path, t_slow.x_path, atol=1e-12)
 
     def test_empirical_quadratic_matches_manual_recursion(self):
@@ -211,7 +210,7 @@ class TestRunOptimizer:
         spec = OptimizerSpec(kind="mirror_sgd", mirror=quadratic_map(),
                              schedule=scaling_linear(), mode="empirical",
                              batch_m=10)
-        traj = run_optimizer(spec, problem, 20, seed=3)
+        traj = run_ensemble(spec, problem, 20, [3])[0]
         assert traj.error is None
         coeff = 10 / 40
         x = np.zeros(2)
@@ -227,7 +226,7 @@ class TestRunOptimizer:
         spec = OptimizerSpec(kind="mirror_sgd", mirror=quadratic_map(),
                              schedule=scaling_linear(), mode="empirical", batch_m=10,
                              model=MartingaleGradientModel(sigma=0.5, n=400, m=20, d=3))
-        traj = run_optimizer(spec, problem, 20, seed=3)
+        traj = run_ensemble(spec, problem, 20, [3])[0]
         assert traj.error is None
         np.testing.assert_allclose(np.diff(traj.x_path, axis=0),
                                    -0.25 * traj.phi_path[:, None] * traj.g_path,
@@ -240,7 +239,7 @@ class TestRunOptimizer:
         spec = OptimizerSpec(kind="kalman_gd", mirror=quadratic_map(),
                              schedule=scaling_linear(beta0=-1.0), model=model,
                              mode="synthetic")
-        traj = run_optimizer(spec, None, 20, seed=7)
+        traj = run_ensemble(spec, None, 20, [7])[0]
         assert traj.error is None
         assert np.all(np.isfinite(traj.x_path))
         assert traj.filter_mean_norm is not None
@@ -251,7 +250,7 @@ class TestRunOptimizer:
         spec = OptimizerSpec(kind="mirror_sgd", mirror=quadratic_map(),
                              schedule=scaling_linear(), mode="empirical",
                              batch_m=50)   # bigger than the dataset
-        traj = run_optimizer(spec, problem, 10, seed=0)
+        traj = run_ensemble(spec, problem, 10, [0])[0]
         assert traj.error is not None
         assert traj.steps == 0
 
@@ -286,7 +285,7 @@ class TestRunOptimizer:
         spec = OptimizerSpec(kind="kalman_gd", mirror=quadratic_map(),
                              schedule=scaling_linear(steps=2, beta0=-1.0),
                              model=model, mode="synthetic")
-        traj = run_optimizer(spec, None, 2, seed=7)
+        traj = run_ensemble(spec, None, 2, [7])[0]
         assert traj.error is not None
         assert traj.error.startswith(FilterDivergenceError.__name__)
         assert np.all(np.isfinite(traj.x_path))
@@ -384,7 +383,7 @@ def _momentum_spec():
 ], ids=["kalman_gd-varying-mesh", "mirror_sgd-entropy", "generalized_momentum"])
 def test_run_is_the_public_step_loop(make_spec, hand_loop):
     spec = make_spec()
-    traj = run_optimizer(spec, None, 20, seed=4)
+    traj = run_ensemble(spec, None, 20, [4])[0]
     assert traj.error is None
     np.testing.assert_array_equal(traj.x_path, hand_loop(spec, 20, seed=4))
 
@@ -398,9 +397,9 @@ def test_failed_run_keeps_completed_steps():
                                                   delta_T=19.3, horizon_T=20.0),
                          model=MartingaleGradientModel(sigma=300.0, n=100, m=25, d=3),
                          mode="synthetic")
-    short = run_optimizer(spec, None, 10, seed=3)
+    short = run_ensemble(spec, None, 10, [3])[0]
     assert short.error is None
-    traj = run_optimizer(spec, None, 20, seed=3)
+    traj = run_ensemble(spec, None, 20, [3])[0]
     assert traj.error.startswith("DomainError at step 10:")
     assert traj.steps == 10
     times = build_mesh(spec.schedule, 20).times
@@ -432,7 +431,7 @@ def _ensemble_spec(kind, mode):
 def test_kalman_gd_runs_with_a_cholesky_noise_factor():
     spec = _ensemble_spec("kalman_gd", "synthetic")
     spec.model = dataclasses.replace(spec.model, l_mat=np.array([[1.0, 0.0], [3.0, 1.0]]))
-    traj = run_optimizer(spec, None, 20, seed=0)
+    traj = run_ensemble(spec, None, 20, [0])[0]
     assert traj.error is None and traj.steps == 20
     assert np.all(np.isfinite(traj.x_path))
 
@@ -481,7 +480,7 @@ def test_ensemble_is_the_per_seed_runs(spec, problem, steps):
     ensemble = run_ensemble(spec, problem, steps, seeds)
     assert [t.seed for t in ensemble] == seeds
     for seed, got in zip(seeds, ensemble):
-        want = run_optimizer(spec, problem, steps, seed)
+        want = run_ensemble(spec, problem, steps, [seed])[0]
         for field in dataclasses.fields(Trajectory):
             a, b = getattr(got, field.name), getattr(want, field.name)
             if isinstance(b, np.ndarray):
@@ -564,7 +563,7 @@ def test_rows_failing_at_different_steps_are_the_per_seed_runs(kind, mode):
         problem = _gradient_raising_at_step_4(
             generate_problem("quadratic", d=3, n=40, rng=component_rng(0, "problem")), seed=3)
     ensemble = run_ensemble(spec, problem, 20, seeds)
-    _assert_same_trajectories(ensemble, [run_optimizer(spec, problem, 20, s) for s in seeds])
+    _assert_same_trajectories(ensemble, [run_ensemble(spec, problem, 20, [s])[0] for s in seeds])
     failed_steps = {t.steps for t in ensemble if t.error is not None}
     assert len(failed_steps) >= 2 and any(t.error is None for t in ensemble)
     if mode == "empirical":
@@ -596,7 +595,7 @@ def test_seed_whose_stream_raises_fails_alone(monkeypatch):
     monkeypatch.setattr(MartingaleGradientModel, "_simulate_seeds", raising)
     spec, seeds = _ensemble_spec("mirror_sgd", "synthetic"), [0, 1, 2, 3]
     ensemble = run_ensemble(spec, None, 20, seeds)
-    _assert_same_trajectories(ensemble, [run_optimizer(spec, None, 20, s) for s in seeds])
+    _assert_same_trajectories(ensemble, [run_ensemble(spec, None, 20, [s])[0] for s in seeds])
     assert [t.error for t in ensemble] == [None, None, "FloatingPointError at step 0: stream raised",
                                            None]
 
@@ -632,7 +631,7 @@ def test_64_seed_kalman_gd_rows_are_the_single_seed_runs():
     seeds = list(range(64))
     ensemble = run_ensemble(spec, None, 20, seeds)
     assert all(t.error is None for t in ensemble)
-    _assert_same_trajectories(ensemble, [run_optimizer(spec, None, 20, s) for s in seeds])
+    _assert_same_trajectories(ensemble, [run_ensemble(spec, None, 20, [s])[0] for s in seeds])
 
 
 def _count_calls(monkeypatch, module, name, calls):

@@ -1,5 +1,6 @@
 """Schedules, meshes, quadrature and the learning-rate paths."""
 
+import dataclasses
 import math
 import warnings
 
@@ -17,8 +18,6 @@ from varopt import (
     constant_schedule,
     linear_schedule,
     matrix_exp,
-    phi_scalar,
-    phi_vector,
     polynomial_schedule,
 )
 from varopt import schedules as schedules_module
@@ -40,24 +39,34 @@ class TestScaling:
         s = polynomial_schedule(p=2.0, c=1.0, horizon_T=3.0, t_min=0.2)
         assert check_scaling(s).passed
 
+    # With or without its closed-form derivatives, a violating schedule
+    # keeps its residual.
     def test_violating_schedule_flagged(self):
         s = linear_schedule(alpha0=0.0, gamma1=2.0, horizon_T=1.0)
-        report = check_scaling(s)
-        assert not report.passed
-        assert report.max_gamma_residual == pytest.approx(1.0, abs=1e-9)
+        for report in (check_scaling(s), check_scaling(_hint_free(s))):
+            assert not report.passed
+            assert report.max_gamma_residual == pytest.approx(1.0, abs=1e-9)
 
     def test_beta_excess_flagged(self):
         s = linear_schedule(alpha0=0.0, gamma1=1.0, beta1=1.5, horizon_T=1.0)
-        report = check_scaling(s)
-        assert not report.passed
-        assert report.max_beta_excess == pytest.approx(0.5, abs=1e-9)
+        for report in (check_scaling(s), check_scaling(_hint_free(s))):
+            assert not report.passed
+            assert report.max_beta_excess == pytest.approx(0.5, abs=1e-9)
 
-    def test_finite_difference_fallback(self):
-        # Strip the closed-form derivatives: the numerical check must agree.
-        base = linear_schedule(alpha0=0.1, gamma1=math.exp(0.1), horizon_T=2.0)
-        s = Schedule(alpha=base.alpha, beta=base.beta, gamma=base.gamma,
-                     delta_T=0.0, horizon_T=2.0)
-        assert check_scaling(s).passed
+    # Strip the closed-form derivatives of a family that scales exactly:
+    # the numerical check must agree, at the ends of its grid too.
+    @pytest.mark.parametrize("make", [
+        lambda: linear_schedule(alpha0=0.1, gamma1=math.exp(0.1), horizon_T=2.0),
+        lambda: _FAMILIES["polynomial"](),
+        lambda: polynomial_schedule(p=2.0, c=1.0, horizon_T=3.0, t_min=0.2),
+    ], ids=["linear", "polynomial", "polynomial-p2"])
+    def test_finite_difference_fallback(self, make):
+        assert check_scaling(_hint_free(make())).passed
+
+
+def _hint_free(s):
+    """s without its closed-form beta_dot and gamma_dot."""
+    return dataclasses.replace(s, beta_dot=None, gamma_dot=None)
 
 
 class TestMesh:
@@ -252,7 +261,7 @@ class TestScalarPath:
         w = math.exp(a0 + b0 + g0)
         for t in np.linspace(0.0, T, 7):
             expected = math.exp(-g0) * (math.exp(dT) - w * (T - t))
-            assert phi_scalar(s, float(t)) == pytest.approx(expected, abs=1e-9)
+            assert phi_scalar_path(s, [float(t)])[0] == pytest.approx(expected, abs=1e-9)
 
     def test_terminal_condition_random_schedules(self):
         rng = np.random.default_rng(17)
@@ -264,14 +273,14 @@ class TestScalarPath:
                 delta_T=rng.uniform(-1, 2), horizon_T=rng.uniform(0.5, 4.0),
             )
             target = math.exp(s.delta_T - s.gamma(s.horizon_T))
-            assert phi_scalar(s, s.horizon_T) == pytest.approx(target, abs=1e-9)
+            assert phi_scalar_path(s, [s.horizon_T])[0] == pytest.approx(target, abs=1e-9)
 
     def test_path_matches_pointwise(self):
         s = linear_schedule(beta0=-0.5, gamma1=1.0, delta_T=3.0, horizon_T=3.0)
         ts = np.linspace(0.0, 3.0, 9)
         path = phi_scalar_path(s, ts)
         for t, val in zip(ts, path):
-            assert val == pytest.approx(phi_scalar(s, float(t)), abs=1e-10)
+            assert val == pytest.approx(phi_scalar_path(s, [float(t)])[0], abs=1e-10)
 
     def test_negative_path_warns(self):
         # A tiny terminal weight with a heavy integral drives phi0 negative.
@@ -282,7 +291,7 @@ class TestScalarPath:
     def test_out_of_horizon_rejected(self):
         s = constant_schedule(horizon_T=1.0)
         with pytest.raises(ValueError):
-            phi_scalar(s, 2.0)
+            phi_scalar_path(s, [2.0])
 
     @pytest.mark.parametrize("times", [[0.0, 2.0], [0.5, 0.2], [-0.1, 0.5],
                                        [0.0, math.nan, 0.5]],
@@ -313,8 +322,8 @@ class TestVectorPath:
         b = np.array([1.0])
         with pytest.warns(RuntimeWarning, match="opposite sign"):
             for t in (0.0, 1.0, 2.0):
-                vec = phi_vector(s, a, b, t)
-                assert vec[0] == pytest.approx(phi_scalar(s, t), abs=1e-6)
+                vec = phi_vector_path(s, a, b, [t])[0]
+                assert vec[0] == pytest.approx(phi_scalar_path(s, [t])[0], abs=1e-6)
 
     def test_scalar_case_independent_oracle(self):
         s = linear_schedule(beta0=-0.3, beta1=0.2, gamma0=0.1, gamma1=0.7,
@@ -328,7 +337,7 @@ class TestVectorPath:
                 lambda u: w(u) * math.exp(-a_val * (t - u)), 0.0, t)) if t > 0 else 0.0
             expected = math.exp(-s.gamma(t)) * (
                 b_val * math.exp(-a_val * t) * phi0 + b_val * tail)
-            got = phi_vector(s, np.array([[a_val]]), np.array([b_val]), t)
+            got = phi_vector_path(s, np.array([[a_val]]), np.array([b_val]), [t])[0]
             assert got[0] == pytest.approx(expected, abs=1e-8)
 
     # b has a negative entry, so Phi(T) = exp(delta_T - gamma_T) b does
@@ -340,7 +349,7 @@ class TestVectorPath:
         a = m @ m.T + 0.5 * np.eye(2)
         b = np.array([1.0, -0.5])
         s = linear_schedule(beta0=-0.2, gamma1=0.5, delta_T=0.7, horizon_T=1.5)
-        got = phi_vector(s, a, b, s.horizon_T)
+        got = phi_vector_path(s, a, b, [s.horizon_T])[0]
         expected = math.exp(s.delta_T - s.gamma(s.horizon_T)) * b
         np.testing.assert_allclose(got, expected, atol=1e-8)
 
@@ -354,7 +363,7 @@ class TestVectorPath:
             path = phi_vector_path(s, a, b, ts)
         assert path.shape == (3, 1)
         for t, row in zip(ts, path):
-            np.testing.assert_allclose(row, phi_vector(s, a, b, float(t)),
+            np.testing.assert_allclose(row, phi_vector_path(s, a, b, [float(t)])[0],
                                        atol=1e-12)
 
     @pytest.mark.parametrize("times", [[0.5, 0.2], [0.2, 2.0, 0.5],
@@ -379,7 +388,7 @@ class TestVectorPath:
     def test_rejects_indefinite_a(self):
         s = constant_schedule(horizon_T=1.0)
         with pytest.raises(ValueError):
-            phi_vector(s, np.array([[-1.0]]), np.array([1.0]), 0.5)
+            phi_vector_path(s, np.array([[-1.0]]), np.array([1.0]), [0.5])
 
     # Raw input: A = 0 and a non-finite A are refused too (the Cholesky
     # factor of a NaN or an infinite entry is NaN or inf, not an error).
