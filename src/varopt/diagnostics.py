@@ -159,25 +159,19 @@ def hamiltonian(mirror: MirrorMap, f_value, schedule: Schedule, t,
             + _exp(schedule.gamma(t) + schedule.beta(t)) * f_value)
 
 
-def energy_path(mirror: MirrorMap, schedule: Schedule, traj: Trajectory,
-                x_star: np.ndarray) -> np.ndarray:
-    """Lyapunov energy at every step point of a trajectory (length K).
+def energy_path(mirror: MirrorMap, schedule: Schedule, trajectories: Sequence[Trajectory],
+                x_star: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lyapunov energy at every step point of S trajectories on one mesh,
+    and its bracket, each of shape (S, K).
 
     Uses Y_k = X_k + exp(-alpha_k) nu_k and the realized covariation
     Sum <grad h(Y_{k+1}) - grad h(Y_k), Y_{k+1} - Y_k> as the bracket,
     summed in step order.
     """
-    return _energy_paths(mirror, schedule, traj.times, traj.x_path[None], traj.nu_path[None],
-                         traj.loss_gap[None], x_star)[0][0]
-
-
-def _energy_paths(mirror: MirrorMap, schedule: Schedule, times: np.ndarray,
-                  x_paths: np.ndarray, nu_paths: np.ndarray, gap_paths: np.ndarray,
-                  x_star: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """energy_path of S trajectories on the same mesh times (K+1,), from
-    their stacked iterates (S, K+1, d), displacements (S, K, d) and loss
-    gaps (S, K+1): the energy paths and their brackets, each (S, K)."""
-    times, x_paths, gaps = times[:-1], x_paths[:, :-1], gap_paths[:, :-1]
+    times = trajectories[0].times[:-1]
+    x_paths = np.stack([traj.x_path[:-1] for traj in trajectories])
+    nu_paths = np.stack([traj.nu_path for traj in trajectories])
+    gaps = np.stack([traj.loss_gap[:-1] for traj in trajectories])
     ys = _displaced(schedule, times, x_paths, nu_paths)
     bracket = np.zeros(ys.shape[:2])
     bracket[:, 1:] = np.cumsum(np.vecdot(np.diff(mirror.grad_h(ys), axis=1),

@@ -11,21 +11,24 @@ Example::
     seeds = [0, 1, 2]
     output = out/
 
-Values are JSON where they parse as JSON, else bare strings; a null number
-reads as its default, a bool is refused as a number, an integer key also
-takes an integral float such as 2e4, and a later line for a key overrides
-an earlier one.  Each setting has one key, and a run reads the keys of its
-cell (_READS): any other key is refused naming it and the cell, but
-model.sigma in an empirical unfiltered run, which the benchmark's workload
-configs set.  So the dimension is problem.d in an empirical run and model.d
-in a synthetic one, which has no problem section.  A sweep or a comparison
-refuses a key only when none of its runs reads it.  README.md has the rest.
+Values are JSON where they parse as JSON, else bare strings, and a later
+line for a key overrides an earlier one.  Every number and array is read
+by one rule (_value): a JSON number that is not a bool, or nested lists of
+them with exactly the key's shape, finite, integral for an integer key
+(as 2e4 is) and at least the key's minimum; null reads as the default,
+and anything else, a numeric string too, is refused naming the key.  Each
+setting has one key, and a run reads the keys of its cell (_READS): any
+other key is refused naming it and the cell, but model.sigma in an
+empirical unfiltered run, which the benchmark's workload configs set.  So
+the dimension is problem.d in an empirical run and model.d in a synthetic
+one, which has no problem section.  A sweep or a comparison refuses a key
+only when none of its runs reads it.  README.md has the rest.
 """
 
 from __future__ import annotations
 
 import json
-import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -171,68 +174,47 @@ _SCHEDULE_FAMILIES = {
 }
 
 
-def _float(value) -> float:
-    """value as a float; ValueError for a bool, which is not a number."""
-    if isinstance(value, bool):
-        raise ValueError("a bool is not a number")
-    return float(value)
-
-
-def _value(cfg, key: str, default, convert=_float):
-    """The value at the dotted key of cfg passed through convert, or
-    default when the key is absent or null; ConfigError naming the key
-    when the conversion fails or gives NaN or an infinity."""
-    *sections, name = key.split(".")
+def _value(cfg, key: str, default, shape: tuple = (), integer: bool = False,
+           minimum: Optional[int] = None, size: str = ""):
+    """The number at the dotted key of cfg, or its float array of the given
+    shape, whose lengths the key size sets, read by the module's one rule:
+    default when the key is absent or null, else ConfigError naming it.  An
+    integer key reads as an exact int, and an array of them as a list."""
+    *sections, name = key.split(".", 2)     # a schedule.params name may hold a dot
     node = cfg
     for section in sections:
         node = node.get(section, {})
     value = node.get(name)
     if value is None:
         return default
-    try:
-        result = convert(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{key} = {value!r} cannot be read: {exc}") from exc
-    if (isinstance(result, float) and not math.isfinite(result)
-            or isinstance(result, np.ndarray) and not np.isfinite(result).all()):
-        raise ConfigError(f"{key} = {value!r} is not finite")
-    return result
-
-
-def _floats(value) -> np.ndarray:
-    """value as a float array; ValueError when an entry is a bool."""
-    if any(isinstance(v, bool) for v in np.ravel(np.array(value, dtype=object))):
-        raise ValueError("a bool is not a number")
-    return np.asarray(value, dtype=float)
-
-
-def _int(value) -> int:
-    """value as an int when it is an int or an integral float, else ValueError."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or value != int(value):
-        raise ValueError(f"expected an integer, got {value!r}")
-    return int(value)
-
-
-def _integer(cfg, key: str, default: int, minimum: Optional[int] = None) -> int:
-    """_value of an integer; ConfigError naming key when it is below minimum."""
-    value = _value(cfg, key, default, _int)
-    if minimum is not None and value < minimum:
+    entries, fits = [value], True
+    for length in shape:
+        fits = fits and all(isinstance(v, list) and len(v) == length for v in entries)
+        entries = [x for v in entries for x in (v if isinstance(v, list) else [v])]
+    for x in entries:
+        # A number, finite (in the float range for a float key), integral for an integer key.
+        if (isinstance(x, bool) or not isinstance(x, (int, float))
+                or not (integer and isinstance(x, int) or abs(x) <= sys.float_info.max)
+                or integer and x != int(x)):
+            raise ConfigError(f"{key} = {value!r} cannot be read: {x!r} is not "
+                              + ("an integer" if integer else "a finite number"))
+    numbers = [int(x) if integer else float(x) for x in entries]
+    if minimum is not None and min(numbers, default=minimum) < minimum:
         raise ConfigError(f"{key} = {value} must be >= {minimum}")
-    return value
+    if not fits:
+        shown = json.loads(json.dumps(value), parse_int=float)      # its numbers as floats
+        raise ConfigError(f"{key} = {shown} does not have the "
+                          f"{'length' if len(shape) == 1 else 'shape'} "
+                          + " x ".join([size] * len(shape)) + " = " + " x ".join(map(str, shape)))
+    if not shape:
+        return numbers[0]
+    return numbers if integer else np.array(numbers).reshape(shape)
 
 
-def _vector(cfg, key: str, d: int):
-    """_value of a float vector; ConfigError naming key unless its length is d."""
-    value = _value(cfg, key, None, _floats)
-    if value is not None and value.shape != (d,):
-        raise ConfigError(f"{key} = {value.tolist()} does not have the dimension d = {d}")
-    return value
-
-
-def _build_mirror(cfg: dict, d: int, name) -> MirrorMap:
+def _build_mirror(cfg: dict, dim: str, d: int, name) -> MirrorMap:
     try:
         if name == "quadratic":
-            return quadratic_map(m_diag=_vector(cfg, "map.m_diag", d))
+            return quadratic_map(m_diag=_value(cfg, "map.m_diag", None, shape=(d,), size=dim))
         if name == "entropy":
             return entropy_map()
     except ValueError as exc:
@@ -268,16 +250,14 @@ def _build_model(cfg: dict, d: int, batch: Optional[tuple]):
     try:
         sigma = _value(cfg, "model.sigma", 1.0)
         if kind == "martingale":
-            n, m = batch or (_integer(cfg, "model.n", 1), _integer(cfg, "model.m", 1))
+            n, m = batch or (_value(cfg, "model.n", 1, integer=True),
+                             _value(cfg, "model.m", 1, integer=True))
             return MartingaleGradientModel(sigma=sigma, n=n, m=m, d=d)
         if kind == "state_space":
-            dtilde = _integer(cfg, "model.dtilde", 1, minimum=1)
-            b = _value(cfg, "model.b", np.ones(dtilde), _floats)
-            if b.shape != (dtilde,):
-                raise ConfigError(f"model.b = {b.tolist()} does not have the length "
-                                  f"model.dtilde = {dtilde}")
-            a, l = (_value(cfg, f"model.{key}", np.eye(dtilde), _floats).reshape(dtilde, dtilde)
-                    for key in ("A", "L"))
+            dtilde = _value(cfg, "model.dtilde", 1, integer=True, minimum=1)
+            b = _value(cfg, "model.b", np.ones(dtilde), shape=(dtilde,), size="model.dtilde")
+            a, l = (_value(cfg, f"model.{key}", np.eye(dtilde), shape=(dtilde, dtilde),
+                           size="model.dtilde") for key in ("A", "L"))
             return StateSpaceGradientModel(a_mat=a, l_mat=l, sigma=sigma, d=d, b_vec=b)
     except ValueError as exc:
         raise ConfigError(f"invalid gradient model: {exc}") from exc
@@ -300,31 +280,34 @@ def _experiment(cfg: dict, cell: tuple) -> ExperimentConfig:
                           "set problem.kind, problem.d and problem.N")
 
     problem = None
-    d = _integer(cfg, "problem.d" if mode == "empirical" else "model.d", 2, minimum=1)
+    dim = "problem.d" if mode == "empirical" else "model.d"
+    d = _value(cfg, dim, 2, integer=True, minimum=1)
     if mode == "empirical":
         try:
             problem = generate_problem(
-                problem_kind, d=d, n=_integer(cfg, "problem.N", 100, minimum=1),
-                rng=component_rng(_integer(cfg, "problem.seed", 0, minimum=0), "problem"),
+                problem_kind, d=d, n=_value(cfg, "problem.N", 100, integer=True, minimum=1),
+                rng=component_rng(_value(cfg, "problem.seed", 0, integer=True, minimum=0),
+                                  "problem"),
                 ridge=_value(cfg, "problem.ridge", 1e-2),
             )
         except (ValueError, RuntimeError) as exc:
             raise ConfigError(f"invalid problem: {exc}") from exc
 
-    mirror = _build_mirror(cfg, d, map_name)
+    mirror = _build_mirror(cfg, dim, d, map_name)
     schedule = _build_schedule(cfg)
     # An empirical run takes its data size from problem.N: the model's copy must agree.
-    given = _value(cfg, "model.n", None, _int) if mode == "empirical" else None
+    given = _value(cfg, "model.n", None, integer=True) if mode == "empirical" else None
     if given is not None and given != problem.n:
         raise ConfigError(f"model.n = {given} disagrees with problem.N = {problem.n}")
-    batch_m = _integer(cfg, "model.m", problem.n) if mode == "empirical" else None
+    batch_m = _value(cfg, "model.m", problem.n, integer=True) if mode == "empirical" else None
     if batch_m is not None and not 1 <= batch_m <= problem.n:
         raise ConfigError(f"model.m = {batch_m} is not a batch size in "
                           f"[1, problem.N = {problem.n}]")
     model = _build_model(cfg, d, (problem.n, batch_m) if mode == "empirical" else None)
 
     spec = OptimizerSpec(kind=kind, mirror=mirror, schedule=schedule, model=model, mode=mode,
-                         x0=_vector(cfg, "optimizer.x0", d), batch_m=batch_m)
+                         x0=_value(cfg, "optimizer.x0", None, shape=(d,), size=dim),
+                         batch_m=batch_m)
     try:
         spec.validate()
     except ValueError as exc:
@@ -342,12 +325,13 @@ def _experiment(cfg: dict, cell: tuple) -> ExperimentConfig:
             raise ConfigError(f"map.name = {mirror.name} does not hold the minimizer of "
                               f"problem.kind = {problem.kind}: {exc}") from exc
 
-    seeds = _value(cfg, "seeds", [0],
-                   lambda v: [_int(s) for s in (v if isinstance(v, list) else [v])])
+    seeds = cfg.get("seeds")
+    seeds = (_value(cfg, "seeds", None, shape=(len(seeds),), integer=True)
+             if isinstance(seeds, list) else [_value(cfg, "seeds", 0, integer=True)])
     if not seeds or len(set(seeds)) < len(seeds) or min(seeds) < 0:
         raise ConfigError(f"seeds = {seeds} must be a non-empty list of distinct seeds >= 0")
 
-    steps = _integer(cfg, "mesh.steps", 100)
+    steps = _value(cfg, "mesh.steps", 100, integer=True)
     try:
         _mesh_times(schedule, steps)
     except ValueError as exc:

@@ -137,13 +137,10 @@ def _diagnostics(config: ExperimentConfig, complete: list):
     """The ensemble report, supermartingale check and rate-bound check of
     the energy paths and brackets of the complete trajectories of an
     empirical run."""
-    gap_paths = np.stack([t.loss_gap for t in complete])
-    energy_paths, bracket_paths = diag._energy_paths(
-        config.mirror, config.schedule, complete[0].times,
-        np.stack([t.x_path for t in complete]), np.stack([t.nu_path for t in complete]),
-        gap_paths, config.problem.x_star)
+    energy_paths, bracket_paths = diag.energy_path(config.mirror, config.schedule, complete,
+                                                   config.problem.x_star)
     report = diag.ensemble_report(complete[0].times[:-1], energy_paths,
-                                  gap_paths[:, :-1], bracket_paths)
+                                  np.stack([t.loss_gap[:-1] for t in complete]), bracket_paths)
     return (report, diag.supermartingale_check(energy_paths),
             diag.rate_bound_check(report, config.schedule))
 
@@ -243,18 +240,19 @@ def _run_cells(raw_cfg: dict, header: list, cells: list, base_output: str,
     return path
 
 
-def sweep(raw_cfg: dict, grid: dict, output: Optional[str] = None) -> str:
+def sweep(raw_cfg: dict, grid: dict) -> str:
     """Cross-product sweep over config values.
 
     grid maps dotted config keys to value lists; a key that no grid cell
     reads, or a value that check_keys refuses, is a ConfigError before any
     cell runs.  Writes one summary CSV with a row per grid cell, a failed
-    cell included (see _run_cells), and returns its path.
+    cell included (see _run_cells), in the config's output directory, and
+    returns its path.
     """
     keys = sorted(grid.keys())
     cells = [([str(v) for v in combo], dict(zip(keys, combo)))
              for combo in itertools.product(*(grid[k] for k in keys))]
-    base_output = output or str(raw_cfg.get("output", "varopt_out"))
+    base_output = str(raw_cfg.get("output", "varopt_out"))
     return _run_cells(raw_cfg, keys, cells, base_output, "sweep", write=False)
 
 

@@ -236,7 +236,7 @@ def test_criterion_08_energy_supermartingale(noisy_ensemble):
                          schedule=scaling_linear(steps=steps),
                          mode="empirical", batch_m=30)
     traj = run_ensemble(spec, problem, steps, [0])[0]
-    e = energy_path(spec.mirror, spec.schedule, traj, problem.x_star)
+    e = energy_path(spec.mirror, spec.schedule, [traj], problem.x_star)[0][0]
     noiseless_ok = bool(np.all(np.diff(e) <= 1e-9))
     # 200-seed ensemble: mean energy non-increasing within 2 SE.
     noisy_ok = bool(noisy_ensemble.supermartingale.passed

@@ -10,6 +10,7 @@ the builder or give the unperturbed outputs: a refused key is unread.
 
 import copy
 import itertools
+import json
 import math
 
 import numpy as np
@@ -128,12 +129,15 @@ def _outputs(cfg: dict, checked: bool = True) -> list:
         for t in artifacts.trajectories]
 
 
+def _cell_id(cell) -> str:
+    return "-".join(str(part[0] if isinstance(part, tuple) else part) for part in cell)
+
+
 def test_every_key_is_perturbed_or_exempt():
     assert set(_PERTURBED) | _CELL_KEYS | _EXEMPT == _KNOWN
 
 
-@pytest.mark.parametrize("cell", _CELLS, ids=lambda cell: "-".join(
-    str(part[0] if isinstance(part, tuple) else part) for part in cell))
+@pytest.mark.parametrize("cell", _CELLS, ids=_cell_id)
 def test_every_key_changes_the_run_or_is_refused(cell):
     mode, kind, model, _, _ = cell
     base = _base(*cell)
@@ -159,14 +163,33 @@ def test_every_key_changes_the_run_or_is_refused(cell):
     assert not failures
 
 
+@pytest.mark.parametrize("cell", _CELLS, ids=_cell_id)
+def test_every_number_spelled_as_a_string_is_refused(cell):
+    # Each numeric key of _PERTURBED that the cell reads, with every number
+    # spelled as a JSON string ("0.3", ["0.5", "1.5"]), is refused naming it.
+    base = _base(*cell)
+    reads = _cell(base)[1]
+    failures = []
+    for key, value in _PERTURBED.items():
+        if key not in reads or isinstance(value, str):
+            continue
+        spelled = json.loads(json.dumps(value), parse_int=str, parse_float=str)
+        try:
+            build_experiment(_set_dotted(copy.deepcopy(base), {key: spelled}))
+            failures.append(f"{key} = {spelled!r} is accepted")
+        except ConfigError as exc:
+            if key not in str(exc):
+                failures.append(f"{key} = {spelled!r} is refused without its name: {exc}")
+    assert not failures
+
+
 # The distinct (mode, model kind, map name, problem) of _CELLS.
 _KIND_CELLS = list(dict.fromkeys(
     (mode, model, map_name, problem) for mode, _, model, map_name, problem
     in (getattr(cell, "values", (cell,))[0] for cell in _CELLS)))
 
 
-@pytest.mark.parametrize("cell", _KIND_CELLS, ids=lambda cell: "-".join(
-    str(part[0] if isinstance(part, tuple) else part) for part in cell))
+@pytest.mark.parametrize("cell", _KIND_CELLS, ids=_cell_id)
 def test_no_two_kinds_give_one_result(cell):
     # Every kind that the builder admits on the cell runs seed 0 for 5
     # steps, and no two of them give the same iterates.  On the quadratic

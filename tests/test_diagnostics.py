@@ -22,7 +22,7 @@ from varopt import (
     run_ensemble,
     supermartingale_check,
 )
-from varopt.diagnostics import _energy_paths, ensemble_report
+from varopt.diagnostics import ensemble_report
 from varopt.harness import component_rng, generate_problem
 
 from shared_oracles import scaling_linear
@@ -73,12 +73,12 @@ class TestEnergy:
 
     def test_noiseless_energy_monotone(self):
         problem, spec, traj = self._noiseless_trajectory()
-        e = energy_path(spec.mirror, spec.schedule, traj, problem.x_star)
+        e = energy_path(spec.mirror, spec.schedule, [traj], problem.x_star)[0][0]
         assert np.all(np.diff(e) <= 1e-9)
 
     def test_energy_nonnegative_without_bracket_at_start(self):
         problem, spec, traj = self._noiseless_trajectory()
-        e = energy_path(spec.mirror, spec.schedule, traj, problem.x_star)
+        e = energy_path(spec.mirror, spec.schedule, [traj], problem.x_star)[0][0]
         assert e[0] >= 0.0
 
 
@@ -102,7 +102,7 @@ class TestEnergy:
             expected.append(energy(mirror, gap, s, t, x, nu, bracket, problem.x_star))
         assert bracket > 0.0
         # y above uses math.exp, which may round differently from np.exp.
-        np.testing.assert_allclose(energy_path(mirror, s, traj, problem.x_star), expected,
+        np.testing.assert_allclose(energy_path(mirror, s, [traj], problem.x_star)[0][0], expected,
                                    rtol=1e-13, atol=1e-13)
 
     @pytest.mark.parametrize("mirror", [
@@ -118,13 +118,10 @@ class TestEnergy:
         trajs = run_ensemble(spec, problem, 15, range(4))
         assert all(t.error is None for t in trajs)
         x_ref = np.full(3, 0.5)          # x* of the problem is not in the orthant
-        stacked, _ = _energy_paths(mirror, spec.schedule, trajs[0].times,
-                                   np.stack([t.x_path for t in trajs]),
-                                   np.stack([t.nu_path for t in trajs]),
-                                   np.stack([t.loss_gap for t in trajs]), x_ref)
+        stacked, _ = energy_path(mirror, spec.schedule, trajs, x_ref)
         for row, traj in zip(stacked, trajs, strict=True):
             np.testing.assert_array_equal(
-                row, energy_path(mirror, spec.schedule, traj, x_ref), strict=True)
+                row, energy_path(mirror, spec.schedule, [traj], x_ref)[0][0], strict=True)
 
 
 class TestArrayTimes:

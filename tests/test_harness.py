@@ -19,6 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from varopt import OptimizerSpec, quadratic_map, run_ensemble
+from varopt import diagnostics as diag_module
 from varopt.harness import (
     ConfigError,
     build_experiment,
@@ -235,6 +236,9 @@ class TestBuildExperiment:
         "schedule.params.delta_T = 19.3",
         "schedule.params.horizon_T = 2.0",
         "map.name = entropy\nmap.lower = 5\nmap.upper = 1",
+        # A parameter name with a dot is a name the family does not take.
+        'schedule.params = {"alpha0": 2.302585092994046, "beta0": -0.7, "gamma1": 10.0, '
+        '"beta1.x": 5.0}',
         # Vectors whose length is not problem.d = 3.
         "optimizer.x0 = [1.0, 2.0]",
         "map.m_diag = [1.0, 2.0]",
@@ -759,6 +763,20 @@ class TestRunExperiment:
         assert csvs[0][0] == csvs[1][0]
         assert csvs[0][1].count(",") == csvs[0][0].count(",")
 
+    def test_the_energy_pass_is_the_public_one(self, monkeypatch):
+        # One call of diagnostics.energy_path takes every complete seed.
+        calls = []
+        energy_path = diag_module.energy_path
+
+        def counted(*args):
+            calls.append(args)
+            return energy_path(*args)
+
+        monkeypatch.setattr(diag_module, "energy_path", counted)
+        art = run_experiment(build_experiment(parse_config_text(BASE_CONFIG)), write=False)
+        assert art.report is not None
+        assert len(calls) == 1
+
     def test_per_seed_failure_recorded(self, tmp_path):
         raw = parse_config_text(BASE_CONFIG + f"output = {tmp_path}/out\n" + _HUGE_X0)
         art = run_experiment(build_experiment(raw))
@@ -987,6 +1005,12 @@ class TestCli:
         ("model.sigma = true", "model.sigma"),
         ("optimizer.x0 = [true, false, true]", "optimizer.x0"),
         ('schedule.params = {"beta0": true}', "schedule.params.beta0"),
+        # A number spelled as a string is refused, whatever float() makes of it.
+        ('model.sigma = "0.5"', "model.sigma"),
+        ("model.sigma = 1_0", "model.sigma"),
+        ('optimizer.x0 = ["0.5", "1", "1"]', "optimizer.x0"),
+        ('map.m_diag = ["1", "2", "3"]', "map.m_diag"),
+        ('mesh.steps = "5"', "mesh.steps"),
     ])
     def test_unreadable_value_is_config_error(self, override, key, tmp_path, capsys):
         cfg = _write_config(tmp_path, BASE_CONFIG + override + "\n")
@@ -1181,14 +1205,22 @@ class TestCli:
         assert f"{key} must be >= 1" in capsys.readouterr().err
 
     # A = 0 passes the model's own check, but the filtered kinds need A
-    # positive definite; an empty or repeated seed list has no run.
+    # positive definite; an empty or repeated seed list has no run; a
+    # matrix is refused unless its nested lists are model.dtilde x
+    # model.dtilde, even where its entries would fill that shape.
     @pytest.mark.parametrize("override, key", [
         ("model.A = [[0, 0, 0], [0, 0, 0], [0, 0, 0]]", "model.A"),
         ("model.A = [[0, 0, 0], [0, 0, 0], [0, 0, 0]]\n"
          "optimizer.kind = generalized_momentum", "model.A"),
         ("seeds = []", "seeds = []"),
         ("seeds = [1, 1]", "seeds = [1, 1]"),
-    ], ids=["A=0-kalman_gd", "A=0-generalized_momentum", "seeds=[]", "seeds=[1,1]"])
+        ("model.A = [[0.1], [0.05], [0.05], [0.05], [0.1], [0.05], [0.05], [0.05], [0.1]]",
+         "model.A"),
+        ("model.A = [0.1, 0.05, 0.05, 0.05, 0.1, 0.05, 0.05, 0.05, 0.1]", "model.A"),
+        ("model.L = [[1, 0, 0, 0, 1, 0, 0, 0, 1]]", "model.L"),
+        ("model.dtilde = 1\nmodel.b = [1.0]\nmodel.A = 0.5", "model.A"),
+    ], ids=["A=0-kalman_gd", "A=0-generalized_momentum", "seeds=[]", "seeds=[1,1]",
+            "A-9x1", "A-flat", "L-1x9", "A-scalar-dtilde=1"])
     def test_unrunnable_value_is_config_error(self, override, key, tmp_path, capsys):
         cfg = _write_config(tmp_path, KALMAN_CONFIG + f"output = {tmp_path}/out\n{override}\n")
         assert main(["run", cfg]) == EXIT_CONFIG
