@@ -35,13 +35,11 @@ from .gradient_models import (
     kalman_bucy_step,
     kalman_discrete_step,
     kalman_steady_gain,
-    martingale_filter,
 )
 from .optimizers import (
     OptimizerSpec,
     fosp_flow_step,
     generalized_momentum_step,
-    kalman_gd_step,
     mirror_descent_step,
     momentum_from_nu,
     nu_from_momentum,

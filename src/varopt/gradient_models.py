@@ -23,8 +23,9 @@ the discrete recursion's covariance pass once, in _covariance_pass, which
 kalman_discrete_step runs for one step and kalman_gd's gain pass for a
 mesh.  An ensemble draws the streams of all its seeds with one call, each
 seed from its own generator, and the latent recursion advances the states
-of all seeds together; each row is bit for bit that seed's simulate.  The
-filter-mean step acts on one d x dtilde mean or on a stack of them.
+of all seeds together; each row is bit for bit that generator's one-row
+draw.  The filter-mean step acts on one d x dtilde mean or on a stack of
+them.
 
 All coordinates share the same latent dynamics, so one covariance P is
 maintained and applied row-wise to the d x dtilde filter mean.
@@ -44,7 +45,6 @@ __all__ = [
     "MartingaleGradientModel",
     "StateSpaceGradientModel",
     "KalmanState",
-    "martingale_filter",
     "kalman_mean_update",
     "kalman_discrete_step",
     "kalman_bucy_step",
@@ -107,16 +107,11 @@ class MartingaleGradientModel:
         # 1 / (1 + rho^2) = m / n exactly.
         return self.m / self.n
 
-    def simulate(self, dts, rng: np.random.Generator):
-        """(grad_true, g), each (K, d), on the K mesh steps dts.  Per step
-        both Brownian states advance by sqrt(dt) times d standard normals,
-        W^f's first, drawn for all K steps in one block and summed in step
-        order."""
-        return tuple(path[0] for path in self._simulate_seeds(dts, [rng]))
-
-    def _simulate_seeds(self, dts, rngs):
-        """simulate for every generator of rngs at once: (grad_true, g),
-        each (S, K, d), row i drawn from rngs[i] alone."""
+    def simulate(self, dts, rngs):
+        """(grad_true, g), each (S, K, d), on the K mesh steps dts, row i
+        drawn from rngs[i] alone.  Per step both Brownian states advance by
+        sqrt(dt) times d standard normals, W^f's first, drawn for all K
+        steps in one block and summed in step order."""
         dts = _mesh_steps(dts)
         increments = np.empty((len(rngs), len(dts), 2, self.d))
         for rng, block in zip(rngs, increments):
@@ -180,19 +175,14 @@ class StateSpaceGradientModel:
         steps = dts[:, None, None]
         return np.eye(self.dtilde) - steps * self.a_mat, steps * self.l_mat, self.sigma * dts
 
-    def simulate(self, dts, rng: np.random.Generator):
-        """(grad_true, g), each (K, d), of the discretized model from y = 0.
-        Step k advances every latent row by
+    def simulate(self, dts, rngs):
+        """(grad_true, g), each (S, K, d), of the discretized model from
+        y = 0, row i drawn from rngs[i] alone.  Step k advances every
+        latent row by
             y <- y A_til_k' + w L_til_k',      g = y b + sigma_k xi,
-        with standard normals w (d x dtilde) then xi (d), drawn for all K
-        steps in one block; only the current latent state is kept."""
-        return tuple(path[0] for path in self._simulate_seeds(dts, [rng]))
-
-    def _simulate_seeds(self, dts, rngs):
-        """simulate for every generator of rngs at once: (grad_true, g),
-        each (S, K, d).  Each generator fills its own block of draws, and
-        the latent recursion advances the (S, d, dtilde) stack of states,
-        so row i is bit for bit simulate(dts, rngs[i])."""
+        with standard normals w (d x dtilde) then xi (d), each generator
+        drawing its K steps in one block; the latent recursion advances the
+        (S, d, dtilde) stack of states and keeps only the current one."""
         a_tils, l_tils, sigmas = self.discretize(dts)
         n_seeds, k_steps, d, n_w = len(rngs), len(sigmas), self.d, self.d * self.dtilde
         draws = np.empty((n_seeds, k_steps, n_w + d))
@@ -227,12 +217,6 @@ def initial_kalman_state(d: int, dtilde: int, p0: np.ndarray | None = None) -> K
         s_innov=float("nan"),
         p_pred=p0,
     )
-
-
-def martingale_filter(model: MartingaleGradientModel, g: np.ndarray) -> np.ndarray:
-    """Best estimate of the true gradient under the martingale prior:
-    g / (1 + rho^2), i.e. the mini-batch rescaling (m/n) g."""
-    return model.filter_coefficient * np.asarray(g, dtype=float)
 
 
 def _psd_prefix(stack: np.ndarray, floor: float, what: str):

@@ -159,7 +159,6 @@ class ExperimentConfig:
     """Fully assembled experiment: every component validated."""
 
     problem: Optional[ProblemInstance]
-    mirror: MirrorMap
     schedule: Schedule
     optimizer_spec: OptimizerSpec
     seeds: list
@@ -212,16 +211,17 @@ def _value(cfg, key: str, default, shape: tuple = (), integer: bool = False,
 
 
 def _build_mirror(cfg: dict, dim: str, d: int, name) -> MirrorMap:
-    try:
-        if name == "quadratic":
-            return quadratic_map(m_diag=_value(cfg, "map.m_diag", None, shape=(d,), size=dim))
-        if name == "entropy":
-            return entropy_map()
-    except ValueError as exc:
-        raise ConfigError(f"invalid map: {exc}") from exc
+    if name == "entropy":
+        return entropy_map()
     if name == "custom":
         raise ConfigError("custom maps are library-embedding only, not configurable")
-    raise ConfigError(f"unknown map name {name!r}")
+    if name != "quadratic":
+        raise ConfigError(f"unknown map name {name!r}")
+    m_diag = _value(cfg, "map.m_diag", None, shape=(d,), size=dim)
+    try:
+        return quadratic_map(m_diag=m_diag)
+    except ValueError as exc:
+        raise ConfigError(f"invalid map: {exc}") from exc
 
 
 def _build_schedule(cfg: dict) -> Schedule:
@@ -247,21 +247,23 @@ def _build_model(cfg: dict, d: int, batch: Optional[tuple]):
     if not section:
         return None
     kind = section.get("kind")
+    if kind not in ("martingale", "state_space"):
+        raise ConfigError(f"unknown model kind {kind!r}")
+    sigma = _value(cfg, "model.sigma", 1.0)
+    if kind == "martingale":
+        n, m = batch or (_value(cfg, "model.n", 1, integer=True),
+                         _value(cfg, "model.m", 1, integer=True))
+        build, args = MartingaleGradientModel, {"n": n, "m": m}
+    else:
+        dtilde = _value(cfg, "model.dtilde", 1, integer=True, minimum=1)
+        b = _value(cfg, "model.b", np.ones(dtilde), shape=(dtilde,), size="model.dtilde")
+        a, l = (_value(cfg, f"model.{key}", np.eye(dtilde), shape=(dtilde, dtilde),
+                       size="model.dtilde") for key in ("A", "L"))
+        build, args = StateSpaceGradientModel, {"a_mat": a, "l_mat": l, "b_vec": b}
     try:
-        sigma = _value(cfg, "model.sigma", 1.0)
-        if kind == "martingale":
-            n, m = batch or (_value(cfg, "model.n", 1, integer=True),
-                             _value(cfg, "model.m", 1, integer=True))
-            return MartingaleGradientModel(sigma=sigma, n=n, m=m, d=d)
-        if kind == "state_space":
-            dtilde = _value(cfg, "model.dtilde", 1, integer=True, minimum=1)
-            b = _value(cfg, "model.b", np.ones(dtilde), shape=(dtilde,), size="model.dtilde")
-            a, l = (_value(cfg, f"model.{key}", np.eye(dtilde), shape=(dtilde, dtilde),
-                           size="model.dtilde") for key in ("A", "L"))
-            return StateSpaceGradientModel(a_mat=a, l_mat=l, sigma=sigma, d=d, b_vec=b)
+        return build(sigma=sigma, d=d, **args)
     except ValueError as exc:
         raise ConfigError(f"invalid gradient model: {exc}") from exc
-    raise ConfigError(f"unknown model kind {kind!r}")
 
 
 def build_experiment(cfg: dict) -> ExperimentConfig:
@@ -283,13 +285,12 @@ def _experiment(cfg: dict, cell: tuple) -> ExperimentConfig:
     dim = "problem.d" if mode == "empirical" else "model.d"
     d = _value(cfg, dim, 2, integer=True, minimum=1)
     if mode == "empirical":
+        n = _value(cfg, "problem.N", 100, integer=True, minimum=1)
+        seed = _value(cfg, "problem.seed", 0, integer=True, minimum=0)
+        ridge = _value(cfg, "problem.ridge", 1e-2)
         try:
-            problem = generate_problem(
-                problem_kind, d=d, n=_value(cfg, "problem.N", 100, integer=True, minimum=1),
-                rng=component_rng(_value(cfg, "problem.seed", 0, integer=True, minimum=0),
-                                  "problem"),
-                ridge=_value(cfg, "problem.ridge", 1e-2),
-            )
+            problem = generate_problem(problem_kind, d=d, n=n, ridge=ridge,
+                                       rng=component_rng(seed, "problem"))
         except (ValueError, RuntimeError) as exc:
             raise ConfigError(f"invalid problem: {exc}") from exc
 
@@ -340,6 +341,6 @@ def _experiment(cfg: dict, cell: tuple) -> ExperimentConfig:
         raise ConfigError(f"mesh.steps = {steps}: the mesh does not fit in memory: {exc}") from exc
 
     return ExperimentConfig(
-        problem=problem, mirror=mirror, schedule=schedule, optimizer_spec=spec,
+        problem=problem, schedule=schedule, optimizer_spec=spec,
         seeds=seeds, steps=steps, output=str(cfg.get("output", "varopt_out")),
     )

@@ -52,10 +52,6 @@ class RunArtifacts:
     diagnostics_error: Optional[str] = None
 
     @property
-    def final_gaps(self) -> np.ndarray:
-        return np.array([t.loss_gap[-1] for t in self.trajectories])
-
-    @property
     def mean_final_gap(self) -> float:
         """Mean of the final gaps of the seeds that did not fail; NaN when
         every seed failed."""
@@ -137,8 +133,8 @@ def _diagnostics(config: ExperimentConfig, complete: list):
     """The ensemble report, supermartingale check and rate-bound check of
     the energy paths and brackets of the complete trajectories of an
     empirical run."""
-    energy_paths, bracket_paths = diag.energy_path(config.mirror, config.schedule, complete,
-                                                   config.problem.x_star)
+    energy_paths, bracket_paths = diag.energy_path(
+        config.optimizer_spec.mirror, config.schedule, complete, config.problem.x_star)
     report = diag.ensemble_report(complete[0].times[:-1], energy_paths,
                                   np.stack([t.loss_gap[:-1] for t in complete]), bracket_paths)
     return (report, diag.supermartingale_check(energy_paths),

@@ -16,7 +16,6 @@ from ..gradient_models import (
     initial_kalman_state,
     kalman_discrete_step,
     kalman_steady_gain,
-    martingale_filter,
 )
 from ..optimizers import mirror_descent_step
 from ..schedules import build_mesh, linear_schedule, matrix_exp, phi_scalar_path
@@ -51,8 +50,9 @@ def _checks():
         return np.max(np.abs(stepped - (x - 0.37 * g))) <= 1e-12
 
     def martingale_coefficient():
+        # The Bayes rescaling 1 / (1 + rho^2) is m / n.
         model = MartingaleGradientModel(sigma=1.0, n=100, m=10, d=3)
-        return np.max(np.abs(martingale_filter(model, np.ones(3)) - 0.1)) <= 1e-12
+        return abs(model.filter_coefficient * (1.0 + model.rho2) - 1.0) <= 1e-12
 
     def kalman_hand_recursion():
         state = initial_kalman_state(1, 1, p0=np.zeros((1, 1)))

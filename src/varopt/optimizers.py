@@ -56,7 +56,6 @@ from .schedules import (
 __all__ = [
     "OptimizerSpec",
     "mirror_descent_step",
-    "kalman_gd_step",
     "generalized_momentum_step",
     "fosp_flow_step",
     "nu_from_momentum",
@@ -109,36 +108,23 @@ def mirror_descent_step(mirror: MirrorMap, x: np.ndarray, g: np.ndarray,
     return x_new
 
 
-def kalman_gd_step(mirror: MirrorMap, x: np.ndarray, y_hat: np.ndarray,
-                   phi_vec: np.ndarray) -> np.ndarray:
-    """Mirror update driven by the filtered latent state: the dual-space
-    step is sum_j phi_j y_hat[:, j]."""
-    x = np.asarray(x, dtype=float)
-    mirror.check_domain(x)
-    y_hat = np.atleast_2d(np.asarray(y_hat, dtype=float))
-    x_new = _mirror_update(mirror, x, y_hat @ np.atleast_1d(np.asarray(phi_vec, dtype=float)))
-    mirror.check_domain(x_new)
-    return x_new
-
-
 def generalized_momentum_step(mirror: MirrorMap, x: np.ndarray, y_hat: np.ndarray,
                               g: np.ndarray, a_tilde: np.ndarray,
-                              k_inf: np.ndarray, phi_vec: np.ndarray,
-                              b_vec: Optional[np.ndarray] = None):
+                              k_inf: np.ndarray, phi_vec: np.ndarray, b_vec: np.ndarray):
     """Steady-state filter recursion followed by the mirror update.
 
     y_hat' = y_hat A_til' + (g - y_hat A_til' b) k_inf' applied to every
     coordinate row (kalman_mean_update with the steady gain), then
-    X' = kalman_gd_step(X, y_hat').  b_vec defaults to all-ones (the
-    scalar reduction b = 1).
+    X' = mirror_descent_step(X, y_hat' phi, 1).  With the covariance
+    recursion's gains in place of k_inf, this is the kalman_gd step.
     """
     x = np.asarray(x, dtype=float)
     mirror.check_domain(x)
-    k_inf = np.atleast_1d(np.asarray(k_inf, dtype=float))
-    b_vec = np.ones(len(k_inf)) if b_vec is None else np.atleast_1d(np.asarray(b_vec, dtype=float))
     x_new, y_new = _filtered_update(
         mirror, x, np.asarray(y_hat, dtype=float), np.asarray(g, dtype=float),
-        np.atleast_2d(np.asarray(a_tilde, dtype=float)), b_vec, k_inf,
+        np.atleast_2d(np.asarray(a_tilde, dtype=float)),
+        np.atleast_1d(np.asarray(b_vec, dtype=float)),
+        np.atleast_1d(np.asarray(k_inf, dtype=float)),
         np.atleast_1d(np.asarray(phi_vec, dtype=float)))
     mirror.check_domain(x_new)
     return x_new, y_new
@@ -247,6 +233,8 @@ def run_ensemble(spec: OptimizerSpec, problem, steps: int, seeds) -> list[Trajec
     may be None in synthetic mode (the latent gradient model is not tied
     to a loss landscape; loss gaps are then NaN)."""
     spec.validate()
+    if spec.mode == "empirical" and problem is None:
+        raise ValueError("empirical mode needs a problem")
     seeds = list(seeds)
     schedule = spec.schedule
     times = _mesh_times(schedule, steps)
@@ -382,7 +370,7 @@ def _run_steps(seeds, spec, problem, x0, alphas, dts, phi, coeff, filt):
     k, error, raised = 0, None, False
     try:
         if spec.mode == "synthetic":
-            g_stream[:] = model._simulate_seeds(
+            g_stream[:] = model.simulate(
                 dts, [component_rng(seed, "stream") for seed in seeds])[1]
         else:
             rngs = [component_rng(seed, "batch") for seed in seeds]

@@ -132,13 +132,6 @@ class Mesh:
             raise ValueError("mesh times must be finite and strictly increasing")
         object.__setattr__(self, "times", t)
 
-    def __len__(self):
-        return len(self.times)
-
-    @property
-    def steps(self) -> np.ndarray:
-        return np.diff(self.times)
-
 
 @dataclass(frozen=True)
 class ScalingReport:

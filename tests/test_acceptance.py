@@ -179,7 +179,7 @@ def test_criterion_06_momentum_recovery():
     for _ in range(1000):
         g = rng.standard_normal(2)
         phi = np.array([rng.uniform(0.0, 0.4)])
-        x, y = generalized_momentum_step(mirror, x, y, g, a_til, k_inf, phi)
+        x, y = generalized_momentum_step(mirror, x, y, g, a_til, k_inf, phi, np.ones(1))
         y_ref = p1 * y_ref + p2 * g
         x_ref = x_ref - phi[0] * y_ref
         ok &= bool(np.max(np.abs(x - x_ref)) <= 1e-12)

@@ -15,7 +15,6 @@ from varopt import (
     kalman_bucy_step,
     kalman_discrete_step,
     kalman_steady_gain,
-    martingale_filter,
 )
 from varopt import gradient_models
 from varopt.gradient_models import (
@@ -50,19 +49,19 @@ class TestMartingaleModel:
 
     def test_full_batch_is_noiseless(self):
         model = MartingaleGradientModel(sigma=0.7, n=50, m=50, d=3)
-        grad_true, g = model.simulate(np.full(5, 0.1), np.random.default_rng(0))
+        (grad_true,), (g,) = model.simulate(np.full(5, 0.1), [np.random.default_rng(0)])
         np.testing.assert_array_equal(g, grad_true)
 
     def test_filter_rescales(self):
         model = MartingaleGradientModel(sigma=1.0, n=10, m=2, d=4)
         g = np.arange(4.0)
-        np.testing.assert_allclose(martingale_filter(model, g), 0.2 * g)
+        np.testing.assert_allclose(model.filter_coefficient * g, 0.2 * g)
 
     def test_stream_increment_statistics(self):
         model = MartingaleGradientModel(sigma=2.0, n=8, m=2, d=1)
         rng = np.random.default_rng(123)
         dt = 0.25
-        grad_true, g = model.simulate(np.full(4000, dt), rng)
+        (grad_true,), (g,) = model.simulate(np.full(4000, dt), [rng])
         var_t = np.var(np.diff(grad_true, axis=0, prepend=0.0))
         var_g = np.var(np.diff(g, axis=0, prepend=0.0))
         # Var = sigma^2 dt and sigma^2 (1 + rho^2) dt = sigma^2 (n/m) dt.
@@ -96,8 +95,8 @@ class TestStateSpaceModel:
         model = StateSpaceGradientModel(a_mat=np.eye(2), l_mat=np.eye(2),
                                         b_vec=np.array([1.0, -1.0]), sigma=0.5,
                                         d=3)
-        t1, g1 = model.simulate(np.full(10, 0.2), np.random.default_rng(42))
-        t2, g2 = model.simulate(np.full(10, 0.2), np.random.default_rng(42))
+        (t1,), (g1,) = model.simulate(np.full(10, 0.2), [np.random.default_rng(42)])
+        (t2,), (g2,) = model.simulate(np.full(10, 0.2), [np.random.default_rng(42)])
         assert g1.shape == t1.shape == (10, 3)
         np.testing.assert_array_equal(g1, g2)
         np.testing.assert_array_equal(t1, t2)
@@ -187,18 +186,30 @@ class TestSimulate:
     @pytest.mark.parametrize("model, stepwise", _simulate_cases())
     def test_block_draw_is_the_stepwise_recursion(self, model, stepwise):
         dts = np.random.default_rng(1).uniform(0.01, 0.5, 40)
-        grad_true, g = model.simulate(dts, np.random.default_rng(11))
+        (grad_true,), (g,) = model.simulate(dts, [np.random.default_rng(11)])
         want_true, want_g = stepwise(model, dts, np.random.default_rng(11))
         assert g.shape == grad_true.shape == (40, 4)
         np.testing.assert_array_equal(grad_true, want_true)
         np.testing.assert_array_equal(g, want_g)
+
+    @pytest.mark.parametrize("model, stepwise", _simulate_cases())
+    def test_each_row_is_its_generators_draw(self, model, stepwise):
+        # The stacked draw of three generators is, row by row, each
+        # generator's one-row draw, bit for bit.
+        dts = np.random.default_rng(1).uniform(0.01, 0.5, 40)
+        grad_true, g = model.simulate(dts, [np.random.default_rng(s) for s in (3, 5, 8)])
+        assert g.shape == grad_true.shape == (3, 40, 4)
+        for i, s in enumerate((3, 5, 8)):
+            (want_true,), (want_g,) = model.simulate(dts, [np.random.default_rng(s)])
+            np.testing.assert_array_equal(grad_true[i], want_true)
+            np.testing.assert_array_equal(g[i], want_g)
 
     @pytest.mark.parametrize("dts", [[0.1, 0.0], [0.1, -0.2], [0.1, np.nan], [[0.1]], 0.1],
                              ids=["zero", "negative", "nan", "2-d", "0-d"])
     @pytest.mark.parametrize("model, stepwise", _simulate_cases())
     def test_rejects_a_bad_mesh(self, model, stepwise, dts):
         with pytest.raises(ValueError, match="positive mesh steps"):
-            model.simulate(dts, np.random.default_rng(0))
+            model.simulate(dts, [np.random.default_rng(0)])
 
 
 class TestDiscreteKalman:
@@ -253,7 +264,7 @@ class TestDiscreteKalman:
         l = np.array([[1.0, 0.9], [0.0, 0.3]])
         y_cols = [StateSpaceGradientModel(a_mat=np.eye(2), l_mat=l, b_vec=b, sigma=1.0,
                                           d=20_000).simulate(np.ones(1),
-                                                             np.random.default_rng(5))[0][0]
+                                                             [np.random.default_rng(5)])[0][0, 0]
                   for b in np.eye(2)]
         state = initial_kalman_state(1, 2, p0=np.zeros((2, 2)))
         state = kalman_discrete_step(state, np.zeros(1), np.zeros((2, 2)), l,

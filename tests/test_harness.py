@@ -723,7 +723,7 @@ class TestRunExperiment:
                          "trajectory_seed2.csv", "diagnostics.csv", "summary.txt"}
         assert not art.errors
         assert art.report is not None
-        assert np.all(np.isfinite(art.final_gaps))
+        assert np.all(np.isfinite([t.loss_gap[-1] for t in art.trajectories]))
 
     def test_byte_determinism(self, tmp_path):
         contents = []
@@ -1016,6 +1016,31 @@ class TestCli:
         cfg = _write_config(tmp_path, BASE_CONFIG + override + "\n")
         assert main(["run", cfg]) == EXIT_CONFIG
         assert f"{key} = " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("base, override", [
+        (BASE_CONFIG, "model.sigma = NaN"),
+        (BASE_CONFIG, "problem.N = 0"),
+        (BASE_CONFIG, "problem.seed = -1"),
+        (BASE_CONFIG, 'map.m_diag = ["1", "2", "3"]'),
+        (KALMAN_CONFIG, "model.A = [[0.5]]"),
+        (KALMAN_CONFIG, "model.dtilde = 0"),
+    ], ids=["sigma", "N", "problem-seed", "m_diag", "A", "dtilde"])
+    def test_unreadable_value_names_its_key_first(self, base, override, tmp_path, capsys):
+        # A key the reader refuses is named first, with no stage before it.
+        cfg = _write_config(tmp_path, base + override + f"\noutput = {tmp_path}/out\n")
+        assert main(["run", cfg]) == EXIT_CONFIG
+        key = override.partition(" ")[0]
+        assert capsys.readouterr().err.startswith(f"configuration error: {key} = ")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("override, message", [
+        ("model.sigma = -1", "invalid gradient model: sigma must be finite and >= 0"),
+        ("map.m_diag = [1, -1, 1]", "invalid map: diagonal of M must be positive and finite"),
+    ], ids=["sigma", "m_diag"])
+    def test_constructor_refusal_names_its_stage(self, override, message, tmp_path, capsys):
+        cfg = _write_config(tmp_path, BASE_CONFIG + override + "\n")
+        assert main(["run", cfg]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"configuration error: {message}")
 
     def test_empirical_run_without_problem_is_config_error(self, tmp_path, capsys):
         text = "".join(line + "\n" for line in BASE_CONFIG.splitlines()

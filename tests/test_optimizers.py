@@ -19,7 +19,6 @@ from varopt import (
     fosp_flow_step,
     generalized_momentum_step,
     kalman_discrete_step,
-    kalman_gd_step,
     kalman_steady_gain,
     linear_schedule,
     mirror_descent_step,
@@ -70,7 +69,7 @@ class TestKalmanStep:
         y_hat = np.array([[1.0, 2.0], [3.0, 4.0]])
         phi = np.array([0.5, -0.25])
         x = np.zeros(2)
-        got = kalman_gd_step(mirror, x, y_hat, phi)
+        got = mirror_descent_step(mirror, x, y_hat @ phi, 1.0)
         np.testing.assert_allclose(got, -(y_hat @ phi), atol=1e-14)
 
 
@@ -91,7 +90,7 @@ class TestMomentumStep:
         for _ in range(1000):
             g = rng.standard_normal(3)
             phi = np.array([rng.uniform(0.0, 0.5)])
-            x, y = generalized_momentum_step(mirror, x, y, g, a_til, k_inf, phi)
+            x, y = generalized_momentum_step(mirror, x, y, g, a_til, k_inf, phi, np.ones(1))
             y_ref = p1 * y_ref + p2 * g
             x_ref = x_ref - phi[0] * y_ref
             assert np.max(np.abs(y[:, 0] - y_ref)) <= 1e-12
@@ -298,7 +297,7 @@ def _hand_kalman_gd(spec, steps, seed):
     times = build_mesh(schedule, steps).times[: steps + 1]
     phi = phi_vector_path(schedule, model.a_mat, model.b_vec, times[:-1])
     dts = np.diff(times)
-    _, g_stream = model.simulate(dts, component_rng(seed, "stream"))
+    _, (g_stream,) = model.simulate(dts, [component_rng(seed, "stream")])
     state = initial_kalman_state(model.d, model.dtilde,
                                  model.stationary_covariance())
     x = spec.default_x0(model.d)
@@ -306,7 +305,7 @@ def _hand_kalman_gd(spec, steps, seed):
     for k, (dt, g) in enumerate(zip(dts, g_stream)):
         state = kalman_discrete_step(state, g, np.eye(model.dtilde) - dt * model.a_mat,
                                      dt * model.l_mat, model.b_vec, model.sigma * dt)
-        x = kalman_gd_step(spec.mirror, x, state.y_hat, phi[k])
+        x = mirror_descent_step(spec.mirror, x, state.y_hat @ phi[k], 1.0)
         path.append(x)
     return np.array(path)
 
@@ -317,7 +316,7 @@ def _hand_mirror_sgd(spec, steps, seed, stop=None):
     model, schedule = spec.model, spec.schedule
     times = build_mesh(schedule, steps).times[: steps + 1]
     phi = phi_scalar_path(schedule, times[:-1])
-    _, g_stream = model.simulate(np.diff(times), component_rng(seed, "stream"))
+    _, (g_stream,) = model.simulate(np.diff(times), [component_rng(seed, "stream")])
     x = spec.default_x0(model.d)
     path = [x]
     for k, g in enumerate(g_stream[:stop]):
@@ -334,7 +333,7 @@ def _hand_momentum(spec, steps, seed):
     times = build_mesh(schedule, steps).times[: steps + 1]
     phi = phi_vector_path(schedule, model.a_mat, model.b_vec, times[:-1])
     dts = np.diff(times)
-    _, g_stream = model.simulate(dts, component_rng(seed, "stream"))
+    _, (g_stream,) = model.simulate(dts, [component_rng(seed, "stream")])
     eye = np.eye(model.dtilde)
     k_inf = kalman_steady_gain(eye - dts[0] * model.a_mat, dts[0] * model.l_mat,
                                model.b_vec, model.sigma * dts[0])
@@ -494,6 +493,11 @@ def test_empty_ensemble_is_empty(kind):
     assert run_ensemble(_ensemble_spec(kind, "synthetic"), None, 20, []) == []
 
 
+def test_empirical_run_without_a_problem_is_refused():
+    with pytest.raises(ValueError, match="empirical mode needs a problem"):
+        run_ensemble(_ensemble_spec("mirror_sgd", "empirical"), None, 3, [0])
+
+
 def _assert_same_trajectories(ensemble, runs):
     for got, want in zip(ensemble, runs, strict=True):
         for field in dataclasses.fields(Trajectory):
@@ -585,14 +589,14 @@ def test_rows_failing_at_different_steps_are_the_per_seed_runs(kind, mode):
 def test_seed_whose_stream_raises_fails_alone(monkeypatch):
     # The stacked simulation raises, so each seed is simulated on its own;
     # only seed 2 fails, on step 0.
-    simulate_seeds = MartingaleGradientModel._simulate_seeds
+    simulate = MartingaleGradientModel.simulate
 
     def raising(self, dts, rngs):
         if any(rng.bit_generator.seed_seq.entropy == 2 for rng in rngs):
             raise FloatingPointError("stream raised")
-        return simulate_seeds(self, dts, rngs)
+        return simulate(self, dts, rngs)
 
-    monkeypatch.setattr(MartingaleGradientModel, "_simulate_seeds", raising)
+    monkeypatch.setattr(MartingaleGradientModel, "simulate", raising)
     spec, seeds = _ensemble_spec("mirror_sgd", "synthetic"), [0, 1, 2, 3]
     ensemble = run_ensemble(spec, None, 20, seeds)
     _assert_same_trajectories(ensemble, [run_ensemble(spec, None, 20, [s])[0] for s in seeds])
@@ -691,19 +695,19 @@ def test_covariance_failure_stops_every_seed_at_its_step(monkeypatch):
     # simulated together, once.
     spec = _covariance_failure_spec(5)
     model = spec.model
-    calls = {"_simulate_seeds": 0}
-    _count_calls(monkeypatch, StateSpaceGradientModel, "_simulate_seeds", calls)
+    calls = {"simulate": 0}
+    _count_calls(monkeypatch, StateSpaceGradientModel, "simulate", calls)
     seeds = [0, 1, 2]
     trajs = run_ensemble(spec, None, 5, seeds)
-    assert calls["_simulate_seeds"] == 1
+    assert calls["simulate"] == 1
     phi = phi_vector_path(spec.schedule, model.a_mat, model.b_vec, np.arange(5.0))
     a_til = np.eye(2) - model.a_mat
     for seed, traj in zip(seeds, trajs):
-        _, g_stream = model.simulate(np.ones(2), component_rng(seed, "stream"))
+        _, (g_stream,) = model.simulate(np.ones(2), [component_rng(seed, "stream")])
         state = initial_kalman_state(model.d, 2, spec.p0)
         state = kalman_discrete_step(state, g_stream[0], a_til, model.l_mat,
                                      model.b_vec, 0.0)
-        x1 = kalman_gd_step(spec.mirror, np.zeros(3), state.y_hat, phi[0])
+        x1 = mirror_descent_step(spec.mirror, np.zeros(3), state.y_hat @ phi[0], 1.0)
         with pytest.raises(FilterDivergenceError) as info:
             kalman_discrete_step(state, g_stream[1], a_til, model.l_mat,
                                  model.b_vec, 0.0)

@@ -74,7 +74,7 @@ class TestMesh:
         s = constant_schedule(alpha0=math.log(2.0), horizon_T=5.0)
         mesh = build_mesh(s, 4)
         np.testing.assert_allclose(mesh.times, [0.0, 0.5, 1.0, 1.5, 2.0])
-        np.testing.assert_allclose(mesh.steps, 0.5)
+        np.testing.assert_allclose(np.diff(mesh.times), 0.5)
 
     def test_recursion_matches_alpha(self):
         s = linear_schedule(alpha0=0.2, alpha1=0.3, horizon_T=10.0)
