@@ -3,10 +3,12 @@
 Subcommands: run, sweep, compare, selftest.  Exit codes of run, sweep and
 compare: 0 when every seed of the run succeeded or any cell ran, 2 for a
 configuration error (every cell's, when no cell ran), among them a mesh
-too large to allocate, which names mesh.steps, 3 for a failed seed or
-diagnostic, every ArithmeticError, ValueError, RuntimeError or
-RuntimeWarning the library raises and any other MemoryError.  sweep and
-compare record a failed cell as a CSV row.
+too large to allocate, which names mesh.steps, a config file that is not
+UTF-8 and any OSError, such as a config path that is a directory or an
+output that names a file, 3 for a failed seed or diagnostic, every
+ArithmeticError, ValueError, RuntimeError or RuntimeWarning the library
+raises and any other MemoryError.  sweep and compare record a failed cell
+as a CSV row.
 """
 
 from __future__ import annotations
@@ -113,7 +115,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, FileNotFoundError) as exc:
+    except (ConfigError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except _NUMERICAL_FAILURES as exc:

@@ -150,8 +150,12 @@ def _json_or_string(text: str):
 
 
 def load_config(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read())
+    """The parsed config file at path, UTF-8 with or without a BOM."""
+    try:
+        with open(path, "r", encoding="utf-8-sig") as fh:
+            return parse_config_text(fh.read())
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not UTF-8: {exc}") from exc
 
 
 @dataclass
@@ -274,9 +278,6 @@ def build_experiment(cfg: dict) -> ExperimentConfig:
 def _experiment(cfg: dict, cell: tuple) -> ExperimentConfig:
     """build_experiment of cfg, whose keys check_keys has checked."""
     mode, kind, _, map_name, problem_kind = cell
-    if kind == "fosp_continuous" and map_name == "quadratic":
-        raise ConfigError("optimizer.kind = fosp_continuous is mirror_sgd on the quadratic map, "
-                          "where its Euler substeps add up to one mirror_sgd step: use mirror_sgd")
     if mode == "empirical" and not cfg.get("problem"):
         raise ConfigError("optimizer.mode = empirical needs a problem: "
                           "set problem.kind, problem.d and problem.N")

@@ -64,26 +64,18 @@ __all__ = [
     "OPTIMIZER_KINDS",
 ]
 
-OPTIMIZER_KINDS = ("mirror_sgd", "kalman_gd", "generalized_momentum", "fosp_continuous")
+OPTIMIZER_KINDS = ("mirror_sgd", "kalman_gd", "generalized_momentum")
 # Kinds whose dual-space step comes from a state-space filter.
 _FILTERED_KINDS = ("kalman_gd", "generalized_momentum")
 # The numerical failures that fail a seed: DomainError and LinAlgError are
 # ValueErrors, FilterDivergenceError and NumericalError RuntimeErrors, and
 # numpy's warnings may be raised as errors.
 _NUMERICAL_FAILURES = (ArithmeticError, ValueError, RuntimeError, RuntimeWarning)
-_FOSP_SUBSTEPS = 4                        # fosp_continuous Euler steps per mesh step
 
 
 def _mirror_update(mirror: MirrorMap, x: np.ndarray, step: np.ndarray) -> np.ndarray:
     """grad_h*(grad_h(X) - step) for points X (..., d); no conversion, no checks."""
     return grad_dual(mirror, mirror.grad_h(x) - step)
-
-
-def _flow_update(mirror: MirrorMap, x: np.ndarray, effective: np.ndarray,
-                 alpha_t: float, dt: float) -> np.ndarray:
-    """Euler step X + dt exp(alpha) (grad_h*(grad_h(X) - effective) - X)
-    for points X (..., d); no conversion, no checks."""
-    return x + dt * math.exp(alpha_t) * (_mirror_update(mirror, x, effective) - x)
 
 
 def _filtered_update(mirror: MirrorMap, x: np.ndarray, y_hat: np.ndarray, g: np.ndarray,
@@ -133,12 +125,14 @@ def generalized_momentum_step(mirror: MirrorMap, x: np.ndarray, y_hat: np.ndarra
 def fosp_flow_step(mirror: MirrorMap, x: np.ndarray, effective_term: np.ndarray,
                    alpha_t: float, dt: float) -> np.ndarray:
     """One explicit Euler step of the continuous optimizer flow
-    dX = exp(alpha) (grad_h*(grad_h(X) - effective_term) - X) dt."""
+    dX = exp(alpha) (grad_h*(grad_h(X) - effective_term) - X) dt; with
+    exp(alpha) dt = 1 it is mirror_descent_step(mirror, X, effective_term, 1)."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     x = np.asarray(x, dtype=float)
     mirror.check_domain(x)
-    x_new = _flow_update(mirror, x, np.asarray(effective_term, dtype=float), alpha_t, dt)
+    target = _mirror_update(mirror, x, np.asarray(effective_term, dtype=float))
+    x_new = x + dt * math.exp(alpha_t) * (target - x)
     mirror.check_domain(x_new)
     return x_new
 
@@ -188,7 +182,7 @@ class OptimizerSpec:
         # The model refuses every other A that is not positive definite.
         if self.kind in _FILTERED_KINDS and not self.model.a_mat.any():
             raise ValueError(f"{self.kind} requires a positive definite model.A, not A = 0")
-        if self.mode == "synthetic" and self.kind in ("mirror_sgd", "fosp_continuous"):
+        if self.mode == "synthetic" and self.kind == "mirror_sgd":
             if not isinstance(self.model, (MartingaleGradientModel, StateSpaceGradientModel)):
                 raise ValueError(f"synthetic {self.kind} requires a gradient model")
         if self.mode == "empirical" and self.batch_m is None:
@@ -252,9 +246,8 @@ def run_ensemble(spec: OptimizerSpec, problem, steps: int, seeds) -> list[Trajec
            if filtered else phi_scalar_path(schedule, step_times))
     filt = _filter_gains(spec, dts) if filtered else None
     coeff = _filter_coefficient(spec, problem)
-    alphas = schedule.alpha(step_times)
 
-    args = (spec, problem, x0, alphas, dts, phi, coeff, filt)
+    args = (spec, problem, x0, dts, phi, coeff, filt)
     x_paths, g_stream, y_paths, lengths, errors, raised = _run_steps(seeds, *args)
     if raised and len(seeds) > 1:
         # Each seed alone: every row is then its one-seed run.
@@ -327,7 +320,7 @@ def _filter_gains(spec: OptimizerSpec, dts: np.ndarray):
     return a_tils, [gain] * len(dts), None
 
 
-def _run_steps(seeds, spec, problem, x0, alphas, dts, phi, coeff, filt):
+def _run_steps(seeds, spec, problem, x0, dts, phi, coeff, filt):
     """The step loop of every kind and stream mode, advancing the S seeds
     together as stacks: iterates (S, d), filter means (S, d, dtilde) and
     the observed stream (S, K, d).  The streams of all seeds are simulated
@@ -336,8 +329,7 @@ def _run_steps(seeds, spec, problem, x0, alphas, dts, phi, coeff, filt):
     mini-batch gradients in one stacked call, each batch drawn from its
     seed's "batch" generator), filters it with the gains in filt
     (filtered kinds), applies the kind's update rule to the stack and
-    checks the domain of the new stack once (fosp_continuous: once per
-    Euler substep).
+    checks the domain of the new stack once.
 
     A numerical failure (_NUMERICAL_FAILURES), the simulation counting as
     step 0, ends every row at step k with "{Type} at step {k}: {message}";
@@ -380,20 +372,12 @@ def _run_steps(seeds, spec, problem, x0, alphas, dts, phi, coeff, filt):
             g = g_stream[:, k]
             if k == n_gains:
                 raise gain_error
-            if kind == "fosp_continuous":
-                # The observation is frozen over the Euler substeps.
-                effective = float(phi[k]) * coeff * g
-                for _ in range(_FOSP_SUBSTEPS):
-                    x = _flow_update(mirror, x, effective, float(alphas[k]),
-                                     float(dts[k]) / _FOSP_SUBSTEPS)
-                    mirror.check_domain(x)
+            if kind == "mirror_sgd":
+                x = _mirror_update(mirror, x, float(phi[k]) * (coeff * g))
             else:
-                if kind == "mirror_sgd":
-                    x = _mirror_update(mirror, x, float(phi[k]) * (coeff * g))
-                else:
-                    x, y = _filtered_update(mirror, x, y, g, a_tils[k], model.b_vec,
-                                            gains[k], phi[k])
-                mirror.check_domain(x)
+                x, y = _filtered_update(mirror, x, y, g, a_tils[k], model.b_vec,
+                                        gains[k], phi[k])
+            mirror.check_domain(x)
             x_paths[:, k + 1] = x
             if y is not None:
                 y_paths[:, k + 1] = y

@@ -69,14 +69,11 @@ def _unperturbed(mode, kind, model):
 # (mode, kind, model kind, map name, problem: kind and seed, "d" for a
 # synthetic run that sets its dimension, model.d = 2, or None).  The
 # entropy map runs empirically on problem seeds whose minimizer, and the
-# perturbed problems' minimizers, lie in its orthant.  fosp_continuous runs
-# on the entropy map: the builder refuses it on the quadratic map, where it
-# is mirror_sgd.
+# perturbed problems' minimizers, lie in its orthant.
 _CELLS = [
     ("synthetic", "mirror_sgd", "martingale", "quadratic", None),
     ("synthetic", "mirror_sgd", "state_space", "entropy", None),
-    ("synthetic", "fosp_continuous", "martingale", "entropy", None),
-    ("synthetic", "fosp_continuous", "state_space", "entropy", None),
+    ("synthetic", "mirror_sgd", "martingale", "entropy", None),
     ("synthetic", "kalman_gd", "state_space", "quadratic", None),
     ("synthetic", "generalized_momentum", "state_space", "entropy", None),
     # Polyak's heavy ball: generalized momentum at the default dtilde = 1.
@@ -87,9 +84,8 @@ _CELLS = [
     ("empirical", "mirror_sgd", "martingale", "quadratic", ("quadratic", 0)),
     ("empirical", "mirror_sgd", "state_space", "quadratic", ("logistic", 0)),
     ("empirical", "mirror_sgd", None, "entropy", ("quadratic", 11)),
-    ("empirical", "fosp_continuous", "martingale", "entropy", ("quadratic", 24)),
-    ("empirical", "fosp_continuous", "state_space", "entropy", ("quadratic", 24)),
-    ("empirical", "fosp_continuous", None, "entropy", ("quadratic", 11)),
+    ("empirical", "mirror_sgd", "martingale", "entropy", ("quadratic", 24)),
+    ("empirical", "mirror_sgd", "state_space", "entropy", ("quadratic", 24)),
     ("empirical", "kalman_gd", "state_space", "quadratic", ("logistic", 0)),
     ("empirical", "generalized_momentum", "state_space", "quadratic", ("quadratic", 0)),
     pytest.param(("empirical", "generalized_momentum", "state_space", "quadratic",
@@ -192,9 +188,7 @@ _KIND_CELLS = list(dict.fromkeys(
 @pytest.mark.parametrize("cell", _KIND_CELLS, ids=_cell_id)
 def test_no_two_kinds_give_one_result(cell):
     # Every kind that the builder admits on the cell runs seed 0 for 5
-    # steps, and no two of them give the same iterates.  On the quadratic
-    # map fosp_continuous is mirror_sgd, and the builder refuses it, naming
-    # mirror_sgd.
+    # steps, and no two of them give the same iterates.
     mode, model, map_name, problem = cell
     paths = {}
     for kind in OPTIMIZER_KINDS:
@@ -202,15 +196,12 @@ def test_no_two_kinds_give_one_result(cell):
                           {"seeds": [0], "mesh.steps": 5})
         try:
             experiment = build_experiment(cfg)
-        except ConfigError as exc:
-            if kind == "fosp_continuous" and map_name == "quadratic":
-                assert "mirror_sgd" in str(exc)
+        except ConfigError:
             continue
         (trajectory,) = run_experiment(experiment, write=False).trajectories
         assert trajectory.error is None
         paths[kind] = trajectory.x_path
     assert "mirror_sgd" in paths
-    assert map_name == "entropy" or "fosp_continuous" not in paths
     for a, b in itertools.combinations(paths, 2):
         x, y = paths[a], paths[b]
         scale = 1.0 + max(np.abs(x).max(), np.abs(y).max())

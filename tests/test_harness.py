@@ -59,11 +59,6 @@ optimizer.mode = empirical
 seeds = [0, 1, 2]
 """
 
-# BASE_CONFIG on the entropy map, on a problem seed whose minimizer lies in
-# its orthant.  There fosp_continuous is not mirror_sgd, as it is on the
-# quadratic map, where the builder refuses it.
-_ENTROPY_CONFIG = BASE_CONFIG + "map.name = entropy\nproblem.seed = 9\n"
-
 # BASE_CONFIG with beta0 = 0.5: Phi turns negative and the run diverges.
 _BETA0_HALF = BASE_CONFIG + ('schedule.params = {"alpha0": 2.302585092994046, "beta0": 0.5, '
                              '"gamma1": 10.0}\n')
@@ -99,16 +94,16 @@ _ENTROPY_EDGE = {
 }
 
 
-# fosp_continuous from X_0 = 1 on the entropy map: seed 0 leaves the float
-# range at step 0, and seed 1 ends at x = (1.1e137, 1.6e172), finite, whose
+# mirror_sgd from X_0 = 1 on the entropy map: seed 0 leaves the float
+# range at step 0, and seed 1 ends at x = (3.1e155, 5.9e40), finite, whose
 # logistic loss overflows.
 _HUGE_ITERATE = {
-    "problem.kind": "logistic", "problem.d": 2, "problem.N": 24, "problem.seed": 57,
+    "problem.kind": "logistic", "problem.d": 2, "problem.N": 24, "problem.seed": 63,
     "map.name": "entropy", "schedule.family": "constant",
     "schedule.params": {"alpha0": 1.8688, "beta0": 1.7220},
-    "schedule.delta_T": 9.5107, "schedule.T": 1.582, "mesh.steps": 1,
+    "schedule.delta_T": 10.0, "schedule.T": 1.582, "mesh.steps": 1,
     "model.kind": "martingale", "model.sigma": 0.0, "model.n": 24, "model.m": 2,
-    "optimizer.kind": "fosp_continuous", "optimizer.mode": "empirical", "seeds": [0, 1],
+    "optimizer.kind": "mirror_sgd", "optimizer.mode": "empirical", "seeds": [0, 1],
 }
 _FILES_WITHOUT_DIAGNOSTICS = ["summary.txt", "trajectory_seed0.csv", "trajectory_seed1.csv"]
 
@@ -254,7 +249,7 @@ class TestBuildExperiment:
         ("schedule.params.horizon_T = 2.0",
          "'schedule.params.horizon_T'; the setting is schedule.T"),
         ("map.lower = 0.1", "'map.lower'"),
-        # Fixed by model.m and by _FOSP_SUBSTEPS; the rate bound has no constant.
+        # model.m is the batch size, no kind takes substeps, and the rate bound has no constant.
         ("optimizer.batch_m = 10", "'optimizer.batch_m'"),
         ("optimizer.fosp_substeps = 4", "'optimizer.fosp_substeps'"),
         ("diagnostics.bound_constant = 10", "'diagnostics'"),
@@ -892,22 +887,23 @@ class TestSweepAndCompare:
         assert rows[0][0] == rows[1][0] and rows[0][1] != rows[1][1]
 
     def test_compare_refuses_a_key_that_no_kind_reads(self, tmp_path):
-        raw = parse_config_text(_ENTROPY_CONFIG + "model.kind = state_space\n"
-                                f"model.A = [[0.5]]\noutput = {tmp_path}/cmp\n")
-        with pytest.raises(ConfigError, match="^model.A is not read by empirical mirror_sgd "
-                           "runs .* or empirical fosp_continuous runs"):
-            compare(raw, ["mirror_sgd", "fosp_continuous"])
+        # Only a logistic problem reads problem.ridge.
+        raw = parse_config_text(_readme_example(1) + "problem.ridge = 0.1\n"
+                                f"output = {tmp_path}/cmp\n")
+        with pytest.raises(ConfigError, match="^problem.ridge is not read by empirical "
+                           "kalman_gd runs .* or empirical generalized_momentum runs"):
+            compare(raw, ["kalman_gd", "generalized_momentum"])
         assert not (tmp_path / "cmp").exists()
 
     def test_compare_runs_kinds(self, tmp_path):
-        raw = parse_config_text(_ENTROPY_CONFIG + f"output = {tmp_path}/cmp\n"
+        raw = parse_config_text(_readme_example(1) + f"output = {tmp_path}/cmp\n"
                                 "seeds = [0]\n")
-        path = compare(raw, ["mirror_sgd", "fosp_continuous"])
+        path = compare(raw, ["mirror_sgd", "generalized_momentum"])
         lines = open(path).read().strip().splitlines()
         assert lines[0] == "optimizer,n_seeds,n_failed,mean_final_gap"
         assert len(lines) == 3
         assert lines[1].startswith("mirror_sgd,1,0,")
-        assert lines[2].startswith("fosp_continuous,1,0,")
+        assert lines[2].startswith("generalized_momentum,1,0,")
         assert lines[1].split(",")[3] != lines[2].split(",")[3]
 
 
@@ -967,6 +963,42 @@ class TestCli:
 
     def test_missing_config_is_config_error(self, capsys):
         assert main(["run", "/no/such/file.cfg"]) == EXIT_CONFIG
+
+    # A config path or an output that the OS refuses exits 2 with one line.
+    def test_config_that_is_a_directory_is_config_error(self, tmp_path, capsys):
+        assert main(["run", str(tmp_path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: [Errno ") and err.count("\n") == 1
+        assert f"Is a directory: '{tmp_path}'" in err
+
+    def test_config_that_is_not_utf8_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "exp.cfg"
+        path.write_bytes(BASE_CONFIG.encode() + b"# caf\xe9\n")
+        assert main(["run", str(path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: config file {path} is not UTF-8: ")
+        assert err.count("\n") == 1
+
+    def test_config_with_a_byte_order_mark_runs(self, tmp_path, capsys):
+        path = tmp_path / "exp.cfg"
+        path.write_text(f"output = {tmp_path}/out\n" + BASE_CONFIG, encoding="utf-8-sig")
+        assert main(["run", str(path)]) == EXIT_OK
+        assert (tmp_path / "out" / "summary.txt").exists()
+
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+    @pytest.mark.parametrize("command", [["run"], ["sweep", "--grid", "model.m=10,50"],
+                                         ["compare", "--optimizers", "mirror_sgd"]],
+                             ids=["run", "sweep", "compare"])
+    def test_output_that_the_os_refuses_is_config_error(self, command, under, tmp_path,
+                                                        capsys):
+        (tmp_path / "taken").write_text("kept")
+        output = tmp_path / "taken" / "out" if under else tmp_path / "taken"
+        cfg = _write_config(tmp_path, BASE_CONFIG + f"output = {output}\nseeds = [0]\n")
+        assert main([command[0], cfg, *command[1:]]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: [Errno ") and err.count("\n") == 1
+        assert ("Not a directory" if under else "File exists") in err
+        assert (tmp_path / "taken").read_text() == "kept"
 
     def test_invalid_config_is_config_error(self, tmp_path, capsys):
         cfg = _write_config(tmp_path, BASE_CONFIG + "map.name = sphere\n")
@@ -1355,17 +1387,17 @@ class TestCli:
         assert capsys.readouterr().out.strip().endswith("sweep.csv")
 
     def test_sweep_subcommand_over_an_array(self, tmp_path, capsys):
-        cfg = _write_config(tmp_path, _ENTROPY_CONFIG + f"output = {tmp_path}/sw\n"
+        cfg = _write_config(tmp_path, _readme_example(1) + f"output = {tmp_path}/sw\n"
                             "seeds = [0]\n")
         assert main(["sweep", cfg, "--grid",
                      "optimizer.x0=[1,1,1],[2,2,2];optimizer.kind=mirror_sgd,"
-                     "fosp_continuous"]) == EXIT_OK
+                     "generalized_momentum"]) == EXIT_OK
         with open(capsys.readouterr().out.strip(), newline="") as fh:
             rows = list(csv.reader(fh))
         assert [row[:4] for row in rows[1:]] == [
             ["mirror_sgd", "[1, 1, 1]", "1", "0"], ["mirror_sgd", "[2, 2, 2]", "1", "0"],
-            ["fosp_continuous", "[1, 1, 1]", "1", "0"],
-            ["fosp_continuous", "[2, 2, 2]", "1", "0"]]
+            ["generalized_momentum", "[1, 1, 1]", "1", "0"],
+            ["generalized_momentum", "[2, 2, 2]", "1", "0"]]
 
     def test_sweep_with_one_cell_run_exits_0(self, tmp_path, capsys):
         cfg = _write_config(tmp_path, BASE_CONFIG + f"output = {tmp_path}/sw\n"
@@ -1412,10 +1444,10 @@ class TestCli:
         assert "has no values" in capsys.readouterr().err
 
     def test_compare_subcommand(self, tmp_path, capsys):
-        cfg = _write_config(tmp_path, _ENTROPY_CONFIG + f"output = {tmp_path}/cmp\n"
+        cfg = _write_config(tmp_path, _readme_example(1) + f"output = {tmp_path}/cmp\n"
                             "seeds = [0]\n")
         assert main(["compare", cfg, "--optimizers",
-                     "mirror_sgd,fosp_continuous"]) == EXIT_OK
+                     "mirror_sgd,kalman_gd"]) == EXIT_OK
         assert "error:" not in (tmp_path / "cmp" / "compare.csv").read_text()
 
     def test_compare_refuses_a_kind_named_twice(self, tmp_path, capsys):
@@ -1435,11 +1467,10 @@ class TestCli:
             "configuration error: grid key model.m is given in two clauses\n")
         assert not (tmp_path / "sw").exists()
 
-    # On a quadratic map the Euler substeps of fosp_continuous add up to the
-    # mirror_sgd step, so the builder refuses the kind there, naming
-    # mirror_sgd, before any output is made and with no warning.
+    # fosp_continuous, a removed kind, is refused as an unknown kind before
+    # any output is made and with no warning.
     @pytest.mark.parametrize("action", ["default", "error"])
-    def test_fosp_continuous_on_the_quadratic_map_is_refused(self, action, tmp_path, capsys):
+    def test_fosp_continuous_is_an_unknown_kind(self, action, tmp_path, capsys):
         cfg = _write_config(tmp_path, _readme_example() + f"output = {tmp_path}/out\n"
                             "optimizer.kind = fosp_continuous\n")
         with warnings.catch_warnings(record=True) as caught:
@@ -1447,20 +1478,19 @@ class TestCli:
             assert main(["run", cfg]) == EXIT_CONFIG
         assert caught == []
         assert capsys.readouterr().err == (
-            "configuration error: optimizer.kind = fosp_continuous is mirror_sgd on the "
-            "quadratic map, where its Euler substeps add up to one mirror_sgd step: use "
-            "mirror_sgd\n")
+            "configuration error: invalid optimizer spec: unknown optimizer kind "
+            "'fosp_continuous'; Polyak momentum is generalized_momentum with model.dtilde = 1\n")
         assert not (tmp_path / "out").exists()
 
-    def test_compare_records_fosp_continuous_on_the_quadratic_map(self, tmp_path, capsys):
+    def test_compare_records_fosp_continuous_as_an_unknown_kind(self, tmp_path, capsys):
         cfg = _write_config(tmp_path, BASE_CONFIG + f"output = {tmp_path}/cmp\nseeds = [0]\n")
         assert main(["compare", cfg, "--optimizers", "mirror_sgd,fosp_continuous"]) == EXIT_OK
         with open(tmp_path / "cmp" / "compare.csv", newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[1][:3] == ["mirror_sgd", "1", "0"]
         assert rows[2][:3] == ["fosp_continuous", "0", "all"]
-        assert rows[2][3].startswith("error:ConfigError: optimizer.kind = fosp_continuous is "
-                                     "mirror_sgd on the quadratic map")
+        assert rows[2][3].startswith("error:ConfigError: invalid optimizer spec: unknown "
+                                     "optimizer kind 'fosp_continuous'")
         assert not (tmp_path / "cmp" / "compare_fosp_continuous").exists()
 
     def test_compare_records_a_failed_kind(self, tmp_path, capsys):

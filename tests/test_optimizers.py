@@ -132,6 +132,23 @@ class TestFlowStep:
         expected = x0 * np.exp((np.exp(-eff) - 1.0) * n * dt)
         np.testing.assert_allclose(cur, expected, rtol=1e-3)
 
+    @pytest.mark.parametrize("mirror", [quadratic_map(), quadratic_map(m_diag=[0.5, 2.0, 4.0]),
+                                        quadratic_map(m_full=[[2.0, 0.5, 0.0], [0.5, 1.0, 0.3],
+                                                              [0.0, 0.3, 3.0]]),
+                                        entropy_map()],
+                             ids=["identity", "diagonal", "full", "entropy"])
+    def test_unit_step_is_the_mirror_descent_step(self, mirror):
+        # With exp(alpha) dt = 1 the flow step X + (X' - X) is X' to rounding.
+        rng = np.random.default_rng(11)
+        for _ in range(500):
+            x = rng.uniform(0.1, 3.0, 3)
+            eff = rng.normal(size=3)
+            alpha = rng.uniform(-3.0, 3.0)
+            got = fosp_flow_step(mirror, x, eff, alpha, math.exp(-alpha))
+            want = mirror_descent_step(mirror, x, eff, 1.0)
+            scale = np.maximum(np.abs(x), np.abs(want))
+            assert np.all(np.abs(got - want) <= 4 * np.finfo(float).eps * scale)
+
 
 class TestMomentumCoordinates:
     @pytest.mark.parametrize("mirror", [quadratic_map(), entropy_map()],
@@ -413,7 +430,7 @@ def test_failed_run_keeps_completed_steps():
 def _ensemble_spec(kind, mode):
     """A spec of the given kind and stream mode, on the d = 3 quadratic
     problem in empirical mode."""
-    if kind in ("mirror_sgd", "fosp_continuous"):
+    if kind == "mirror_sgd":
         model = MartingaleGradientModel(sigma=0.5, n=40, m=10, d=3)
     else:
         model = StateSpaceGradientModel(a_mat=0.5 * np.eye(2), l_mat=0.5 * np.eye(2),
@@ -525,8 +542,8 @@ def _gradient_raising_at_step_4(problem, seed):
     return problem
 
 
-def _failing_entropy_spec(mode, sigma, kind="mirror_sgd"):
-    return OptimizerSpec(kind=kind, mirror=entropy_map(),
+def _failing_entropy_spec(mode, sigma):
+    return OptimizerSpec(kind="mirror_sgd", mirror=entropy_map(),
                          schedule=linear_schedule(beta0=-0.7, gamma1=1.0, delta_T=19.3,
                                                   horizon_T=20.0),
                          model=MartingaleGradientModel(sigma=sigma, n=100, m=25, d=3),
@@ -544,16 +561,14 @@ def _failing_entropy_momentum_spec():
 @pytest.mark.parametrize("kind, mode", [
     ("mirror_sgd", "synthetic"),
     ("mirror_sgd", "empirical"),
-    ("fosp_continuous", "synthetic"),
     ("generalized_momentum", "synthetic"),
-], ids=["synthetic", "empirical", "fosp_continuous", "generalized_momentum"])
+], ids=["synthetic", "empirical", "generalized_momentum"])
 def test_rows_failing_at_different_steps_are_the_per_seed_runs(kind, mode):
     # Synthetic mirror_sgd: sigma = 60 drives seeds out of the entropy
     # domain, or overflows exp, on steps 10 to 17.  Empirical: gradients
     # scaled by 1000 leave the domain on steps 12 and 17, and seed 3's
-    # mini-batch gradient raises on step 4.  fosp_continuous: sigma = 20
-    # overflows exp in 6 of 8 seeds, on steps 11 to 19.
-    # generalized_momentum: 3 of 8 seeds fail, on steps 11 and 12.  Every
+    # mini-batch gradient raises on step 4.  generalized_momentum: 3 of 8
+    # seeds fail, on steps 11 and 12.  Every
     # row equals its single-seed run, failed rows included, and a failing
     # row does not stop the others.
     seeds = list(range(8))
@@ -561,7 +576,7 @@ def test_rows_failing_at_different_steps_are_the_per_seed_runs(kind, mode):
     if kind == "generalized_momentum":
         spec = _failing_entropy_momentum_spec()
     elif mode == "synthetic":
-        spec = _failing_entropy_spec(mode, 20.0 if kind == "fosp_continuous" else 60.0, kind)
+        spec = _failing_entropy_spec(mode, 60.0)
     else:
         spec = _failing_entropy_spec(mode, 30.0)
         problem = _gradient_raising_at_step_4(
