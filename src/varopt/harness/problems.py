@@ -8,9 +8,10 @@ families ship:
   sample variance, both exact.  A problem is built from its draws and x*
   alone: no run reads f(x*), since the gap is a closed form, so
   `f_star` is computed on its first read, as loss(x*).
-* logistic: ridge-regularized binary logistic regression, whose f(x*)
-  every loss gap reads, so it is computed at generation; the minimizer
-  is found once at generation time by Newton's method, certified by a
+* logistic: ridge-regularized binary logistic regression on the signed
+  rows z_i = y_i a_i (labels +-1 folded into the features at generation),
+  so margins are z @ x.  Every loss gap reads f(x*), so it is computed at
+  generation; the minimizer is found by Newton's method, certified by a
   full-data gradient norm of at most 1e-10, one pass over the data per
   iteration, whose Hessian sums chunks of _LOSS_CHUNK rows and builds no
   (N, d) temporary.  When N // 8 rows make at least one chunk, the solve
@@ -30,7 +31,7 @@ mean of the matching rows of `per_sample_gradients` bit for bit.
 logistic loss of a stack tiles the data, not the points: each chunk of
 _LOSS_CHUNK data rows (fewer rows are padded with zero rows to one
 chunk) meets each block of points in one product, whose
-margins X @ features' are written into one of two (rows, chunk) buffers
+margins X @ z' are written into one of two (rows, chunk) buffers
 allocated once per call and whose softplus terms go into the other, all
 in place; each row's sum goes into a (points, chunks) array of partial
 sums, and a point's loss is its row's total over n.  The
@@ -45,7 +46,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
 
 import numpy as np
 
@@ -56,7 +56,7 @@ _NEWTON_MAX_ITER = 100
 # Doubles (1 MB) per buffer of the stacked logistic loss: blocks of
 # _LOSS_BLOCK // _LOSS_CHUNK points (128) against one chunk of the data, so
 # that both buffers stay in a 2 MB per-core L2 cache and each chunk of
-# features is packed once per block, not once per few points.  Stacking
+# data is packed once per block, not once per few points.  Stacking
 # adds one partial sum per point and chunk beyond the two buffers.  The
 # stacked mini-batch gradients gather this many doubles at a time, or one
 # batch if it is larger.
@@ -107,9 +107,9 @@ class ProblemInstance:
     d: int
     n: int
     x_star: np.ndarray
-    z: np.ndarray                  # quadratic: (n, d) data points
-    features: Optional[np.ndarray] = None   # logistic: (n, d)
-    labels: Optional[np.ndarray] = None     # logistic: (n,) in {-1, +1}
+    # (n, d) data: quadratic, the points z_i; logistic, the signed rows
+    # y_i a_i of features a_i and labels y_i in {-1, +1}, so margins are z @ x.
+    z: np.ndarray
     ridge: float = 0.0
 
     @cached_property
@@ -135,25 +135,23 @@ class ProblemInstance:
         only its new columns; data of fewer than `width` rows is padded with
         zero rows and sums only its first n columns.  So no product's width
         depends on the stack or on n."""
-        width, data, signs = _LOSS_CHUNK, self.features, self.labels
+        width, data = _LOSS_CHUNK, self.z
         if self.n < width:
             data = np.concatenate([data, np.zeros((width - self.n, self.d))])
-            signs = np.concatenate([signs, np.zeros(width - self.n)])
         rows = max(2, min(len(xs), _LOSS_BLOCK // width))
         margins, terms = np.empty((rows, width)), np.empty((rows, width))
         starts = range(0, self.n, width)
         partials = np.empty((len(xs), len(starts)))
         for c, k in enumerate(starts):
             j = min(k, len(data) - width)
-            feats, labels = data[j:j + width].T, signs[j:j + width]
+            chunk = data[j:j + width].T
             for i in range(0, len(xs), rows):
                 block = xs[i:i + rows]
                 # BLAS takes a one-row product by a matrix-vector kernel, which
                 # rounds differently: a one-row block is multiplied as two rows.
                 lhs = block[[0, 0]] if len(block) == 1 else block
-                np.matmul(lhs, feats, out=margins[:len(lhs)])
+                np.matmul(lhs, chunk, out=margins[:len(lhs)])
                 m, s = margins[:len(block)], terms[:len(block)]
-                m *= labels
                 np.sum(_softplus_neg(m, s)[:, k - j:self.n - j], axis=1,
                        out=partials[i:i + len(block), c])
         return partials.sum(axis=1) / self.n + 0.5 * self.ridge * np.sum(xs * xs, axis=1)
@@ -182,9 +180,9 @@ class ProblemInstance:
         x = np.asarray(x, dtype=float)
         if self.kind == "quadratic":
             return x[..., None, :] - self.z[rows]
-        feats, labels = self.features[rows], self.labels[rows]
-        w = -labels * _sigmoid_neg(labels * np.einsum("...ij,...j->...i", feats, x))
-        grads = w[..., None] * feats
+        signed = self.z[rows]
+        w = -_sigmoid_neg(np.einsum("...ij,...j->...i", signed, x))
+        grads = w[..., None] * signed
         grads += self.ridge * x[..., None, :]
         return grads
 
@@ -227,9 +225,9 @@ def generate_problem(kind: str, d: int, n: int, rng: np.random.Generator,
         features = rng.standard_normal((n, d))
         truth = rng.standard_normal(d)
         labels = np.where(features @ truth + 0.5 * rng.standard_normal(n) > 0, 1.0, -1.0)
-        problem = ProblemInstance(kind="logistic", d=d, n=n,
-                                  x_star=np.zeros(d), z=features,
-                                  features=features, labels=labels, ridge=ridge)
+        features *= labels[:, None]     # in place: the signed rows, no (n, d) temporary
+        problem = ProblemInstance(kind="logistic", d=d, n=n, x_star=np.zeros(d),
+                                  z=features, ridge=ridge)
         problem.x_star = _newton_solve(problem)
         problem.f_star = problem.loss(problem.x_star)  # every loss gap reads it
         return problem
@@ -242,27 +240,26 @@ def _newton_solve(problem: ProblemInstance) -> np.ndarray:
     make at least one chunk, it starts from the solution on the first
     n // 8 rows (a contiguous sample, since the rows are i.i.d.), which
     saves about three passes over all n rows."""
-    feats, labels, x = problem.features, problem.labels, np.zeros(problem.d)
+    z, x = problem.z, np.zeros(problem.d)
     sub = problem.n // 8
     if sub >= _LOSS_CHUNK:
-        x = _newton(feats[:sub], labels[:sub], problem.ridge, x)
-    return _newton(feats, labels, problem.ridge, x)
+        x = _newton(z[:sub], problem.ridge, x)
+    return _newton(z, problem.ridge, x)
 
 
-def _newton(feats: np.ndarray, labels: np.ndarray, ridge: float,
-            x: np.ndarray) -> np.ndarray:
-    """Newton's method from x on the rows of feats.  One margin pass per
-    iteration gives both the gradient features' (-labels p) / n + ridge x
-    and the Hessian weights p (1 - p), with p = 1 / (1 + exp(margins));
+def _newton(z: np.ndarray, ridge: float, x: np.ndarray) -> np.ndarray:
+    """Newton's method from x on the signed rows z.  One margin pass per
+    iteration gives both the gradient -(z' p) / n + ridge x and the Hessian
+    weights p (1 - p), with p = 1 / (1 + exp(z @ x));
     the Hessian sums chunks of _LOSS_CHUNK rows.  Once the gradient norm
     is at most _REFERENCE_TOL, one more step on the last Hessian, a d x d
     solve with no pass over the data, takes the gradient to rounding, so
     the result does not depend on the path that reached the tolerance."""
-    n, d = feats.shape
+    n, d = z.shape
     hess = None
     for it in range(_NEWTON_MAX_ITER + 1):
-        p = _sigmoid_neg(labels * (feats @ x))
-        grad = feats.T @ (-labels * p) / n + ridge * x
+        p = _sigmoid_neg(z @ x)
+        grad = -(z.T @ p) / n + ridge * x
         grad_norm = float(np.linalg.norm(grad))
         if grad_norm <= _REFERENCE_TOL:
             return x if hess is None else x - np.linalg.solve(hess, grad)
@@ -270,7 +267,7 @@ def _newton(feats: np.ndarray, labels: np.ndarray, ridge: float,
             break
         w, hess = p * (1.0 - p), np.zeros((d, d))
         for j in range(0, n, _LOSS_CHUNK):
-            chunk = feats[j:j + _LOSS_CHUNK]
+            chunk = z[j:j + _LOSS_CHUNK]
             hess += (chunk.T * w[j:j + _LOSS_CHUNK]) @ chunk
         hess = hess / n + ridge * np.eye(d)
         x = x - np.linalg.solve(hess, grad)

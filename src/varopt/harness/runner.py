@@ -202,12 +202,12 @@ def _run_cells(raw_cfg: dict, header: list, cells: list, base_output: str,
     one row per cell; returns its path.  check_keys takes every cell's
     config before base_output is made: it refuses a key only when no cell
     reads it, and each cell leaves unread the keys that only others read.
-    A cell failing with a configuration error or a numerical failure gets
-    the row "error:{Type}: {message}" (newlines folded); any other
-    exception propagates.  When no cell ran, the CSV is written and
-    ConfigError is raised if every cell failed with one, else
-    NumericalError, naming the CSV and the first failure (a numerical one,
-    if any)."""
+    A cell failing with a config failure (a ConfigError, or an OSError such
+    as a file where its output goes) or a numerical one gets the row
+    "error:{Type}: {message}" (newlines folded); any other exception
+    propagates.  When no cell ran, the CSV is written and ConfigError is
+    raised if every cell failed with a config failure, else NumericalError,
+    naming the CSV and the first failure (a numerical one, if any)."""
     cfgs = [_set_dotted(copy.deepcopy(raw_cfg), settings) for _, settings in cells]
     keyed = check_keys(*cfgs)
     os.makedirs(base_output, exist_ok=True)
@@ -220,16 +220,16 @@ def _run_cells(raw_cfg: dict, header: list, cells: list, base_output: str,
             artifacts = run_experiment(experiment, write=write)
             row += [str(len(experiment.seeds)), str(len(artifacts.errors)),
                     _fmt(artifacts.mean_final_gap)]
-        except _NUMERICAL_FAILURES as exc:     # a ConfigError is a ValueError
+        except (*_NUMERICAL_FAILURES, OSError) as exc:     # a ConfigError is a ValueError
             failure = _failure(exc)
             row += ["0", "all", f"error:{failure}"]
-            failures.append((exc, failure))
+            failures.append((isinstance(exc, (ConfigError, OSError)), failure))
         rows.append(row)
     path = os.path.join(base_output, f"{command}.csv")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh, lineterminator="\n").writerows(rows)
     if failures and len(failures) == len(cells):
-        numerical = [failure for exc, failure in failures if not isinstance(exc, ConfigError)]
+        numerical = [failure for config, failure in failures if not config]
         first = numerical[0] if numerical else failures[0][1]
         text = f"every {command} cell failed ({path}); first: {first}"
         raise NumericalError(text) if numerical else ConfigError(text)

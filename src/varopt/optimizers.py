@@ -172,8 +172,9 @@ class OptimizerSpec:
 
     def validate(self) -> None:
         if self.kind not in OPTIMIZER_KINDS:
-            raise ValueError(f"unknown optimizer kind {self.kind!r}; Polyak momentum is "
-                             "generalized_momentum with model.dtilde = 1")
+            hint = (f"the kinds are {', '.join(OPTIMIZER_KINDS)}" if self.kind != "polyak_momentum"
+                    else "Polyak momentum is generalized_momentum with model.dtilde = 1")
+            raise ValueError(f"unknown optimizer kind {self.kind!r}; {hint}")
         if self.mode not in ("synthetic", "empirical"):
             raise ValueError(f"unknown stream mode {self.mode!r}")
         if (self.kind in _FILTERED_KINDS

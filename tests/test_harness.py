@@ -263,7 +263,7 @@ class TestBuildExperiment:
     # count instead of repeating them.
     @pytest.mark.parametrize("override, message", [
         ("optimizer.kind = adam", "invalid optimizer spec: unknown optimizer kind 'adam'; "
-         "Polyak momentum is generalized_momentum with model.dtilde = 1"),
+         "the kinds are mirror_sgd, kalman_gd, generalized_momentum"),
         ("mesh.steps = -3", "mesh.steps = -3: steps must be >= 0"),
     ])
     def test_library_checks_are_wrapped(self, override, message):
@@ -276,7 +276,7 @@ class TestBuildExperiment:
     @pytest.mark.parametrize("override, message", [
         ("model.kind = state_space\nmodel.A = [[0.5]]\noptimizer.kind = kalman_GD",
          "invalid optimizer spec: unknown optimizer kind 'kalman_GD'; "
-         "Polyak momentum is generalized_momentum with model.dtilde = 1"),
+         "the kinds are mirror_sgd, kalman_gd, generalized_momentum"),
         ("map.name = custom\nmap.m_diag = [1.0, 1.0, 1.0]",
          "custom maps are library-embedding only, not configurable"),
         ("problem.kind = logistc\nproblem.ridge = 0.1", "invalid problem: unknown problem kind "
@@ -450,7 +450,7 @@ class TestProblems:
         if kind == "quadratic":
             reference = [0.5 * np.mean(np.sum((x - problem.z) ** 2, axis=1)) for x in xs]
         else:
-            reference = [np.mean(np.logaddexp(0.0, -problem.labels * (problem.features @ x)))
+            reference = [np.mean(np.logaddexp(0.0, -(problem.z @ x)))
                          + 0.5 * problem.ridge * x @ x for x in xs]
         np.testing.assert_allclose(losses, reference, rtol=1e-14)
         np.testing.assert_allclose(losses, [problem.loss(x) for x in xs], rtol=1e-14)
@@ -571,7 +571,7 @@ class TestProblems:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 1.6 * problem.features.nbytes
+        assert peak < 1.6 * problem.z.nbytes
 
     def test_wide_logistic_loss_does_not_depend_on_the_block(self):
         # d = 40 >= 32: a product of 2 rows by fewer than 601 columns would
@@ -590,7 +590,7 @@ class TestProblems:
         problem = generate_problem("logistic", d=5, n=n, rng=component_rng(23, "problem"))
         xs = component_rng(24, "problem").standard_normal((7, 5))
         for x, got in zip(xs, problem.loss(xs)):
-            terms = np.logaddexp(0.0, -problem.labels * (problem.features @ x))
+            terms = np.logaddexp(0.0, -(problem.z @ x))
             exact = math.fsum(terms) / n + 0.5 * problem.ridge * x @ x
             assert abs(got - exact) <= 1e-15 * abs(exact)
 
@@ -650,12 +650,11 @@ class TestProblems:
         problem = generate_problem("logistic", d=d, n=n, rng=component_rng(29, "problem"))
         x_star = problem.x_star
         assert np.linalg.norm(problem.full_gradient(x_star)) <= problems_module._REFERENCE_TOL
-        feats, labels = problem.features.astype(np.longdouble), problem.labels.astype(np.longdouble)
-        x = x_star.astype(np.longdouble)
+        feats, x = problem.z.astype(np.longdouble), x_star.astype(np.longdouble)
         for _ in range(3):
-            p = 1 / (1 + np.exp(labels * (feats @ x)))
-            grad = feats.T @ (-labels * p) / n + problem.ridge * x
-            hess = (problem.features.T * (p * (1 - p)).astype(float)) @ problem.features
+            p = 1 / (1 + np.exp(feats @ x))
+            grad = -(feats.T @ p) / n + problem.ridge * x
+            hess = (problem.z.T * (p * (1 - p)).astype(float)) @ problem.z
             x -= np.linalg.solve(hess / n + problem.ridge * np.eye(d), grad.astype(float))
         exact = x.astype(float)
         assert np.linalg.norm(x_star - exact) <= 1e-13 * np.linalg.norm(exact)
@@ -669,11 +668,10 @@ class TestProblems:
         # |margins| reach beyond 709, where exp(margin) overflows.
         problem = generate_problem("logistic", d=3, n=50, rng=component_rng(12, "problem"))
         x = np.array([400.0, -400.0, 400.0])
-        feats, labels = problem.features, problem.labels
-        margins = labels * (feats @ x)
+        margins = problem.z @ x
         assert margins.max() > 1000 and margins.min() < -1000
-        weights = -labels * np.exp(-np.logaddexp(0.0, margins))
-        ref_grads = weights[:, None] * feats + problem.ridge * x
+        weights = -np.exp(-np.logaddexp(0.0, margins))
+        ref_grads = weights[:, None] * problem.z + problem.ridge * x
         ref_loss = np.mean(np.logaddexp(0.0, -margins)) + 0.5 * problem.ridge * x @ x
         with np.errstate(over="raise", invalid="raise"):
             grads = problem.per_sample_gradients(x)
@@ -683,6 +681,23 @@ class TestProblems:
         np.testing.assert_allclose(grads, ref_grads, rtol=1e-12, atol=0)
         assert math.isfinite(loss)
         assert loss == pytest.approx(ref_loss, rel=1e-12, abs=0)
+
+    # Redrawn in generate_problem's order, the raw features and labels give
+    # the stored signed rows and every per-sample gradient of the raw-label
+    # formula bit for bit; n = 501 is below one chunk.
+    @pytest.mark.parametrize("d, n", [(5, 501), (40, 3001)])
+    def test_signed_rows_fold_the_labels_in_exactly(self, d, n):
+        problem = generate_problem("logistic", d=d, n=n, rng=component_rng(31, "problem"))
+        rng = component_rng(31, "problem")
+        features = rng.standard_normal((n, d))
+        truth = rng.standard_normal(d)
+        labels = np.where(features @ truth + 0.5 * rng.standard_normal(n) > 0, 1.0, -1.0)
+        assert problem.z.tobytes() == (labels[:, None] * features).tobytes()
+        for x in component_rng(32, "problem").standard_normal((3, d)):
+            margins = labels * np.einsum("...ij,...j->...i", features, x)
+            weights = -labels * problems_module._sigmoid_neg(margins)
+            expected = weights[:, None] * features + problem.ridge * x
+            assert problem.per_sample_gradients(x).tobytes() == expected.tobytes()
 
     def test_invalid_requests(self):
         problem = generate_problem("quadratic", d=2, n=10,
@@ -1479,7 +1494,7 @@ class TestCli:
         assert caught == []
         assert capsys.readouterr().err == (
             "configuration error: invalid optimizer spec: unknown optimizer kind "
-            "'fosp_continuous'; Polyak momentum is generalized_momentum with model.dtilde = 1\n")
+            "'fosp_continuous'; the kinds are mirror_sgd, kalman_gd, generalized_momentum\n")
         assert not (tmp_path / "out").exists()
 
     def test_compare_records_fosp_continuous_as_an_unknown_kind(self, tmp_path, capsys):
@@ -1502,6 +1517,32 @@ class TestCli:
                             "kalman_gd requires a StateSpaceGradientModel")
         assert (tmp_path / "cmp" / "compare_mirror_sgd" / "summary.txt").exists()
         assert not (tmp_path / "cmp" / "compare_kalman_gd").exists()
+
+    # A file where a kind's output directory goes fails that kind alone:
+    # its row names the OSError, and the other kind runs and writes.
+    @pytest.mark.parametrize("blocked, ran", [("mirror_sgd", "kalman_gd"),
+                                              ("kalman_gd", "mirror_sgd")])
+    def test_compare_records_a_blocked_output(self, blocked, ran, tmp_path, capsys):
+        cfg = _write_config(tmp_path, _readme_example(1) + f"output = {tmp_path}/cmp\n")
+        (tmp_path / "cmp").mkdir()
+        (tmp_path / "cmp" / f"compare_{blocked}").touch()
+        assert main(["compare", cfg, "--optimizers", "mirror_sgd,kalman_gd"]) == EXIT_OK
+        with open(tmp_path / "cmp" / "compare.csv", newline="") as fh:
+            rows = {row[0]: row[1:] for row in csv.reader(fh)}
+        assert rows[blocked][:2] == ["0", "all"]
+        assert rows[blocked][2].startswith("error:FileExistsError: ")
+        assert rows[ran][:2] == ["3", "0"]
+        assert (tmp_path / "cmp" / f"compare_{ran}" / "summary.txt").exists()
+
+    def test_compare_with_every_output_blocked_exits_2(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path, _readme_example(1) + f"output = {tmp_path}/cmp\n")
+        (tmp_path / "cmp").mkdir()
+        for kind in ("mirror_sgd", "kalman_gd"):
+            (tmp_path / "cmp" / f"compare_{kind}").touch()
+        assert main(["compare", cfg, "--optimizers", "mirror_sgd,kalman_gd"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"every compare cell failed ({tmp_path}/cmp/compare.csv)" in err
+        assert "first: FileExistsError: " in err
 
     def test_compare_with_every_kind_a_config_error_exits_2(self, tmp_path, capsys):
         cfg = _write_config(tmp_path, BASE_CONFIG + f"output = {tmp_path}/cmp\n")

@@ -291,6 +291,18 @@ class TestRunOptimizer:
                           schedule=scaling_linear(), mode="empirical",
                           batch_m=None).validate()
 
+    # An unknown kind is named beside the kinds there are; only
+    # polyak_momentum gets the heavy-ball hint instead.
+    @pytest.mark.parametrize("kind, hint", [
+        ("adam", "the kinds are mirror_sgd, kalman_gd, generalized_momentum"),
+        ("polyak_momentum", "Polyak momentum is generalized_momentum with model.dtilde = 1"),
+    ], ids=["adam", "polyak_momentum"])
+    def test_unknown_kind_message(self, kind, hint):
+        spec = OptimizerSpec(kind=kind, mirror=quadratic_map(), schedule=scaling_linear())
+        with pytest.raises(ValueError) as err:
+            spec.validate()
+        assert str(err.value) == f"unknown optimizer kind {kind!r}; {hint}"
+
     def test_degenerate_kalman_filter_is_an_error(self):
         # L = 0 and sigma = 0 make the innovation variance zero on the
         # first step; the run must stop with the filter's error instead
